@@ -6,7 +6,7 @@ supervised baselines, and prints one summary table. Everything is seeded;
 re-runs reproduce the same numbers (timing columns excepted).
 
 Usage:
-    python3 scripts/run_experiment.py [--seeds N] [--out-dir DIR]
+    python3 scripts/run_experiment.py [--seeds N]
 """
 
 from __future__ import annotations

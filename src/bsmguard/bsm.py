@@ -261,6 +261,8 @@ def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
                 label = int(row[4])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not (math.isfinite(t) and math.isfinite(speed) and math.isfinite(accel)):
+                raise DataError(f"{path}:{lineno}: non-finite t, speed or accel in {row!r}")
             if label not in (NO_ATTACK, ATTACK):
                 raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
             if speed < 0:

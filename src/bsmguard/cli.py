@@ -8,6 +8,8 @@ config error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 
 import numpy as np
@@ -30,7 +32,9 @@ from bsmguard.pipeline import (
     detect_records,
     detector_report,
     evaluate_model,
+    feature_stream,
     read_decisions_csv,
+    stream_std_params,
     train_and_evaluate,
     write_decisions_csv,
 )
@@ -41,21 +45,21 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _load_records(path: str, vehicle: str | None):
-    """Materialize a single-vehicle record list from a CSV."""
-    records = list(read_bsm_csv(path))
-    vehicles = {r.vehicle_id for r in records}
-    if vehicle is not None:
-        records = [r for r in records if r.vehicle_id == vehicle]
-        if not records:
-            raise DataError(f"{path}: no records for vehicle {vehicle!r}")
-    elif len(vehicles) > 1:
-        raise DataError(
-            f"{path}: {len(vehicles)} vehicles present; pick one with --vehicle"
-        )
-    if not records:
-        raise DataError(f"{path}: no records")
-    return records
+def _vehicle_records(path: str, vehicle: str | None):
+    """Stream one vehicle's records from a CSV; multi-vehicle input must name it."""
+    wanted = vehicle
+    found = False
+    for r in read_bsm_csv(path):
+        if wanted is None:
+            wanted = r.vehicle_id
+        if r.vehicle_id == wanted:
+            found = True
+            yield r
+        elif vehicle is None:
+            raise DataError(f"{path}: multiple vehicles present; pick one with --vehicle")
+    if not found:
+        detail = "" if vehicle is None else f" for vehicle {vehicle!r}"
+        raise DataError(f"{path}: no records{detail}")
 
 
 def cmd_simulate(args) -> int:
@@ -70,49 +74,26 @@ def cmd_simulate(args) -> int:
 
 def _detector_settings(args) -> DetectorSettings:
     if getattr(args, "config", None):
-        return detector_settings_from_mapping(load_flat_config(args.config))
+        return detector_settings_from_mapping(load_flat_config(args.config), args.config)
     return DetectorSettings()
-
-
-def _check_single_vehicle(path: str, vehicle: str | None) -> None:
-    """One cheap streaming pass to catch multi-vehicle input early."""
-    seen: set[str] = set()
-    for r in read_bsm_csv(path):
-        seen.add(r.vehicle_id)
-        if vehicle is None and len(seen) > 1:
-            raise DataError(
-                f"{path}: multiple vehicles present; pick one with --vehicle"
-            )
-    if not seen:
-        raise DataError(f"{path}: no records")
-    if vehicle is not None and vehicle not in seen:
-        raise DataError(f"{path}: no records for vehicle {vehicle!r}")
 
 
 def cmd_detect(args) -> int:
     settings = _detector_settings(args)
-    _check_single_vehicle(args.csv, args.vehicle)
-
-    def records_factory():
-        records = read_bsm_csv(args.csv)
-        if args.vehicle is None:
-            return records
-        return (r for r in records if r.vehicle_id == args.vehicle)
-
-    rows = detect_records(records_factory, args.detector, settings, window=args.window)
+    records_factory = functools.partial(_vehicle_records, args.csv, args.vehicle)
+    for _ in records_factory():  # one cheap pass: bad vehicle input fails before any output
+        pass
+    mode = settings.input_mode(args.detector)
+    std = stream_std_params(records_factory, mode, args.window)
+    rows = detect_records(records_factory, args.detector, settings, args.window, std)
     n = write_decisions_csv(args.out, rows)
     print(f"wrote {n} decisions to {args.out}")
     if args.timing_out:
-        # Re-run the detector over the same feature stream purely to time it.
+        # Re-run a fresh detector over the same inputs purely to time it.
         # Wall-clock output is intentionally kept out of the decisions file.
-        samples = list(aggregate(_load_records(args.csv, args.vehicle), args.window))
-        values = _feature_values(samples, args.detector, settings)
-        det = make_detector(
-            args.detector,
-            {"bocpd": settings.bocpd, "em": settings.em, "cusum": settings.cusum}[
-                args.detector
-            ],
-        )
+        samples = aggregate(records_factory(), args.window)
+        values = (v for _, v in feature_stream(samples, mode, std) if v is not None)
+        det = make_detector(args.detector, settings.config(args.detector))
         try:
             stats = time_inference(det.observe, values)
         except ValueError as exc:
@@ -125,25 +106,6 @@ def cmd_detect(args) -> int:
             fh.write(f"timing_p99_ms = {stats.p99_ms!r}\n")
         print(f"wrote timing stats to {args.timing_out}")
     return EXIT_OK
-
-
-def _feature_values(samples, detector_name, settings):
-    """Materialize the detector's input stream (timing helper)."""
-    from bsmguard.bsm import TransformWindow, apply_standardizer, fit_standardizer
-
-    mode = settings.input_mode(detector_name)
-    if mode == "speed":
-        return [s.avg_speed for s in samples]
-    if mode == "standardized":
-        std = fit_standardizer([(s.avg_speed, s.avg_accel) for s in samples])
-        return [apply_standardizer(std, (s.avg_speed, s.avg_accel))[0] for s in samples]
-    window = TransformWindow()
-    values = []
-    for s in samples:
-        v = window.push(s.avg_speed, s.avg_accel)
-        if v is not None:
-            values.append(v)
-    return values
 
 
 def _parse_grid(raw: str | None):
@@ -161,8 +123,7 @@ def _parse_grid(raw: str | None):
 
 
 def cmd_train(args) -> int:
-    records = _load_records(args.csv, args.vehicle)
-    samples = list(aggregate(records, args.window))
+    samples = list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
     outcome = train_and_evaluate(
         samples,
         args.model,
@@ -189,8 +150,7 @@ def cmd_evaluate(args) -> int:
     from bsmguard.pipeline import samples_to_dataset
 
     model, std, seed, test_fraction = load_model(args.model_file)
-    records = _load_records(args.csv, args.vehicle)
-    samples = list(aggregate(records, args.window))
+    samples = list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
     X_raw, y = samples_to_dataset(samples)
     if len(np.unique(y)) < 2:
         raise DataError("evaluation needs both classes present in the data")
@@ -207,8 +167,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     decisions = read_decisions_csv(args.decisions)
-    records = _load_records(args.csv, args.vehicle)
-    samples = list(aggregate(records, args.window))
+    samples = list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
     windows = parse_windows(args.windows) if args.windows else ()
     report = detector_report(
         args.detector or "detector",
@@ -233,6 +192,24 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _checked(kind, accept, requirement: str):
+    """An argparse ``type``: parse with ``kind``, then reject out-of-range values."""
+
+    def parse(raw: str):
+        value = kind(raw)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{raw!r} {requirement}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its parse errors
+    return parse
+
+
+_window = _checked(float, lambda v: 0 < v < math.inf, "must be positive and finite")
+_folds = _checked(int, lambda v: v >= 2, "must be at least 2")
+_fraction = _checked(float, lambda v: 0 < v < 1, "must be in (0, 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsmguard",
@@ -252,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", required=True, choices=DETECTOR_NAMES)
     p.add_argument("--config", default=None, help="detector config file")
     p.add_argument("--out", required=True, help="output decisions CSV")
-    p.add_argument("--window", type=float, default=0.1, help="aggregation window (s)")
+    p.add_argument("--window", type=_window, default=0.1, help="aggregation window (s)")
     p.add_argument("--vehicle", default=None, help="vehicle id for multi-vehicle CSVs")
     p.add_argument("--timing-out", default=None, help="write per-sample timing stats here")
     p.set_defaults(func=cmd_detect)
@@ -265,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", default=None, help="also write the test report here")
     p.add_argument("--grid", default=None,
                    help='JSON parameter grid, e.g. \'{"k": [5, 19]}\' (default per family)')
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-    p.add_argument("--test-fraction", type=float, default=0.2, help="held-out split size")
-    p.add_argument("--window", type=float, default=0.1)
+    p.add_argument("--folds", type=_folds, default=5, help="cross-validation folds")
+    p.add_argument("--test-fraction", type=_fraction, default=0.2, help="held-out split size")
+    p.add_argument("--window", type=_window, default=0.1)
     p.add_argument("--vehicle", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -275,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_file", help="model produced by train")
     p.add_argument("csv", help="the same labeled BSM CSV used for training")
     p.add_argument("--out", default=None, help="write the report here")
-    p.add_argument("--window", type=float, default=0.1)
+    p.add_argument("--window", type=_window, default=0.1)
     p.add_argument("--vehicle", default=None)
     p.set_defaults(func=cmd_evaluate)
 
@@ -288,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-warmup", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--roc-out", default=None, help="write per-threshold ROC points CSV")
-    p.add_argument("--window", type=float, default=0.1)
+    p.add_argument("--window", type=_window, default=0.1)
     p.add_argument("--vehicle", default=None)
     p.set_defaults(func=cmd_report)
     return parser

@@ -7,6 +7,7 @@ the CLI turns them into exit code 2.
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -94,38 +95,58 @@ class DetectorSettings:
     em_input: str = "speed"
     cusum_input: str = "standardized"
 
+    def config(self, detector: str):
+        """The named detector's config, as ``make_detector`` takes it."""
+        return {"bocpd": self.bocpd, "em": self.em, "cusum": self.cusum}[detector]
+
     def input_mode(self, detector: str) -> str:
         return {"bocpd": self.bocpd_input, "em": self.em_input, "cusum": self.cusum_input}[
             detector
         ]
 
 
-def detector_settings_from_mapping(cfg: Mapping[str, str]) -> DetectorSettings:
-    """Build DetectorSettings from flat keys, defaulting everything absent."""
+def detector_settings_from_mapping(
+    cfg: Mapping[str, str], source: str = "<config>"
+) -> DetectorSettings:
+    """Build DetectorSettings from flat keys, defaulting everything absent.
+
+    Any other key is an error naming ``source`` and the nearest valid key, so
+    a misspelled setting cannot silently fall back to its default.
+    """
+    known: list[str] = []
+
+    def get(key, kind, default):
+        known.append(key)
+        return get_value(cfg, key, kind, default)
+
     settings = DetectorSettings(
         bocpd=BocpdConfig(
-            hazard=get_value(cfg, "bocpd.lambda", float, BocpdConfig.hazard),
-            mu0=get_value(cfg, "bocpd.mu0", float, BocpdConfig.mu0),
-            kappa=get_value(cfg, "bocpd.kappa", float, BocpdConfig.kappa),
-            alpha=get_value(cfg, "bocpd.alpha", float, BocpdConfig.alpha),
-            beta=get_value(cfg, "bocpd.beta", float, BocpdConfig.beta),
-            threshold=get_value(cfg, "bocpd.threshold", float, BocpdConfig.threshold),
-            warmup=get_value(cfg, "bocpd.warmup", int, BocpdConfig.warmup),
+            mu0=get("bocpd.mu0", float, BocpdConfig.mu0),
+            kappa=get("bocpd.kappa", float, BocpdConfig.kappa),
+            alpha=get("bocpd.alpha", float, BocpdConfig.alpha),
+            beta=get("bocpd.beta", float, BocpdConfig.beta),
+            threshold=get("bocpd.threshold", float, BocpdConfig.threshold),
+            warmup=get("bocpd.warmup", int, BocpdConfig.warmup),
         ),
         em=EmConfig(
-            threshold=get_value(cfg, "em.threshold", float, EmConfig.threshold),
-            seed=get_value(cfg, "em.seed", int, EmConfig.seed),
+            threshold=get("em.threshold", float, EmConfig.threshold),
+            seed=get("em.seed", int, EmConfig.seed),
         ),
         cusum=CusumConfig(
-            delta=get_value(cfg, "cusum.delta", float, CusumConfig.delta),
-            alpha=get_value(cfg, "cusum.alpha", float, CusumConfig.alpha),
-            h_sigma=get_value(cfg, "cusum.h_sigma", float, CusumConfig.h_sigma),
-            warmup=get_value(cfg, "cusum.warmup", int, CusumConfig.warmup),
+            delta=get("cusum.delta", float, CusumConfig.delta),
+            alpha=get("cusum.alpha", float, CusumConfig.alpha),
+            h_sigma=get("cusum.h_sigma", float, CusumConfig.h_sigma),
+            warmup=get("cusum.warmup", int, CusumConfig.warmup),
         ),
-        bocpd_input=get_value(cfg, "bocpd.input", str, DetectorSettings.bocpd_input),
-        em_input=get_value(cfg, "em.input", str, DetectorSettings.em_input),
-        cusum_input=get_value(cfg, "cusum.input", str, DetectorSettings.cusum_input),
+        bocpd_input=get("bocpd.input", str, DetectorSettings.bocpd_input),
+        em_input=get("em.input", str, DetectorSettings.em_input),
+        cusum_input=get("cusum.input", str, DetectorSettings.cusum_input),
     )
+    for key in cfg:
+        if key not in known:
+            near = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"{source}: unknown detector key {key!r}{hint}")
     for det in ("bocpd", "em", "cusum"):
         mode = settings.input_mode(det)
         if mode not in INPUT_MODES:

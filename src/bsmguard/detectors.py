@@ -83,9 +83,8 @@ def student_t_logpdf(y: float, df: float, mean: float, scale: float) -> float:
 
 @dataclass(frozen=True)
 class BocpdConfig:
-    """Normal-Inverse-Gamma prior, hazard rate, and alarm threshold."""
+    """Normal-Inverse-Gamma prior and alarm threshold."""
 
-    hazard: float = 0.01  # per-interval change probability (mean run 100)
     mu0: float = 0.0
     kappa: float = 0.1
     alpha: float = 1e-5
@@ -94,8 +93,6 @@ class BocpdConfig:
     warmup: int = 10  # updates consumed before alarms may fire
 
     def validate(self) -> None:
-        if not (0.0 < self.hazard < 1.0):
-            raise ValueError(f"hazard must be in (0, 1), got {self.hazard}")
         if self.kappa <= 0 or self.alpha <= 0 or self.beta <= 0:
             raise ValueError("kappa, alpha and beta must all be positive")
         if self.threshold < 0:
@@ -107,11 +104,11 @@ class BocpdConfig:
 class BocpdDetector:
     """Single-trajectory Bayesian online change-point detector.
 
-    Maintains one Normal-Inverse-Gamma posterior over the current run's mean
-    and variance. Each observation is scored by its posterior-predictive
-    Student-t density; a density below the threshold is declared an attack,
-    which resets the run (length 1, running mean re-anchored to y) and leaves
-    the hyperparameters untouched. Otherwise the conjugate updates advance:
+    Maintains one Normal-Inverse-Gamma posterior over the in-control mean and
+    variance. Each observation is scored by its posterior-predictive
+    Student-t density; a density below the threshold is declared an attack
+    and leaves the posterior untouched. Otherwise the conjugate updates
+    advance:
 
         beta  += kappa * (y - mu)^2 / (2 * (kappa + 1))
         mu     = (kappa * mu + y) / (kappa + 1)
@@ -129,8 +126,6 @@ class BocpdDetector:
         self.kappa = self.config.kappa
         self.alpha = self.config.alpha
         self.beta = self.config.beta
-        self.run_length = 0
-        self.run_mean = self.config.mu0
         self.observed = 0
 
     def predictive_logpdf(self, y: float) -> float:
@@ -142,21 +137,15 @@ class BocpdDetector:
         y = _require_finite(y)
         p = math.exp(self.predictive_logpdf(y))
         warmed = self.observed >= self.config.warmup
-        if warmed and p < self.config.threshold:
-            # Change point: restart the run at this observation. The posterior
-            # keeps accumulating only in-control data, so a sustained false
-            # regime stays suspicious for its whole duration.
-            self.run_length = 1
-            self.run_mean = y
-            attack = True
-        else:
+        # A change point leaves the posterior untouched: it accumulates only
+        # in-control data, so a sustained false regime stays suspicious for
+        # its whole duration.
+        attack = warmed and p < self.config.threshold
+        if not attack:
             self.beta += self.kappa * (y - self.mu) ** 2 / (2.0 * (self.kappa + 1.0))
             self.mu = (self.kappa * self.mu + y) / (self.kappa + 1.0)
             self.kappa += 1.0
             self.alpha += 0.5
-            self.run_mean = (self.run_length * self.run_mean + y) / (self.run_length + 1)
-            self.run_length += 1
-            attack = False
         self.observed += 1
         return DetectorDecision(attack=attack, score=p, warmed_up=warmed)
 
@@ -309,7 +298,6 @@ class EmDetector:
         self.seed_stdev = 1.0
         self.theta: tuple[float, float, float, float, float] | None = None
         self.last_ll_history: list[float] = []
-        self.observed = 0
 
     def _build_anchors(self) -> None:
         n = len(self._buffer)
@@ -325,7 +313,6 @@ class EmDetector:
 
     def observe(self, y: float) -> DetectorDecision:
         y = _require_finite(y)
-        self.observed += 1
         if self.anchors is None:
             self._buffer.append(y)
             if len(self._buffer) == self.config.warmup:
@@ -405,7 +392,6 @@ class CusumDetector:
         self.c_pos = 0.0
         self.c_neg = 0.0
         self.ready = False
-        self.observed = 0
 
     def _init_from_buffer(self) -> None:
         n = len(self._buffer)
@@ -418,7 +404,6 @@ class CusumDetector:
 
     def observe(self, y: float) -> DetectorDecision:
         y = _require_finite(y)
-        self.observed += 1
         if not self.ready:
             self._buffer.append(y)
             if len(self._buffer) == self.config.warmup:

@@ -231,7 +231,6 @@ class EvalReport:
     quality: Metrics
     auroc_value: float | None = None
     latency: LatencyStats | None = None
-    timing: TimingStats | None = None
     extra: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
@@ -262,13 +261,6 @@ class EvalReport:
             lines.append(f"latency_max_s = {self.latency.max!r}")
         for key in sorted(self.extra):
             lines.append(f"{key} = {self.extra[key]}")
-        if self.timing is not None:
-            # Wall-clock numbers are inherently non-reproducible; they are
-            # only emitted when explicitly requested.
-            lines.append(f"timing_samples = {self.timing.n_measured}")
-            lines.append(f"timing_mean_ms = {self.timing.mean_ms!r}")
-            lines.append(f"timing_median_ms = {self.timing.median_ms!r}")
-            lines.append(f"timing_p99_ms = {self.timing.p99_ms!r}")
         return "\n".join(lines) + "\n"
 
 

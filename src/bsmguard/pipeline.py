@@ -44,6 +44,9 @@ DECISIONS_HEADER = ("t", "score", "attack", "warmed_up")
 #: attack.
 SCORE_ORIENTATION = {"bocpd": -1.0, "em": 1.0, "cusum": 1.0}
 
+#: The decision for a sample the transform window consumes while it fills.
+WARMUP_DECISION = DetectorDecision(attack=False, score=0.0, warmed_up=False)
+
 
 def welford_feature_stats(samples: Iterable[AggregatedSample]) -> StandardizationParams:
     """One streaming pass over (avg_speed, avg_accel) with O(1) memory."""
@@ -62,6 +65,41 @@ def welford_feature_stats(samples: Iterable[AggregatedSample]) -> Standardizatio
     return StandardizationParams(mean=tuple(mean), stdev=stdev)
 
 
+def feature_stream(
+    samples: Iterable[AggregatedSample],
+    mode: str,
+    std: StandardizationParams | None = None,
+) -> Iterator[tuple[AggregatedSample, float | None]]:
+    """Turn each sample into the detector input its input mode selects.
+
+    Yields ``(sample, value)``: the raw average speed, the standardized
+    average speed (requires ``std``), or the rolling control-variate
+    transform, whose value is None while its window fills. Every detector
+    input, for decisions and for timing alike, comes from here.
+    """
+    if mode == "speed":
+        for sample in samples:
+            yield sample, sample.avg_speed
+    elif mode == "standardized":
+        if std is None:
+            raise ValueError("standardized input mode needs standardization parameters")
+        for sample in samples:
+            yield sample, apply_standardizer(std, (sample.avg_speed, sample.avg_accel))[0]
+    else:
+        window = TransformWindow()
+        for sample in samples:
+            yield sample, window.push(sample.avg_speed, sample.avg_accel)
+
+
+def stream_std_params(
+    records_factory: Callable[[], Iterable[BsmRecord]], mode: str, window: float
+) -> StandardizationParams | None:
+    """Feature statistics for the standardized mode (one pass), else None."""
+    if mode != "standardized":
+        return None
+    return welford_feature_stats(aggregate(records_factory(), window))
+
+
 def run_detection(
     samples: Iterable[AggregatedSample],
     detector_name: str,
@@ -70,35 +108,15 @@ def run_detection(
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
     """Feed a sample stream through one detector; yields one decision per sample.
 
-    The detector's configured input mode selects what it observes: the raw
-    average speed, the standardized average speed (requires ``std_params``),
-    or the rolling control-variate transform. Samples consumed while the
-    transform window fills get a warm-up decision.
+    The detector's configured input mode selects what it observes (see
+    ``feature_stream``). Samples consumed while the transform window fills
+    get a warm-up decision.
     """
     settings = settings or DetectorSettings()
+    detector = make_detector(detector_name, settings.config(detector_name))
     mode = settings.input_mode(detector_name)
-    config = {"bocpd": settings.bocpd, "em": settings.em, "cusum": settings.cusum}[
-        detector_name
-    ]
-    detector = make_detector(detector_name, config)
-    window = TransformWindow() if mode == "transform" else None
-    if mode == "standardized" and std_params is None:
-        raise ValueError("standardized input mode needs standardization parameters")
-
-    for sample in samples:
-        if mode == "speed":
-            value: float | None = sample.avg_speed
-        elif mode == "standardized":
-            value = apply_standardizer(
-                std_params, (sample.avg_speed, sample.avg_accel)
-            )[0]
-        else:
-            value = window.push(sample.avg_speed, sample.avg_accel)
-        if value is None:
-            decision = DetectorDecision(attack=False, score=0.0, warmed_up=False)
-        else:
-            decision = detector.observe(value)
-        yield sample, decision
+    for sample, value in feature_stream(samples, mode, std_params):
+        yield sample, WARMUP_DECISION if value is None else detector.observe(value)
 
 
 def detect_records(
@@ -106,17 +124,19 @@ def detect_records(
     detector_name: str,
     settings: DetectorSettings | None = None,
     window: float = 0.1,
+    std_params: StandardizationParams | None = None,
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
     """Aggregate and detect over a record stream that can be re-opened.
 
     ``records_factory`` is called once per pass; standardized input modes
-    need a first pass for the feature statistics, raw and transform modes
-    run single-pass.
+    need a first pass for the feature statistics (``stream_std_params``)
+    unless ``std_params`` already holds them.
     """
     settings = settings or DetectorSettings()
-    std_params = None
-    if settings.input_mode(detector_name) == "standardized":
-        std_params = welford_feature_stats(aggregate(records_factory(), window))
+    if std_params is None:
+        std_params = stream_std_params(
+            records_factory, settings.input_mode(detector_name), window
+        )
     return run_detection(
         aggregate(records_factory(), window), detector_name, settings, std_params
     )
@@ -288,8 +308,8 @@ def train_and_evaluate(
 
 def evaluate_model(model, family: str, X_test: np.ndarray, y_test: np.ndarray) -> EvalReport:
     labels = list(map(int, y_test))
-    preds = [int(v) for v in model.predict_labels(X_test)]
     scores = [float(v) for v in model.predict_scores(X_test)]
+    preds = [int(v > 0.5) for v in scores]  # every family's label cut
     cm = confusion(labels, preds)
     auc = auroc(scores, labels) if 0 < sum(labels) < len(labels) else None
     return EvalReport(subject=family, cm=cm, quality=metrics(cm), auroc_value=auc)

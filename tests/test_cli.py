@@ -94,6 +94,13 @@ class TestDetect:
         code = main(["detect", str(bsm_csv), "--detector", "bocpd", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_unknown_config_key_exits_2(self, tmp_path, bsm_csv, capsys):
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text("bocpd.lambda = 0.5\n")
+        code = main(["detect", str(bsm_csv), "--detector", "bocpd", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{cfg}: unknown detector key 'bocpd.lambda'" in capsys.readouterr().err
+
     def test_non_monotonic_csv_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -164,6 +171,39 @@ class TestDetect:
                      "--timing-out", str(tmp_path / "t.txt")])
         assert code == 3
         assert "warm-up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["speed", "standardized", "transform"])
+    def test_timing_observes_the_decision_inputs(self, tmp_path, bsm_csv, monkeypatch, mode):
+        from bsmguard.detectors import CusumDetector
+
+        seen: dict[CusumDetector, list[str]] = {}  # keyed by instance, one per run
+        observe = CusumDetector.observe
+
+        def spy(self, y):
+            seen.setdefault(self, []).append(float(y).hex())
+            return observe(self, y)
+
+        monkeypatch.setattr(CusumDetector, "observe", spy)
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(f"cusum.input = {mode}\n")
+        code = main(["detect", str(bsm_csv), "--detector", "cusum", "--config", str(cfg),
+                     "--out", str(tmp_path / "d.csv"), "--timing-out", str(tmp_path / "t.txt")])
+        assert code == 0
+        decision_run, timing_run = seen.values()
+        assert len(decision_run) > 100
+        assert timing_run == decision_run
+
+    def test_non_finite_csv_values_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text(
+            "t,vehicle_id,speed_mps,accel_mps2,label\n"
+            "0.1,v1,10.0,0.0,0\n0.2,v1,nan,inf,0\n"
+        )
+        code = main(["detect", str(bad), "--detector", "cusum", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{bad}:3" in err
+        assert "Traceback" not in err
 
 
 class TestReport:
@@ -285,3 +325,23 @@ class TestTrainEvaluate:
         acc = float(next(l for l in text.splitlines() if l.startswith("accuracy")).split("=")[1])
         # Majority baseline: 1050/1200 clean = 0.875
         assert acc > 0.875
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "in.csv", "--detector", "cusum", "--out", "d.csv", "--window", "0"],
+        ["detect", "in.csv", "--detector", "cusum", "--out", "d.csv", "--window", "nan"],
+        ["train", "in.csv", "--model", "knn", "--out", "m.json", "--window", "-1"],
+        ["evaluate", "m.json", "in.csv", "--window", "inf"],
+        ["report", "d.csv", "in.csv", "--window", "0"],
+        ["train", "in.csv", "--model", "knn", "--out", "m.json", "--folds", "1"],
+        ["train", "in.csv", "--model", "knn", "--out", "m.json", "--test-fraction", "1.5"],
+        ["train", "in.csv", "--model", "knn", "--out", "m.json", "--test-fraction", "0"],
+    ],
+)
+def test_bad_numeric_argument_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -44,7 +44,6 @@ class TestParsing:
 class TestDetectorSettings:
     def test_defaults_are_published_values(self):
         s = detector_settings_from_mapping({})
-        assert s.bocpd.hazard == 0.01
         assert s.bocpd.mu0 == 0.0
         assert s.bocpd.kappa == 0.1
         assert s.bocpd.alpha == 1e-5
@@ -61,7 +60,6 @@ class TestDetectorSettings:
     def test_every_key_reaches_its_field(self):
         s = detector_settings_from_mapping(
             {
-                "bocpd.lambda": "0.1",
                 "bocpd.mu0": "2.0",
                 "bocpd.kappa": "0.5",
                 "bocpd.alpha": "0.25",
@@ -79,7 +77,6 @@ class TestDetectorSettings:
                 "cusum.input": "transform",
             }
         )
-        assert s.bocpd.hazard == 0.1
         assert s.bocpd.mu0 == 2.0
         assert s.bocpd.kappa == 0.5
         assert s.bocpd.alpha == 0.25
@@ -96,9 +93,12 @@ class TestDetectorSettings:
         assert s.input_mode("em") == "transform"
         assert s.input_mode("cusum") == "transform"
 
-    def test_alternate_hazard_from_text_reachable(self):
-        s = detector_settings_from_mapping({"bocpd.lambda": "0.10"})
-        assert s.bocpd.hazard == 0.10
+    def test_unknown_key_rejected_with_suggestion(self):
+        with pytest.raises(ConfigError, match=r"det\.cfg: .*'cusum\.h_sgma'.*'cusum\.h_sigma'"):
+            detector_settings_from_mapping({"cusum.h_sgma": "0.001"}, source="det.cfg")
+        # The hazard rate is not a setting: the detector has no use for it.
+        with pytest.raises(ConfigError, match="'bocpd.lambda'"):
+            detector_settings_from_mapping({"bocpd.lambda": "0.10"})
 
     def test_unknown_input_mode_rejected(self):
         with pytest.raises(ConfigError, match="unknown mode"):

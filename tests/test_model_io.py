@@ -76,3 +76,14 @@ def test_save_is_deterministic(tmp_path):
     save_model(p1, model, std, 5, 0.2)
     save_model(p2, model, std, 5, 0.2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("family", sorted(PARAMS))
+def test_labels_are_scores_cut_at_half(family):
+    # evaluate_model takes labels from one scoring pass with this cut.
+    X, y = data()
+    model = fit_family(family, PARAMS[family], X, y, seed=3)
+    Q = np.random.default_rng(9).normal(0, 1.5, size=(200, 2))
+    labels = model.predict_labels(Q)
+    assert 0 < labels.sum() < len(labels)
+    assert labels.tolist() == (model.predict_scores(Q) > 0.5).astype(int).tolist()
