@@ -22,10 +22,11 @@ from bsmguard.config import (
     detector_settings_from_mapping,
     load_flat_config,
     parse_windows,
+    reject_unknown_keys,
 )
 from bsmguard.detectors import DETECTOR_NAMES, make_detector
 from bsmguard.evaluate import roc_points, time_inference, write_roc_csv
-from bsmguard.ml import MODEL_FAMILIES
+from bsmguard.ml import FAMILIES, MODEL_FAMILIES
 from bsmguard.model_io import load_model, save_model
 from bsmguard.pipeline import (
     SCORE_ORIENTATION,
@@ -108,7 +109,8 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(raw: str | None):
+def _parse_grid(raw: str | None, family: str):
+    """The ``--grid`` JSON, checked against the family's declared parameters."""
     if raw is None:
         return None
     import json
@@ -117,8 +119,19 @@ def _parse_grid(raw: str | None):
         grid = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--grid is not valid JSON: {exc}") from None
-    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-        raise ConfigError("--grid must be a JSON object mapping parameter to a list of values")
+    if not isinstance(grid, dict) or not all(isinstance(v, list) and v for v in grid.values()):
+        raise ConfigError(
+            "--grid must be a JSON object mapping parameter to a non-empty list of values"
+        )
+    entry = FAMILIES[family]
+    reject_unknown_keys(grid, entry.keys, f"--grid: unknown {family} parameter")
+    for key, values in grid.items():
+        for value in values:
+            if not entry.keys[key](value):
+                raise ConfigError(f"--grid: {family} parameter {key!r}: {value!r} is out of range")
+    for key in entry.required:
+        if key not in grid:
+            raise ConfigError(f"--grid: {family} needs parameter {key!r}")
     return grid
 
 
@@ -128,7 +141,7 @@ def cmd_train(args) -> int:
         samples,
         args.model,
         seed=args.seed,
-        grid=_parse_grid(args.grid),
+        grid=_parse_grid(args.grid, args.model),
         folds=args.folds,
         test_fraction=args.test_fraction,
     )

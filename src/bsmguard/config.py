@@ -8,8 +8,9 @@ the CLI turns them into exit code 2.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from bsmguard.detectors import BocpdConfig, CusumConfig, EmConfig
 
@@ -42,9 +43,23 @@ def load_flat_config(path: str) -> dict[str, str]:
 
 def _convert(raw: str, key: str, kind):
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
+    return value
+
+
+def reject_unknown_keys(keys: Iterable[str], known: Iterable[str], what: str) -> None:
+    """Raise ConfigError ``what 'key'`` for the first key not in ``known``,
+    with the nearest known key as a hint, so a typo cannot fall back silently."""
+    known = list(known)
+    for key in keys:
+        if key not in known:
+            near = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"{what} {key!r}{hint}")
 
 
 _REQUIRED = object()
@@ -142,11 +157,7 @@ def detector_settings_from_mapping(
         em_input=get("em.input", str, DetectorSettings.em_input),
         cusum_input=get("cusum.input", str, DetectorSettings.cusum_input),
     )
-    for key in cfg:
-        if key not in known:
-            near = difflib.get_close_matches(key, known, n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
-            raise ConfigError(f"{source}: unknown detector key {key!r}{hint}")
+    reject_unknown_keys(cfg, known, f"{source}: unknown detector key")
     for det in ("bocpd", "em", "cusum"):
         mode = settings.input_mode(det)
         if mode not in INPUT_MODES:

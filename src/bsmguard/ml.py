@@ -3,17 +3,28 @@
 Binary classifiers only: KNN, CART decision trees, bootstrap-aggregated
 forests, and a one-hidden-layer network trained with Adam, plus SMOTE-style
 class balancing and a stratified k-fold grid search. Labels are 0 (clean)
-and 1 (attack); every predictor returns (label, attack_probability_or_score).
+and 1 (attack). Each family scores a batch of rows at once; the per-row
+predictors return (label, attack score) and are one-row calls of those
+batch scorers. ``FAMILIES`` is the one table the rest of the package
+dispatches on.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
+
+from bsmguard.bsm import DataError
+
+#: Every family labels a row attack when its score is above this cut.
+LABEL_CUT = 0.5
+
+#: Distances KNN holds at once: 128 KiB of float64 per block of query rows.
+KNN_BLOCK_CELLS = 1 << 14
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -52,7 +63,7 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
         raise ValueError("need at least 2 folds")
     counts = np.bincount(y, minlength=2)
     if np.any(counts[np.unique(y)] < folds):
-        raise ValueError(
+        raise DataError(
             f"infeasible stratification: every class needs >= {folds} samples, "
             f"got counts {counts.tolist()}"
         )
@@ -89,14 +100,14 @@ def smote_balance(
     y = np.asarray(y, dtype=int)
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) < 2:
-        raise ValueError("balancing needs both classes present")
+        raise DataError("balancing needs both classes present")
     minority = int(classes[np.argmin(counts)])
     majority = int(classes[np.argmax(counts)])
     n_min, n_maj = int(counts.min()), int(counts.max())
     if n_min == n_maj:
         return X.copy(), y.copy()
     if n_min < 2:
-        raise ValueError("minority class needs at least 2 samples for interpolation")
+        raise DataError("minority class needs at least 2 samples for interpolation")
 
     rng = np.random.default_rng(seed)
     target = (n_min + n_maj) // 2
@@ -133,25 +144,43 @@ def smote_balance(
 # ---------------------------------------------------------------------------
 
 
+def knn_scores(
+    X_train: np.ndarray, y_train: np.ndarray, Q: np.ndarray, k: int
+) -> np.ndarray:
+    """Attack fraction among each query row's k nearest training points.
+
+    Euclidean distance; ties break by training-set index order. Distances
+    add up one feature column at a time, so no (queries, train, features)
+    temporary is built, and query rows go in blocks of at most
+    ``KNN_BLOCK_CELLS`` distances, so peak memory stays that of a few rows.
+    """
+    X_train = np.asarray(X_train, dtype=float)
+    y_train = np.asarray(y_train, dtype=int)
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    if k < 1 or k > len(X_train):
+        raise DataError(f"k must be in [1, {len(X_train)}], got {k}")
+    out = np.empty(len(Q))
+    step = max(1, KNN_BLOCK_CELLS // len(X_train))
+    for start in range(0, len(Q), step):
+        block = Q[start : start + step]
+        d2 = np.zeros((len(block), len(X_train)))
+        for j in range(X_train.shape[1]):
+            d2 += (X_train[:, j] - block[:, j, None]) ** 2
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start : start + step] = np.mean(y_train[order] == 1, axis=1)
+    return out
+
+
 def knn_predict(
     X_train: np.ndarray, y_train: np.ndarray, query: Sequence[float], k: int
 ) -> tuple[int, float]:
     """Majority vote among the k nearest training points (Euclidean).
 
-    Distance ties break by training-set index order. The score is the attack
-    fraction among the neighbors; the label is attack only on a strict
-    majority.
+    The score is the attack fraction among the neighbors; the label is
+    attack only on a strict majority.
     """
-    X_train = np.asarray(X_train, dtype=float)
-    y_train = np.asarray(y_train, dtype=int)
-    if len(X_train) == 0:
-        raise ValueError("empty training set")
-    if k < 1 or k > len(X_train):
-        raise ValueError(f"k must be in [1, {len(X_train)}], got {k}")
-    d2 = np.sum((X_train - np.asarray(query, dtype=float)) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")[:k]
-    score = float(np.mean(y_train[order] == 1))
-    return (1 if score > 0.5 else 0, score)
+    score = float(knn_scores(X_train, y_train, [query], k)[0])
+    return (int(score > LABEL_CUT), score)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +359,46 @@ def cart_fit(
     return build(np.arange(len(y)), 0)
 
 
+def cart_scores(tree: CartNode, X: np.ndarray) -> np.ndarray:
+    """Attack probability of the leaf each row reaches.
+
+    One descent for the whole batch: each split partitions the row indices
+    that reached it, with the same ``x <= threshold`` test as a single walk.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty(len(X))
+    todo = [(tree, np.arange(len(X)))]
+    while todo:
+        node, idx = todo.pop()
+        if node.is_leaf:
+            out[idx] = node.probs[1]
+            continue
+        go_left = X[idx, node.feature] <= node.threshold
+        for child, rows in ((node.left, idx[go_left]), (node.right, idx[~go_left])):
+            if len(rows):
+                todo.append((child, rows))
+    return out
+
+
 def cart_predict(tree: CartNode, x: Sequence[float]) -> tuple[int, float]:
     """Walk the tree; returns (label, attack probability)."""
-    node = tree
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    p1 = node.probs[1]
-    return (1 if p1 > 0.5 else 0, float(p1))
+    p1 = float(cart_scores(tree, [x])[0])
+    return (int(p1 > LABEL_CUT), p1)
+
+
+def _tree_to_dict(node: CartNode) -> dict:
+    """The node's set fields, children nested: the model file's tree schema."""
+    d = {k: v for k, v in vars(node).items() if v is not None}
+    if not node.is_leaf:
+        d["left"], d["right"] = _tree_to_dict(node.left), _tree_to_dict(node.right)
+    return d
+
+
+def _tree_from_dict(d: dict) -> CartNode:
+    node = CartNode(**d)
+    if not node.is_leaf:
+        node.left, node.right = _tree_from_dict(d["left"]), _tree_from_dict(d["right"])
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +456,20 @@ def rf_fit(
     return Forest(trees=trees)
 
 
+def rf_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Mean of the member trees' leaf probabilities, per row.
+
+    The mean runs along the contiguous tree axis of a (rows, trees) array,
+    which sums each row exactly as the mean of one row's tree list does.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.stack([cart_scores(t, X) for t in forest.trees], axis=1).mean(axis=1)
+
+
 def rf_predict(forest: Forest, x: Sequence[float]) -> tuple[int, float]:
-    """Average the member trees' leaf probabilities; label at 0.5."""
-    p1 = float(np.mean([cart_predict(t, x)[1] for t in forest.trees]))
-    return (1 if p1 > 0.5 else 0, p1)
+    """Average the member trees' leaf probabilities; label at ``LABEL_CUT``."""
+    p1 = float(rf_scores(forest, [x])[0])
+    return (int(p1 > LABEL_CUT), p1)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +545,6 @@ def nn_train(
     lr: float = 0.2,
     seed: int = 0,
     n_hidden: int = 10,
-    init_range: float = NN_INIT_RANGE,
 ) -> NnModel:
     """Mini-batch Adam on binary cross-entropy.
 
@@ -484,7 +555,7 @@ def nn_train(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     rng = np.random.default_rng(seed)
-    model = nn_init(X.shape[1], n_hidden, seed=int(rng.integers(2**32)), init_range=init_range)
+    model = nn_init(X.shape[1], n_hidden, seed=int(rng.integers(2**32)))
     m = {k: 0.0 for k in ("w_hidden", "b_hidden", "w_out", "b_out")}
     v = {k: 0.0 for k in m}
     params = {
@@ -522,91 +593,139 @@ def nn_train(
 
 
 # ---------------------------------------------------------------------------
-# Model facade and grid search
+# Family table, model facade and grid search
 # ---------------------------------------------------------------------------
 
-MODEL_FAMILIES = ("knn", "cart", "rf", "nn")
 
-#: Families balanced by resampling; the tree families use class weights.
-SMOTE_FAMILIES = ("knn", "nn")
+def _at_least(low, kind=int) -> Callable[[object], bool]:
+    """A grid-value check: a finite ``kind`` number (never a bool) >= ``low``."""
+    return lambda v: isinstance(v, kind) and not isinstance(v, bool) and low <= v < math.inf
+
+
+_TREE_KEYS = {
+    "criterion": lambda v: v in ("gini", "entropy"),
+    "max_depth": _at_least(0),
+    "min_split": _at_least(1),
+    "min_leaf": _at_least(1),
+}
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one baseline family.
+
+    ``smote`` is the balancing policy: SMOTE-resample before ``fit`` (its
+    ``smote_k`` parameter is consumed there), or else ``fit`` weighs the
+    classes with ``class_weights``. ``keys`` maps each parameter a grid may
+    set to its value check; a grid must set the ``required`` ones.
+    ``fit(params, X, y, seed)`` returns the fitted state, ``scores(state,
+    params, X)`` scores a batch of rows, and ``to_payload``/``from_payload``
+    convert the state to and from the family's part of the model file.
+    """
+
+    smote: bool
+    grid: dict[str, list]
+    keys: dict[str, Callable[[object], bool]]
+    fit: Callable[[dict, np.ndarray, np.ndarray, int], Any]
+    scores: Callable[[Any, dict, np.ndarray], np.ndarray]
+    to_payload: Callable[[Any], dict]
+    from_payload: Callable[[dict], Any]
+    required: tuple[str, ...] = ()
+
+
+# The fit callables look cart_fit, rf_fit and nn_train up as module globals
+# at call time, so a wrapper installed on the module attribute sees every fit.
+FAMILIES: dict[str, Family] = {
+    "knn": Family(
+        smote=True,
+        grid={"k": [5, 19]},
+        keys={"k": _at_least(1), "smote_k": _at_least(1)},
+        required=("k",),
+        fit=lambda params, X, y, seed: (X, y),
+        scores=lambda state, params, X: knn_scores(state[0], state[1], X, params["k"]),
+        to_payload=lambda state: {
+            "train_features": state[0].tolist(),
+            "train_labels": state[1].tolist(),
+        },
+        from_payload=lambda p: (
+            np.array(p["train_features"], dtype=float),
+            np.array(p["train_labels"], dtype=int),
+        ),
+    ),
+    "cart": Family(
+        smote=False,
+        grid={"criterion": ["entropy"], "max_depth": [4, 8]},
+        keys=_TREE_KEYS,
+        fit=lambda params, X, y, seed: cart_fit(X, y, weights=class_weights(y), **params),
+        scores=lambda tree, params, X: cart_scores(tree, X),
+        to_payload=lambda tree: {"tree": _tree_to_dict(tree)},
+        from_payload=lambda p: _tree_from_dict(p["tree"]),
+    ),
+    "rf": Family(
+        smote=False,
+        grid={"n_trees": [400], "max_depth": [90], "min_split": [12], "min_leaf": [5]},
+        keys={**_TREE_KEYS, "n_trees": _at_least(1)},
+        fit=lambda params, X, y, seed: rf_fit(X, y, seed=seed, weights=class_weights(y), **params),
+        scores=lambda forest, params, X: rf_scores(forest, X),
+        to_payload=lambda forest: {"trees": [_tree_to_dict(t) for t in forest.trees]},
+        from_payload=lambda p: Forest(trees=[_tree_from_dict(t) for t in p["trees"]]),
+    ),
+    "nn": Family(
+        smote=True,
+        grid={"epochs": [100], "batch_size": [50], "lr": [0.2], "n_hidden": [10]},
+        keys={
+            "epochs": _at_least(1),
+            "batch_size": _at_least(1),
+            "lr": _at_least(0.0, (int, float)),
+            "n_hidden": _at_least(1),
+            "smote_k": _at_least(1),
+        },
+        fit=lambda params, X, y, seed: nn_train(X, y, seed=seed, **params),
+        scores=lambda nn, params, X: nn_forward(nn, np.atleast_2d(X)),
+        to_payload=lambda nn: {
+            f.name: np.asarray(getattr(nn, f.name)).tolist() for f in fields(nn)
+        },
+        from_payload=lambda p: NnModel(
+            np.array(p["w_hidden"], dtype=float),
+            np.array(p["b_hidden"], dtype=float),
+            np.array(p["w_out"], dtype=float),
+            float(p["b_out"]),
+        ),
+    ),
+}
+
+MODEL_FAMILIES = tuple(FAMILIES)
 
 
 @dataclass
 class FittedModel:
-    """A fitted baseline of any family, with a uniform predict surface."""
+    """A fitted baseline: its family, selected params and the family's state."""
 
     family: str
     params: dict
-    knn_X: np.ndarray | None = None
-    knn_y: np.ndarray | None = None
-    tree: CartNode | None = None
-    forest: Forest | None = None
-    nn: NnModel | None = None
-
-    def predict(self, x: Sequence[float]) -> tuple[int, float]:
-        if self.family == "knn":
-            return knn_predict(self.knn_X, self.knn_y, x, self.params["k"])
-        if self.family == "cart":
-            return cart_predict(self.tree, x)
-        if self.family == "rf":
-            return rf_predict(self.forest, x)
-        prob = nn_forward(self.nn, x)
-        return (1 if prob > 0.5 else 0, float(prob))
-
-    def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict(row)[0] for row in np.asarray(X, dtype=float)])
+    state: Any
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict(row)[1] for row in np.asarray(X, dtype=float)])
+        """Attack score per row, in one batch call to the family's scorer."""
+        return FAMILIES[self.family].scores(self.state, self.params, X)
+
+    def predict_labels(self, X: np.ndarray) -> np.ndarray:
+        return (self.predict_scores(X) > LABEL_CUT).astype(int)
 
 
 def fit_family(
     family: str, params: Mapping[str, object], X: np.ndarray, y: np.ndarray, seed: int
 ) -> FittedModel:
     """Balance (per family policy) and fit one model. Deterministic per seed."""
-    if family not in MODEL_FAMILIES:
+    entry = FAMILIES.get(family)
+    if entry is None:
         raise ValueError(f"unknown model family {family!r}; expected {MODEL_FAMILIES}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     params = dict(params)
-    if family in SMOTE_FAMILIES:
-        X, y = smote_balance(X, y, k=int(params.pop("smote_k", 5)), seed=seed)
-    if family == "knn":
-        return FittedModel(family, params, knn_X=X, knn_y=y)
-    if family == "cart":
-        tree = cart_fit(
-            X,
-            y,
-            criterion=str(params.get("criterion", "entropy")),
-            max_depth=int(params.get("max_depth", 8)),
-            min_split=int(params.get("min_split", 2)),
-            min_leaf=int(params.get("min_leaf", 1)),
-            weights=class_weights(y),
-        )
-        return FittedModel(family, params, tree=tree)
-    if family == "rf":
-        forest = rf_fit(
-            X,
-            y,
-            n_trees=int(params.get("n_trees", 400)),
-            max_depth=int(params.get("max_depth", 90)),
-            min_split=int(params.get("min_split", 12)),
-            min_leaf=int(params.get("min_leaf", 5)),
-            seed=seed,
-            criterion=str(params.get("criterion", "gini")),
-            weights=class_weights(y),
-        )
-        return FittedModel(family, params, forest=forest)
-    nn = nn_train(
-        X,
-        y,
-        epochs=int(params.get("epochs", 100)),
-        batch_size=int(params.get("batch_size", 50)),
-        lr=float(params.get("lr", 0.2)),
-        seed=seed,
-        n_hidden=int(params.get("n_hidden", 10)),
-    )
-    return FittedModel(family, params, nn=nn)
+    if entry.smote:
+        X, y = smote_balance(X, y, k=params.pop("smote_k", 5), seed=seed)
+    return FittedModel(family, params, entry.fit(params, X, y, seed))
 
 
 def expand_grid(grid: Mapping[str, Sequence[object]]) -> list[dict]:
@@ -623,18 +742,12 @@ class GridSearchSpec:
     family: str
     cells: tuple[Mapping[str, object], ...]
     folds: int = 5
-    train_fraction: float = 0.8
-    metric: str = "accuracy"
 
     def validate(self) -> None:
-        if self.family not in MODEL_FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         if not self.cells:
             raise ValueError("parameter grid must be non-empty")
-        if self.metric != "accuracy":
-            raise ValueError("only the accuracy metric is supported")
 
 
 @dataclass
@@ -695,11 +808,3 @@ def grid_search(
         best_accuracy=cells[best].mean_accuracy,
         cells=cells,
     )
-
-
-DEFAULT_GRIDS: dict[str, dict[str, list]] = {
-    "knn": {"k": [5, 19]},
-    "cart": {"criterion": ["entropy"], "max_depth": [4, 8]},
-    "rf": {"n_trees": [400], "max_depth": [90], "min_split": [12], "min_leaf": [5]},
-    "nn": {"epochs": [100], "batch_size": [50], "lr": [0.2], "n_hidden": [10]},
-}

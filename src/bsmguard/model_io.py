@@ -2,100 +2,22 @@
 
 Models are stored as a single JSON document with a versioned header, the
 model family, its selected parameters, the preprocessing (standardization)
-parameters, and the family-specific payload. Floats serialize via repr, so a
-saved model reloads bit-exactly. The schema is documented in the README.
+parameters, and the family-specific payload, which the family's entry in
+``ml.FAMILIES`` writes and reads. Floats serialize via repr, so a saved
+model reloads bit-exactly. The schema is documented in the README.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
 
 import numpy as np
 
-from bsmguard.bsm import StandardizationParams
-from bsmguard.ml import CartNode, FittedModel, Forest, NnModel
+from bsmguard.bsm import DataError, StandardizationParams
+from bsmguard.ml import FAMILIES, FittedModel
 
 FORMAT_NAME = "bsmguard-model"
 FORMAT_VERSION = 1
-
-
-def _tree_to_dict(node: CartNode) -> dict:
-    d: dict[str, Any] = {
-        "impurity": node.impurity,
-        "counts": list(node.counts),
-        "n_samples": node.n_samples,
-    }
-    if node.is_leaf:
-        d["probs"] = list(node.probs)
-    else:
-        d["feature"] = node.feature
-        d["threshold"] = node.threshold
-        d["left"] = _tree_to_dict(node.left)
-        d["right"] = _tree_to_dict(node.right)
-    return d
-
-
-def _tree_from_dict(d: dict) -> CartNode:
-    node = CartNode(
-        impurity=d["impurity"],
-        counts=tuple(d["counts"]),
-        n_samples=d["n_samples"],
-    )
-    if "probs" in d:
-        node.probs = tuple(d["probs"])
-    else:
-        node.feature = d["feature"]
-        node.threshold = d["threshold"]
-        node.left = _tree_from_dict(d["left"])
-        node.right = _tree_from_dict(d["right"])
-    return node
-
-
-def _payload(model: FittedModel) -> dict:
-    if model.family == "knn":
-        return {
-            "train_features": model.knn_X.tolist(),
-            "train_labels": model.knn_y.tolist(),
-        }
-    if model.family == "cart":
-        return {"tree": _tree_to_dict(model.tree)}
-    if model.family == "rf":
-        return {"trees": [_tree_to_dict(t) for t in model.forest.trees]}
-    return {
-        "w_hidden": model.nn.w_hidden.tolist(),
-        "b_hidden": model.nn.b_hidden.tolist(),
-        "w_out": model.nn.w_out.tolist(),
-        "b_out": model.nn.b_out,
-    }
-
-
-def _model_from_payload(family: str, params: dict, payload: dict) -> FittedModel:
-    if family == "knn":
-        return FittedModel(
-            family,
-            params,
-            knn_X=np.array(payload["train_features"], dtype=float),
-            knn_y=np.array(payload["train_labels"], dtype=int),
-        )
-    if family == "cart":
-        return FittedModel(family, params, tree=_tree_from_dict(payload["tree"]))
-    if family == "rf":
-        return FittedModel(
-            family,
-            params,
-            forest=Forest(trees=[_tree_from_dict(t) for t in payload["trees"]]),
-        )
-    return FittedModel(
-        family,
-        params,
-        nn=NnModel(
-            w_hidden=np.array(payload["w_hidden"], dtype=float),
-            b_hidden=np.array(payload["b_hidden"], dtype=float),
-            w_out=np.array(payload["w_out"], dtype=float),
-            b_out=float(payload["b_out"]),
-        ),
-    )
 
 
 def save_model(
@@ -118,7 +40,7 @@ def save_model(
             "mean": list(standardizer.mean),
             "stdev": list(standardizer.stdev),
         },
-        "payload": _payload(model),
+        "payload": FAMILIES[model.family].to_payload(model.state),
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -126,16 +48,37 @@ def save_model(
 
 
 def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, float]:
-    """Read a model document back; returns (model, standardizer, seed, test_fraction)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"{path}: not a {FORMAT_NAME} document")
+    """Read a model document back; returns (model, standardizer, seed, test_fraction).
+
+    Anything but a well-formed v1 document of a known family raises
+    DataError naming ``path``; a well-formed model must score one row.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+        raise DataError(f"{path}: not a {FORMAT_NAME} document")
     if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {doc.get('version')!r}")
-    std = StandardizationParams(
-        mean=tuple(doc["standardizer"]["mean"]),
-        stdev=tuple(doc["standardizer"]["stdev"]),
-    )
-    model = _model_from_payload(doc["family"], dict(doc["params"]), doc["payload"])
-    return model, std, int(doc["seed"]), float(doc["test_fraction"])
+        raise DataError(f"{path}: unsupported version {doc.get('version')!r}")
+    family = doc.get("family")
+    entry = FAMILIES.get(family) if isinstance(family, str) else None
+    if entry is None:
+        raise DataError(f"{path}: unknown model family {family!r}")
+    try:
+        std = StandardizationParams(
+            mean=tuple(map(float, doc["standardizer"]["mean"])),
+            stdev=tuple(map(float, doc["standardizer"]["stdev"])),
+        )
+        # Two features, (avg_speed, avg_accel), as pipeline.samples_to_dataset builds.
+        if len(std.mean) != 2 or len(std.stdev) != 2 or not all(s > 0 for s in std.stdev):
+            raise ValueError("standardizer needs a mean and a positive stdev per feature")
+        model = FittedModel(family, dict(doc["params"]), entry.from_payload(doc["payload"]))
+        seed, test_fraction = int(doc["seed"]), float(doc["test_fraction"])
+        if seed < 0 or not 0.0 < test_fraction < 1.0:
+            raise ValueError(f"seed {seed} or test_fraction {test_fraction!r} out of range")
+        entry.scores(model.state, model.params, np.zeros((1, 2)))
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: malformed model document ({exc!r})") from None
+    return model, std, seed, test_fraction

@@ -29,6 +29,8 @@ from bsmguard.config import DetectorSettings
 from bsmguard.detectors import DetectorDecision, make_detector
 from bsmguard.evaluate import EvalReport, auroc, confusion, detection_latency, metrics
 from bsmguard.ml import (
+    FAMILIES,
+    LABEL_CUT,
     GridSearchResult,
     GridSearchSpec,
     expand_grid,
@@ -275,8 +277,6 @@ def train_and_evaluate(
     whole training split with the winning cell, and a report on the held-out
     test split.
     """
-    from bsmguard.ml import DEFAULT_GRIDS
-
     X_raw, y = samples_to_dataset(samples)
     if len(np.unique(y)) < 2:
         raise DataError("training needs both classes present in the data")
@@ -284,10 +284,8 @@ def train_and_evaluate(
     std = fit_standardizer(X_raw[train_idx])
     X = np.array([apply_standardizer(std, row) for row in X_raw])
 
-    cells = tuple(expand_grid(grid if grid is not None else DEFAULT_GRIDS[family]))
-    spec = GridSearchSpec(
-        family=family, cells=cells, folds=folds, train_fraction=1.0 - test_fraction
-    )
+    cells = tuple(expand_grid(grid if grid is not None else FAMILIES[family].grid))
+    spec = GridSearchSpec(family=family, cells=cells, folds=folds)
     search = grid_search(spec, X[train_idx], y[train_idx], seed=seed)
 
     # Sub-seed for the final fit, disjoint from the (seed, cell, fold) tree
@@ -309,7 +307,7 @@ def train_and_evaluate(
 def evaluate_model(model, family: str, X_test: np.ndarray, y_test: np.ndarray) -> EvalReport:
     labels = list(map(int, y_test))
     scores = [float(v) for v in model.predict_scores(X_test)]
-    preds = [int(v > 0.5) for v in scores]  # every family's label cut
+    preds = [int(v > LABEL_CUT) for v in scores]
     cm = confusion(labels, preds)
     auc = auroc(scores, labels) if 0 < sum(labels) < len(labels) else None
     return EvalReport(subject=family, cm=cm, quality=metrics(cm), auroc_value=auc)

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: schemas, exit codes, byte reproducibility."""
 
+import json
+
 import pytest
 
 from bsmguard.cli import main
@@ -286,8 +288,6 @@ class TestTrainEvaluate:
             "--out", str(model),
         ])
         assert code == 0
-        import json
-
         doc = json.loads(model.read_text())
         assert doc["params"]["k"] in (1, 3)
         assert doc["test_fraction"] == 0.25
@@ -325,6 +325,116 @@ class TestTrainEvaluate:
         acc = float(next(l for l in text.splitlines() if l.startswith("accuracy")).split("=")[1])
         # Majority baseline: 1050/1200 clean = 0.875
         assert acc > 0.875
+
+    @pytest.mark.parametrize(
+        "family,grid,message",
+        [
+            ("cart", '{"max_dept": [2]}', "'max_dept'; did you mean 'max_depth'?"),
+            ("knn", '{"kk": [5]}', "'kk'; did you mean 'k'?"),
+            ("knn", '{"k": [0]}', "'k': 0 is out of range"),
+            ("knn", '{"k": [5.0]}', "'k': 5.0 is out of range"),
+            ("knn", '{"k": []}', "non-empty list"),
+            ("knn", "{}", "knn needs parameter 'k'"),
+            ("nn", '{"lr": [NaN]}', "'lr': nan is out of range"),
+        ],
+    )
+    def test_bad_grid_key_or_value_exits_2(self, tmp_path, bsm_csv, capsys, family, grid,
+                                           message):
+        model = tmp_path / "m.json"
+        code = main(["train", str(bsm_csv), "--model", family, "--grid", grid,
+                     "--out", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--folds", "100"], "infeasible stratification"),
+            (["--grid", '{"k": [100000]}'], "k must be in"),
+        ],
+    )
+    def test_limit_the_data_cannot_meet_exits_3(self, tmp_path, bsm_csv, capsys, extra, message):
+        code = main(["train", str(bsm_csv), "--model", "knn", "--out", str(tmp_path / "m.json"),
+                     *extra])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_too_few_attack_samples_to_interpolate_exits_3(self, tmp_path, capsys):
+        # 3 attack samples: 2 reach training, so each 2-fold split trains on 1.
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("duration_s = 20.0\nseed = 1\nattack.windows = 10.0:10.3\n")
+        csv_path = tmp_path / "tiny.csv"
+        main(["simulate", "--config", str(cfg), "--out", str(csv_path)])
+        code = main(["train", str(csv_path), "--model", "knn", "--folds", "2",
+                     "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "minority class" in err
+        assert "Traceback" not in err
+
+
+#: A minimal well-formed knn model document; the malformed cases below
+#: each break one part of it.
+GOOD_MODEL = {
+    "format": "bsmguard-model",
+    "version": 1,
+    "family": "knn",
+    "params": {"k": 1},
+    "seed": 0,
+    "test_fraction": 0.2,
+    "standardizer": {"mean": [0.0, 0.0], "stdev": [1.0, 1.0]},
+    "payload": {"train_features": [[0.0, 0.0]], "train_labels": [0]},
+}
+
+
+def _without(key):
+    return {k: v for k, v in GOOD_MODEL.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[" * 100_000 + "]" * 100_000,
+        '{"a": 1}',
+        "[1, 2]",
+        '{"format": "bsmguard-model", "version": 1}',
+        json.dumps({**GOOD_MODEL, "version": 2}),
+        json.dumps(_without("standardizer")),
+        json.dumps(_without("payload")),
+        json.dumps({**GOOD_MODEL, "family": "svm"}),
+        json.dumps({**GOOD_MODEL, "family": ["knn"]}),
+        json.dumps({**GOOD_MODEL, "payload": {"train_features": "x", "train_labels": [0]}}),
+        json.dumps({**GOOD_MODEL, "params": {"k": 5}}),
+        json.dumps({**GOOD_MODEL, "test_fraction": 1.5}),
+        json.dumps({**GOOD_MODEL, "standardizer": {"mean": [0.0], "stdev": [1.0]}}),
+        json.dumps({**GOOD_MODEL, "family": "cart", "payload": {"tree": {
+            "impurity": 0.0, "counts": [1.0, 0.0], "n_samples": 1,
+            "feature": 0, "threshold": 0.0}}}),
+        json.dumps({**GOOD_MODEL, "family": "nn", "payload": {
+            "w_hidden": [[1.0]], "b_hidden": [0.0], "w_out": [1.0], "b_out": 0.0}}),
+    ],
+)
+def test_malformed_model_file_exits_3(tmp_path, bsm_csv, capsys, text):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    code = main(["evaluate", str(model), str(bsm_csv)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert str(model) in err
+    assert "Traceback" not in err
+
+
+def test_minimal_model_document_evaluates(tmp_path, bsm_csv):
+    # The control for the malformed cases: the unbroken document is accepted.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(GOOD_MODEL))
+    assert main(["evaluate", str(model), str(bsm_csv)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,18 @@ class TestDetectorSettings:
         with pytest.raises(ConfigError, match="unknown mode"):
             detector_settings_from_mapping({"em.input": "wavelet"})
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected_with_key(self, raw):
+        # A nan threshold would pass every range check and never alarm.
+        with pytest.raises(ConfigError, match=r"'bocpd\.threshold'.*finite"):
+            detector_settings_from_mapping({"bocpd.threshold": raw})
+
+    def test_non_finite_scenario_float_rejected_with_key(self):
+        from bsmguard.simulate import scenario_from_mapping
+
+        with pytest.raises(ConfigError, match="'noise_stdev'.*finite"):
+            scenario_from_mapping({"duration_s": "10", "seed": "1", "noise_stdev": "inf"})
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             detector_settings_from_mapping({"bocpd.kappa": "-1"})
