@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bsmguard.bsm import aggregate
 from bsmguard.config import DetectorSettings
+from bsmguard.detectors import DETECTOR_NAMES
 from bsmguard.pipeline import (
     DecisionRow,
     detector_report,
@@ -30,7 +31,6 @@ from bsmguard.pipeline import (
 )
 from bsmguard.simulate import default_scenario
 
-DETECTORS = ("bocpd", "em", "cusum")
 FAMILIES = ("knn", "cart", "rf", "nn")
 
 #: Desk-scale grids so the whole experiment stays in the tens of seconds.
@@ -45,7 +45,7 @@ GRIDS = {
 def detector_rows(seeds: int):
     settings = DetectorSettings()
     rows = []
-    for name in DETECTORS:
+    for name in DETECTOR_NAMES:
         accs, precisions, recalls, aurocs, latencies = [], [], [], [], []
         per_sample_ms = []
         for seed in range(seeds):

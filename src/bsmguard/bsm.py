@@ -31,6 +31,11 @@ CONTROL_VARIATE_COEFF = 0.99
 #: Number of samples a transform window holds before it emits values.
 TRANSFORM_SPAN = 10
 
+#: Largest |t|, speed or |accel| a CSV may carry: far beyond any vehicle or
+#: epoch timestamp, and small enough that a stream's sums and squares stay
+#: finite.
+MAX_FIELD_MAGNITUDE = 1e12
+
 CSV_HEADER = ("t", "vehicle_id", "speed_mps", "accel_mps2", "label")
 
 
@@ -181,26 +186,23 @@ def apply_standardizer(
 class TransformWindow:
     """Rolling control-variate transform of one vehicle's sample stream.
 
-    Holds the most recent ``span`` (speed, accel) pairs. Once full, each push
-    returns the unbiased sample variance of the series
+    Holds the most recent TRANSFORM_SPAN (speed, accel) pairs. Once full,
+    each push returns the unbiased sample variance of the series
 
         z_j = ds_j - c * (da_j - mean(da))
 
-    where ds/da are first differences of speed and acceleration taken inside
-    the window. Pushes before the window fills return None (warm-up).
+    where c is CONTROL_VARIATE_COEFF and ds/da are first differences of speed
+    and acceleration taken inside the window. Pushes before the window fills
+    return None (warm-up).
     """
 
-    def __init__(self, span: int = TRANSFORM_SPAN, coeff: float = CONTROL_VARIATE_COEFF):
-        if span < 3:
-            raise ValueError("transform span must be at least 3")
-        self.span = span
-        self.coeff = coeff
-        self._speeds: deque[float] = deque(maxlen=span)
-        self._accels: deque[float] = deque(maxlen=span)
+    def __init__(self):
+        self._speeds: deque[float] = deque(maxlen=TRANSFORM_SPAN)
+        self._accels: deque[float] = deque(maxlen=TRANSFORM_SPAN)
 
     @property
     def full(self) -> bool:
-        return len(self._speeds) == self.span
+        return len(self._speeds) == TRANSFORM_SPAN
 
     def push(self, speed: float, accel: float) -> float | None:
         self._speeds.append(float(speed))
@@ -215,10 +217,10 @@ class TransformWindow:
             raise ValueError("transform window is not full yet")
         s = list(self._speeds)
         a = list(self._accels)
-        ds = [s[j] - s[j - 1] for j in range(1, self.span)]
-        da = [a[j] - a[j - 1] for j in range(1, self.span)]
+        ds = [s[j] - s[j - 1] for j in range(1, TRANSFORM_SPAN)]
+        da = [a[j] - a[j - 1] for j in range(1, TRANSFORM_SPAN)]
         da_mean = math.fsum(da) / len(da)
-        z = [ds[j] - self.coeff * (da[j] - da_mean) for j in range(len(ds))]
+        z = [ds[j] - CONTROL_VARIATE_COEFF * (da[j] - da_mean) for j in range(len(ds))]
         z_mean = math.fsum(z) / len(z)
         return math.fsum((v - z_mean) ** 2 for v in z) / (len(z) - 1)
 
@@ -238,7 +240,14 @@ def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
 
 
 def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
-    """Stream records from a canonical CSV, validating schema and labels."""
+    """Stream records from a canonical CSV, validating encoding, schema and labels."""
+    try:
+        yield from _parse_bsm_csv(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_bsm_csv(path: str) -> Iterator[BsmRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -249,6 +258,7 @@ def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
             raise DataError(
                 f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
             )
+        big = MAX_FIELD_MAGNITUDE
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -261,8 +271,11 @@ def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
                 label = int(row[4])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not (math.isfinite(t) and math.isfinite(speed) and math.isfinite(accel)):
-                raise DataError(f"{path}:{lineno}: non-finite t, speed or accel in {row!r}")
+            if not (abs(t) <= big and abs(speed) <= big and abs(accel) <= big):
+                raise DataError(
+                    f"{path}:{lineno}: t, speed or accel is non-finite or beyond "
+                    f"{big:g} in {row!r}"
+                )
             if label not in (NO_ATTACK, ATTACK):
                 raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
             if speed < 0:

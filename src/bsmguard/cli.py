@@ -12,8 +12,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from bsmguard import __version__
 from bsmguard.bsm import DataError, aggregate, read_bsm_csv, write_bsm_csv
 from bsmguard.config import (
@@ -29,12 +27,13 @@ from bsmguard.evaluate import roc_points, time_inference, write_roc_csv
 from bsmguard.ml import FAMILIES, MODEL_FAMILIES
 from bsmguard.model_io import load_model, save_model
 from bsmguard.pipeline import (
-    SCORE_ORIENTATION,
     detect_records,
     detector_report,
     evaluate_model,
     feature_stream,
+    model_dataset,
     read_decisions_csv,
+    score_orientation,
     stream_std_params,
     train_and_evaluate,
     write_decisions_csv,
@@ -63,11 +62,16 @@ def _vehicle_records(path: str, vehicle: str | None):
         raise DataError(f"{path}: no records{detail}")
 
 
+def _samples(args) -> list:
+    """The aggregated samples of the one vehicle ``args`` selects."""
+    return list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
+
+
 def cmd_simulate(args) -> int:
     cfg = load_flat_config(args.config)
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
-    scenario = scenario_from_mapping(cfg)
+    scenario = scenario_from_mapping(cfg, args.config)
     n = write_bsm_csv(args.out, scenario.run())
     print(f"wrote {n} records to {args.out}")
     return EXIT_OK
@@ -82,8 +86,6 @@ def _detector_settings(args) -> DetectorSettings:
 def cmd_detect(args) -> int:
     settings = _detector_settings(args)
     records_factory = functools.partial(_vehicle_records, args.csv, args.vehicle)
-    for _ in records_factory():  # one cheap pass: bad vehicle input fails before any output
-        pass
     mode = settings.input_mode(args.detector)
     std = stream_std_params(records_factory, mode, args.window)
     rows = detect_records(records_factory, args.detector, settings, args.window, std)
@@ -136,9 +138,8 @@ def _parse_grid(raw: str | None, family: str):
 
 
 def cmd_train(args) -> int:
-    samples = list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
     outcome = train_and_evaluate(
-        samples,
+        _samples(args),
         args.model,
         seed=args.seed,
         grid=_parse_grid(args.grid, args.model),
@@ -158,18 +159,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from bsmguard.bsm import apply_standardizer
-    from bsmguard.ml import stratified_split
-    from bsmguard.pipeline import samples_to_dataset
-
     model, std, seed, test_fraction = load_model(args.model_file)
-    samples = list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
-    X_raw, y = samples_to_dataset(samples)
-    if len(np.unique(y)) < 2:
-        raise DataError("evaluation needs both classes present in the data")
-    _, test_idx = stratified_split(y, test_fraction, seed)
-    X = np.array([apply_standardizer(std, row) for row in X_raw])
-    report = evaluate_model(model, model.family, X[test_idx], y[test_idx])
+    _, _, X_test, y_test, _ = model_dataset(_samples(args), seed, test_fraction, std)
+    report = evaluate_model(model, model.family, X_test, y_test)
     text = report.to_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -180,7 +172,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     decisions = read_decisions_csv(args.decisions)
-    samples = list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
+    samples = _samples(args)
     windows = parse_windows(args.windows) if args.windows else ()
     report = detector_report(
         args.detector or "detector",
@@ -198,7 +190,7 @@ def cmd_report(args) -> int:
         labels = [s.label for s in samples]
         if not (0 < sum(labels) < len(labels)):
             raise DataError("ROC output needs both classes present in the ground truth")
-        orient = SCORE_ORIENTATION.get(args.detector or "", 1.0)
+        orient = score_orientation(args.detector)
         points = roc_points([orient * d.score for d in decisions], labels)
         write_roc_csv(args.roc_out, points)
         print(f"wrote {len(points)} ROC points to {args.roc_out}")

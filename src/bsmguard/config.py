@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
-from bsmguard.detectors import BocpdConfig, CusumConfig, EmConfig
+from bsmguard.detectors import DETECTORS
 
 
 class ConfigError(ValueError):
@@ -37,8 +37,14 @@ def parse_flat_config(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def load_flat_config(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_flat_config(fh.read(), source=path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    return parse_flat_config(text, source=path)
 
 
 def _convert(raw: str, key: str, kind):
@@ -101,23 +107,21 @@ INPUT_MODES = ("speed", "standardized", "transform")
 
 @dataclass(frozen=True)
 class DetectorSettings:
-    """All three detectors' configs plus their input wiring."""
+    """Every detector's config and input mode, keyed by detector name."""
 
-    bocpd: BocpdConfig = BocpdConfig()
-    em: EmConfig = EmConfig()
-    cusum: CusumConfig = CusumConfig()
-    bocpd_input: str = "standardized"
-    em_input: str = "speed"
-    cusum_input: str = "standardized"
+    configs: Mapping[str, object] = field(
+        default_factory=lambda: {name: kind.config() for name, kind in DETECTORS.items()}
+    )
+    inputs: Mapping[str, str] = field(
+        default_factory=lambda: {name: kind.input for name, kind in DETECTORS.items()}
+    )
 
     def config(self, detector: str):
         """The named detector's config, as ``make_detector`` takes it."""
-        return {"bocpd": self.bocpd, "em": self.em, "cusum": self.cusum}[detector]
+        return self.configs[detector]
 
     def input_mode(self, detector: str) -> str:
-        return {"bocpd": self.bocpd_input, "em": self.em_input, "cusum": self.cusum_input}[
-            detector
-        ]
+        return self.inputs[detector]
 
 
 def detector_settings_from_mapping(
@@ -125,49 +129,33 @@ def detector_settings_from_mapping(
 ) -> DetectorSettings:
     """Build DetectorSettings from flat keys, defaulting everything absent.
 
-    Any other key is an error naming ``source`` and the nearest valid key, so
-    a misspelled setting cannot silently fall back to its default.
+    Each detector in ``DETECTORS`` takes one ``<name>.<field>`` key per field
+    of its config, typed by the field's default, plus ``<name>.input``. Any
+    other key is an error naming ``source`` and the nearest valid key, so a
+    misspelled setting cannot silently fall back to its default.
     """
-    known: list[str] = []
-
-    def get(key, kind, default):
-        known.append(key)
-        return get_value(cfg, key, kind, default)
-
-    settings = DetectorSettings(
-        bocpd=BocpdConfig(
-            mu0=get("bocpd.mu0", float, BocpdConfig.mu0),
-            kappa=get("bocpd.kappa", float, BocpdConfig.kappa),
-            alpha=get("bocpd.alpha", float, BocpdConfig.alpha),
-            beta=get("bocpd.beta", float, BocpdConfig.beta),
-            threshold=get("bocpd.threshold", float, BocpdConfig.threshold),
-            warmup=get("bocpd.warmup", int, BocpdConfig.warmup),
-        ),
-        em=EmConfig(
-            threshold=get("em.threshold", float, EmConfig.threshold),
-            seed=get("em.seed", int, EmConfig.seed),
-        ),
-        cusum=CusumConfig(
-            delta=get("cusum.delta", float, CusumConfig.delta),
-            alpha=get("cusum.alpha", float, CusumConfig.alpha),
-            h_sigma=get("cusum.h_sigma", float, CusumConfig.h_sigma),
-            warmup=get("cusum.warmup", int, CusumConfig.warmup),
-        ),
-        bocpd_input=get("bocpd.input", str, DetectorSettings.bocpd_input),
-        em_input=get("em.input", str, DetectorSettings.em_input),
-        cusum_input=get("cusum.input", str, DetectorSettings.cusum_input),
-    )
+    known = [
+        f"{name}.{key}"
+        for name, kind in DETECTORS.items()
+        for key in [f.name for f in fields(kind.config)] + ["input"]
+    ]
     reject_unknown_keys(cfg, known, f"{source}: unknown detector key")
-    for det in ("bocpd", "em", "cusum"):
-        mode = settings.input_mode(det)
+    configs, inputs = {}, {}
+    for name, kind in DETECTORS.items():
+        mode = get_value(cfg, f"{name}.input", str, kind.input)
         if mode not in INPUT_MODES:
             raise ConfigError(
-                f"key '{det}.input': unknown mode {mode!r}, expected one of {INPUT_MODES}"
+                f"key '{name}.input': unknown mode {mode!r}, expected one of {INPUT_MODES}"
             )
-    try:
-        settings.bocpd.validate()
-        settings.em.validate()
-        settings.cusum.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return settings
+        configs[name] = kind.config(
+            **{
+                f.name: get_value(cfg, f"{name}.{f.name}", type(f.default), f.default)
+                for f in fields(kind.config)
+            }
+        )
+        try:
+            configs[name].validate()
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+        inputs[name] = mode
+    return DetectorSettings(configs=configs, inputs=inputs)

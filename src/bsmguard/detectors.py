@@ -32,6 +32,8 @@ __all__ = [
     "gmm_m_step",
     "attack_responsibility",
     "make_detector",
+    "DetectorKind",
+    "DETECTORS",
     "DETECTOR_NAMES",
 ]
 
@@ -155,30 +157,31 @@ class BocpdDetector:
 # ---------------------------------------------------------------------------
 
 
+#: Observations buffered to seed the anchor set.
+EM_WARMUP = 10
+EM_CLEAN_ANCHORS = 7
+EM_ATTACK_ANCHORS = 3
+#: The fixed attack component the attack anchors are drawn from.
+EM_ATTACK_MEAN = 0.5
+EM_ATTACK_STDEV = 1.0
+#: Initial mixing proportion of the attack component.
+EM_INIT_WEIGHT = 0.80
+EM_TOL = 1e-8
+EM_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class EmConfig:
-    """Anchor-set construction and the responsibility alarm threshold."""
+    """Responsibility alarm threshold and the anchor-draw seed."""
 
     threshold: float = 0.01
     seed: int = 0
-    warmup: int = 10  # observations buffered to seed the anchor set
-    clean_anchors: int = 7
-    attack_anchors: int = 3
-    attack_mean: float = 0.5
-    attack_stdev: float = 1.0
-    init_weight: float = 0.80  # initial mixing proportion of the attack component
-    tol: float = 1e-8
-    max_iter: int = 200
 
     def validate(self) -> None:
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
-        if self.warmup < 2:
-            raise ValueError("warmup must be at least 2")
-        if self.clean_anchors < 1 or self.attack_anchors < 1:
-            raise ValueError("both anchor groups need at least one point")
-        if not (0.0 < self.init_weight < 1.0):
-            raise ValueError("init_weight must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _norm_logpdf(x: float, mu: float, sigma: float) -> float:
@@ -243,20 +246,18 @@ def fit_two_component_gmm(
     mu2: float,
     s2: float,
     pi2: float,
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> tuple[tuple[float, float, float, float, float], list[float]]:
     """EM for a two-component Gaussian mixture on a small point set.
 
-    Runs until the largest parameter change drops below ``tol`` or
-    ``max_iter`` iterations. Returns the fitted (mu1, s1, mu2, s2, pi2) and
+    Runs until the largest parameter change drops below EM_TOL or for
+    EM_MAX_ITER iterations. Returns the fitted (mu1, s1, mu2, s2, pi2) and
     the log-likelihood after each M-step (a non-decreasing sequence, which
     the tests assert).
     """
     s1 = max(s1, SIGMA_FLOOR)
     s2 = max(s2, SIGMA_FLOOR)
     ll_history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         resp = [attack_responsibility(x, mu1, s1, mu2, s2, pi2) for x in points]
         try:
             new = gmm_m_step(points, resp)
@@ -271,7 +272,7 @@ def fit_two_component_gmm(
         )
         mu1, s1, mu2, s2, pi2 = new
         ll_history.append(_gmm_loglik(points, mu1, s1, mu2, s2, pi2))
-        if delta < tol:
+        if delta < EM_TOL:
             break
     return (mu1, s1, mu2, s2, pi2), ll_history
 
@@ -279,9 +280,10 @@ def fit_two_component_gmm(
 class EmDetector:
     """Per-observation mixture classifier seeded from the stream's opening.
 
-    The first ``warmup`` observations are buffered. Their mean and sample
-    variance parameterize a clean-anchor draw (7 points by default), joined
-    by 3 anchors from the fixed attack component N(attack_mean, attack_stdev^2).
+    The first EM_WARMUP observations are buffered. Their mean and sample
+    variance parameterize a draw of EM_CLEAN_ANCHORS clean anchors, joined by
+    EM_ATTACK_ANCHORS anchors from the fixed attack component
+    N(EM_ATTACK_MEAN, EM_ATTACK_STDEV^2).
     Every later observation y is classified by running EM to convergence on
     the anchors plus y and thresholding y's attack responsibility.
 
@@ -305,17 +307,15 @@ class EmDetector:
         var = math.fsum((x - self.seed_mean) ** 2 for x in self._buffer) / (n - 1)
         self.seed_stdev = max(math.sqrt(var), SIGMA_FLOOR)
         rng = np.random.default_rng(self.config.seed)
-        clean = rng.normal(self.seed_mean, self.seed_stdev, self.config.clean_anchors)
-        attack = rng.normal(
-            self.config.attack_mean, self.config.attack_stdev, self.config.attack_anchors
-        )
+        clean = rng.normal(self.seed_mean, self.seed_stdev, EM_CLEAN_ANCHORS)
+        attack = rng.normal(EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_ATTACK_ANCHORS)
         self.anchors = [float(v) for v in clean] + [float(v) for v in attack]
 
     def observe(self, y: float) -> DetectorDecision:
         y = _require_finite(y)
         if self.anchors is None:
             self._buffer.append(y)
-            if len(self._buffer) == self.config.warmup:
+            if len(self._buffer) == EM_WARMUP:
                 self._build_anchors()
             return DetectorDecision(attack=False, score=0.0, warmed_up=False)
 
@@ -324,11 +324,9 @@ class EmDetector:
             points,
             mu1=self.seed_mean,
             s1=self.seed_stdev,
-            mu2=self.config.attack_mean,
-            s2=self.config.attack_stdev,
-            pi2=self.config.init_weight,
-            tol=self.config.tol,
-            max_iter=self.config.max_iter,
+            mu2=EM_ATTACK_MEAN,
+            s2=EM_ATTACK_STDEV,
+            pi2=EM_INIT_WEIGHT,
         )
         mu1, s1, mu2, s2, pi2 = self.theta
         score = attack_responsibility(y, mu1, s1, mu2, s2, pi2)
@@ -426,15 +424,29 @@ class CusumDetector:
         return DetectorDecision(attack=attack, score=score, warmed_up=True)
 
 
-DETECTOR_NAMES = ("bocpd", "em", "cusum")
+@dataclass(frozen=True)
+class DetectorKind:
+    """A detector's class, its config dataclass, default input mode and score sign."""
+
+    cls: type
+    config: type  # each field is one ``<name>.<field>`` config key
+    input: str
+    orientation: float  # sign that makes a larger score more suspicious
+
+
+#: The one table of detectors. bocpd scores by predictive density, which
+#: drops under attack, hence its negative orientation.
+DETECTORS: dict[str, DetectorKind] = {
+    "bocpd": DetectorKind(BocpdDetector, BocpdConfig, "standardized", -1.0),
+    "em": DetectorKind(EmDetector, EmConfig, "speed", 1.0),
+    "cusum": DetectorKind(CusumDetector, CusumConfig, "standardized", 1.0),
+}
+
+DETECTOR_NAMES = tuple(DETECTORS)
 
 
 def make_detector(name: str, config=None):
     """Build a detector by name with its config (or defaults)."""
-    if name == "bocpd":
-        return BocpdDetector(config)
-    if name == "em":
-        return EmDetector(config)
-    if name == "cusum":
-        return CusumDetector(config)
-    raise ValueError(f"unknown detector {name!r}; expected one of {DETECTOR_NAMES}")
+    if name not in DETECTORS:
+        raise ValueError(f"unknown detector {name!r}; expected one of {DETECTOR_NAMES}")
+    return DETECTORS[name].cls(config)

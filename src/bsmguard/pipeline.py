@@ -8,8 +8,10 @@ only keeps running sums.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -26,7 +28,7 @@ from bsmguard.bsm import (
     fit_standardizer,
 )
 from bsmguard.config import DetectorSettings
-from bsmguard.detectors import DetectorDecision, make_detector
+from bsmguard.detectors import DETECTORS, DetectorDecision, make_detector
 from bsmguard.evaluate import EvalReport, auroc, confusion, detection_latency, metrics
 from bsmguard.ml import (
     FAMILIES,
@@ -40,11 +42,6 @@ from bsmguard.ml import (
 )
 
 DECISIONS_HEADER = ("t", "score", "attack", "warmed_up")
-
-#: Sign that turns each detector's score into "larger means more suspicious".
-#: The Bayesian detector scores by predictive density, which drops under
-#: attack.
-SCORE_ORIENTATION = {"bocpd": -1.0, "em": 1.0, "cusum": 1.0}
 
 #: The decision for a sample the transform window consumes while it fills.
 WARMUP_DECISION = DetectorDecision(attack=False, score=0.0, warmed_up=False)
@@ -112,13 +109,24 @@ def run_detection(
 
     The detector's configured input mode selects what it observes (see
     ``feature_stream``). Samples consumed while the transform window fills
-    get a warm-up decision.
+    get a warm-up decision. A value the detector cannot score under its
+    config (its arithmetic overflows, say) is a DataError naming the sample.
     """
     settings = settings or DetectorSettings()
     detector = make_detector(detector_name, settings.config(detector_name))
     mode = settings.input_mode(detector_name)
     for sample, value in feature_stream(samples, mode, std_params):
-        yield sample, WARMUP_DECISION if value is None else detector.observe(value)
+        if value is None:
+            yield sample, WARMUP_DECISION
+            continue
+        try:
+            decision = detector.observe(value)
+        except (ArithmeticError, ValueError) as exc:
+            raise DataError(
+                f"{detector_name} cannot score the sample at t={sample.t!r} "
+                f"with its config: {exc}"
+            ) from None
+        yield sample, decision
 
 
 def detect_records(
@@ -147,20 +155,40 @@ def detect_records(
 def write_decisions_csv(
     path: str, rows: Iterable[tuple[AggregatedSample, DetectorDecision]]
 ) -> int:
+    """Write the decisions whole or not at all.
+
+    Rows go to a sibling temporary file that replaces ``path`` only once the
+    stream is exhausted; an error while producing rows removes it, so a
+    failed run leaves ``path`` as it was. A symlink keeps pointing at the
+    replaced file. A path that exists but is not a regular file (a pipe, or
+    a device such as /dev/stdout) has nothing to replace and is written in
+    place.
+    """
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = os.path.realpath(path)
+    tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
     n = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DECISIONS_HEADER)
-        for sample, decision in rows:
-            writer.writerow(
-                [
-                    repr(sample.t),
-                    repr(decision.score),
-                    int(decision.attack),
-                    int(decision.warmed_up),
-                ]
-            )
-            n += 1
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(DECISIONS_HEADER)
+            for sample, decision in rows:
+                writer.writerow(
+                    [
+                        repr(sample.t),
+                        repr(decision.score),
+                        int(decision.attack),
+                        int(decision.warmed_up),
+                    ]
+                )
+                n += 1
+        if not in_place:
+            os.replace(tmp, target)
+    except BaseException:
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
     return n
 
 
@@ -173,27 +201,37 @@ class DecisionRow:
 
 
 def read_decisions_csv(path: str) -> list[DecisionRow]:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or tuple(header) != DECISIONS_HEADER:
+        raise DataError(f"{path}: bad decisions header {header!r}")
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DECISIONS_HEADER:
-            raise DataError(f"{path}: bad decisions header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append(
-                    DecisionRow(
-                        t=float(row[0]),
-                        score=float(row[1]),
-                        attack=int(row[2]),
-                        warmed_up=int(row[3]),
-                    )
-                )
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            d = DecisionRow(
+                t=float(row[0]), score=float(row[1]), attack=int(row[2]), warmed_up=int(row[3])
+            )
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(d.t) and math.isfinite(d.score)):
+            raise DataError(f"{path}:{lineno}: non-finite t or score in {row!r}")
+        if d.attack not in (0, 1) or d.warmed_up not in (0, 1):
+            raise DataError(f"{path}:{lineno}: attack and warmed_up must be 0 or 1 in {row!r}")
+        rows.append(d)
     return rows
+
+
+def score_orientation(detector_name: str | None) -> float:
+    """The table's score sign for a known detector; 1 for an unnamed one."""
+    kind = DETECTORS.get(detector_name)
+    return 1.0 if kind is None else kind.orientation
 
 
 def detector_report(
@@ -222,7 +260,7 @@ def detector_report(
     preds = [d.attack for _, d in pairs]
     cm = confusion(labels, preds)
     quality = metrics(cm)
-    orient = SCORE_ORIENTATION.get(detector_name, 1.0)
+    orient = score_orientation(detector_name)
     auc = None
     if 0 < sum(labels) < len(labels):
         auc = auroc([orient * d.score for _, d in pairs], labels)
@@ -252,6 +290,29 @@ def samples_to_dataset(samples: Sequence[AggregatedSample]) -> tuple[np.ndarray,
     return X, y
 
 
+def model_dataset(
+    samples: Sequence[AggregatedSample],
+    seed: int,
+    test_fraction: float,
+    std: StandardizationParams | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StandardizationParams]:
+    """The one path from labeled samples to model input.
+
+    Returns ``(X_train, y_train, X_test, y_test, std)``: the split of
+    ``stratified_split(y, test_fraction, seed)``, every row standardized with
+    ``std``, or with a standardizer fitted on the training split when ``std``
+    is None (training; evaluation passes the saved one).
+    """
+    X_raw, y = samples_to_dataset(samples)
+    if len(np.unique(y)) < 2:
+        raise DataError("the train/test split needs both classes present in the data")
+    train_idx, test_idx = stratified_split(y, test_fraction, seed)
+    if std is None:
+        std = fit_standardizer(X_raw[train_idx])
+    X = np.array([apply_standardizer(std, row) for row in X_raw])
+    return X[train_idx], y[train_idx], X[test_idx], y[test_idx], std
+
+
 @dataclass
 class TrainOutcome:
     model: object  # FittedModel
@@ -277,23 +338,18 @@ def train_and_evaluate(
     whole training split with the winning cell, and a report on the held-out
     test split.
     """
-    X_raw, y = samples_to_dataset(samples)
-    if len(np.unique(y)) < 2:
-        raise DataError("training needs both classes present in the data")
-    train_idx, test_idx = stratified_split(y, test_fraction, seed)
-    std = fit_standardizer(X_raw[train_idx])
-    X = np.array([apply_standardizer(std, row) for row in X_raw])
+    X_train, y_train, X_test, y_test, std = model_dataset(samples, seed, test_fraction)
 
     cells = tuple(expand_grid(grid if grid is not None else FAMILIES[family].grid))
     spec = GridSearchSpec(family=family, cells=cells, folds=folds)
-    search = grid_search(spec, X[train_idx], y[train_idx], seed=seed)
+    search = grid_search(spec, X_train, y_train, seed=seed)
 
     # Sub-seed for the final fit, disjoint from the (seed, cell, fold) tree
     # the grid search spawns.
     final_seed = int(np.random.SeedSequence((seed, 0xF17A1)).generate_state(1)[0])
-    model = fit_family(family, search.best_params, X[train_idx], y[train_idx], final_seed)
+    model = fit_family(family, search.best_params, X_train, y_train, final_seed)
 
-    report = evaluate_model(model, family, X[test_idx], y[test_idx])
+    report = evaluate_model(model, family, X_test, y_test)
     return TrainOutcome(
         model=model,
         standardizer=std,

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from bsmguard.bsm import ATTACK, BSM_PERIOD_S, BsmRecord
-from bsmguard.config import ConfigError, get_value, parse_windows
+from bsmguard.config import ConfigError, get_value, parse_windows, reject_unknown_keys
 
 ATTACK_MODES = ("constant_replace", "offset", "noise_burst")
 
@@ -77,7 +77,8 @@ class AttackSpec:
 
     Windows are half-open [start, end) in seconds and must not overlap.
     Modes: constant_replace sets the speed to ``magnitude``; offset adds it;
-    noise_burst adds N(0, magnitude^2) noise drawn from ``seed``.
+    noise_burst adds N(0, magnitude^2) noise drawn from ``seed``. Only an
+    offset may be negative.
     """
 
     windows: tuple[tuple[float, float], ...]
@@ -99,8 +100,11 @@ class AttackSpec:
         for (s1, e1), (s2, e2) in zip(ordered, ordered[1:]):
             if s2 < e1 - 1e-9:
                 raise ValueError(f"attack windows ({s1}, {e1}) and ({s2}, {e2}) overlap")
-        if self.mode == "constant_replace" and self.magnitude < 0:
-            raise ValueError("constant_replace magnitude is a speed and must be >= 0")
+        if self.mode != "offset" and self.magnitude < 0:
+            raise ValueError(
+                f"attack.magnitude {self.magnitude!r} must be >= 0 for {self.mode} "
+                "(a speed or a noise stdev)"
+            )
 
 
 def generate_stream(
@@ -187,12 +191,31 @@ class Scenario:
         return stream
 
 
-def scenario_from_mapping(cfg: Mapping[str, str]) -> Scenario:
-    """Build a scenario from flat config keys.
+#: Every scenario config key; any other key is a ConfigError.
+SCENARIO_KEYS = (
+    "duration_s",
+    "seed",
+    "base_speed_mps",
+    "noise_stdev",
+    "attack.windows",
+    "attack.mode",
+    "attack.magnitude",
+)
+
+
+def _require(ok: bool, key: str, value, requirement: str) -> None:
+    if not ok:
+        raise ConfigError(f"key {key!r}: {value!r} {requirement}")
+
+
+def scenario_from_mapping(cfg: Mapping[str, str], source: str = "<config>") -> Scenario:
+    """Build a scenario from flat config keys (``SCENARIO_KEYS``).
 
     Required: duration_s, seed. Optional: base_speed_mps, noise_stdev,
-    attack.windows, attack.mode, attack.magnitude.
+    attack.windows, attack.mode, attack.magnitude. Unknown keys and values a
+    scenario cannot run with are ConfigErrors naming the key.
     """
+    reject_unknown_keys(cfg, SCENARIO_KEYS, f"{source}: unknown scenario key")
     duration = get_value(cfg, "duration_s", float)
     seed = get_value(cfg, "seed", int)
     profile = DrivingProfile(
@@ -200,6 +223,9 @@ def scenario_from_mapping(cfg: Mapping[str, str]) -> Scenario:
         base_speed=get_value(cfg, "base_speed_mps", float, 15.6),
         noise_stdev=get_value(cfg, "noise_stdev", float, 0.25),
     )
+    _require(duration > 0, "duration_s", duration, "must be positive")
+    _require(seed >= 0, "seed", seed, "must be non-negative")
+    _require(profile.noise_stdev >= 0, "noise_stdev", profile.noise_stdev, "must be non-negative")
     attack = None
     if "attack.windows" in cfg:
         windows = parse_windows(cfg["attack.windows"])

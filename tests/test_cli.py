@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: schemas, exit codes, byte reproducibility."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -60,6 +63,36 @@ class TestSimulate:
         other = tmp_path / "other.csv"
         main(["simulate", "--config", str(scenario_file), "--seed", "8", "--out", str(other)])
         assert other.read_bytes() != bsm_csv.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("noise_stdv = 5",
+             "bad.cfg: unknown scenario key 'noise_stdv'; did you mean 'noise_stdev'"),
+            ("attack.windws = 1:2", "did you mean 'attack.windows'"),
+            ("duration_s = -5", "'duration_s'"),
+            ("seed = -1", "'seed'"),
+            ("noise_stdev = -1", "'noise_stdev'"),
+            ("attack.windows = 1:2\nattack.mode = noise_burst\nattack.magnitude = -1",
+             "attack.magnitude"),
+        ],
+    )
+    def test_bad_scenario_key_or_value_exits_2(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        base = {"duration_s": "10", "seed": "1"}
+        for key in base:
+            if line.startswith(key + " "):
+                del base[key]
+                break
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items()) + line + "\n")
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestDetect:
@@ -208,6 +241,114 @@ class TestDetect:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("detector", ["bocpd", "em", "cusum"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_detect_leaves_no_decisions_file(
+        self, tmp_path, bsm_csv, capsys, detector, existing
+    ):
+        # The timestamp goes backwards half-way through the stream, after the
+        # first decisions could have been written.
+        lines = bsm_csv.read_text().splitlines()
+        fields = lines[151].split(",")
+        fields[0] = "0.05"
+        lines[151] = ",".join(fields)
+        bad = tmp_path / "half.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "decisions.csv"
+        if existing:
+            out.write_bytes(b"earlier decisions\n")
+        code = main(["detect", str(bad), "--detector", detector, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "advance" in err and "Traceback" not in err
+        assert [p.name for p in out_dir.iterdir()] == (["decisions.csv"] if existing else [])
+        if existing:
+            assert out.read_bytes() == b"earlier decisions\n"
+
+
+    def test_non_utf8_csv_exits_3(self, tmp_path, bsm_csv, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(bsm_csv.read_bytes().replace(b"cv1", b"c\xe91", 1))
+        code = main(["detect", str(bad), "--detector", "em", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
+    def test_non_utf8_config_exits_2_with_line(self, tmp_path, bsm_csv, capsys):
+        cfg = tmp_path / "det.cfg"
+        cfg.write_bytes(b"# detector\ncusum.h_sigma = 4\xb5\n")
+        code = main(["detect", str(bsm_csv), "--detector", "cusum", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{cfg}:2: not UTF-8 text" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("field, value", [(0, "1e200"), (2, "1.7e308"), (3, "-1e13")])
+    def test_csv_values_beyond_range_exit_3(self, tmp_path, bsm_csv, capsys, field, value):
+        # Finite but huge values would overflow the stream's sums and squares.
+        lines = bsm_csv.read_text().splitlines()
+        fields = lines[100].split(",")
+        fields[field] = value
+        lines[100] = ",".join(fields)
+        bad = tmp_path / "huge.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["detect", str(bad), "--detector", "bocpd", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{bad}:101: t, speed or accel is non-finite or beyond 1e+12" in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("line", ["bocpd.mu0 = 1e300", "bocpd.kappa = 1e-320"])
+    def test_config_the_detector_cannot_compute_with_exits_3(self, tmp_path, bsm_csv, capsys,
+                                                             line):
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        code = main(["detect", str(bsm_csv), "--detector", "bocpd", "--config", str(cfg),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "bocpd cannot score the sample at t=0.1" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+    def test_decisions_through_a_symlink_replace_its_target(self, tmp_path, bsm_csv):
+        target = tmp_path / "target.csv"
+        target.write_text("earlier decisions\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("t,score,attack,warmed_up\n")
+
+    def test_decisions_to_a_pipe_are_written_in_place(self, tmp_path, bsm_csv):
+        # A pipe (like /dev/stdout) must be written through, never replaced.
+        fifo = tmp_path / "decisions.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code = main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(fifo)])
+        finally:
+            reader.join(timeout=10)
+            if reader.is_alive():  # unblock the reader if detect never opened the pipe
+                with open(fifo, "wb"):
+                    pass
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        direct = tmp_path / "direct.csv"
+        assert main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(direct)]) == 0
+        assert received == [direct.read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bsm.csv", "decisions.fifo", "direct.csv", "scenario.cfg"
+        ]
+
+
 class TestReport:
     def test_report_fields_and_roc(self, tmp_path, bsm_csv):
         dec = tmp_path / "dec.csv"
@@ -257,6 +398,24 @@ class TestReport:
                      "--roc-out", str(tmp_path / "roc.csv")])
         assert code == 3
         assert "both classes" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.1,nan,0,1", ":2: non-finite"),
+            ("0.1,0.5,7,1", ":2: attack and warmed_up must be 0 or 1"),
+            ("0.1,\xff,0,1", ": not UTF-8 text"),
+        ],
+    )
+    def test_bad_decision_values_exit_3(self, tmp_path, bsm_csv, capsys, row, message):
+        dec = tmp_path / "dec.csv"
+        dec.write_bytes(b"t,score,attack,warmed_up\n" + row.encode("latin-1") + b"\n")
+        code = main(["report", str(dec), str(bsm_csv)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{dec}{message}" in err
+        assert "Traceback" not in err
 
 
 class TestTrainEvaluate:

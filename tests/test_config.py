@@ -44,18 +44,18 @@ class TestParsing:
 class TestDetectorSettings:
     def test_defaults_are_published_values(self):
         s = detector_settings_from_mapping({})
-        assert s.bocpd.mu0 == 0.0
-        assert s.bocpd.kappa == 0.1
-        assert s.bocpd.alpha == 1e-5
-        assert s.bocpd.beta == 1e-5
-        assert s.bocpd.threshold == 0.0002
-        assert s.em.threshold == 0.01
-        assert s.cusum.delta == 1.0
-        assert s.cusum.alpha == 0.025
-        assert s.cusum.h_sigma == 5.0
-        assert s.bocpd_input == "standardized"
-        assert s.em_input == "speed"
-        assert s.cusum_input == "standardized"
+        assert s.config("bocpd").mu0 == 0.0
+        assert s.config("bocpd").kappa == 0.1
+        assert s.config("bocpd").alpha == 1e-5
+        assert s.config("bocpd").beta == 1e-5
+        assert s.config("bocpd").threshold == 0.0002
+        assert s.config("em").threshold == 0.01
+        assert s.config("cusum").delta == 1.0
+        assert s.config("cusum").alpha == 0.025
+        assert s.config("cusum").h_sigma == 5.0
+        assert s.input_mode("bocpd") == "standardized"
+        assert s.input_mode("em") == "speed"
+        assert s.input_mode("cusum") == "standardized"
 
     def test_every_key_reaches_its_field(self):
         s = detector_settings_from_mapping(
@@ -77,18 +77,18 @@ class TestDetectorSettings:
                 "cusum.input": "transform",
             }
         )
-        assert s.bocpd.mu0 == 2.0
-        assert s.bocpd.kappa == 0.5
-        assert s.bocpd.alpha == 0.25
-        assert s.bocpd.beta == 0.125
-        assert s.bocpd.threshold == 0.001
-        assert s.bocpd.warmup == 20
-        assert s.em.threshold == 0.05
-        assert s.em.seed == 77
-        assert s.cusum.delta == 2.0
-        assert s.cusum.alpha == 0.1
-        assert s.cusum.h_sigma == 4.0
-        assert s.cusum.warmup == 10
+        assert s.config("bocpd").mu0 == 2.0
+        assert s.config("bocpd").kappa == 0.5
+        assert s.config("bocpd").alpha == 0.25
+        assert s.config("bocpd").beta == 0.125
+        assert s.config("bocpd").threshold == 0.001
+        assert s.config("bocpd").warmup == 20
+        assert s.config("em").threshold == 0.05
+        assert s.config("em").seed == 77
+        assert s.config("cusum").delta == 2.0
+        assert s.config("cusum").alpha == 0.1
+        assert s.config("cusum").h_sigma == 4.0
+        assert s.config("cusum").warmup == 10
         assert s.input_mode("bocpd") == "speed"
         assert s.input_mode("em") == "transform"
         assert s.input_mode("cusum") == "transform"
@@ -115,6 +115,11 @@ class TestDetectorSettings:
 
         with pytest.raises(ConfigError, match="'noise_stdev'.*finite"):
             scenario_from_mapping({"duration_s": "10", "seed": "1", "noise_stdev": "inf"})
+
+    def test_negative_em_seed_rejected(self):
+        # numpy seeds are non-negative; a negative one used to fail mid-stream.
+        with pytest.raises(ConfigError, match="em: seed must be non-negative"):
+            detector_settings_from_mapping({"em.seed": "-3"})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):

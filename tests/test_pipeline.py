@@ -7,9 +7,9 @@ import pytest
 
 from bsmguard.bsm import aggregate, fit_standardizer
 from bsmguard.config import DetectorSettings, detector_settings_from_mapping
+from bsmguard.detectors import DETECTORS
 from bsmguard.pipeline import (
     DecisionRow,
-    SCORE_ORIENTATION,
     detect_records,
     detector_report,
     read_decisions_csv,
@@ -80,7 +80,7 @@ def test_score_orientation_yields_high_auroc_for_all_detectors():
         rep = detector_report(name, samples, rows, windows=((100.0, 105.0),))
         assert rep.auroc_value is not None and rep.auroc_value > 0.95
         assert rep.latency is not None and rep.latency.detected == 1
-    assert SCORE_ORIENTATION["bocpd"] == -1.0
+    assert DETECTORS["bocpd"].orientation == -1.0
 
 
 def test_report_exclude_warmup_changes_totals():
