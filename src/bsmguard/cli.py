@@ -33,7 +33,7 @@ from bsmguard.pipeline import (
     feature_stream,
     model_dataset,
     read_decisions_csv,
-    score_orientation,
+    scored_pairs,
     stream_std_params,
     train_and_evaluate,
     write_decisions_csv,
@@ -137,6 +137,15 @@ def _parse_grid(raw: str | None, family: str):
     return grid
 
 
+def _write_report(report, path: str | None) -> None:
+    """Print the report's text, and also write it to ``path`` when given."""
+    text = report.to_text()
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+
+
 def cmd_train(args) -> int:
     outcome = train_and_evaluate(
         _samples(args),
@@ -146,27 +155,18 @@ def cmd_train(args) -> int:
         folds=args.folds,
         test_fraction=args.test_fraction,
     )
-    save_model(args.out, outcome.model, outcome.standardizer, args.seed, outcome.test_fraction)
-    report_text = outcome.report.to_text()
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            fh.write(report_text)
+    save_model(args.out, outcome.model, outcome.standardizer, args.seed, args.test_fraction)
     print(f"saved {args.model} model to {args.out}")
     print(f"grid search best: {outcome.search.best_params} "
           f"(cv accuracy {outcome.search.best_accuracy:.4f})")
-    sys.stdout.write(report_text)
+    _write_report(outcome.report, args.report_out)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     model, std, seed, test_fraction = load_model(args.model_file)
     _, _, X_test, y_test, _ = model_dataset(_samples(args), seed, test_fraction, std)
-    report = evaluate_model(model, model.family, X_test, y_test)
-    text = report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write_report(evaluate_model(model, model.family, X_test, y_test), args.out)
     return EXIT_OK
 
 
@@ -181,17 +181,12 @@ def cmd_report(args) -> int:
         windows=windows,
         exclude_warmup=args.exclude_warmup,
     )
-    text = report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write_report(report, args.out)
     if args.roc_out:
-        labels = [s.label for s in samples]
-        if not (0 < sum(labels) < len(labels)):
-            raise DataError("ROC output needs both classes present in the ground truth")
-        orient = score_orientation(args.detector)
-        points = roc_points([orient * d.score for d in decisions], labels)
+        if report.auroc_value is None:
+            raise DataError("ROC output needs both classes present in the scored decisions")
+        labels, _, scores = scored_pairs(args.detector, samples, decisions, args.exclude_warmup)
+        points = roc_points(scores, labels)
         write_roc_csv(args.roc_out, points)
         print(f"wrote {len(points)} ROC points to {args.roc_out}")
     return EXIT_OK

@@ -97,10 +97,6 @@ def parse_windows(raw: str, key: str = "attack.windows") -> tuple[tuple[float, f
     return tuple(windows)
 
 
-def format_windows(windows) -> str:
-    return ",".join(f"{a}:{b}" for a, b in windows)
-
-
 #: How each detector's input stream is produced from aggregated samples.
 INPUT_MODES = ("speed", "standardized", "transform")
 

@@ -58,6 +58,14 @@ def _require_finite(y: float) -> float:
     return y
 
 
+def _warmup_stats(values: list[float]) -> tuple[float, float]:
+    """Mean and sample stdev (n - 1, floored at SIGMA_FLOOR) of a warm-up buffer."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
+    return mean, max(math.sqrt(var), SIGMA_FLOOR)
+
+
 def student_t_logpdf(y: float, df: float, mean: float, scale: float) -> float:
     """Log density of the location-scale Student-t distribution.
 
@@ -302,10 +310,7 @@ class EmDetector:
         self.last_ll_history: list[float] = []
 
     def _build_anchors(self) -> None:
-        n = len(self._buffer)
-        self.seed_mean = math.fsum(self._buffer) / n
-        var = math.fsum((x - self.seed_mean) ** 2 for x in self._buffer) / (n - 1)
-        self.seed_stdev = max(math.sqrt(var), SIGMA_FLOOR)
+        self.seed_mean, self.seed_stdev = _warmup_stats(self._buffer)
         rng = np.random.default_rng(self.config.seed)
         clean = rng.normal(self.seed_mean, self.seed_stdev, EM_CLEAN_ANCHORS)
         attack = rng.normal(EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_ATTACK_ANCHORS)
@@ -392,10 +397,7 @@ class CusumDetector:
         self.ready = False
 
     def _init_from_buffer(self) -> None:
-        n = len(self._buffer)
-        self.mu = math.fsum(self._buffer) / n
-        var = math.fsum((x - self.mu) ** 2 for x in self._buffer) / (n - 1)
-        self.sigma = max(math.sqrt(var), SIGMA_FLOOR)
+        self.mu, self.sigma = _warmup_stats(self._buffer)
         self.k = self.config.delta * self.sigma / 2.0
         self.ewma = self.mu
         self.ready = True

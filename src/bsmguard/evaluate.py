@@ -6,12 +6,12 @@ and record a flag instead of NaN so reports stay machine-readable.
 
 from __future__ import annotations
 
-import bisect
 import math
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Sequence
 
 REPORT_VERSION = 1
 
@@ -98,42 +98,48 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     )
 
 
-def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Probability a random attack sample outscores a random clean one,
-    counting ties as half. Equals the trapezoidal area under the ROC curve.
-    """
+def _roc_counts(
+    scores: Sequence[float], labels: Sequence[int]
+) -> Iterator[tuple[float, int, int]]:
+    """Cumulative (threshold, fp, tp) for predict-attack-when-score >= threshold:
+    the ``inf`` endpoint, then one row per distinct score from a stable
+    descending sort, spelled as its first occurrence. The last row holds
+    the class totals (n_neg, n_pos); a missing class raises after it."""
     if len(scores) != len(labels):
         raise ValueError("scores and labels must have equal length")
-    pos = sorted(s for s, l in zip(scores, labels) if l == 1)
-    neg = sorted(s for s, l in zip(scores, labels) if l == 0)
-    if not pos or not neg:
-        raise ValueError("AUROC needs both classes present")
-    # Merge-count: for each positive, how many negatives rank below it.
-    wins = 0.0
-    for s in pos:
-        lo = bisect.bisect_left(neg, s)
-        hi = bisect.bisect_right(neg, s)
-        wins += lo + 0.5 * (hi - lo)
-    return wins / (len(pos) * len(neg))
+    yield math.inf, 0, 0
+    fp = tp = 0
+    ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    for thr, group in groupby(ranked, key=scores.__getitem__):
+        hits = [labels[i] for i in group]
+        tp += hits.count(1)
+        fp += len(hits) - hits.count(1)
+        yield thr, fp, tp
+    if fp == 0 or tp == 0:
+        raise ValueError("ROC and AUROC need both classes present")
+
+
+def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Probability a random attack sample outscores a random clean one,
+    counting ties as half. Equals the trapezoidal area under the ROC curve,
+    summed exactly in integer counts.
+    """
+    twice = fp = tp = 0
+    for _, fp_next, tp_next in _roc_counts(scores, labels):
+        twice += (fp_next - fp) * (tp_next + tp)
+        fp, tp = fp_next, tp_next
+    return twice / 2 / (tp * fp)
 
 
 def roc_points(
     scores: Sequence[float], labels: Sequence[int]
 ) -> list[tuple[float, float, float]]:
-    """(threshold, fpr, tpr) rows for predict-attack-when-score >= threshold,
-    one row per distinct score plus the all-negative endpoint."""
-    n_pos = sum(1 for l in labels if l == 1)
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC needs both classes present")
-    points = []
-    thresholds = sorted(set(scores), reverse=True)
-    for thr in thresholds + [math.inf]:
-        tp = sum(1 for s, l in zip(scores, labels) if l == 1 and s >= thr)
-        fp = sum(1 for s, l in zip(scores, labels) if l == 0 and s >= thr)
-        points.append((thr, fp / n_neg, tp / n_pos))
-    points.sort(key=lambda p: (p[1], p[2]))
-    return points
+    """(threshold, fpr, tpr) rows for predict-attack-when-score >= threshold:
+    the all-negative ``inf`` endpoint, then one row per distinct score in
+    ascending (fpr, tpr) order."""
+    counts = list(_roc_counts(scores, labels))
+    _, n_neg, n_pos = counts[-1]
+    return [(thr, fp / n_neg, tp / n_pos) for thr, fp, tp in counts]
 
 
 @dataclass(frozen=True)

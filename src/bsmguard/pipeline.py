@@ -228,10 +228,40 @@ def read_decisions_csv(path: str) -> list[DecisionRow]:
     return rows
 
 
-def score_orientation(detector_name: str | None) -> float:
-    """The table's score sign for a known detector; 1 for an unnamed one."""
+def scored_pairs(
+    detector_name: str | None,
+    samples: Sequence[AggregatedSample],
+    decisions: Sequence[DecisionRow],
+    exclude_warmup: bool = False,
+) -> tuple[list[int], list[int], list[float]]:
+    """The (labels, flags, oriented scores) of the decisions a report and its ROC score.
+
+    Warm-up decisions count unless ``exclude_warmup``. Scores take the detector
+    table's sign (1 for an unnamed detector), so larger means more suspicious.
+    """
+    if len(samples) != len(decisions):
+        raise DataError(
+            f"decision count {len(decisions)} does not match sample count {len(samples)}"
+        )
+    pairs = [(s, d) for s, d in zip(samples, decisions) if d.warmed_up or not exclude_warmup]
+    if not pairs:
+        raise DataError("all decisions fell inside warm-up")
     kind = DETECTORS.get(detector_name)
-    return 1.0 if kind is None else kind.orientation
+    orient = 1.0 if kind is None else kind.orientation
+    return (
+        [s.label for s, _ in pairs],
+        [d.attack for _, d in pairs],
+        [orient * d.score for _, d in pairs],
+    )
+
+
+def scored_report(
+    subject: str, labels: list[int], flags: list[int], scores: list[float], **fields
+) -> EvalReport:
+    """Confusion, metrics and, when both classes are present, AUROC."""
+    cm = confusion(labels, flags)
+    auc = auroc(scores, labels) if 0 < sum(labels) < len(labels) else None
+    return EvalReport(subject=subject, cm=cm, quality=metrics(cm), auroc_value=auc, **fields)
 
 
 def detector_report(
@@ -241,41 +271,17 @@ def detector_report(
     windows: Sequence[tuple[float, float]] = (),
     exclude_warmup: bool = False,
 ) -> EvalReport:
-    """Score a decision stream against the samples' ground-truth labels.
-
-    Warm-up decisions are included by default (deployment behavior); pass
-    ``exclude_warmup`` to drop them. AUROC orients each detector's score so
-    larger means more suspicious, and needs both classes present.
-    """
-    if len(samples) != len(decisions):
-        raise DataError(
-            f"decision count {len(decisions)} does not match sample count {len(samples)}"
-        )
-    pairs = list(zip(samples, decisions))
-    if exclude_warmup:
-        pairs = [(s, d) for s, d in pairs if d.warmed_up]
-        if not pairs:
-            raise DataError("all decisions fell inside warm-up")
-    labels = [s.label for s, _ in pairs]
-    preds = [d.attack for _, d in pairs]
-    cm = confusion(labels, preds)
-    quality = metrics(cm)
-    orient = score_orientation(detector_name)
-    auc = None
-    if 0 < sum(labels) < len(labels):
-        auc = auroc([orient * d.score for _, d in pairs], labels)
+    """Score the decisions ``scored_pairs`` selects against their ground-truth
+    labels; latency covers every decision."""
+    labels, flags, scores = scored_pairs(detector_name, samples, decisions, exclude_warmup)
     latency = None
     if windows:
         latency = detection_latency(
             [d.t for d in decisions], [d.attack for d in decisions], windows
         )
-    return EvalReport(
-        subject=detector_name,
-        cm=cm,
-        quality=quality,
-        auroc_value=auc,
-        latency=latency,
-        extra={"excluded_warmup": int(exclude_warmup)},
+    return scored_report(
+        detector_name, labels, flags, scores,
+        latency=latency, extra={"excluded_warmup": int(exclude_warmup)},
     )
 
 
@@ -319,8 +325,6 @@ class TrainOutcome:
     standardizer: StandardizationParams
     search: GridSearchResult
     report: EvalReport
-    seed: int
-    test_fraction: float
 
 
 def train_and_evaluate(
@@ -350,20 +354,10 @@ def train_and_evaluate(
     model = fit_family(family, search.best_params, X_train, y_train, final_seed)
 
     report = evaluate_model(model, family, X_test, y_test)
-    return TrainOutcome(
-        model=model,
-        standardizer=std,
-        search=search,
-        report=report,
-        seed=seed,
-        test_fraction=test_fraction,
-    )
+    return TrainOutcome(model=model, standardizer=std, search=search, report=report)
 
 
 def evaluate_model(model, family: str, X_test: np.ndarray, y_test: np.ndarray) -> EvalReport:
-    labels = list(map(int, y_test))
     scores = [float(v) for v in model.predict_scores(X_test)]
-    preds = [int(v > LABEL_CUT) for v in scores]
-    cm = confusion(labels, preds)
-    auc = auroc(scores, labels) if 0 < sum(labels) < len(labels) else None
-    return EvalReport(subject=family, cm=cm, quality=metrics(cm), auroc_value=auc)
+    flags = [int(v > LABEL_CUT) for v in scores]
+    return scored_report(family, list(map(int, y_test)), flags, scores)

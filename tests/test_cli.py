@@ -399,6 +399,33 @@ class TestReport:
         assert code == 3
         assert "both classes" in capsys.readouterr().err
 
+    def test_roc_on_single_class_scored_pairs_exits_3(self, tmp_path, capsys):
+        # The only attack window lies inside cusum's 5 s warm-up, so the
+        # decisions --exclude-warmup keeps are all clean.
+        cfg = tmp_path / "early.cfg"
+        cfg.write_text("duration_s = 30.0\nseed = 0\nattack.windows = 1.0:4.0\n")
+        csv_path = tmp_path / "early.csv"
+        main(["simulate", "--config", str(cfg), "--out", str(csv_path)])
+        dec = tmp_path / "dec.csv"
+        main(["detect", str(csv_path), "--detector", "cusum", "--out", str(dec)])
+        code = main(["report", str(dec), str(csv_path), "--detector", "cusum",
+                     "--exclude-warmup", "--roc-out", str(tmp_path / "roc.csv")])
+        assert code == 3
+        assert "both classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("detector", ["bocpd", "em", "cusum"])
+    @pytest.mark.parametrize("flags", [[], ["--exclude-warmup"]])
+    def test_roc_area_equals_report_auroc(self, tmp_path, bsm_csv, detector, flags):
+        dec = tmp_path / "dec.csv"
+        assert main(["detect", str(bsm_csv), "--detector", detector, "--out", str(dec)]) == 0
+        rep, roc = tmp_path / "rep.txt", tmp_path / "roc.csv"
+        assert main(["report", str(dec), str(bsm_csv), "--detector", detector, *flags,
+                     "--out", str(rep), "--roc-out", str(roc)]) == 0
+        fields = dict(line.split(" = ") for line in rep.read_text().splitlines())
+        rows = [tuple(map(float, line.split(","))) for line in roc.read_text().splitlines()[1:]]
+        area = sum((f - f0) * (t + t0) / 2 for (_, f0, t0), (_, f, t) in zip(rows, rows[1:]))
+        assert area == pytest.approx(float(fields["auroc"]), abs=1e-12)
+
 
     @pytest.mark.parametrize(
         "row, message",

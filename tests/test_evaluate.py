@@ -143,12 +143,36 @@ class TestAuroc:
         assert auroc([np.tanh(s) for s in scores], labels) == pytest.approx(base)
 
     def test_roc_points_step_through_thresholds(self):
-        scores = [0.9, 0.7, 0.7, 0.2]
-        labels = [1, 1, 0, 0]
-        pts = roc_points(scores, labels)
-        assert pts[0][1:] == (0.0, 0.0) or pts[-1][1:] == (1.0, 1.0)
-        fprs = [p[1] for p in pts]
-        assert fprs == sorted(fprs)
+        cases = [
+            ([0.9, 0.7, 0.7, 0.2], [1, 1, 0, 0]),
+            ([0.5] * 6, [1, 0, 1, 0, 0, 1]),
+            ([0.0, -0.0, 0.0, 1.0], [0, 1, 1, 0]),  # one row, spelled 0.0
+            ([-0.0, 0.0, -1.0], [1, 0, 0]),  # one row, spelled -0.0
+        ]
+        rng = np.random.default_rng(3)
+        while len(cases) < 300:
+            n = int(rng.integers(2, 40))
+            pool = [0.0, -0.0, 1.0, *rng.uniform(-3, 3, int(rng.integers(0, 8)))]
+            labels = [int(v) for v in rng.integers(0, 2, n)]
+            if 0 < sum(labels) < n:
+                cases.append(([float(v) for v in rng.choice(pool, n)], labels))
+        for scores, labels in cases:
+            pts = roc_points(scores, labels)
+            n_pos = sum(labels)
+            n_neg = len(labels) - n_pos
+            first = {}  # -0.0 == 0.0, so they share the key of the first one seen
+            for s in scores:
+                first.setdefault(s, s)
+            assert pts[0] == (float("inf"), 0.0, 0.0)
+            assert len(pts) == len(first) + 1
+            assert {repr(t) for t, _, _ in pts[1:]} == {repr(s) for s in first.values()}
+            assert [p[1:] for p in pts] == sorted(p[1:] for p in pts)
+            for thr, fpr, tpr in pts:
+                hits = [l for s, l in zip(scores, labels) if s >= thr]
+                assert (fpr, tpr) == (hits.count(0) / n_neg, hits.count(1) / n_pos)
+            area = sum((f - f0) * (t + t0) / 2 for (_, f0, t0), (_, f, t) in zip(pts, pts[1:]))
+            assert auroc(scores, labels) == pytest.approx(area, abs=1e-12)
+            assert auroc(scores, labels) == pairwise_auroc(scores, labels)
 
 
 class TestLatency:
