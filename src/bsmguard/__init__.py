@@ -15,7 +15,6 @@ from bsmguard.bsm import (
     StandardizationParams,
     TransformWindow,
     aggregate,
-    aggregate_by_vehicle,
     apply_standardizer,
     fit_standardizer,
     read_bsm_csv,
@@ -47,7 +46,6 @@ __all__ = [
     "StandardizationParams",
     "TransformWindow",
     "aggregate",
-    "aggregate_by_vehicle",
     "apply_standardizer",
     "fit_standardizer",
     "generate_stream",

@@ -85,8 +85,8 @@ def aggregate(
 
     Yields one sample per non-empty window. Labels are OR-combined so any
     attacked record taints its window. Raises NonMonotonicTimestampError as
-    soon as a timestamp fails to advance; use ``aggregate_by_vehicle`` for
-    interleaved multi-vehicle input.
+    soon as a timestamp fails to advance, so interleaved multi-vehicle input
+    must be split by vehicle first.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
@@ -122,16 +122,6 @@ def aggregate(
         yield AggregatedSample(
             round(key * window, 9), speed_sum / count, accel_sum / count, label
         )
-
-
-def aggregate_by_vehicle(
-    records: Iterable[BsmRecord], window: float = BSM_PERIOD_S
-) -> dict[str, list[AggregatedSample]]:
-    """Group an interleaved stream by vehicle and aggregate each stream."""
-    per_vehicle: dict[str, list[BsmRecord]] = {}
-    for rec in records:
-        per_vehicle.setdefault(rec.vehicle_id, []).append(rec)
-    return {vid: list(aggregate(recs, window)) for vid, recs in per_vehicle.items()}
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,13 @@ def cmd_report(args) -> int:
         windows=windows,
         exclude_warmup=args.exclude_warmup,
     )
+    if args.roc_out and report.auroc_value is None:
+        raise DataError("ROC output needs both classes present in the scored decisions")
+    if args.detector is None:
+        print("warning: no --detector given, so scores are read as higher = more "
+              "suspicious; pass --detector (bocpd scores the other way)", file=sys.stderr)
     _write_report(report, args.out)
     if args.roc_out:
-        if report.auroc_value is None:
-            raise DataError("ROC output needs both classes present in the scored decisions")
         labels, _, scores = scored_pairs(args.detector, samples, decisions, args.exclude_warmup)
         points = roc_points(scores, labels)
         write_roc_csv(args.roc_out, points)

@@ -15,6 +15,7 @@ Score semantics differ per detector:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,25 +193,50 @@ class EmConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _norm_logpdf(x: float, mu: float, sigma: float) -> float:
-    z = (x - mu) / sigma
-    return -0.5 * z * z - math.log(sigma) - 0.9189385332046727  # log sqrt(2 pi)
+#: log(sqrt(2 pi)), the normal log-density's constant term.
+_LOG_SQRT_2PI = 0.9189385332046727
+
+
+def _e_step(
+    points: list[float], mu1: float, s1: float, mu2: float, s2: float, pi2: float
+) -> tuple[list[float], float]:
+    """Attack responsibilities of ``points`` and their mixture log-likelihood.
+
+    The log-likelihood is the sum, in point order, of each point's log
+    normaliser ``m + log(exp(la - m) + exp(lb - m))``, so it costs no extra
+    pass; a point that both components rule out makes it nan. Both stdevs
+    must be positive.
+    """
+    log_pa = math.log(pi2) if pi2 > 0 else -math.inf
+    log_pb = math.log(1.0 - pi2) if pi2 < 1 else -math.inf
+    log_s1 = math.log(s1)
+    log_s2 = math.log(s2)
+    c, exp, log = _LOG_SQRT_2PI, math.exp, math.log  # locals for the per-point loop
+    resp: list[float] = []
+    total = 0.0
+    for x in points:
+        za = (x - mu2) / s2
+        zb = (x - mu1) / s1
+        la = log_pa + (-0.5 * za * za - log_s2 - c)
+        lb = log_pb + (-0.5 * zb * zb - log_s1 - c)
+        m = max(la, lb)
+        ea = exp(la - m)
+        eb = exp(lb - m)
+        total += m + log(ea + eb)
+        if la == -math.inf:
+            resp.append(0.0)
+        elif lb == -math.inf:
+            resp.append(1.0)
+        else:
+            resp.append(ea / (ea + eb))
+    return resp, total
 
 
 def attack_responsibility(
     y: float, mu1: float, s1: float, mu2: float, s2: float, pi2: float
 ) -> float:
     """Posterior probability that y came from the attack component (index 2)."""
-    la = math.log(pi2) + _norm_logpdf(y, mu2, s2) if pi2 > 0 else -math.inf
-    lb = math.log(1.0 - pi2) + _norm_logpdf(y, mu1, s1) if pi2 < 1 else -math.inf
-    if la == -math.inf:
-        return 0.0
-    if lb == -math.inf:
-        return 1.0
-    m = max(la, lb)
-    ea = math.exp(la - m)
-    eb = math.exp(lb - m)
-    return ea / (ea + eb)
+    return _e_step([y], mu1, s1, mu2, s2, pi2)[0][0]
 
 
 def gmm_m_step(
@@ -226,25 +252,40 @@ def gmm_m_step(
     w1 = n - w2
     if w2 <= 0.0 or w1 <= 0.0:
         raise ValueError("degenerate responsibilities: one component owns nothing")
-    mu2 = math.fsum(r * x for r, x in zip(resp, points)) / w2
-    mu1 = math.fsum((1.0 - r) * x for r, x in zip(resp, points)) / w1
-    var2 = math.fsum(r * (x - mu2) ** 2 for r, x in zip(resp, points)) / w2
-    var1 = math.fsum((1.0 - r) * (x - mu1) ** 2 for r, x in zip(resp, points)) / w1
+    clean = [1.0 - r for r in resp]
+    mu2 = math.fsum(list(map(operator.mul, resp, points))) / w2
+    mu1 = math.fsum(list(map(operator.mul, clean, points))) / w1
+    var2 = math.fsum([r * (x - mu2) ** 2 for r, x in zip(resp, points)]) / w2
+    var1 = math.fsum([q * (x - mu1) ** 2 for q, x in zip(clean, points)]) / w1
     s1 = max(math.sqrt(var1), SIGMA_FLOOR)
     s2 = max(math.sqrt(var2), SIGMA_FLOOR)
     return mu1, s1, mu2, s2, w2 / n
 
 
-def _gmm_loglik(
-    points: list[float], mu1: float, s1: float, mu2: float, s2: float, pi2: float
-) -> float:
-    total = 0.0
-    for x in points:
-        la = math.log(pi2) + _norm_logpdf(x, mu2, s2) if pi2 > 0 else -math.inf
-        lb = math.log(1.0 - pi2) + _norm_logpdf(x, mu1, s1) if pi2 < 1 else -math.inf
-        m = max(la, lb)
-        total += m + math.log(math.exp(la - m) + math.exp(lb - m))
-    return total
+def _em_from(
+    points: list[float],
+    resp: list[float],
+    theta: tuple[float, float, float, float, float],
+) -> tuple[tuple[float, float, float, float, float], list[float], list[float]]:
+    """EM iterations from ``resp``, the responsibilities of ``points`` under ``theta``.
+
+    Each iteration is an M-step then an E-step; the E-step's log-likelihood
+    joins the history. Returns the fitted theta, the history and the
+    responsibilities under the fitted theta.
+    """
+    ll_history: list[float] = []
+    for _ in range(EM_MAX_ITER):
+        try:
+            new = gmm_m_step(points, resp)
+        except ValueError:
+            break  # one component vanished; keep the last stable fit
+        delta = max(abs(a - b) for a, b in zip(new, theta))
+        theta = new
+        resp, loglik = _e_step(points, *theta)
+        ll_history.append(loglik)
+        if delta < EM_TOL:
+            break
+    return theta, ll_history, resp
 
 
 def fit_two_component_gmm(
@@ -262,27 +303,10 @@ def fit_two_component_gmm(
     the log-likelihood after each M-step (a non-decreasing sequence, which
     the tests assert).
     """
-    s1 = max(s1, SIGMA_FLOOR)
-    s2 = max(s2, SIGMA_FLOOR)
-    ll_history: list[float] = []
-    for _ in range(EM_MAX_ITER):
-        resp = [attack_responsibility(x, mu1, s1, mu2, s2, pi2) for x in points]
-        try:
-            new = gmm_m_step(points, resp)
-        except ValueError:
-            break  # one component vanished; keep the last stable fit
-        delta = max(
-            abs(new[0] - mu1),
-            abs(new[1] - s1),
-            abs(new[2] - mu2),
-            abs(new[3] - s2),
-            abs(new[4] - pi2),
-        )
-        mu1, s1, mu2, s2, pi2 = new
-        ll_history.append(_gmm_loglik(points, mu1, s1, mu2, s2, pi2))
-        if delta < EM_TOL:
-            break
-    return (mu1, s1, mu2, s2, pi2), ll_history
+    theta = (mu1, max(s1, SIGMA_FLOOR), mu2, max(s2, SIGMA_FLOOR), pi2)
+    resp, _ = _e_step(points, *theta)
+    theta, ll_history, _ = _em_from(points, resp, theta)
+    return theta, ll_history
 
 
 class EmDetector:
@@ -315,6 +339,12 @@ class EmDetector:
         clean = rng.normal(self.seed_mean, self.seed_stdev, EM_CLEAN_ANCHORS)
         attack = rng.normal(EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_ATTACK_ANCHORS)
         self.anchors = [float(v) for v in clean] + [float(v) for v in attack]
+        # Every fit starts from this theta (both stdevs are already at or
+        # above SIGMA_FLOOR), so the anchors' part of its first E-step is fixed.
+        self._theta0 = (
+            self.seed_mean, self.seed_stdev, EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_INIT_WEIGHT
+        )
+        self._anchor_resp, _ = _e_step(self.anchors, *self._theta0)
 
     def observe(self, y: float) -> DetectorDecision:
         y = _require_finite(y)
@@ -324,17 +354,11 @@ class EmDetector:
                 self._build_anchors()
             return DetectorDecision(attack=False, score=0.0, warmed_up=False)
 
-        points = self.anchors + [y]
-        self.theta, self.last_ll_history = fit_two_component_gmm(
-            points,
-            mu1=self.seed_mean,
-            s1=self.seed_stdev,
-            mu2=EM_ATTACK_MEAN,
-            s2=EM_ATTACK_STDEV,
-            pi2=EM_INIT_WEIGHT,
+        resp = self._anchor_resp + _e_step([y], *self._theta0)[0]
+        self.theta, self.last_ll_history, resp = _em_from(
+            self.anchors + [y], resp, self._theta0
         )
-        mu1, s1, mu2, s2, pi2 = self.theta
-        score = attack_responsibility(y, mu1, s1, mu2, s2, pi2)
+        score = resp[-1]
         return DetectorDecision(
             attack=score > self.config.threshold, score=score, warmed_up=True
         )

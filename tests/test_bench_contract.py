@@ -43,3 +43,21 @@ def test_traced_train_and_evaluate_count_trees_and_rows(tmp_path):
     assert tracer.counts["ml.predict_rows"] > 0
     assert tracer.counts["ml.scored_rows"] > 0
     assert tracer.calls["ml.fit_family"] > 0
+
+
+def test_traced_em_detect_counts_iterations(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("duration_s = 10.0\nseed = 3\nattack.windows = 5.0:6.0\n")
+    csv_path = tmp_path / "bsm.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(csv_path)]) == 0
+
+    tracer_module = load_tracer_module()
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    try:
+        assert main(["detect", str(csv_path), "--detector", "em",
+                     "--out", str(tmp_path / "dec.csv")]) == 0
+    finally:
+        tracer.uninstall()
+
+    assert tracer.counts["em.iterations"] >= tracer.counts["em.warm_observes"] > 0

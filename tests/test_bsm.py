@@ -11,7 +11,6 @@ from bsmguard.bsm import (
     BsmRecord,
     NonMonotonicTimestampError,
     aggregate,
-    aggregate_by_vehicle,
     apply_standardizer,
     fit_standardizer,
     read_bsm_csv,
@@ -19,14 +18,14 @@ from bsmguard.bsm import (
 )
 
 
-def rec(t, speed, accel=0.0, label=0, vid="v1"):
-    return BsmRecord(t=t, vehicle_id=vid, speed=speed, accel=accel, label=label)
+def rec(t, speed, accel=0.0, label=0):
+    return BsmRecord(t=t, vehicle_id="v1", speed=speed, accel=accel, label=label)
 
 
-def make_stream(values, vid="v1", labels=None):
+def make_stream(values, labels=None):
     labels = labels or [0] * len(values)
     return [
-        rec(round((i + 1) * 0.1, 9), v, label=l, vid=vid)
+        rec(round((i + 1) * 0.1, 9), v, label=l)
         for i, (v, l) in enumerate(zip(values, labels))
     ]
 
@@ -88,14 +87,6 @@ class TestAggregate:
         ]
         twice = list(aggregate(again_records, window=0.1))
         assert twice == once
-
-    def test_by_vehicle_grouping(self):
-        a = make_stream([1.0, 2.0], vid="a")
-        b = make_stream([5.0, 6.0], vid="b")
-        interleaved = [a[0], b[0], a[1], b[1]]
-        out = aggregate_by_vehicle(interleaved, window=0.1)
-        assert set(out) == {"a", "b"}
-        assert [s.avg_speed for s in out["a"]] == [1.0, 2.0]
 
 
 class TestStandardizer:

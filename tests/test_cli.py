@@ -399,19 +399,49 @@ class TestReport:
         assert code == 3
         assert "both classes" in capsys.readouterr().err
 
-    def test_roc_on_single_class_scored_pairs_exits_3(self, tmp_path, capsys):
-        # The only attack window lies inside cusum's 5 s warm-up, so the
-        # decisions --exclude-warmup keeps are all clean.
+    @staticmethod
+    def early_attack_cusum(tmp_path):
+        """A CSV and its cusum decisions whose only attack lies in the warm-up."""
         cfg = tmp_path / "early.cfg"
         cfg.write_text("duration_s = 30.0\nseed = 0\nattack.windows = 1.0:4.0\n")
         csv_path = tmp_path / "early.csv"
         main(["simulate", "--config", str(cfg), "--out", str(csv_path)])
         dec = tmp_path / "dec.csv"
         main(["detect", str(csv_path), "--detector", "cusum", "--out", str(dec)])
+        return csv_path, dec
+
+    def test_roc_on_single_class_scored_pairs_exits_3(self, tmp_path, capsys):
+        # The only attack window lies inside cusum's 5 s warm-up, so the
+        # decisions --exclude-warmup keeps are all clean.
+        csv_path, dec = self.early_attack_cusum(tmp_path)
         code = main(["report", str(dec), str(csv_path), "--detector", "cusum",
                      "--exclude-warmup", "--roc-out", str(tmp_path / "roc.csv")])
         assert code == 3
         assert "both classes" in capsys.readouterr().err
+
+    def test_failed_roc_leaves_no_report_file(self, tmp_path, capsys):
+        csv_path, dec = self.early_attack_cusum(tmp_path)
+        rep, roc = tmp_path / "rep.txt", tmp_path / "roc.csv"
+        code = main(["report", str(dec), str(csv_path), "--detector", "cusum",
+                     "--exclude-warmup", "--out", str(rep), "--roc-out", str(roc)])
+        assert code == 3
+        assert "both classes" in capsys.readouterr().err
+        assert not rep.exists()
+        assert not roc.exists()
+
+    def test_report_without_detector_warns_on_stderr(self, tmp_path, bsm_csv, capsys):
+        dec = tmp_path / "dec.csv"
+        main(["detect", str(bsm_csv), "--detector", "bocpd", "--out", str(dec)])
+        capsys.readouterr()
+        rep = tmp_path / "rep.txt"
+        assert main(["report", str(dec), str(bsm_csv), "--out", str(rep)]) == 0
+        out, err = capsys.readouterr()
+        assert out == rep.read_text()
+        assert "auroc = 0.0\n" in out  # bocpd's density read as if high were suspicious
+        assert len(err.splitlines()) == 1
+        assert "--detector" in err
+        assert main(["report", str(dec), str(bsm_csv), "--detector", "bocpd"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("detector", ["bocpd", "em", "cusum"])
     @pytest.mark.parametrize("flags", [[], ["--exclude-warmup"]])

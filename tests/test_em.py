@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsmguard.bsm import aggregate
 from bsmguard.detectors import (
+    EM_ATTACK_MEAN,
+    EM_ATTACK_STDEV,
+    EM_INIT_WEIGHT,
+    EM_MAX_ITER,
+    EM_TOL,
     EmConfig,
     EmDetector,
     SIGMA_FLOOR,
@@ -16,6 +22,7 @@ from bsmguard.detectors import (
     fit_two_component_gmm,
     gmm_m_step,
 )
+from bsmguard.simulate import AttackSpec, DrivingProfile, Scenario
 
 
 def loglik(points, mu1, s1, mu2, s2, pi2):
@@ -166,3 +173,140 @@ class TestDetector:
         det = EmDetector(EmConfig())
         with pytest.raises(ValueError):
             det.observe(float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: the straightforward EM loop, one pass per quantity
+# ---------------------------------------------------------------------------
+
+
+def oracle_norm_logpdf(x, mu, sigma):
+    z = (x - mu) / sigma
+    return -0.5 * z * z - math.log(sigma) - 0.9189385332046727
+
+
+def oracle_responsibility(y, mu1, s1, mu2, s2, pi2):
+    la = math.log(pi2) + oracle_norm_logpdf(y, mu2, s2) if pi2 > 0 else -math.inf
+    lb = math.log(1.0 - pi2) + oracle_norm_logpdf(y, mu1, s1) if pi2 < 1 else -math.inf
+    if la == -math.inf:
+        return 0.0
+    if lb == -math.inf:
+        return 1.0
+    m = max(la, lb)
+    ea = math.exp(la - m)
+    eb = math.exp(lb - m)
+    return ea / (ea + eb)
+
+
+def oracle_m_step(points, resp):
+    n = len(points)
+    w2 = math.fsum(resp)
+    w1 = n - w2
+    if w2 <= 0.0 or w1 <= 0.0:
+        raise ValueError("degenerate responsibilities")
+    mu2 = math.fsum(r * x for r, x in zip(resp, points)) / w2
+    mu1 = math.fsum((1.0 - r) * x for r, x in zip(resp, points)) / w1
+    var2 = math.fsum(r * (x - mu2) ** 2 for r, x in zip(resp, points)) / w2
+    var1 = math.fsum((1.0 - r) * (x - mu1) ** 2 for r, x in zip(resp, points)) / w1
+    s1 = max(math.sqrt(var1), SIGMA_FLOOR)
+    s2 = max(math.sqrt(var2), SIGMA_FLOOR)
+    return mu1, s1, mu2, s2, w2 / n
+
+
+def oracle_loglik(points, mu1, s1, mu2, s2, pi2):
+    total = 0.0
+    for x in points:
+        la = math.log(pi2) + oracle_norm_logpdf(x, mu2, s2) if pi2 > 0 else -math.inf
+        lb = math.log(1.0 - pi2) + oracle_norm_logpdf(x, mu1, s1) if pi2 < 1 else -math.inf
+        m = max(la, lb)
+        total += m + math.log(math.exp(la - m) + math.exp(lb - m))
+    return total
+
+
+def oracle_fit(points, mu1, s1, mu2, s2, pi2):
+    """E-step, M-step, then a separate log-likelihood pass, per iteration."""
+    s1 = max(s1, SIGMA_FLOOR)
+    s2 = max(s2, SIGMA_FLOOR)
+    ll_history = []
+    for _ in range(EM_MAX_ITER):
+        resp = [oracle_responsibility(x, mu1, s1, mu2, s2, pi2) for x in points]
+        try:
+            new = oracle_m_step(points, resp)
+        except ValueError:
+            break
+        delta = max(
+            abs(new[0] - mu1), abs(new[1] - s1), abs(new[2] - mu2),
+            abs(new[3] - s2), abs(new[4] - pi2),
+        )
+        mu1, s1, mu2, s2, pi2 = new
+        ll_history.append(oracle_loglik(points, mu1, s1, mu2, s2, pi2))
+        if delta < EM_TOL:
+            break
+    return (mu1, s1, mu2, s2, pi2), ll_history
+
+
+def assert_fit_matches_oracle(points, theta0):
+    got = fit_two_component_gmm(points, *theta0)
+    want = oracle_fit(points, *theta0)
+    assert repr(got) == repr(want), (points, theta0)
+    for y in points:
+        assert repr(attack_responsibility(y, *got[0])) == repr(
+            oracle_responsibility(y, *want[0])
+        )
+
+
+def test_fit_bit_identical_to_oracle_on_random_sets():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(2, 14))
+        points = [float(v) for v in rng.normal(rng.normal(0, 5), rng.uniform(1e-3, 3), n)]
+        theta0 = (float(rng.normal(0, 3)), float(rng.uniform(1e-3, 3)),
+                  float(rng.normal(0, 3)), float(rng.uniform(1e-3, 3)),
+                  float(rng.uniform(0.01, 0.99)))
+        assert_fit_matches_oracle(points, theta0)
+
+
+@pytest.mark.parametrize("pi2", [0.0, 1.0])
+def test_fit_bit_identical_to_oracle_at_pure_mixing_weights(pi2):
+    points = [15.2, 15.6, 15.9, 0.0, 0.4]
+    assert_fit_matches_oracle(points, (15.6, 0.25, 0.5, 1.0, pi2))
+
+
+@pytest.mark.parametrize("value", [1e6, -5.0, 1e-300, 0.0])
+def test_fit_bit_identical_to_oracle_on_saturating_values(value):
+    points = [15.2, 15.6, 15.9, 15.4, 0.2, 0.9, value]
+    assert_fit_matches_oracle(points, (15.5, 0.25, EM_ATTACK_MEAN, EM_ATTACK_STDEV,
+                                       EM_INIT_WEIGHT))
+
+
+def assert_detector_matches_oracle(ys, seed):
+    det = EmDetector(EmConfig(seed=seed))
+    for y in ys:
+        d = det.observe(y)
+        if not d.warmed_up:
+            continue
+        theta, ll = oracle_fit(det.anchors + [y], det.seed_mean, det.seed_stdev,
+                               EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_INIT_WEIGHT)
+        score = oracle_responsibility(y, *theta)
+        assert repr((det.theta, det.last_ll_history, d.score)) == repr((theta, ll, score))
+        assert d.attack == (score > det.config.threshold)
+
+
+def test_detector_bit_identical_to_oracle_on_constant_warmup():
+    assert_detector_matches_oracle([5.0] * 10 + [5.0, 5.0 + 1e-9, 0.0, 1e6, -5.0, 1e-300], 0)
+
+
+def test_detector_bit_identical_to_oracle_on_saturating_values():
+    assert_detector_matches_oracle([15.6, 15.7] * 5 + [1e6, -5.0, 1e-300, 0.0, 15.6], 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_detector_bit_identical_to_oracle_on_false_stop_stream(seed):
+    scenario = Scenario(
+        profile=DrivingProfile(duration_s=300.0, base_speed=15.6, noise_stdev=0.25),
+        attack=AttackSpec(windows=((150.0, 155.0),), mode="constant_replace", magnitude=0.0),
+        seed=seed,
+    )
+    ys = [s.avg_speed for s in aggregate(scenario.run())]
+    assert len(ys) == 3000
+    assert_detector_matches_oracle(ys, seed)
