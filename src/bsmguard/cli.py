@@ -2,7 +2,9 @@
 
 Subcommands: simulate, detect, train, evaluate, report. Every command is
 deterministic given its config and seed. Exit codes: 0 ok, 2 usage or
-config error, 3 data error.
+config error, 3 data error. A command writes its output files all together
+or not at all (``pipeline.staged_outputs``), and prints only once they are
+in place.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from bsmguard.pipeline import (
     model_dataset,
     read_decisions_csv,
     scored_pairs,
+    staged_outputs,
     stream_std_params,
     train_and_evaluate,
     write_decisions_csv,
@@ -72,7 +75,8 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
     scenario = scenario_from_mapping(cfg, args.config)
-    n = write_bsm_csv(args.out, scenario.run())
+    with staged_outputs() as stage:
+        n = write_bsm_csv(stage(args.out), scenario.run())
     print(f"wrote {n} records to {args.out}")
     return EXIT_OK
 
@@ -89,24 +93,28 @@ def cmd_detect(args) -> int:
     mode = settings.input_mode(args.detector)
     std = stream_std_params(records_factory, mode, args.window)
     rows = detect_records(records_factory, args.detector, settings, args.window, std)
-    n = write_decisions_csv(args.out, rows)
+    with staged_outputs() as stage:
+        n = write_decisions_csv(stage(args.out), rows)
+        if args.timing_out:
+            # Re-run a fresh detector over the same inputs purely to time it.
+            # Wall-clock output is intentionally kept out of the decisions file.
+            samples = aggregate(records_factory(), args.window)
+            values = (v for _, v in feature_stream(samples, mode, std) if v is not None)
+            det = make_detector(args.detector, settings.config(args.detector))
+            try:
+                stats = time_inference(det.observe, values)
+            except ValueError as exc:
+                raise DataError(str(exc)) from None
+            _write_text(
+                stage(args.timing_out),
+                f"detector = {args.detector}\n"
+                f"timing_samples = {stats.n_measured}\n"
+                f"timing_mean_ms = {stats.mean_ms!r}\n"
+                f"timing_median_ms = {stats.median_ms!r}\n"
+                f"timing_p99_ms = {stats.p99_ms!r}\n",
+            )
     print(f"wrote {n} decisions to {args.out}")
     if args.timing_out:
-        # Re-run a fresh detector over the same inputs purely to time it.
-        # Wall-clock output is intentionally kept out of the decisions file.
-        samples = aggregate(records_factory(), args.window)
-        values = (v for _, v in feature_stream(samples, mode, std) if v is not None)
-        det = make_detector(args.detector, settings.config(args.detector))
-        try:
-            stats = time_inference(det.observe, values)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-        with open(args.timing_out, "w", encoding="utf-8") as fh:
-            fh.write(f"detector = {args.detector}\n")
-            fh.write(f"timing_samples = {stats.n_measured}\n")
-            fh.write(f"timing_mean_ms = {stats.mean_ms!r}\n")
-            fh.write(f"timing_median_ms = {stats.median_ms!r}\n")
-            fh.write(f"timing_p99_ms = {stats.p99_ms!r}\n")
         print(f"wrote timing stats to {args.timing_out}")
     return EXIT_OK
 
@@ -137,13 +145,9 @@ def _parse_grid(raw: str | None, family: str):
     return grid
 
 
-def _write_report(report, path: str | None) -> None:
-    """Print the report's text, and also write it to ``path`` when given."""
-    text = report.to_text()
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def cmd_train(args) -> int:
@@ -155,18 +159,27 @@ def cmd_train(args) -> int:
         folds=args.folds,
         test_fraction=args.test_fraction,
     )
-    save_model(args.out, outcome.model, outcome.standardizer, args.seed, args.test_fraction)
+    text = outcome.report.to_text()
+    with staged_outputs() as stage:
+        save_model(stage(args.out), outcome.model, outcome.standardizer, args.seed,
+                   args.test_fraction)
+        if args.report_out:
+            _write_text(stage(args.report_out), text)
     print(f"saved {args.model} model to {args.out}")
     print(f"grid search best: {outcome.search.best_params} "
           f"(cv accuracy {outcome.search.best_accuracy:.4f})")
-    _write_report(outcome.report, args.report_out)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     model, std, seed, test_fraction = load_model(args.model_file)
     _, _, X_test, y_test, _ = model_dataset(_samples(args), seed, test_fraction, std)
-    _write_report(evaluate_model(model, model.family, X_test, y_test), args.out)
+    text = evaluate_model(model, model.family, X_test, y_test).to_text()
+    if args.out:
+        with staged_outputs() as stage:
+            _write_text(stage(args.out), text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -186,11 +199,17 @@ def cmd_report(args) -> int:
     if args.detector is None:
         print("warning: no --detector given, so scores are read as higher = more "
               "suspicious; pass --detector (bocpd scores the other way)", file=sys.stderr)
-    _write_report(report, args.out)
+    text = report.to_text()
+    with staged_outputs() as stage:
+        if args.out:
+            _write_text(stage(args.out), text)
+        if args.roc_out:
+            labels, _, scores = scored_pairs(args.detector, samples, decisions,
+                                             args.exclude_warmup)
+            points = roc_points(scores, labels)
+            write_roc_csv(stage(args.roc_out), points)
+    sys.stdout.write(text)
     if args.roc_out:
-        labels, _, scores = scored_pairs(args.detector, samples, decisions, args.exclude_warmup)
-        points = roc_points(scores, labels)
-        write_roc_csv(args.roc_out, points)
         print(f"wrote {len(points)} ROC points to {args.roc_out}")
     return EXIT_OK
 

@@ -7,10 +7,23 @@ and 1 (attack). Each family scores a batch of rows at once; the per-row
 predictors return (label, attack score) and are one-row calls of those
 batch scorers. ``FAMILIES`` is the one table the rest of the package
 dispatches on.
+
+CART (``cart_fit``, which every forest tree also goes through) argsorts each
+feature once per tree and grows the tree one depth at a time: the open nodes
+of a depth own contiguous segments of every feature's sorted rows, and all of
+them are scored with whole-array operations. A node's candidate thresholds
+are the midpoints between distinct consecutive values that leave at least
+``min_leaf`` rows on each side; zero-gain candidates are eligible; the first
+candidate in (feature, threshold) order wins unless a later one gains more
+by over ``SPLIT_GAIN_TOL`` (1e-15). Class weights are one constant per class,
+so every weighted count is a function of integer class counts and is
+computed with the same floating-point operations as summing the rows: the
+trees are bit for bit those of a node-by-node search.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -254,54 +267,21 @@ class CartNode:
         return self.feature is None
 
 
-def _best_split(X, y, w, criterion, min_leaf):
-    """Scan every midpoint threshold of every feature; return the best gain.
+@functools.lru_cache(maxsize=1 << 12)
+def _class_total(w: float, k: int) -> float:
+    """``np.sum`` of ``k`` copies of the class weight ``w``.
 
-    Candidates leaving fewer than ``min_leaf`` samples on a side are skipped.
-    Returns (gain, feature, threshold, left_mask) or None when no candidate
-    exists. Zero-gain candidates are eligible (an impure node keeps
-    splitting while any split exists); ties keep the first candidate in
-    (feature, threshold) order.
+    A node's weighted class count is that sum over its rows. numpy sums
+    pairwise, so its bits depend on ``k`` and not on ``k * w`` alone; summing
+    the copies reproduces them. Cached, since the trees of a forest share
+    their class weights.
     """
-    n = len(y)
-    w0_total = float(np.sum(w[y == 0]))
-    w1_total = float(np.sum(w[y == 1]))
-    total = w0_total + w1_total
-    parent = float(_impurity_vec(np.array([w0_total]), np.array([w1_total]), criterion)[0])
-    best = None
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        ws = w[order]
-        cum0 = np.cumsum(np.where(ys == 0, ws, 0.0))
-        cum1 = np.cumsum(np.where(ys == 1, ws, 0.0))
-        # Candidate boundaries sit between distinct consecutive values.
-        boundary = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-        boundary = boundary[(boundary >= min_leaf) & (boundary <= n - min_leaf)]
-        if len(boundary) == 0:
-            continue
-        left0 = cum0[boundary - 1]
-        left1 = cum1[boundary - 1]
-        right0 = w0_total - left0
-        right1 = w1_total - left1
-        wl = (left0 + left1) / total
-        wr = (right0 + right1) / total
-        gains = (
-            parent
-            - wl * _impurity_vec(left0, left1, criterion)
-            - wr * _impurity_vec(right0, right1, criterion)
-        )
-        for pos, gain in zip(boundary, gains):
-            if best is None or gain > best[0] + 1e-15:
-                thr = (xs[pos - 1] + xs[pos]) / 2.0
-                best = (float(gain), j, float(thr), int(pos), order)
-    if best is None:
-        return None
-    gain, j, thr, pos, order = best
-    left_mask = np.zeros(n, dtype=bool)
-    left_mask[order[:pos]] = True
-    return gain, j, thr, left_mask
+    return float(np.sum(np.full(k, w)))
+
+
+#: A later split candidate replaces the best one only when its gain is
+#: higher by more than this, so near-equal gains keep the first candidate.
+SPLIT_GAIN_TOL = 1e-15
 
 
 def cart_fit(
@@ -316,47 +296,157 @@ def cart_fit(
     """Greedy axis-aligned tree on midpoint thresholds.
 
     A node stops splitting when it is pure, hits the depth/size limits, or
-    no candidate threshold remains (so no impurity decrease is possible).
-    ``weights`` maps class label to sample weight; weighted counts feed the
-    impurity and the leaf probabilities.
+    no candidate threshold remains. ``y`` holds 0/1 labels; ``weights`` maps
+    class label to sample weight, and weighted counts feed the impurity and
+    the leaf probabilities.
+
+    Split rule. A node's candidates sit at the midpoints between distinct
+    consecutive values of each feature and leave at least ``min_leaf`` rows
+    on each side. The gain is the node's impurity minus the impurities of
+    the two sides, each weighted by its share of the node's weighted count.
+    Zero-gain candidates are eligible, so an impure node keeps splitting
+    while any candidate exists. Candidates are scanned in (feature,
+    threshold) order, and a later one replaces the best only if its gain is
+    higher by more than ``SPLIT_GAIN_TOL``: near-ties keep the first.
+
+    Growth. Each feature is argsorted once per tree. The tree grows one
+    depth at a time: every node of a depth owns a contiguous segment of each
+    feature's sorted rows, and all of them are scored with whole-array
+    operations. The winners' rows are then stably partitioned into their
+    children's segments, which therefore stay sorted.
+
+    Exact weighted sums. Weights are one constant per class. Summing a
+    node's sorted row weights class by class adds either the class weight or
+    nothing per row, so the weighted count left of a threshold is the
+    running sum of that many copies of the class weight, looked up at the
+    integer class count. A node total is numpy's (pairwise) sum of that
+    many copies (``_class_total``). Both carry the same bits as summing the
+    rows themselves, so the trees equal those of a node-by-node search.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(X) == 0:
         raise ValueError("empty training set")
-    w = np.array([1.0 if weights is None else float(weights[int(c)]) for c in y])
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError("X needs one row per sample and at least one feature column")
+    present = set(np.unique(y).tolist())
+    if not present <= {0, 1}:
+        raise ValueError(f"labels must be 0 or 1, got {sorted(present)}")
+    n, d = X.shape
+    # Only the classes present need a weight: an absent one counts no rows.
+    wc = [1.0 if weights is None or c not in present else float(weights[c]) for c in (0, 1)]
+    # running[c][k]: the weighted count of k rows of class c, summed in row order.
+    running = [np.concatenate(([0.0], np.cumsum(np.full(n, w)))) for w in wc]
+    columns = np.ascontiguousarray(X.T)
+    feature_ix = np.arange(d)[:, None]
 
-    def build(idx: np.ndarray, depth: int) -> CartNode:
-        ys = y[idx]
-        ws = w[idx]
-        w0 = float(np.sum(ws[ys == 0]))
-        w1 = float(np.sum(ws[ys == 1]))
+    order = np.argsort(columns, axis=1, kind="stable")  # (features, rows of open nodes)
+    sizes = np.array([n])  # rows per open node, in segment order
+    hang: list[tuple[CartNode, str] | None] = [None]  # where each open node attaches
+    root = None
+    depth = 0
+    while len(sizes):
+        k_open, m = len(sizes), order.shape[1]
+        starts = np.cumsum(sizes) - sizes
+        seg = np.repeat(np.arange(k_open), sizes)  # open node of each position
+        pos = np.arange(m) - starts[seg]  # position inside the node's segment
+        # ones[j, i]: attack rows among the first i positions of feature j.
+        ones = np.zeros((d, m + 1), dtype=int)
+        np.cumsum(y[order] == 1, axis=1, out=ones[:, 1:])
+        node_ones = ones[0, starts + sizes] - ones[0, starts]
+        w0 = np.array([_class_total(wc[0], k) for k in (sizes - node_ones).tolist()])
+        w1 = np.array([_class_total(wc[1], k) for k in node_ones.tolist()])
+        parent = _impurity_vec(w0, w1, criterion)
         total = w0 + w1
-        node = CartNode(
-            impurity=float(_impurity_vec(np.array([w0]), np.array([w1]), criterion)[0]),
-            counts=(w0, w1),
-            n_samples=len(idx),
-        )
-        if (
-            depth >= max_depth
-            or len(idx) < min_split
-            or w0 == 0.0
-            or w1 == 0.0
+        nodes = []
+        for i, (imp, c0, c1, size) in enumerate(
+            zip(parent.tolist(), w0.tolist(), w1.tolist(), sizes.tolist())
         ):
-            node.probs = (w0 / total, w1 / total)
-            return node
-        found = _best_split(X[idx], ys, ws, criterion, min_leaf)
-        if found is None:
-            node.probs = (w0 / total, w1 / total)
-            return node
-        _, feature, threshold, left_mask = found
-        node.feature = feature
-        node.threshold = threshold
-        node.left = build(idx[left_mask], depth + 1)
-        node.right = build(idx[~left_mask], depth + 1)
-        return node
+            node = CartNode(impurity=imp, counts=(c0, c1), n_samples=size)
+            if hang[i] is None:
+                root = node
+            else:
+                setattr(*hang[i], node)
+            nodes.append(node)
+        grow = (depth < max_depth) & (sizes >= min_split) & (w0 != 0.0) & (w1 != 0.0)
 
-    return build(np.arange(len(y)), 0)
+        # Candidate boundary p of feature j: positions < p go left.
+        xs = columns[feature_ix, order]
+        b = pos[1:]
+        allowed = (b >= max(min_leaf, 1)) & (b <= sizes[seg[1:]] - min_leaf) & grow[seg[1:]]
+        feat, p = np.nonzero(allowed & (xs[:, 1:] > xs[:, :-1]))
+        p += 1
+        nd = seg[p]
+        left1 = ones[feat, p] - ones[feat, starts[nd]]
+        left = (running[0][pos[p] - left1], running[1][left1])
+        right = (w0[nd] - left[0], w1[nd] - left[1])
+        # One impurity call for both sides: every left side, then every right.
+        side = _impurity_vec(np.concatenate((left[0], right[0])),
+                             np.concatenate((left[1], right[1])), criterion)
+        gains = (
+            parent[nd]
+            - (left[0] + left[1]) / total[nd] * side[: len(p)]
+            - (right[0] + right[1]) / total[nd] * side[len(p) :]
+        )
+        winner = _first_best(nd, gains, k_open)
+
+        split = winner >= 0
+        for i in np.flatnonzero(~split).tolist():
+            nodes[i].probs = (w0[i] / total[i]).item(), (w1[i] / total[i]).item()
+        if not split.any():
+            break
+        wf, wp = feat[winner[split]], p[winner[split]]
+        thresholds = (xs[wf, wp - 1] + xs[wf, wp]) / 2.0
+        hang = []
+        for i, f, thr in zip(np.flatnonzero(split).tolist(), wf.tolist(), thresholds.tolist()):
+            nodes[i].feature, nodes[i].threshold = f, thr
+            hang += [(nodes[i], "left"), (nodes[i], "right")]
+
+        # Each winner's rows move to its children's segments, left then
+        # right, in their current order: a stable partition.
+        win_feat = np.full(k_open, -1)
+        win_feat[split] = wf
+        win_b = np.zeros(k_open, dtype=int)
+        win_b[split] = pos[wp]
+        child = np.full(n, -1)
+        child[order[0]] = np.where(split[seg], 2 * (np.cumsum(split) - 1)[seg] + 1, -1)
+        child[order[(win_feat[seg] == feature_ix) & (pos < win_b[seg])]] -= 1
+        keys = child[order]
+        kept = keys[0][keys[0] >= 0]
+        order = order[feature_ix, np.argsort(keys, axis=1, kind="stable")[:, m - len(kept) :]]
+        sizes = np.bincount(kept, minlength=2 * len(wf))
+        depth += 1
+    return root
+
+
+def _first_best(nd: np.ndarray, gains: np.ndarray, k_open: int) -> np.ndarray:
+    """Per open node, the index of the candidate the sequential scan keeps.
+
+    ``nd`` and ``gains`` list the candidates in (feature, threshold) order;
+    -1 marks a node without candidates. The scan keeps the first candidate
+    and replaces it with a later one only when the later gain exceeds it by
+    more than ``SPLIT_GAIN_TOL``. When no gain of a node lies within the
+    tolerance below the node's maximum, that is the first maximal gain;
+    otherwise the node's candidates are scanned one by one.
+    """
+    best = np.full(k_open, -np.inf)
+    np.maximum.at(best, nd, gains)
+    top = best[nd]
+    hit = np.flatnonzero(gains == top)
+    first = np.full(k_open, len(gains))
+    np.minimum.at(first, nd[hit], hit)
+    winner = np.where(first < len(gains), first, -1)
+    near = (gains < top) & (gains + SPLIT_GAIN_TOL >= top)
+    if near.any():
+        for k in np.unique(nd[near]).tolist():
+            idx = np.flatnonzero(nd == k)
+            g = gains[idx].tolist()
+            keep = 0
+            for i in range(1, len(g)):
+                if g[i] > g[keep] + SPLIT_GAIN_TOL:
+                    keep = i
+            winner[k] = idx[keep]
+    return winner
 
 
 def cart_scores(tree: CartNode, X: np.ndarray) -> np.ndarray:

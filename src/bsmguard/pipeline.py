@@ -152,43 +152,56 @@ def detect_records(
     )
 
 
-def write_decisions_csv(
-    path: str, rows: Iterable[tuple[AggregatedSample, DetectorDecision]]
-) -> int:
-    """Write the decisions whole or not at all.
+@contextlib.contextmanager
+def staged_outputs() -> Iterator[Callable[[str], str]]:
+    """Make a command's output files appear all together or not at all.
 
-    Rows go to a sibling temporary file that replaces ``path`` only once the
-    stream is exhausted; an error while producing rows removes it, so a
-    failed run leaves ``path`` as it was. A symlink keeps pointing at the
-    replaced file. A path that exists but is not a regular file (a pipe, or
-    a device such as /dev/stdout) has nothing to replace and is written in
-    place.
+    Inside the block, ``stage(path)`` names the file to write ``path``'s
+    bytes to: a temporary sibling of the file ``path`` resolves to. When the
+    block ends without error each staged file replaces its target, and a
+    symlink keeps pointing at the replaced file. When the block raises, the
+    temporary files are removed and every target stays as it was. A path
+    that exists but is not a regular file (a pipe, or a device such as
+    /dev/stdout) has nothing to replace and is written in place.
     """
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    target = os.path.realpath(path)
-    tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
-    n = 0
+    staged: list[tuple[str, str]] = []
+
+    def stage(path: str) -> str:
+        if os.path.exists(path) and not os.path.isfile(path):
+            return path
+        target = os.path.realpath(path)
+        staged.append((f"{target}.{os.getpid()}.{len(staged)}.tmp", target))
+        return staged[-1][0]
+
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(DECISIONS_HEADER)
-            for sample, decision in rows:
-                writer.writerow(
-                    [
-                        repr(sample.t),
-                        repr(decision.score),
-                        int(decision.attack),
-                        int(decision.warmed_up),
-                    ]
-                )
-                n += 1
-        if not in_place:
+        yield stage
+        for tmp, target in staged:
             os.replace(tmp, target)
     except BaseException:
-        if not in_place:
+        for tmp, _ in staged:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
         raise
+
+
+def write_decisions_csv(
+    path: str, rows: Iterable[tuple[AggregatedSample, DetectorDecision]]
+) -> int:
+    """Write one CSV row per decision; returns the number of rows."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(DECISIONS_HEADER)
+        for sample, decision in rows:
+            writer.writerow(
+                [
+                    repr(sample.t),
+                    repr(decision.score),
+                    int(decision.attack),
+                    int(decision.warmed_up),
+                ]
+            )
+            n += 1
     return n
 
 

@@ -1,23 +1,32 @@
-"""The benchmark tracer still finds the attributes it wraps.
+"""The benchmark still finds what it wraps and still gets the bytes it expects.
 
 ``perfbench/tracer.py`` patches public functions and methods by name. A
 refactor that renames one, or routes training or scoring around it, would
-break the traced benchmark run; this test makes that a Tier-1 failure.
+break the traced benchmark run; these tests make that a Tier-1 failure, and
+so is a model byte that differs from the benchmark's recorded reference.
 """
 
+import hashlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 from bsmguard.cli import main
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench_module("tracer")
 
 
 def test_traced_train_and_evaluate_count_trees_and_rows(tmp_path):
@@ -39,7 +48,10 @@ def test_traced_train_and_evaluate_count_trees_and_rows(tmp_path):
     finally:
         tracer.uninstall()
 
-    assert tracer.counts["ml.cart_trees"] > 0
+    # 5 folds plus the final fit: 6 cart trees and 6 forests of 3, every one
+    # a walkable tree returned through the wrapped ml.cart_fit.
+    assert tracer.counts["ml.cart_trees"] == 6 + 6 * 3
+    assert tracer.counts["ml.cart_nodes"] > tracer.counts["ml.cart_trees"]
     assert tracer.counts["ml.predict_rows"] > 0
     assert tracer.counts["ml.scored_rows"] > 0
     assert tracer.calls["ml.fit_family"] > 0
@@ -61,3 +73,15 @@ def test_traced_em_detect_counts_iterations(tmp_path):
         tracer.uninstall()
 
     assert tracer.counts["em.iterations"] >= tracer.counts["em.warm_observes"] > 0
+
+
+def test_train_overlap_models_match_the_bench_reference(tmp_path, capsys):
+    workloads = load_perfbench_module("workloads")
+    workloads.build_inputs("train-overlap", workloads.DEFAULT_SEED, str(tmp_path))
+    reference = json.loads((PERFBENCH / "reference" / "train-overlap.json").read_text())
+    ops = {op.label: op for op in workloads.make_ops("train-overlap", str(tmp_path))}
+    for label in ("train:cart", "train:rf"):
+        op = ops[label]
+        assert main(list(op.argv)) == 0
+        hashes = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in op.outputs]
+        assert hashes == reference["hashes"][label], label

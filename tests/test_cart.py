@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsmguard.ml import CartNode, cart_fit, cart_predict, class_weights, impurity
+from bsmguard.ml import (
+    CartNode,
+    _impurity_vec,
+    _tree_to_dict,
+    cart_fit,
+    cart_predict,
+    class_weights,
+    impurity,
+)
 
 
 class TestImpurity:
@@ -154,6 +162,16 @@ def test_min_leaf_respected():
             assert node.n_samples >= 8 or node.n_samples == 50
 
 
+def test_labels_other_than_zero_and_one_rejected():
+    with pytest.raises(ValueError, match="0 or 1"):
+        cart_fit(np.zeros((3, 1)), np.array([0, 1, 2]))
+
+
+def test_input_without_feature_columns_rejected():
+    with pytest.raises(ValueError, match="feature column"):
+        cart_fit(np.zeros((3, 0)), np.array([0, 1, 0]))
+
+
 def test_stops_when_no_gain():
     # identical features with mixed labels: no split can help
     X = np.zeros((6, 2))
@@ -177,3 +195,126 @@ def test_deeper_trees_never_increase_training_error(seed):
         errs = sum(cart_predict(tree, row)[0] != label for row, label in zip(X, y))
         errors.append(errs)
     assert all(a >= b for a, b in zip(errors, errors[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Per-node reference: each node re-sorts its own rows and scans every
+# candidate in (feature, threshold) order. cart_fit must build the same
+# trees, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_split_gains(X, y, w, criterion, min_leaf):
+    """Every candidate of one node as (gain, feature, threshold, left_rows)."""
+    n = len(y)
+    w0_total = float(np.sum(w[y == 0]))
+    w1_total = float(np.sum(w[y == 1]))
+    total = w0_total + w1_total
+    parent = float(_impurity_vec(np.array([w0_total]), np.array([w1_total]), criterion)[0])
+    out = []
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ys = y[order]
+        ws = w[order]
+        cum0 = np.cumsum(np.where(ys == 0, ws, 0.0))
+        cum1 = np.cumsum(np.where(ys == 1, ws, 0.0))
+        boundary = np.flatnonzero(xs[1:] > xs[:-1]) + 1
+        boundary = boundary[(boundary >= min_leaf) & (boundary <= n - min_leaf)]
+        left0 = cum0[boundary - 1]
+        left1 = cum1[boundary - 1]
+        right0 = w0_total - left0
+        right1 = w1_total - left1
+        wl = (left0 + left1) / total
+        wr = (right0 + right1) / total
+        gains = (
+            parent
+            - wl * _impurity_vec(left0, left1, criterion)
+            - wr * _impurity_vec(right0, right1, criterion)
+        )
+        for pos, gain in zip(boundary, gains):
+            out.append((gain, j, float((xs[pos - 1] + xs[pos]) / 2.0), order[:pos]))
+    return out
+
+
+def reference_cart_fit(X, y, criterion, max_depth, min_split, min_leaf, weights):
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    w = np.array([1.0 if weights is None else float(weights[int(c)]) for c in y])
+
+    def build(idx, depth):
+        ys, ws = y[idx], w[idx]
+        w0 = float(np.sum(ws[ys == 0]))
+        w1 = float(np.sum(ws[ys == 1]))
+        total = w0 + w1
+        node = CartNode(
+            impurity=float(_impurity_vec(np.array([w0]), np.array([w1]), criterion)[0]),
+            counts=(w0, w1),
+            n_samples=len(idx),
+        )
+        best = None
+        if depth < max_depth and len(idx) >= min_split and w0 != 0.0 and w1 != 0.0:
+            for cand in reference_split_gains(X[idx], ys, ws, criterion, min_leaf):
+                if best is None or cand[0] > best[0] + 1e-15:
+                    best = (float(cand[0]),) + cand[1:]
+        if best is None:
+            node.probs = (w0 / total, w1 / total)
+            return node
+        _, node.feature, node.threshold, left_rows = best
+        left_mask = np.zeros(len(idx), dtype=bool)
+        left_mask[left_rows] = True
+        node.left = build(idx[left_mask], depth + 1)
+        node.right = build(idx[~left_mask], depth + 1)
+        return node
+
+    return build(np.arange(len(y)), 0)
+
+
+def oracle_case(seed):
+    """Seeded fit arguments; the seed's residues pick what the case covers."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 160))
+    X = rng.normal(0.0, 1.0, size=(n, 1 + seed % 3))
+    if seed % 4 < 2:  # ties and plateaus of equal gains
+        X = np.round(X, int(rng.integers(0, 2)))
+    y = (X[:, 0] + rng.normal(0.0, 1.0, n) > 0.5).astype(int)
+    weighting = seed // 3 % 3
+    if weighting == 2:  # a forest's bootstrap: duplicated rows
+        idx = rng.integers(0, n, size=n)
+        X, y = X[idx], y[idx]
+    special = seed % 10
+    if special == 7:
+        y = np.full(n, seed // 10 % 2)
+    kwargs = dict(
+        criterion=("gini", "entropy")[seed % 2],
+        max_depth=0 if special == 8 else int(rng.choice([1, 3, 8, 90])),
+        min_split=int(rng.integers(1, 13)),
+        min_leaf=n // 2 + 1 if special == 9 else int(rng.integers(1, 6)),
+        weights=None if weighting == 0 else class_weights(y),
+    )
+    return X, y, kwargs
+
+
+def test_trees_equal_the_per_node_reference_bit_for_bit():
+    differ = []
+    for seed in range(320):
+        X, y, kwargs = oracle_case(seed)
+        got = repr(_tree_to_dict(cart_fit(X, y, **kwargs)))
+        if got != repr(_tree_to_dict(reference_cart_fit(X, y, **kwargs))):
+            differ.append(seed)
+    assert differ == []
+
+
+def test_near_tie_keeps_the_first_candidate():
+    # Both outer splits isolate one pure row, so their gains are equal in
+    # exact arithmetic; in floating point the later one is 5.6e-17 higher.
+    X = np.arange(8.0)[:, None]
+    y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+    gains = [c[0] for c in reference_split_gains(X, y, np.ones(8), "gini", 1)]
+    assert 0.0 < gains[-1] - gains[0] < 1e-15
+    assert max(gains) == gains[-1]
+    tree = cart_fit(X, y, criterion="gini", max_depth=1)
+    assert tree.threshold == 0.5
+    assert repr(_tree_to_dict(tree)) == repr(
+        _tree_to_dict(reference_cart_fit(X, y, "gini", 1, 2, 1, None))
+    )

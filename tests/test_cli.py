@@ -196,6 +196,19 @@ class TestDetect:
         text = timing.read_text()
         assert "timing_mean_ms" in text
 
+    def test_unwritable_timing_file_keeps_the_earlier_decisions(self, tmp_path, bsm_csv,
+                                                                capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "d.csv"
+        out.write_text("earlier decisions\n")
+        code = main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(out),
+                     "--timing-out", str(tmp_path / "nodir" / "t.txt")])
+        assert code == 3
+        assert "io error" in capsys.readouterr().err
+        assert [p.name for p in out_dir.iterdir()] == ["d.csv"]
+        assert out.read_text() == "earlier decisions\n"
+
     def test_timing_on_short_stream_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "short.cfg"
         cfg.write_text("duration_s = 5.0\nseed = 0\n")
@@ -429,6 +442,20 @@ class TestReport:
         assert not rep.exists()
         assert not roc.exists()
 
+    def test_unwritable_roc_file_leaves_no_report_file(self, tmp_path, bsm_csv, capsys):
+        dec = tmp_path / "dec.csv"
+        assert main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(dec)]) == 0
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = main(["report", str(dec), str(bsm_csv), "--detector", "cusum",
+                     "--out", str(out_dir / "rep.txt"),
+                     "--roc-out", str(tmp_path / "nodir" / "c.csv")])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert "io error" in err
+        assert "auroc" not in out
+        assert list(out_dir.iterdir()) == []
+
     def test_report_without_detector_warns_on_stderr(self, tmp_path, bsm_csv, capsys):
         dec = tmp_path / "dec.csv"
         main(["detect", str(bsm_csv), "--detector", "bocpd", "--out", str(dec)])
@@ -488,6 +515,15 @@ class TestTrainEvaluate:
         code = main(["evaluate", str(model), str(bsm_csv), "--out", str(eval_report)])
         assert code == 0
         assert eval_report.read_text() == report.read_text()
+
+    def test_unwritable_report_file_leaves_no_model_file(self, tmp_path, bsm_csv, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = main(["train", str(bsm_csv), "--model", "cart", "--out", str(out_dir / "m.json"),
+                     "--report-out", str(tmp_path / "nodir" / "r.txt")])
+        assert code == 3
+        assert "io error" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_train_rerun_byte_identical(self, tmp_path, bsm_csv):
         m1 = tmp_path / "m1.json"
