@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NO_ATTACK = 0
 ATTACK = 1
@@ -47,8 +49,7 @@ class NonMonotonicTimestampError(DataError):
     """Timestamps within one vehicle stream must be strictly increasing."""
 
 
-@dataclass(frozen=True)
-class BsmRecord:
+class BsmRecord(NamedTuple):
     """One 10 Hz basic safety message."""
 
     t: float  # seconds, 0.1 s resolution
@@ -58,8 +59,7 @@ class BsmRecord:
     label: int  # 0 clean, 1 attacked
 
 
-@dataclass(frozen=True)
-class AggregatedSample:
+class AggregatedSample(NamedTuple):
     """Mean speed and acceleration over one aggregation window.
 
     ``t`` is the window end; the window covers ``(t - w, t]``. The label is
@@ -70,12 +70,6 @@ class AggregatedSample:
     avg_speed: float
     avg_accel: float
     label: int
-
-
-def _window_index(t: float, window: float) -> int:
-    # Records land in ((k-1)*w, k*w]; the 1e-9 slack absorbs float drift in
-    # timestamps that are nominal multiples of the window.
-    return math.ceil(t / window - 1e-9)
 
 
 def aggregate(
@@ -96,27 +90,31 @@ def aggregate(
     count = 0
     label = NO_ATTACK
     prev_t: float | None = None
+    ceil = math.ceil
 
-    for idx, rec in enumerate(records):
-        if prev_t is not None and rec.t <= prev_t:
+    for idx, (t, vehicle_id, speed, accel, rec_label) in enumerate(records):
+        if prev_t is not None and t <= prev_t:
             raise NonMonotonicTimestampError(
-                f"record {idx} (vehicle {rec.vehicle_id!r}, t={rec.t!r}) does not "
+                f"record {idx} (vehicle {vehicle_id!r}, t={t!r}) does not "
                 f"advance past previous t={prev_t!r}"
             )
-        prev_t = rec.t
-        k = _window_index(rec.t, window)
-        if key is not None and k != key:
-            yield AggregatedSample(
-                round(key * window, 9), speed_sum / count, accel_sum / count, label
-            )
+        prev_t = t
+        # Records land in ((k-1)*w, k*w]; the 1e-9 slack absorbs float drift
+        # in timestamps that are nominal multiples of the window.
+        k = ceil(t / window - 1e-9)
+        if k != key:
+            if count:
+                yield AggregatedSample(
+                    round(key * window, 9), speed_sum / count, accel_sum / count, label
+                )
             speed_sum = accel_sum = 0.0
             count = 0
             label = NO_ATTACK
-        key = k
-        speed_sum += rec.speed
-        accel_sum += rec.accel
+            key = k
+        speed_sum += speed
+        accel_sum += accel
         count += 1
-        if rec.label == ATTACK:
+        if rec_label == ATTACK:
             label = ATTACK
     if count:
         yield AggregatedSample(
@@ -197,22 +195,26 @@ class TransformWindow:
     def push(self, speed: float, accel: float) -> float | None:
         self._speeds.append(float(speed))
         self._accels.append(float(accel))
-        if not self.full:
+        if len(self._speeds) != TRANSFORM_SPAN:
             return None
-        return self.value()
+        return self._value()
 
     def value(self) -> float:
         """Transform value over the current (full) window."""
         if not self.full:
             raise ValueError("transform window is not full yet")
-        s = list(self._speeds)
-        a = list(self._accels)
-        ds = [s[j] - s[j - 1] for j in range(1, TRANSFORM_SPAN)]
-        da = [a[j] - a[j - 1] for j in range(1, TRANSFORM_SPAN)]
-        da_mean = math.fsum(da) / len(da)
-        z = [ds[j] - CONTROL_VARIATE_COEFF * (da[j] - da_mean) for j in range(len(ds))]
-        z_mean = math.fsum(z) / len(z)
-        return math.fsum((v - z_mean) ** 2 for v in z) / (len(z) - 1)
+        return self._value()
+
+    def _value(self) -> float:
+        s = self._speeds
+        a = self._accels
+        ds = map(operator.sub, islice(s, 1, None), s)
+        da = list(map(operator.sub, islice(a, 1, None), a))
+        da_mean = math.fsum(da) / (TRANSFORM_SPAN - 1)
+        c = CONTROL_VARIATE_COEFF
+        z = [d_s - c * (d_a - da_mean) for d_s, d_a in zip(ds, da)]
+        z_mean = math.fsum(z) / (TRANSFORM_SPAN - 1)
+        return math.fsum([(v - z_mean) ** 2 for v in z]) / (TRANSFORM_SPAN - 2)
 
 
 def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
@@ -254,14 +256,15 @@ def _parse_bsm_csv(path: str) -> Iterator[BsmRecord]:
                 continue
             if len(row) != 5:
                 raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
+            t, vehicle_id, speed, accel, label = row
             try:
-                t = float(row[0])
-                speed = float(row[2])
-                accel = float(row[3])
-                label = int(row[4])
+                t = float(t)
+                speed = float(speed)
+                accel = float(accel)
+                label = int(label)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not (abs(t) <= big and abs(speed) <= big and abs(accel) <= big):
+            if not (-big <= t <= big and -big <= speed <= big and -big <= accel <= big):
                 raise DataError(
                     f"{path}:{lineno}: t, speed or accel is non-finite or beyond "
                     f"{big:g} in {row!r}"
@@ -270,4 +273,4 @@ def _parse_bsm_csv(path: str) -> Iterator[BsmRecord]:
                 raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
             if speed < 0:
                 raise DataError(f"{path}:{lineno}: negative speed {speed!r}")
-            yield BsmRecord(t=t, vehicle_id=row[1], speed=speed, accel=accel, label=label)
+            yield BsmRecord(t, vehicle_id, speed, accel, label)

@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DetectorDecision",
+    "WARMUP_DECISION",
     "BocpdConfig",
     "EmConfig",
     "CusumConfig",
@@ -43,13 +45,17 @@ __all__ = [
 SIGMA_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class DetectorDecision:
+class DetectorDecision(NamedTuple):
     """Per-sample verdict: flag, continuous score, and warm-up marker."""
 
     attack: bool
     score: float
     warmed_up: bool
+
+
+#: The decision for an observation a detector buffers, or the transform
+#: window consumes, while it warms up.
+WARMUP_DECISION = DetectorDecision(False, 0.0, False)
 
 
 def _require_finite(y: float) -> float:
@@ -158,7 +164,7 @@ class BocpdDetector:
             self.kappa += 1.0
             self.alpha += 0.5
         self.observed += 1
-        return DetectorDecision(attack=attack, score=p, warmed_up=warmed)
+        return DetectorDecision(attack, p, warmed)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +358,14 @@ class EmDetector:
             self._buffer.append(y)
             if len(self._buffer) == EM_WARMUP:
                 self._build_anchors()
-            return DetectorDecision(attack=False, score=0.0, warmed_up=False)
+            return WARMUP_DECISION
 
         resp = self._anchor_resp + _e_step([y], *self._theta0)[0]
         self.theta, self.last_ll_history, resp = _em_from(
             self.anchors + [y], resp, self._theta0
         )
         score = resp[-1]
-        return DetectorDecision(
-            attack=score > self.config.threshold, score=score, warmed_up=True
-        )
+        return DetectorDecision(score > self.config.threshold, score, True)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +436,7 @@ class CusumDetector:
             self._buffer.append(y)
             if len(self._buffer) == self.config.warmup:
                 self._init_from_buffer()
-            return DetectorDecision(attack=False, score=0.0, warmed_up=False)
+            return WARMUP_DECISION
 
         var = self.sigma * self.sigma
         drift = self.ewma - self.mu  # uses the EWMA from the previous step
@@ -447,7 +451,7 @@ class CusumDetector:
         if attack:
             self.c_pos = 0.0
             self.c_neg = 0.0
-        return DetectorDecision(attack=attack, score=score, warmed_up=True)
+        return DetectorDecision(attack, score, True)
 
 
 @dataclass(frozen=True)

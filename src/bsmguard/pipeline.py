@@ -13,7 +13,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from bsmguard.bsm import (
     fit_standardizer,
 )
 from bsmguard.config import DetectorSettings
-from bsmguard.detectors import DETECTORS, DetectorDecision, make_detector
+from bsmguard.detectors import DETECTORS, WARMUP_DECISION, DetectorDecision, make_detector
 from bsmguard.evaluate import EvalReport, auroc, confusion, detection_latency, metrics
 from bsmguard.ml import (
     FAMILIES,
@@ -42,9 +42,6 @@ from bsmguard.ml import (
 )
 
 DECISIONS_HEADER = ("t", "score", "attack", "warmed_up")
-
-#: The decision for a sample the transform window consumes while it fills.
-WARMUP_DECISION = DetectorDecision(attack=False, score=0.0, warmed_up=False)
 
 
 def welford_feature_stats(samples: Iterable[AggregatedSample]) -> StandardizationParams:
@@ -192,21 +189,15 @@ def write_decisions_csv(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DECISIONS_HEADER)
-        for sample, decision in rows:
-            writer.writerow(
-                [
-                    repr(sample.t),
-                    repr(decision.score),
-                    int(decision.attack),
-                    int(decision.warmed_up),
-                ]
-            )
+        for sample, (attack, score, warmed_up) in rows:
+            writer.writerow((repr(sample.t), repr(score), int(attack), int(warmed_up)))
             n += 1
     return n
 
 
-@dataclass(frozen=True)
-class DecisionRow:
+class DecisionRow(NamedTuple):
+    """One row of a decisions CSV."""
+
     t: float
     score: float
     attack: int
@@ -227,17 +218,23 @@ def read_decisions_csv(path: str) -> list[DecisionRow]:
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        try:
-            d = DecisionRow(
-                t=float(row[0]), score=float(row[1]), attack=int(row[2]), warmed_up=int(row[3])
+        if len(row) != len(DECISIONS_HEADER):
+            raise DataError(
+                f"{path}:{lineno}: expected {len(DECISIONS_HEADER)} columns, got {len(row)}"
             )
-        except (ValueError, IndexError) as exc:
+        t, score, attack, warmed_up = row
+        try:
+            t = float(t)
+            score = float(score)
+            attack = int(attack)
+            warmed_up = int(warmed_up)
+        except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not (math.isfinite(d.t) and math.isfinite(d.score)):
+        if not (math.isfinite(t) and math.isfinite(score)):
             raise DataError(f"{path}:{lineno}: non-finite t or score in {row!r}")
-        if d.attack not in (0, 1) or d.warmed_up not in (0, 1):
+        if attack not in (0, 1) or warmed_up not in (0, 1):
             raise DataError(f"{path}:{lineno}: attack and warmed_up must be 0 or 1 in {row!r}")
-        rows.append(d)
+        rows.append(DecisionRow(t, score, attack, warmed_up))
     return rows
 
 

@@ -130,15 +130,9 @@ def generate_stream(
         t = round((i + 1) * BSM_PERIOD_S, 9)
         v = float(speeds[i])
         a = 0.0 if prev is None else (v - prev) / BSM_PERIOD_S
-        records.append(
-            BsmRecord(t=t, vehicle_id=vehicle_id, speed=v, accel=a, label=0)
-        )
+        records.append(BsmRecord(t, vehicle_id, v, a, 0))
         prev = v
     return records
-
-
-def _in_window(t: float, start: float, end: float) -> bool:
-    return t >= start - 1e-9 and t < end - 1e-9
 
 
 def inject_false_info(
@@ -152,9 +146,12 @@ def inject_false_info(
     duration = stream[-1].t if stream else None
     spec.validate(duration)
     rng = np.random.default_rng(spec.seed)
+    # A record at t is hit by [start, end) when start <= t < end, up to 1e-9.
+    bounds = [(start - 1e-9, end - 1e-9) for start, end in spec.windows]
     out: list[BsmRecord] = []
     for rec in stream:
-        hit = any(_in_window(rec.t, s, e) for s, e in spec.windows)
+        t = rec.t
+        hit = any(lo <= t < hi for lo, hi in bounds)
         if not hit:
             out.append(rec)
             continue
@@ -164,15 +161,7 @@ def inject_false_info(
             speed = max(0.0, rec.speed + spec.magnitude)
         else:  # noise_burst
             speed = max(0.0, rec.speed + float(rng.normal(0.0, spec.magnitude)))
-        out.append(
-            BsmRecord(
-                t=rec.t,
-                vehicle_id=rec.vehicle_id,
-                speed=speed,
-                accel=rec.accel,
-                label=ATTACK,
-            )
-        )
+        out.append(BsmRecord(t, rec.vehicle_id, speed, rec.accel, ATTACK))
     return out
 
 

@@ -85,3 +85,17 @@ def test_train_overlap_models_match_the_bench_reference(tmp_path, capsys):
         assert main(list(op.argv)) == 0
         hashes = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in op.outputs]
         assert hashes == reference["hashes"][label], label
+
+
+def test_fleet_roc_outputs_match_the_bench_reference(tmp_path, capsys):
+    workloads = load_perfbench_module("workloads")
+    workloads.build_inputs("fleet-roc", workloads.DEFAULT_SEED, str(tmp_path))
+    reference = json.loads((PERFBENCH / "reference" / "fleet-roc.json").read_text())
+    ops = {op.label: op for op in workloads.make_ops("fleet-roc", str(tmp_path))}
+    for label in ("simulate:stream",
+                  "detect:fleet-v0:bocpd:transform", "report:fleet-v0:bocpd:transform",
+                  "detect:fleet-v0:cusum:transform", "report:fleet-v0:cusum:transform"):
+        op = ops[label]
+        assert main(list(op.argv)) == 0
+        hashes = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in op.outputs]
+        assert hashes == reference["hashes"][label], label

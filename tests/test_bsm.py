@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bsmguard.bsm import (
     AggregatedSample,
     BsmRecord,
+    DataError,
     NonMonotonicTimestampError,
     aggregate,
     apply_standardizer,
@@ -55,6 +56,14 @@ class TestAggregate:
         records = [rec(0.1, 10.0), rec(0.3, 10.0), rec(0.2, 10.0)]
         with pytest.raises(NonMonotonicTimestampError, match="record 2"):
             list(aggregate(records))
+
+    def test_non_monotonic_message_names_vehicle_and_both_times(self):
+        records = [rec(0.1, 10.0), rec(0.3, 10.0), rec(0.2, 10.0)]
+        with pytest.raises(NonMonotonicTimestampError) as excinfo:
+            list(aggregate(records))
+        assert str(excinfo.value) == (
+            "record 2 (vehicle 'v1', t=0.2) does not advance past previous t=0.3"
+        )
 
     def test_equal_timestamps_rejected(self):
         records = [rec(0.1, 10.0), rec(0.1, 11.0)]
@@ -163,3 +172,48 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+HEADER = "t,vehicle_id,speed_mps,accel_mps2,label\n"
+
+
+def beyond(line):
+    """The magnitude rejection of data line ``line`` (line 2 of the file)."""
+    return f":2: t, speed or accel is non-finite or beyond 1e+12 in {line.split(',')!r}"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"", ": empty file"),
+        (
+            b"a,b,c\n1,2,3\n",
+            ": bad header ['a', 'b', 'c'], expected t,vehicle_id,speed_mps,accel_mps2,label",
+        ),
+        (HEADER + "0.1,v1,1.0,0.0\n", ":2: expected 5 columns, got 4"),
+        (HEADER + "0.1,v1,1.0,0.0,0,x\n", ":2: expected 5 columns, got 6"),
+        (HEADER + "x,v1,1.0,0.0,0\n", ":2: could not convert string to float: 'x'"),
+        (HEADER + "0.1,v1,fast,0.0,0\n", ":2: could not convert string to float: 'fast'"),
+        (HEADER + "0.1,v1,1.0,up,0\n", ":2: could not convert string to float: 'up'"),
+        (HEADER + "0.1,v1,1.0,0.0,0.5\n", ":2: invalid literal for int() with base 10: '0.5'"),
+        (HEADER + "0.1,v1,nan,0.0,0\n", beyond("0.1,v1,nan,0.0,0")),
+        (HEADER + "0.1,v1,1.0,inf,0\n", beyond("0.1,v1,1.0,inf,0")),
+        (HEADER + "1e13,v1,1.0,0.0,0\n", beyond("1e13,v1,1.0,0.0,0")),
+        (HEADER + "0.1,v1,1.0,0.0,2\n", ":2: label must be 0 or 1, got '2'"),
+        (HEADER + "0.1,v1,-1.0,0.0,0\n", ":2: negative speed -1.0"),
+        # Fails the magnitude and the sign check: the earlier check reports.
+        (HEADER + "0.1,v1,-1e13,0.0,0\n", beyond("0.1,v1,-1e13,0.0,0")),
+        # The line number counts the header and skipped blank lines.
+        (HEADER + "0.1,v1,1.0,0.0,0\n\n0.2,v1,1.0,0.0,3\n", ":4: label must be 0 or 1, got '3'"),
+        (HEADER.encode() + b"0.1,v\xff,1.0,0.0,0\n", ": not UTF-8 text (invalid start byte)"),
+    ],
+)
+def test_read_bsm_csv_rejection_messages(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    if isinstance(body, str):
+        path.write_text(body, encoding="utf-8")
+    else:
+        path.write_bytes(body)
+    with pytest.raises(DataError) as excinfo:
+        list(read_bsm_csv(str(path)))
+    assert str(excinfo.value) == f"{path}{message}"

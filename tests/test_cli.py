@@ -490,6 +490,8 @@ class TestReport:
             ("0.1,nan,0,1", ":2: non-finite"),
             ("0.1,0.5,7,1", ":2: attack and warmed_up must be 0 or 1"),
             ("0.1,\xff,0,1", ": not UTF-8 text"),
+            ("0.1,0.5,0,1,junk", ":2: expected 4 columns, got 5"),
+            ("0.1,0.5,0", ":2: expected 4 columns, got 3"),
         ],
     )
     def test_bad_decision_values_exit_3(self, tmp_path, bsm_csv, capsys, row, message):

@@ -1,5 +1,7 @@
 """Rolling control-variate transform against a naive re-implementation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,20 @@ def naive_transform(speeds, accels, coeff=0.99):
     for v in z:
         acc += (v - zbar) ** 2
     return acc / (len(z) - 1)
+
+
+def indexed_transform(speeds, accels):
+    """The transform as index loops over list copies of the window, with
+    the same operations in the same order as TransformWindow: its bit-exact
+    oracle."""
+    s = list(speeds)
+    a = list(accels)
+    ds = [s[j] - s[j - 1] for j in range(1, 10)]
+    da = [a[j] - a[j - 1] for j in range(1, 10)]
+    da_mean = math.fsum(da) / len(da)
+    z = [ds[j] - 0.99 * (da[j] - da_mean) for j in range(len(ds))]
+    z_mean = math.fsum(z) / len(z)
+    return math.fsum((v - z_mean) ** 2 for v in z) / (len(z) - 1)
 
 
 def run_window(speeds, accels):
@@ -61,6 +77,24 @@ def test_matches_naive_oracle_on_random_windows():
         got = run_window(speeds, accels)
         want = naive_transform(speeds, accels)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bit_exact_against_indexed_oracle(seed):
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e150, -1e150]
+    n = 2000
+    values = rng.normal(15.0, 2.0, (2, n)).tolist()
+    for row in values:
+        for i in rng.choice(n, n // 4, replace=False).tolist():
+            row[i] = special[int(rng.integers(len(special)))]
+    speeds, accels = values
+    w = TransformWindow()
+    got = [w.push(s, a) for s, a in zip(speeds, accels)]
+    want = [None] * 9 + [
+        indexed_transform(speeds[i : i + 10], accels[i : i + 10]) for i in range(n - 9)
+    ]
+    assert list(map(repr, got)) == list(map(repr, want))
 
 
 def test_rolls_forward_one_sample_at_a_time():
