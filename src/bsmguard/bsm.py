@@ -188,21 +188,11 @@ class TransformWindow:
         self._speeds: deque[float] = deque(maxlen=TRANSFORM_SPAN)
         self._accels: deque[float] = deque(maxlen=TRANSFORM_SPAN)
 
-    @property
-    def full(self) -> bool:
-        return len(self._speeds) == TRANSFORM_SPAN
-
     def push(self, speed: float, accel: float) -> float | None:
         self._speeds.append(float(speed))
         self._accels.append(float(accel))
         if len(self._speeds) != TRANSFORM_SPAN:
             return None
-        return self._value()
-
-    def value(self) -> float:
-        """Transform value over the current (full) window."""
-        if not self.full:
-            raise ValueError("transform window is not full yet")
         return self._value()
 
     def _value(self) -> float:

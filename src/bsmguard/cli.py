@@ -186,7 +186,7 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     decisions = read_decisions_csv(args.decisions)
     samples = _samples(args)
-    windows = parse_windows(args.windows) if args.windows else ()
+    windows = parse_windows(args.windows, "--windows") if args.windows else ()
     report = detector_report(
         args.detector or "detector",
         samples,
@@ -229,6 +229,7 @@ def _checked(kind, accept, requirement: str):
 
 _window = _checked(float, lambda v: 0 < v < math.inf, "must be positive and finite")
 _folds = _checked(int, lambda v: v >= 2, "must be at least 2")
+_seed = _checked(int, lambda v: v >= 0, "must be at least 0")
 _fraction = _checked(float, lambda v: 0 < v < 1, "must be in (0, 1)")
 
 
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="grid-search and fit a supervised baseline")
     p.add_argument("csv", help="labeled BSM CSV")
     p.add_argument("--model", required=True, choices=MODEL_FAMILIES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--report-out", default=None, help="also write the test report here")
     p.add_argument("--grid", default=None,

@@ -93,6 +93,8 @@ def parse_windows(raw: str, key: str = "attack.windows") -> tuple[tuple[float, f
             start, end = float(start_s), float(end_s)
         except ValueError:
             raise ConfigError(f"key {key!r}: window {part!r} has non-numeric bounds") from None
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ConfigError(f"key {key!r}: window {part!r} has a non-finite bound")
         windows.append((start, end))
     return tuple(windows)
 

@@ -199,12 +199,8 @@ class TimingStats:
     p99_ms: float
 
 
-def time_inference(
-    step: Callable[[object], object],
-    stream: Iterable[object],
-    warmup: int = TIMING_WARMUP_SAMPLES,
-) -> TimingStats:
-    """Time ``step`` per element, excluding the first ``warmup`` elements.
+def time_inference(step: Callable[[object], object], stream: Iterable[object]) -> TimingStats:
+    """Time ``step`` per element, excluding the first ``TIMING_WARMUP_SAMPLES``.
 
     Timing runs should be single-threaded and pinned to one stream; the
     caller passes a bound observe/predict callable.
@@ -214,10 +210,10 @@ def time_inference(
         t0 = time.perf_counter_ns()
         step(item)
         dt = time.perf_counter_ns() - t0
-        if i >= warmup:
+        if i >= TIMING_WARMUP_SAMPLES:
             samples_ms.append(dt / 1e6)
     if not samples_ms:
-        raise ValueError(f"stream must be longer than the {warmup}-sample warm-up")
+        raise ValueError(f"stream must be longer than the {TIMING_WARMUP_SAMPLES}-sample warm-up")
     ordered = sorted(samples_ms)
     p99_idx = min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)
     return TimingStats(

@@ -3,10 +3,11 @@
 Binary classifiers only: KNN, CART decision trees, bootstrap-aggregated
 forests, and a one-hidden-layer network trained with Adam, plus SMOTE-style
 class balancing and a stratified k-fold grid search. Labels are 0 (clean)
-and 1 (attack). Each family scores a batch of rows at once; the per-row
-predictors return (label, attack score) and are one-row calls of those
-batch scorers. ``FAMILIES`` is the one table the rest of the package
-dispatches on.
+and 1 (attack). Each family scores a batch of rows at once, and
+``FAMILIES`` is the one table the rest of the package dispatches on. The only
+one-row call left is ``knn_predict``: the benchmark's tracer
+(``perfbench/tracer.py``) patches it by name, so it goes together with that
+tracer hook.
 
 CART (``cart_fit``, which every forest tree also goes through) argsorts each
 feature once per tree and grows the tree one depth at a time: the open nodes
@@ -201,16 +202,11 @@ def knn_predict(
 # ---------------------------------------------------------------------------
 
 
-def impurity(
-    counts: Sequence[float],
-    criterion: str = "gini",
-    costs: Sequence[Sequence[float]] | None = None,
-) -> float:
+def impurity(counts: Sequence[float], criterion: str = "gini") -> float:
     """Node impurity from (possibly weighted) per-class counts.
 
-    gini with unit costs reduces to sum_{c1 != c2} p(c1) p(c2); a 2x2 cost
-    matrix costs[c1][c2] prices mistaking a c2 case for c1. entropy is the
-    usual -sum p log2 p. All-zero counts are rejected.
+    gini is sum_{c1 != c2} p(c1) p(c2); entropy is the usual -sum p log2 p.
+    All-zero counts are rejected. The scalar reference for ``_impurity_vec``.
     """
     total = float(sum(counts))
     if total <= 0:
@@ -224,12 +220,9 @@ def impurity(
             for c2 in range(len(p)):
                 if c1 == c2:
                     continue
-                cost = 1.0 if costs is None else float(costs[c1][c2])
-                value += cost * p[c1] * p[c2]
+                value += p[c1] * p[c2]
         return value
     if criterion == "entropy":
-        if costs is not None:
-            raise ValueError("misclassification costs apply to gini only")
         return -sum(pi * math.log2(pi) for pi in p if pi > 0.0)
     raise ValueError(f"unknown criterion {criterion!r}")
 
@@ -470,12 +463,6 @@ def cart_scores(tree: CartNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def cart_predict(tree: CartNode, x: Sequence[float]) -> tuple[int, float]:
-    """Walk the tree; returns (label, attack probability)."""
-    p1 = float(cart_scores(tree, [x])[0])
-    return (int(p1 > LABEL_CUT), p1)
-
-
 def _tree_to_dict(node: CartNode) -> dict:
     """The node's set fields, children nested: the model file's tree schema."""
     d = {k: v for k, v in vars(node).items() if v is not None}
@@ -496,11 +483,6 @@ def _tree_from_dict(d: dict) -> CartNode:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Forest:
-    trees: list[CartNode]
-
-
 def rf_fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -511,13 +493,12 @@ def rf_fit(
     seed: int = 0,
     criterion: str = "gini",
     weights: Mapping[int, float] | None = None,
-    bootstrap: bool = True,
-) -> Forest:
+) -> list[CartNode]:
     """Bag ``n_trees`` CART trees on bootstrap resamples of the same size.
 
     Per-tree randomness comes from independently spawned sub-generators of
     the master seed, so refits are reproducible regardless of evaluation
-    order. ``bootstrap=False`` fits every tree on the full sample.
+    order.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
@@ -527,11 +508,7 @@ def rf_fit(
     children = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
     for ss in children:
-        if bootstrap:
-            rng = np.random.default_rng(ss)
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
+        idx = np.random.default_rng(ss).integers(0, n, size=n)
         trees.append(
             cart_fit(
                 X[idx],
@@ -543,23 +520,17 @@ def rf_fit(
                 weights=weights,
             )
         )
-    return Forest(trees=trees)
+    return trees
 
 
-def rf_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
+def rf_scores(forest: list[CartNode], X: np.ndarray) -> np.ndarray:
     """Mean of the member trees' leaf probabilities, per row.
 
     The mean runs along the contiguous tree axis of a (rows, trees) array,
     which sums each row exactly as the mean of one row's tree list does.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.stack([cart_scores(t, X) for t in forest.trees], axis=1).mean(axis=1)
-
-
-def rf_predict(forest: Forest, x: Sequence[float]) -> tuple[int, float]:
-    """Average the member trees' leaf probabilities; label at ``LABEL_CUT``."""
-    p1 = float(rf_scores(forest, [x])[0])
-    return (int(p1 > LABEL_CUT), p1)
+    return np.stack([cart_scores(t, X) for t in forest], axis=1).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +548,14 @@ class NnModel:
     b_out: float
 
 
-def nn_init(n_features: int, n_hidden: int, seed: int, init_range: float = NN_INIT_RANGE) -> NnModel:
+def nn_init(n_features: int, n_hidden: int, seed: int) -> NnModel:
     rng = np.random.default_rng(seed)
+    r = NN_INIT_RANGE
     return NnModel(
-        w_hidden=rng.uniform(-init_range, init_range, size=(n_features, n_hidden)),
-        b_hidden=rng.uniform(-init_range, init_range, size=n_hidden),
-        w_out=rng.uniform(-init_range, init_range, size=n_hidden),
-        b_out=float(rng.uniform(-init_range, init_range)),
+        w_hidden=rng.uniform(-r, r, size=(n_features, n_hidden)),
+        b_hidden=rng.uniform(-r, r, size=n_hidden),
+        w_out=rng.uniform(-r, r, size=n_hidden),
+        b_out=float(rng.uniform(-r, r)),
     )
 
 
@@ -593,13 +565,10 @@ def _nn_logits(model: NnModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden @ model.w_out + model.b_out, hidden
 
 
-def nn_forward(model: NnModel, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
-    """Attack probability for one feature row or a matrix of rows."""
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    logits, _ = _nn_logits(model, np.atleast_2d(X))
-    probs = 1.0 / (1.0 + np.exp(-logits))
-    return float(probs[0]) if single else probs
+def nn_forward(model: NnModel, X: np.ndarray) -> np.ndarray:
+    """Attack probability per row of a (rows, features) matrix."""
+    logits, _ = _nn_logits(model, np.asarray(X, dtype=float))
+    return 1.0 / (1.0 + np.exp(-logits))
 
 
 def nn_loss_and_grads(model: NnModel, X: np.ndarray, y: np.ndarray):
@@ -757,8 +726,8 @@ FAMILIES: dict[str, Family] = {
         keys={**_TREE_KEYS, "n_trees": _at_least(1)},
         fit=lambda params, X, y, seed: rf_fit(X, y, seed=seed, weights=class_weights(y), **params),
         scores=lambda forest, params, X: rf_scores(forest, X),
-        to_payload=lambda forest: {"trees": [_tree_to_dict(t) for t in forest.trees]},
-        from_payload=lambda p: Forest(trees=[_tree_from_dict(t) for t in p["trees"]]),
+        to_payload=lambda forest: {"trees": [_tree_to_dict(t) for t in forest]},
+        from_payload=lambda p: [_tree_from_dict(t) for t in p["trees"]],
     ),
     "nn": Family(
         smote=True,
@@ -827,19 +796,6 @@ def expand_grid(grid: Mapping[str, Sequence[object]]) -> list[dict]:
     return cells
 
 
-@dataclass(frozen=True)
-class GridSearchSpec:
-    family: str
-    cells: tuple[Mapping[str, object], ...]
-    folds: int = 5
-
-    def validate(self) -> None:
-        if self.folds < 2:
-            raise ValueError("folds must be at least 2")
-        if not self.cells:
-            raise ValueError("parameter grid must be non-empty")
-
-
 @dataclass
 class GridCell:
     params: dict
@@ -859,27 +815,29 @@ class GridSearchResult:
 
 
 def grid_search(
-    spec: GridSearchSpec,
+    family: str,
+    cells: Sequence[Mapping[str, object]],
     X: np.ndarray,
     y: np.ndarray,
     seed: int = 0,
+    folds: int = 5,
     folds_idx: list[np.ndarray] | None = None,
 ) -> GridSearchResult:
-    """Stratified k-fold selection by mean validation accuracy.
+    """Stratified k-fold selection of one of ``family``'s parameter ``cells``
+    by mean validation accuracy.
 
     Class balancing happens inside each training fold only; validation folds
     are never resampled, and their labels are read only to score. Ties keep
     the earliest cell in grid order. ``folds_idx`` overrides the seeded fold
     assignment (used by tests).
     """
-    spec.validate()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if folds_idx is None:
-        folds_idx = stratified_folds(y, spec.folds, seed)
+        folds_idx = stratified_folds(y, folds, seed)
     all_idx = np.arange(len(y))
-    cells: list[GridCell] = []
-    for c_i, params in enumerate(spec.cells):
+    results: list[GridCell] = []
+    for c_i, params in enumerate(cells):
         accs: list[float] = []
         preds: list[np.ndarray] = []
         for f_i, val_idx in enumerate(folds_idx):
@@ -887,14 +845,14 @@ def grid_search(
             sub_seed = int(
                 np.random.SeedSequence((seed, c_i, f_i)).generate_state(1)[0]
             )
-            model = fit_family(spec.family, params, X[train_idx], y[train_idx], sub_seed)
+            model = fit_family(family, params, X[train_idx], y[train_idx], sub_seed)
             pred = model.predict_labels(X[val_idx])
             preds.append(pred)
             accs.append(float(np.mean(pred == y[val_idx])))
-        cells.append(GridCell(params=dict(params), fold_accuracies=accs, fold_predictions=preds))
-    best = max(range(len(cells)), key=lambda i: (cells[i].mean_accuracy, -i))
+        results.append(GridCell(params=dict(params), fold_accuracies=accs, fold_predictions=preds))
+    best = max(range(len(results)), key=lambda i: (results[i].mean_accuracy, -i))
     return GridSearchResult(
-        best_params=cells[best].params,
-        best_accuracy=cells[best].mean_accuracy,
-        cells=cells,
+        best_params=results[best].params,
+        best_accuracy=results[best].mean_accuracy,
+        cells=results,
     )

@@ -34,7 +34,6 @@ from bsmguard.ml import (
     FAMILIES,
     LABEL_CUT,
     GridSearchResult,
-    GridSearchSpec,
     expand_grid,
     fit_family,
     grid_search,
@@ -99,7 +98,7 @@ def stream_std_params(
 def run_detection(
     samples: Iterable[AggregatedSample],
     detector_name: str,
-    settings: DetectorSettings | None = None,
+    settings: DetectorSettings,
     std_params: StandardizationParams | None = None,
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
     """Feed a sample stream through one detector; yields one decision per sample.
@@ -109,7 +108,6 @@ def run_detection(
     get a warm-up decision. A value the detector cannot score under its
     config (its arithmetic overflows, say) is a DataError naming the sample.
     """
-    settings = settings or DetectorSettings()
     detector = make_detector(detector_name, settings.config(detector_name))
     mode = settings.input_mode(detector_name)
     for sample, value in feature_stream(samples, mode, std_params):
@@ -129,21 +127,16 @@ def run_detection(
 def detect_records(
     records_factory: Callable[[], Iterable[BsmRecord]],
     detector_name: str,
-    settings: DetectorSettings | None = None,
-    window: float = 0.1,
-    std_params: StandardizationParams | None = None,
+    settings: DetectorSettings,
+    window: float,
+    std_params: StandardizationParams | None,
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
-    """Aggregate and detect over a record stream that can be re-opened.
+    """Aggregate and detect over the records ``records_factory`` opens.
 
-    ``records_factory`` is called once per pass; standardized input modes
-    need a first pass for the feature statistics (``stream_std_params``)
-    unless ``std_params`` already holds them.
+    ``std_params`` holds the standardized input mode's feature statistics
+    (``stream_std_params``, which takes a pass of its own); other modes pass
+    None.
     """
-    settings = settings or DetectorSettings()
-    if std_params is None:
-        std_params = stream_std_params(
-            records_factory, settings.input_mode(detector_name), window
-        )
     return run_detection(
         aggregate(records_factory(), window), detector_name, settings, std_params
     )
@@ -354,9 +347,8 @@ def train_and_evaluate(
     """
     X_train, y_train, X_test, y_test, std = model_dataset(samples, seed, test_fraction)
 
-    cells = tuple(expand_grid(grid if grid is not None else FAMILIES[family].grid))
-    spec = GridSearchSpec(family=family, cells=cells, folds=folds)
-    search = grid_search(spec, X_train, y_train, seed=seed)
+    cells = expand_grid(grid if grid is not None else FAMILIES[family].grid)
+    search = grid_search(family, cells, X_train, y_train, seed=seed, folds=folds)
 
     # Sub-seed for the final fit, disjoint from the (seed, cell, fold) tree
     # the grid search spawns.

@@ -244,15 +244,3 @@ def default_scenario(seed: int = 0) -> Scenario:
         attack=AttackSpec(windows=((100.0, 105.0),), mode="constant_replace", magnitude=0.0),
         seed=seed,
     )
-
-
-DEFAULT_SCENARIO_TEXT = """\
-# Canonical single-vehicle false-speed scenario.
-duration_s = 200.0
-base_speed_mps = 15.6
-noise_stdev = 0.25
-attack.windows = 100.0:105.0
-attack.mode = constant_replace
-attack.magnitude = 0.0
-seed = 0
-"""

@@ -23,7 +23,7 @@ def row_oracle(model, Q):
     if model.family == "cart":
         return [walk(model.state, q) for q in Q]
     if model.family == "rf":
-        return [float(np.mean([walk(t, q) for t in model.state.trees])) for q in Q]
+        return [float(np.mean([walk(t, q) for t in model.state])) for q in Q]
     # The network is one matrix forward in any case; this is it written out.
     nn = model.state
     hidden = np.maximum(Q @ nn.w_hidden + nn.b_hidden, 0.0)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmguard.ml import (
+    LABEL_CUT,
     CartNode,
     _impurity_vec,
     _tree_to_dict,
     cart_fit,
-    cart_predict,
+    cart_scores,
     class_weights,
     impurity,
 )
@@ -27,11 +28,6 @@ class TestImpurity:
 
     def test_three_one(self):
         assert impurity((3, 1), "gini") == pytest.approx(0.375)
-
-    def test_costs_scale_gini(self):
-        unit = impurity((3, 1), "gini")
-        costly = impurity((3, 1), "gini", costs=[[0, 2], [2, 0]])
-        assert costly == pytest.approx(2 * unit)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +101,7 @@ def test_linearly_separable_single_feature_depth_one():
     y = np.array([0, 0, 0, 1, 1, 1])
     tree = cart_fit(X, y, criterion="gini")
     assert tree_depth(tree) == 1
-    assert all(cart_predict(tree, row)[0] == label for row, label in zip(X, y))
+    assert ((cart_scores(tree, X) > LABEL_CUT) == y).all()
 
 
 def test_xor_needs_depth_two_and_fits_exactly():
@@ -113,7 +109,7 @@ def test_xor_needs_depth_two_and_fits_exactly():
     y = np.array([0, 1, 1, 0])
     tree = cart_fit(X, y, criterion="gini", min_split=2, min_leaf=1)
     assert tree_depth(tree) == 2
-    assert all(cart_predict(tree, row)[0] == label for row, label in zip(X, y))
+    assert ((cart_scores(tree, X) > LABEL_CUT) == y).all()
 
 
 def test_root_split_gain_matches_brute_enumeration():
@@ -181,6 +177,19 @@ def test_stops_when_no_gain():
     assert tree.probs == pytest.approx((0.5, 0.5))
 
 
+def test_duplicated_training_set_scores_as_the_original():
+    # Doubling every sample doubles every count, which leaves every split
+    # decision and every leaf probability unchanged.
+    rng = np.random.default_rng(3)
+    X = rng.normal(0, 1, size=(40, 2))
+    y = ((X[:, 0] + 0.5 * X[:, 1] + rng.normal(0, 0.4, 40)) > 0).astype(int)
+    tree = cart_fit(X, y, criterion="gini", max_depth=4, min_split=2, min_leaf=1)
+    doubled = cart_fit(np.vstack([X, X]), np.concatenate([y, y]),
+                       criterion="gini", max_depth=4, min_split=2, min_leaf=1)
+    Q = np.random.default_rng(4).normal(0, 1.5, size=(40, 2))
+    assert cart_scores(doubled, Q).tolist() == cart_scores(tree, Q).tolist()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 9999))
 def test_deeper_trees_never_increase_training_error(seed):
@@ -192,8 +201,7 @@ def test_deeper_trees_never_increase_training_error(seed):
     errors = []
     for depth in (1, 2, 4, 8):
         tree = cart_fit(X, y, criterion="gini", max_depth=depth)
-        errs = sum(cart_predict(tree, row)[0] != label for row, label in zip(X, y))
-        errors.append(errs)
+        errors.append(int(np.sum((cart_scores(tree, X) > LABEL_CUT) != y)))
     assert all(a >= b for a, b in zip(errors, errors[1:]))
 
 

@@ -74,6 +74,7 @@ class TestSimulate:
             ("duration_s = -5", "'duration_s'"),
             ("seed = -1", "'seed'"),
             ("noise_stdev = -1", "'noise_stdev'"),
+            ("attack.windows = nan:nan", "'attack.windows': window 'nan:nan' has a non-finite"),
             ("attack.windows = 1:2\nattack.mode = noise_burst\nattack.magnitude = -1",
              "attack.magnitude"),
         ],
@@ -394,6 +395,15 @@ class TestReport:
         text = rep.read_text()
         assert "samples = 250" in text  # 300 samples minus 50 warm-up
 
+    def test_non_finite_window_bound_exits_2(self, tmp_path, bsm_csv, capsys):
+        dec = tmp_path / "dec.csv"
+        main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(dec)])
+        code = main(["report", str(dec), str(bsm_csv), "--windows", "nan:5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'--windows': window 'nan:5' has a non-finite bound" in err
+        assert "Traceback" not in err
+
     def test_mismatched_decisions_exit_3(self, tmp_path, bsm_csv):
         dec = tmp_path / "dec.csv"
         dec.write_text("t,score,attack,warmed_up\n0.1,0.0,0,1\n")
@@ -700,6 +710,7 @@ def test_minimal_model_document_evaluates(tmp_path, bsm_csv):
         ["evaluate", "m.json", "in.csv", "--window", "inf"],
         ["report", "d.csv", "in.csv", "--window", "0"],
         ["train", "in.csv", "--model", "knn", "--out", "m.json", "--folds", "1"],
+        ["train", "in.csv", "--model", "knn", "--out", "m.json", "--seed", "-1"],
         ["train", "in.csv", "--model", "knn", "--out", "m.json", "--test-fraction", "1.5"],
         ["train", "in.csv", "--model", "knn", "--out", "m.json", "--test-fraction", "0"],
     ],

@@ -39,6 +39,8 @@ class TestParsing:
             parse_windows("1.0-2.0")
         with pytest.raises(ConfigError, match="non-numeric"):
             parse_windows("a:b")
+        with pytest.raises(ConfigError, match="'--windows': window '0:inf' has a non-finite"):
+            parse_windows("1:2,0:inf", "--windows")
 
 
 class TestDetectorSettings:

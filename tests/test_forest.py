@@ -1,9 +1,9 @@
-"""Random forest: reduction to a single tree, duplication invariance, seeds."""
+"""Random forest: seeds, the mean of member trees, limits."""
 
 import numpy as np
 import pytest
 
-from bsmguard.ml import cart_fit, cart_predict, rf_fit, rf_predict
+from bsmguard.ml import cart_scores, rf_fit, rf_scores
 
 
 def make_data(seed=0, n=60):
@@ -13,43 +13,13 @@ def make_data(seed=0, n=60):
     return X, y
 
 
-def test_single_tree_without_bootstrap_equals_cart():
-    X, y = make_data(1)
-    forest = rf_fit(
-        X, y, n_trees=1, max_depth=4, min_split=2, min_leaf=1, seed=7,
-        criterion="gini", bootstrap=False,
-    )
-    tree = cart_fit(X, y, criterion="gini", max_depth=4, min_split=2, min_leaf=1)
-    rng = np.random.default_rng(2)
-    for q in rng.normal(0, 1.5, size=(40, 2)):
-        assert rf_predict(forest, q) == cart_predict(tree, q)
-
-
-def test_duplicated_training_set_equals_single_tree_on_original():
-    # Doubling every sample doubles every weighted count, leaving every
-    # split decision unchanged; without bootstrap each member tree then
-    # equals the tree fit on the original data.
-    X, y = make_data(3, n=40)
-    X_dup = np.vstack([X, X])
-    y_dup = np.concatenate([y, y])
-    forest = rf_fit(
-        X_dup, y_dup, n_trees=5, max_depth=4, min_split=2, min_leaf=1,
-        seed=11, criterion="gini", bootstrap=False,
-    )
-    tree = cart_fit(X, y, criterion="gini", max_depth=4, min_split=2, min_leaf=1)
-    rng = np.random.default_rng(4)
-    for q in rng.normal(0, 1.5, size=(40, 2)):
-        assert rf_predict(forest, q)[1] == pytest.approx(cart_predict(tree, q)[1])
-
-
 def test_seed_reproducibility():
     X, y = make_data(5)
     rng = np.random.default_rng(6)
     queries = rng.normal(0, 1, size=(25, 2))
     a = rf_fit(X, y, n_trees=15, max_depth=4, min_split=4, min_leaf=2, seed=42)
     b = rf_fit(X, y, n_trees=15, max_depth=4, min_split=4, min_leaf=2, seed=42)
-    for q in queries:
-        assert rf_predict(a, q) == rf_predict(b, q)
+    assert rf_scores(a, queries).tolist() == rf_scores(b, queries).tolist()
 
 
 def test_different_seeds_differ_somewhere():
@@ -58,17 +28,15 @@ def test_different_seeds_differ_somewhere():
     b = rf_fit(X, y, n_trees=15, max_depth=4, min_split=4, min_leaf=2, seed=2)
     rng = np.random.default_rng(8)
     queries = rng.normal(0, 1, size=(50, 2))
-    assert any(rf_predict(a, q)[1] != rf_predict(b, q)[1] for q in queries)
+    assert np.any(rf_scores(a, queries) != rf_scores(b, queries))
 
 
 def test_prediction_is_mean_of_member_probabilities():
     X, y = make_data(9)
     forest = rf_fit(X, y, n_trees=7, max_depth=3, min_split=2, min_leaf=1, seed=0)
-    q = (0.3, -0.2)
-    member = [cart_predict(t, q)[1] for t in forest.trees]
-    label, prob = rf_predict(forest, q)
-    assert prob == pytest.approx(float(np.mean(member)))
-    assert label == (1 if prob > 0.5 else 0)
+    q = [(0.3, -0.2)]
+    member = [cart_scores(t, q)[0] for t in forest]
+    assert rf_scores(forest, q)[0] == pytest.approx(float(np.mean(member)))
 
 
 def test_n_trees_validated():
@@ -82,4 +50,4 @@ def test_depth_cap_beyond_data_is_harmless():
     # at purity.
     X, y = make_data(2, n=50)
     forest = rf_fit(X, y, n_trees=3, max_depth=90, min_split=2, min_leaf=1, seed=3)
-    assert len(forest.trees) == 3
+    assert len(forest) == 3

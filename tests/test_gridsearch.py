@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bsmguard.ml import (
-    GridSearchSpec,
     expand_grid,
     fit_family,
     grid_search,
@@ -52,8 +51,7 @@ def test_infeasible_stratification_rejected():
 
 def test_single_cell_returns_it():
     X, y = blob_data(2)
-    spec = GridSearchSpec(family="knn", cells=({"k": 5},), folds=5)
-    result = grid_search(spec, X, y, seed=0)
+    result = grid_search("knn", ({"k": 5},), X, y, seed=0)
     assert result.best_params == {"k": 5}
     assert 0.0 <= result.best_accuracy <= 1.0
     assert len(result.cells) == 1
@@ -64,16 +62,14 @@ def test_degenerate_cell_loses():
     X, y = blob_data(3)
     # k = len(train fold) makes KNN a constant majority-class classifier;
     # on balanced data it scores ~0.5 and the real cell wins.
-    spec = GridSearchSpec(family="knn", cells=({"k": 160}, {"k": 5}), folds=5)
-    result = grid_search(spec, X, y, seed=0)
+    result = grid_search("knn", ({"k": 160}, {"k": 5}), X, y, seed=0)
     assert result.best_params == {"k": 5}
 
 
 def test_matches_hand_rolled_cv_loop():
     X, y = blob_data(4)
     folds = stratified_folds(y, 5, seed=9)
-    spec = GridSearchSpec(family="knn", cells=({"k": 1}, {"k": 19}), folds=5)
-    result = grid_search(spec, X, y, seed=9, folds_idx=folds)
+    result = grid_search("knn", ({"k": 1}, {"k": 19}), X, y, seed=9, folds_idx=folds)
 
     # Independent CV loop sharing only the deterministic fold assignment and
     # per-fold sub-seed derivation.
@@ -96,8 +92,7 @@ def test_matches_hand_rolled_cv_loop():
 
 def test_tie_breaks_to_earlier_cell():
     X, y = blob_data(5)
-    spec = GridSearchSpec(family="knn", cells=({"k": 7}, {"k": 7}), folds=5)
-    result = grid_search(spec, X, y, seed=1)
+    result = grid_search("knn", ({"k": 7}, {"k": 7}), X, y, seed=1)
     assert result.cells[0].mean_accuracy == result.cells[1].mean_accuracy
     assert result.best_params is result.cells[0].params
 
@@ -110,23 +105,17 @@ def test_validation_labels_never_reach_fitting(family, cell):
     # balancing never read validation labels.
     X, y = blob_data(6, imbalance=0.3)
     folds = stratified_folds(y, 5, seed=3)
-    spec = GridSearchSpec(family=family, cells=(cell,), folds=5)
-    clean = grid_search(spec, X, y, seed=3, folds_idx=folds)
+    clean = grid_search(family, (cell,), X, y, seed=3, folds_idx=folds)
 
     rng = np.random.default_rng(0)
     for f_i, val_idx in enumerate(folds):
         y_poisoned = y.copy()
         y_poisoned[val_idx] = rng.integers(0, 2, size=len(val_idx))
-        poisoned = grid_search(spec, X, y_poisoned, seed=3, folds_idx=folds)
+        poisoned = grid_search(family, (cell,), X, y_poisoned, seed=3, folds_idx=folds)
         assert np.array_equal(
             clean.cells[0].fold_predictions[f_i],
             poisoned.cells[0].fold_predictions[f_i],
         )
-
-
-def test_empty_grid_rejected():
-    with pytest.raises(ValueError):
-        GridSearchSpec(family="knn", cells=(), folds=5).validate()
 
 
 def test_unknown_family_rejected():

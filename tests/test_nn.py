@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bsmguard.ml import NnModel, nn_forward, nn_init, nn_loss_and_grads, nn_train
+from bsmguard.ml import NN_INIT_RANGE, NnModel, nn_forward, nn_init, nn_loss_and_grads, nn_train
 
 
 def zero_model(n_features=2, n_hidden=10):
@@ -17,9 +17,8 @@ def zero_model(n_features=2, n_hidden=10):
 
 def test_all_zero_weights_output_half():
     model = zero_model()
-    rng = np.random.default_rng(0)
-    for x in rng.normal(0, 3, size=(20, 2)):
-        assert nn_forward(model, x) == pytest.approx(0.5)
+    X = np.random.default_rng(0).normal(0, 3, size=(20, 2))
+    assert nn_forward(model, X) == pytest.approx([0.5] * 20)
 
 
 def test_forward_matrix_matches_rowwise():
@@ -27,7 +26,7 @@ def test_forward_matrix_matches_rowwise():
     rng = np.random.default_rng(1)
     X = rng.normal(0, 1, size=(15, 2))
     batch = nn_forward(model, X)
-    rows = [nn_forward(model, x) for x in X]
+    rows = [nn_forward(model, x[None, :])[0] for x in X]
     assert batch == pytest.approx(rows)
 
 
@@ -125,7 +124,7 @@ def test_deterministic_per_seed():
 
 
 def test_uniform_init_range():
-    model = nn_init(2, 400, seed=0, init_range=0.5)
+    model = nn_init(2, 400, seed=0)
     for arr in (model.w_hidden, model.b_hidden, model.w_out):
-        assert np.all(np.abs(arr) <= 0.5)
-    assert abs(model.b_out) <= 0.5
+        assert np.all(np.abs(arr) <= NN_INIT_RANGE)
+    assert abs(model.b_out) <= NN_INIT_RANGE

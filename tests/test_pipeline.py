@@ -134,7 +134,7 @@ def test_detect_records_memory_stays_bounded(tmp_path):
             return iter(records)
 
         tracemalloc.start()
-        for _ in detect_records(lazy_factory, "cusum", settings):
+        for _ in detect_records(lazy_factory, "cusum", settings, 0.1, None):
             pass
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()

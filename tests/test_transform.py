@@ -113,13 +113,6 @@ def test_rolls_forward_one_sample_at_a_time():
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_value_requires_full_window():
-    w = TransformWindow()
-    w.push(1.0, 0.0)
-    with pytest.raises(ValueError):
-        w.value()
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.floats(-20, 20), min_size=10, max_size=10),
