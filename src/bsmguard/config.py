@@ -79,8 +79,25 @@ def get_value(cfg: Mapping[str, str], key: str, kind, default=_REQUIRED):
     return _convert(cfg[key], key, kind)
 
 
+def check_windows(windows, duration_s: float | None = None) -> None:
+    """Raise ValueError for an empty or inverted window, a window outside a
+    ``duration_s`` stream (when given), or two windows that overlap."""
+    ordered = sorted(windows)
+    for start, end in ordered:
+        if end <= start:
+            raise ValueError(f"empty or inverted attack window ({start}, {end})")
+        if duration_s is not None and (start < 0 or end > duration_s + 1e-9):
+            raise ValueError(
+                f"attack window ({start}, {end}) falls outside the {duration_s} s stream"
+            )
+    for (s1, e1), (s2, e2) in zip(ordered, ordered[1:]):
+        if s2 < e1 - 1e-9:
+            raise ValueError(f"attack windows ({s1}, {e1}) and ({s2}, {e2}) overlap")
+
+
 def parse_windows(raw: str, key: str = "attack.windows") -> tuple[tuple[float, float], ...]:
-    """Parse 'start:end[,start:end...]' into (start, end) pairs."""
+    """Parse 'start:end[,start:end...]' into (start, end) pairs that pass
+    ``check_windows``."""
     raw = raw.strip()
     if not raw:
         return ()
@@ -96,6 +113,10 @@ def parse_windows(raw: str, key: str = "attack.windows") -> tuple[tuple[float, f
         if not (math.isfinite(start) and math.isfinite(end)):
             raise ConfigError(f"key {key!r}: window {part!r} has a non-finite bound")
         windows.append((start, end))
+    try:
+        check_windows(windows)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
     return tuple(windows)
 
 

@@ -20,6 +20,18 @@ by over ``SPLIT_GAIN_TOL`` (1e-15). Class weights are one constant per class,
 so every weighted count is a function of integer class counts and is
 computed with the same floating-point operations as summing the rows: the
 trees are bit for bit those of a node-by-node search.
+
+The NN (``nn_train``) steps on flat, preallocated buffers: one parameter
+vector laid out ``w_hidden | b_hidden | w_out | b_out``, which the
+loss-and-gradient kernel reads through views, a gradient vector of the same
+layout, and the two Adam moments as the rows of one array, so a step is a
+few dozen whole-array operations. ``nn_loss_and_grads`` runs the same kernel.
+Each step keeps the floating-point order of the per-array update it
+replaced: m = B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g, the step
+(lr*(m/corr1)) / (sqrt(v/corr2)+eps), the loss (max(l,0) - y*l) +
+log1p(exp(-|l|)) averaged as sum/n, and +0.0 gradient where a relu is off.
+That order is what keeps the trained weights, and so the model files, byte
+for byte the same; ``tests/test_nn.py`` keeps the per-array loop as an oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from bsmguard.bsm import DataError
+from bsmguard.config import ConfigError
 
 #: Every family labels a row attack when its score is above this cut.
 LABEL_CUT = 0.5
@@ -571,29 +584,83 @@ def nn_forward(model: NnModel, X: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-logits))
 
 
+def _nn_pack(model: NnModel) -> np.ndarray:
+    """The parameters as one vector: ``w_hidden | b_hidden | w_out | b_out``."""
+    return np.concatenate(
+        (model.w_hidden.ravel(), model.b_hidden, model.w_out, (model.b_out,))
+    )
+
+
+def _nn_split(flat: np.ndarray, n_features: int, n_hidden: int):
+    """``w_hidden``, ``b_hidden`` and ``w_out`` as views into a packed vector."""
+    k = n_features * n_hidden
+    return flat[:k].reshape(n_features, n_hidden), flat[k : k + n_hidden], flat[k + n_hidden : -1]
+
+
+def _nn_kernel(theta: np.ndarray, grad: np.ndarray, n_features: int, n_hidden: int):
+    """Bind the loss-and-gradient step to packed parameter and gradient buffers.
+
+    Returns ``step(X, y) -> loss``: the mean binary cross-entropy of one batch
+    at ``theta``, with its gradient written into ``grad`` (same layout). The
+    loss is computed from logits (softplus form), so it stays finite for any
+    weights, and its mean is the sum over n, as ``np.mean`` computes it.
+    """
+    W, bh, wo = _nn_split(theta, n_features, n_hidden)
+    gW, gbh, gwo = _nn_split(grad, n_features, n_hidden)
+
+    def step(X: np.ndarray, y: np.ndarray) -> float:
+        n = len(y)
+        hidden = X @ W
+        hidden += bh
+        np.maximum(hidden, 0.0, out=hidden)
+        logits = hidden @ wo
+        logits += theta[-1]
+        # (max(l, 0) - y*l) + log1p(exp(-|l|))
+        losses = np.maximum(logits, 0.0)
+        losses -= y * logits
+        tail = np.abs(logits)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        losses += tail
+        # dlogits = (1 / (1 + exp(-l)) - y) / n
+        dlogits = np.negative(logits)
+        np.exp(dlogits, out=dlogits)
+        dlogits += 1.0
+        np.divide(1.0, dlogits, out=dlogits)
+        dlogits -= y
+        dlogits /= n
+        np.matmul(hidden.T, dlogits, out=gwo)
+        grad[-1] = dlogits.sum()
+        dhidden = np.multiply(dlogits[:, None], wo)
+        np.copyto(dhidden, 0.0, where=hidden <= 0.0)
+        np.matmul(X.T, dhidden, out=gW)
+        dhidden.sum(axis=0, out=gbh)
+        return float(losses.sum()) / n
+
+    return step
+
+
 def nn_loss_and_grads(model: NnModel, X: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy and its gradients for one batch.
 
-    Loss is computed from logits (softplus form) so it stays finite for any
-    weights, and the analytic gradients match it exactly; the tests compare
-    them against central finite differences.
+    Runs ``nn_train``'s kernel on a packed copy of ``model``; the gradients
+    are views into the kernel's gradient buffer. The tests compare them
+    against central finite differences.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    logits, hidden = _nn_logits(model, X)
-    loss = float(np.mean(np.maximum(logits, 0.0) - y * logits + np.log1p(np.exp(-np.abs(logits)))))
-    probs = 1.0 / (1.0 + np.exp(-logits))
-    dlogits = (probs - y) / n
-    grads = {
-        "w_out": hidden.T @ dlogits,
-        "b_out": float(np.sum(dlogits)),
-    }
-    dhidden = np.outer(dlogits, model.w_out)
-    dhidden[hidden <= 0.0] = 0.0
-    grads["w_hidden"] = X.T @ dhidden
-    grads["b_hidden"] = np.sum(dhidden, axis=0)
-    return loss, grads
+    shape = model.w_hidden.shape
+    theta = _nn_pack(model)
+    grad = np.empty_like(theta)
+    loss = _nn_kernel(theta, grad, *shape)(X, y)
+    gW, gbh, gwo = _nn_split(grad, *shape)
+    return loss, {"w_hidden": gW, "b_hidden": gbh, "w_out": gwo, "b_out": float(grad[-1])}
+
+
+class NnDivergedError(ConfigError, RuntimeError):
+    """``nn_train``'s loss went non-finite: a config error, since the cure is
+    a lower learning rate."""
 
 
 def nn_train(
@@ -607,48 +674,61 @@ def nn_train(
 ) -> NnModel:
     """Mini-batch Adam on binary cross-entropy.
 
-    Raises RuntimeError if the loss goes non-finite (lower the learning
-    rate). Deterministic per seed: initialization and epoch shuffles come
-    from the same generator.
+    Raises ``NnDivergedError`` if the loss goes non-finite (lower the
+    learning rate). Deterministic per seed: initialization and epoch
+    shuffles come from the same generator.
+
+    One step works on flat, preallocated buffers: the parameters are one
+    vector ``theta`` (``w_hidden | b_hidden | w_out | b_out``) that the
+    kernel reads through views, the gradient fills a vector of the same
+    layout, and the Adam moments are the two rows of one array, so the
+    update is eleven in-place operations over all parameters at once. Each
+    epoch gathers its shuffled rows once and slices the batches from them.
+    The floating-point order is that of the per-array update,
+    m = B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g and
+    theta -= (lr*(m/corr1)) / (sqrt(v/corr2)+eps), which keeps the trained
+    weights, and so the model files, bit for bit.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y, dtype=int).astype(float)
     rng = np.random.default_rng(seed)
     model = nn_init(X.shape[1], n_hidden, seed=int(rng.integers(2**32)))
-    m = {k: 0.0 for k in ("w_hidden", "b_hidden", "w_out", "b_out")}
-    v = {k: 0.0 for k in m}
-    params = {
-        "w_hidden": model.w_hidden,
-        "b_hidden": model.b_hidden,
-        "w_out": model.w_out,
-    }
+    theta = _nn_pack(model)
+    grad = np.empty_like(theta)
+    loss_and_grad = _nn_kernel(theta, grad, X.shape[1], n_hidden)
+    moments = np.zeros((2, len(theta)))
+    m, v = moments
+    terms = np.empty_like(moments)
+    m_hat, v_hat = terms
+    decay = np.array([[ADAM_BETA1], [ADAM_BETA2]])
+    gain = np.array([[1 - ADAM_BETA1], [1 - ADAM_BETA2]])
     step = 0
     n = len(y)
     for _ in range(epochs):
         order = rng.permutation(n)
+        X_epoch, y_epoch = X[order], y[order]
         for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            loss, grads = nn_loss_and_grads(model, X[batch], y[batch])
+            stop = start + batch_size
+            loss = loss_and_grad(X_epoch[start:stop], y_epoch[start:stop])
             if not math.isfinite(loss):
-                raise RuntimeError(
+                raise NnDivergedError(
                     "training diverged to a non-finite loss; the learning rate "
                     f"{lr} is likely too high for this data"
                 )
             step += 1
-            corr1 = 1.0 - ADAM_BETA1**step
-            corr2 = 1.0 - ADAM_BETA2**step
-            for key in ("w_hidden", "b_hidden", "w_out"):
-                g = grads[key]
-                m[key] = ADAM_BETA1 * m[key] + (1 - ADAM_BETA1) * g
-                v[key] = ADAM_BETA2 * v[key] + (1 - ADAM_BETA2) * g * g
-                params[key] -= lr * (m[key] / corr1) / (np.sqrt(v[key] / corr2) + ADAM_EPS)
-            g = grads["b_out"]
-            m["b_out"] = ADAM_BETA1 * m["b_out"] + (1 - ADAM_BETA1) * g
-            v["b_out"] = ADAM_BETA2 * v["b_out"] + (1 - ADAM_BETA2) * g * g
-            model.b_out -= lr * (m["b_out"] / corr1) / (
-                math.sqrt(v["b_out"] / corr2) + ADAM_EPS
-            )
-    return model
+            moments *= decay
+            np.multiply(gain, grad, out=terms)
+            v_hat *= grad
+            moments += terms
+            np.divide(m, 1.0 - ADAM_BETA1**step, out=m_hat)
+            m_hat *= lr
+            np.divide(v, 1.0 - ADAM_BETA2**step, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += ADAM_EPS
+            m_hat /= v_hat
+            theta -= m_hat
+    W, bh, wo = _nn_split(theta, X.shape[1], n_hidden)
+    return NnModel(W.copy(), bh.copy(), wo.copy(), float(theta[-1]))
 
 
 # ---------------------------------------------------------------------------

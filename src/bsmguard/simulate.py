@@ -15,7 +15,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from bsmguard.bsm import ATTACK, BSM_PERIOD_S, BsmRecord
-from bsmguard.config import ConfigError, get_value, parse_windows, reject_unknown_keys
+from bsmguard.config import (
+    ConfigError,
+    check_windows,
+    get_value,
+    parse_windows,
+    reject_unknown_keys,
+)
 
 ATTACK_MODES = ("constant_replace", "offset", "noise_burst")
 
@@ -89,17 +95,7 @@ class AttackSpec:
     def validate(self, duration_s: float | None = None) -> None:
         if self.mode not in ATTACK_MODES:
             raise ValueError(f"unknown attack mode {self.mode!r}; expected {ATTACK_MODES}")
-        ordered = sorted(self.windows)
-        for start, end in ordered:
-            if end <= start:
-                raise ValueError(f"empty or inverted attack window ({start}, {end})")
-            if duration_s is not None and (start < 0 or end > duration_s + 1e-9):
-                raise ValueError(
-                    f"attack window ({start}, {end}) falls outside the {duration_s} s stream"
-                )
-        for (s1, e1), (s2, e2) in zip(ordered, ordered[1:]):
-            if s2 < e1 - 1e-9:
-                raise ValueError(f"attack windows ({s1}, {e1}) and ({s2}, {e2}) overlap")
+        check_windows(self.windows, duration_s)
         if self.mode != "offset" and self.magnitude < 0:
             raise ValueError(
                 f"attack.magnitude {self.magnitude!r} must be >= 0 for {self.mode} "

@@ -80,7 +80,7 @@ def test_train_overlap_models_match_the_bench_reference(tmp_path, capsys):
     workloads.build_inputs("train-overlap", workloads.DEFAULT_SEED, str(tmp_path))
     reference = json.loads((PERFBENCH / "reference" / "train-overlap.json").read_text())
     ops = {op.label: op for op in workloads.make_ops("train-overlap", str(tmp_path))}
-    for label in ("train:cart", "train:rf"):
+    for label in ("train:cart", "train:rf", "train:nn"):
         op = ops[label]
         assert main(list(op.argv)) == 0
         hashes = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in op.outputs]

@@ -404,6 +404,25 @@ class TestReport:
         assert "'--windows': window 'nan:5' has a non-finite bound" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "windows,message",
+        [
+            ("5:3", "'--windows': empty or inverted attack window (5.0, 3.0)"),
+            ("1:2,1.5:3", "'--windows': attack windows (1.0, 2.0) and (1.5, 3.0) overlap"),
+        ],
+    )
+    def test_inverted_or_overlapping_windows_exit_2(self, tmp_path, bsm_csv, capsys, windows,
+                                                    message):
+        dec = tmp_path / "dec.csv"
+        main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(dec)])
+        out = tmp_path / "report.txt"
+        code = main(["report", str(dec), str(bsm_csv), "--windows", windows, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_mismatched_decisions_exit_3(self, tmp_path, bsm_csv):
         dec = tmp_path / "dec.csv"
         dec.write_text("t,score,attack,warmed_up\n0.1,0.0,0,1\n")
@@ -563,6 +582,17 @@ class TestTrainEvaluate:
         ])
         assert code == 2
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_nn_exits_2(self, tmp_path, bsm_csv, capsys):
+        model = tmp_path / "m.json"
+        code = main(["train", str(bsm_csv), "--model", "nn", "--grid",
+                     '{"lr": [1e300], "epochs": [3]}', "--out", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "the learning rate 1e+300 is likely too high" in err
+        assert "Traceback" not in err
+        assert not model.exists()
 
     def test_single_class_data_exits_3(self, tmp_path, scenario_file):
         clean_cfg = tmp_path / "clean.cfg"

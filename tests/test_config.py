@@ -41,6 +41,10 @@ class TestParsing:
             parse_windows("a:b")
         with pytest.raises(ConfigError, match="'--windows': window '0:inf' has a non-finite"):
             parse_windows("1:2,0:inf", "--windows")
+        with pytest.raises(ConfigError, match=r"'--windows': empty or inverted .* \(2.0, 2.0\)"):
+            parse_windows("2:2", "--windows")
+        with pytest.raises(ConfigError, match=r"windows \(3.0, 5.0\) and \(4.0, 6.0\) overlap"):
+            parse_windows("4:6,3:5")
 
 
 class TestDetectorSettings:
