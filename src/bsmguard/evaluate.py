@@ -144,7 +144,11 @@ def roc_points(
 
 @dataclass(frozen=True)
 class LatencyStats:
-    """First-detection delays per attack window, in stream seconds."""
+    """First-detection delays per attack window, in stream seconds.
+
+    ``mean`` and ``max`` are ``nan`` when no window was detected: there is
+    no delay to summarize, and 0.0 would read as an instant detection.
+    """
 
     delays: tuple[float, ...]  # one entry per detected window
     undetected: int
@@ -155,11 +159,11 @@ class LatencyStats:
 
     @property
     def mean(self) -> float:
-        return float(statistics.fmean(self.delays)) if self.delays else 0.0
+        return float(statistics.fmean(self.delays)) if self.delays else math.nan
 
     @property
     def max(self) -> float:
-        return max(self.delays) if self.delays else 0.0
+        return max(self.delays) if self.delays else math.nan
 
 
 def detection_latency(

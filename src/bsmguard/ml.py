@@ -9,14 +9,18 @@ one-row call left is ``knn_predict``: the benchmark's tracer
 (``perfbench/tracer.py``) patches it by name, so it goes together with that
 tracer hook.
 
-CART (``cart_fit``, which every forest tree also goes through) argsorts each
-feature once per tree and grows the tree one depth at a time: the open nodes
-of a depth own contiguous segments of every feature's sorted rows, and all of
-them are scored with whole-array operations. A node's candidate thresholds
-are the midpoints between distinct consecutive values that leave at least
-``min_leaf`` rows on each side; zero-gain candidates are eligible; the first
-candidate in (feature, threshold) order wins unless a later one gains more
-by over ``SPLIT_GAIN_TOL`` (1e-15). Class weights are one constant per class,
+CART (``cart_fit``) and the forest (``rf_fit``) share one grower
+(``_grow``), which argsorts each feature once per tree and grows a block of
+trees one depth at a time: the open nodes of every tree in the block own
+contiguous segments of every feature's sorted rows, and all of them are
+scored with whole-array operations. ``cart_fit`` is the one-tree block; a
+forest's trees go in blocks of at most ``RF_BLOCK_ROWS`` bootstrap rows,
+and each tree comes out as ``cart_fit`` grows it alone, so the model bytes
+are the same. A node's candidate thresholds are the midpoints between
+distinct consecutive values that leave at least ``min_leaf`` rows on each
+side; zero-gain candidates are eligible; the first candidate in (feature,
+threshold) order wins unless a later one gains more by over
+``SPLIT_GAIN_TOL`` (1e-15). Class weights are one constant per class,
 so every weighted count is a function of integer class counts and is
 computed with the same floating-point operations as summing the rows: the
 trees are bit for bit those of a node-by-node search.
@@ -52,6 +56,11 @@ LABEL_CUT = 0.5
 
 #: Distances KNN holds at once: 128 KiB of float64 per block of query rows.
 KNN_BLOCK_CELLS = 1 << 14
+
+#: Bootstrap rows a forest grows at once. A level pass's temporaries come to
+#: about 1.3 MiB for a full block of two-feature rows; growing 40 trees of
+#: 800 rows at once would take about 8.5 MiB more.
+RF_BLOCK_ROWS = 1 << 12
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -315,11 +324,13 @@ def cart_fit(
     threshold) order, and a later one replaces the best only if its gain is
     higher by more than ``SPLIT_GAIN_TOL``: near-ties keep the first.
 
-    Growth. Each feature is argsorted once per tree. The tree grows one
-    depth at a time: every node of a depth owns a contiguous segment of each
-    feature's sorted rows, and all of them are scored with whole-array
-    operations. The winners' rows are then stably partitioned into their
-    children's segments, which therefore stay sorted.
+    Growth. The tree is the one-tree case of the level-wise grower that
+    ``rf_fit`` runs on blocks of trees (``_grow``): each feature is argsorted
+    once, and the tree grows one depth at a time, every node of a depth
+    owning a contiguous segment of each feature's sorted rows and all of
+    them scored with whole-array operations. The winners' rows are then
+    stably partitioned into their children's segments, which therefore stay
+    sorted.
 
     Exact weighted sums. Weights are one constant per class. Summing a
     node's sorted row weights class by class adds either the class weight or
@@ -329,6 +340,15 @@ def cart_fit(
     many copies (``_class_total``). Both carry the same bits as summing the
     rows themselves, so the trees equal those of a node-by-node search.
     """
+    X, y, wc = _tree_inputs(X, y, weights)
+    rows = np.arange(len(y))[None, :]
+    return _grow(X, y, rows, wc, criterion, max_depth, min_split, min_leaf)[0]
+
+
+def _tree_inputs(
+    X: np.ndarray, y: np.ndarray, weights: Mapping[int, float] | None
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Checked float features and 0/1 labels, and the (clean, attack) weights."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(X) == 0:
@@ -338,18 +358,46 @@ def cart_fit(
     present = set(np.unique(y).tolist())
     if not present <= {0, 1}:
         raise ValueError(f"labels must be 0 or 1, got {sorted(present)}")
-    n, d = X.shape
     # Only the classes present need a weight: an absent one counts no rows.
     wc = [1.0 if weights is None or c not in present else float(weights[c]) for c in (0, 1)]
+    return X, y, wc
+
+
+def _grow(
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    wc: list[float],
+    criterion: str,
+    max_depth: int,
+    min_split: int,
+    min_leaf: int,
+) -> list[CartNode]:
+    """Grow one tree on each row of ``rows`` (indices into ``X``), together.
+
+    The trees' rows are stacked tree after tree, and each feature is sorted
+    by (tree, value), so every root owns one contiguous segment. From there
+    each level pass scores, splits and partitions every open node of every
+    tree at once, exactly as for one tree: a segment never mixes trees, and
+    all roots start at depth 0. A class a tree's rows lack adds only zero
+    counts, whose weighted sums are 0.0 for any weight, so one weight pair
+    serves every tree.
+    """
+    n_trees, n = rows.shape
+    d = X.shape[1]
+    columns = np.ascontiguousarray(X.T[:, rows])  # (features, trees, rows)
+    # order[j]: stacked positions by (tree, value of feature j).
+    order = np.argsort(columns, axis=2, kind="stable") + n * np.arange(n_trees)[:, None]
+    order = order.reshape(d, n_trees * n)
+    columns = columns.reshape(d, n_trees * n)
+    y = y[rows.ravel()]
     # running[c][k]: the weighted count of k rows of class c, summed in row order.
     running = [np.concatenate(([0.0], np.cumsum(np.full(n, w)))) for w in wc]
-    columns = np.ascontiguousarray(X.T)
     feature_ix = np.arange(d)[:, None]
 
-    order = np.argsort(columns, axis=1, kind="stable")  # (features, rows of open nodes)
-    sizes = np.array([n])  # rows per open node, in segment order
-    hang: list[tuple[CartNode, str] | None] = [None]  # where each open node attaches
-    root = None
+    sizes = np.full(n_trees, n)  # rows per open node, in segment order
+    hang: list[tuple[CartNode, str] | None] = [None] * n_trees  # where each open node attaches
+    roots: list[CartNode] = []
     depth = 0
     while len(sizes):
         k_open, m = len(sizes), order.shape[1]
@@ -370,13 +418,14 @@ def cart_fit(
         ):
             node = CartNode(impurity=imp, counts=(c0, c1), n_samples=size)
             if hang[i] is None:
-                root = node
+                roots.append(node)
             else:
                 setattr(*hang[i], node)
             nodes.append(node)
         grow = (depth < max_depth) & (sizes >= min_split) & (w0 != 0.0) & (w1 != 0.0)
 
-        # Candidate boundary p of feature j: positions < p go left.
+        # Candidate boundary p of feature j: positions < p go left. A
+        # segment's first position is never one, so no candidate spans nodes.
         xs = columns[feature_ix, order]
         b = pos[1:]
         allowed = (b >= max(min_leaf, 1)) & (b <= sizes[seg[1:]] - min_leaf) & grow[seg[1:]]
@@ -397,8 +446,9 @@ def cart_fit(
         winner = _first_best(nd, gains, k_open)
 
         split = winner >= 0
+        probs = list(zip((w0 / total).tolist(), (w1 / total).tolist()))
         for i in np.flatnonzero(~split).tolist():
-            nodes[i].probs = (w0[i] / total[i]).item(), (w1[i] / total[i]).item()
+            nodes[i].probs = probs[i]
         if not split.any():
             break
         wf, wp = feat[winner[split]], p[winner[split]]
@@ -414,7 +464,7 @@ def cart_fit(
         win_feat[split] = wf
         win_b = np.zeros(k_open, dtype=int)
         win_b[split] = pos[wp]
-        child = np.full(n, -1)
+        child = np.full(len(y), -1)
         child[order[0]] = np.where(split[seg], 2 * (np.cumsum(split) - 1)[seg] + 1, -1)
         child[order[(win_feat[seg] == feature_ix) & (pos < win_b[seg])]] -= 1
         keys = child[order]
@@ -422,7 +472,7 @@ def cart_fit(
         order = order[feature_ix, np.argsort(keys, axis=1, kind="stable")[:, m - len(kept) :]]
         sizes = np.bincount(kept, minlength=2 * len(wf))
         depth += 1
-    return root
+    return roots
 
 
 def _first_best(nd: np.ndarray, gains: np.ndarray, k_open: int) -> np.ndarray:
@@ -511,28 +561,24 @@ def rf_fit(
 
     Per-tree randomness comes from independently spawned sub-generators of
     the master seed, so refits are reproducible regardless of evaluation
-    order.
+    order. The trees grow together in blocks of at most ``RF_BLOCK_ROWS``
+    bootstrap rows (at least one tree per block): one level pass of the
+    grower that ``cart_fit`` also uses splits every open node of every tree
+    in the block, so numpy's per-call overhead is paid once per block, not
+    once per tree. Each tree, and so the model file, is exactly what
+    ``cart_fit`` gives on that tree's bootstrap rows.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    X, y, wc = _tree_inputs(X, y, weights)
     n = len(y)
     children = np.random.SeedSequence(seed).spawn(n_trees)
+    per_block = max(1, RF_BLOCK_ROWS // n)
     trees = []
-    for ss in children:
-        idx = np.random.default_rng(ss).integers(0, n, size=n)
-        trees.append(
-            cart_fit(
-                X[idx],
-                y[idx],
-                criterion=criterion,
-                max_depth=max_depth,
-                min_split=min_split,
-                min_leaf=min_leaf,
-                weights=weights,
-            )
-        )
+    for start in range(0, n_trees, per_block):
+        rows = np.array([np.random.default_rng(ss).integers(0, n, size=n)
+                         for ss in children[start : start + per_block]])
+        trees += _grow(X, y, rows, wc, criterion, max_depth, min_split, min_leaf)
     return trees
 
 
@@ -704,29 +750,32 @@ def nn_train(
     gain = np.array([[1 - ADAM_BETA1], [1 - ADAM_BETA2]])
     step = 0
     n = len(y)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        X_epoch, y_epoch = X[order], y[order]
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
-            loss = loss_and_grad(X_epoch[start:stop], y_epoch[start:stop])
-            if not math.isfinite(loss):
-                raise NnDivergedError(
-                    "training diverged to a non-finite loss; the learning rate "
-                    f"{lr} is likely too high for this data"
-                )
-            step += 1
-            moments *= decay
-            np.multiply(gain, grad, out=terms)
-            v_hat *= grad
-            moments += terms
-            np.divide(m, 1.0 - ADAM_BETA1**step, out=m_hat)
-            m_hat *= lr
-            np.divide(v, 1.0 - ADAM_BETA2**step, out=v_hat)
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += ADAM_EPS
-            m_hat /= v_hat
-            theta -= m_hat
+    # A diverging run overflows on its way to the non-finite loss the check
+    # below reports; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            X_epoch, y_epoch = X[order], y[order]
+            for start in range(0, n, batch_size):
+                stop = start + batch_size
+                loss = loss_and_grad(X_epoch[start:stop], y_epoch[start:stop])
+                if not math.isfinite(loss):
+                    raise NnDivergedError(
+                        "training diverged to a non-finite loss; the learning rate "
+                        f"{lr} is likely too high for this data"
+                    )
+                step += 1
+                moments *= decay
+                np.multiply(gain, grad, out=terms)
+                v_hat *= grad
+                moments += terms
+                np.divide(m, 1.0 - ADAM_BETA1**step, out=m_hat)
+                m_hat *= lr
+                np.divide(v, 1.0 - ADAM_BETA2**step, out=v_hat)
+                np.sqrt(v_hat, out=v_hat)
+                v_hat += ADAM_EPS
+                m_hat /= v_hat
+                theta -= m_hat
     W, bh, wo = _nn_split(theta, X.shape[1], n_hidden)
     return NnModel(W.copy(), bh.copy(), wo.copy(), float(theta[-1]))
 

@@ -48,10 +48,15 @@ def test_traced_train_and_evaluate_count_trees_and_rows(tmp_path):
     finally:
         tracer.uninstall()
 
-    # 5 folds plus the final fit: 6 cart trees and 6 forests of 3, every one
-    # a walkable tree returned through the wrapped ml.cart_fit.
-    assert tracer.counts["ml.cart_trees"] == 6 + 6 * 3
+    # 5 folds plus the final fit: 6 cart trees, each a walkable tree returned
+    # through the wrapped ml.cart_fit, and 6 forests through the wrapped
+    # ml.rf_fit. A forest grows its trees together, not through cart_fit, so
+    # its trees are counted in the saved model: the final forest of 3.
+    assert tracer.counts["ml.cart_trees"] == 6
     assert tracer.counts["ml.cart_nodes"] > tracer.counts["ml.cart_trees"]
+    assert tracer.calls["ml.rf_fit"] == 6
+    saved = json.loads((tmp_path / "rf.json").read_text())
+    assert len(saved["payload"]["trees"]) == 3
     assert tracer.counts["ml.predict_rows"] > 0
     assert tracer.counts["ml.scored_rows"] > 0
     assert tracer.calls["ml.fit_family"] > 0

@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import threading
+import warnings
 
 import pytest
 
@@ -386,6 +387,19 @@ class TestReport:
             assert field in text
         assert roc.read_text().startswith("threshold,fpr,tpr")
 
+    def test_undetected_windows_give_nan_latency(self, tmp_path, bsm_csv):
+        # The window lies in cusum's warm-up, where it never flags.
+        dec = tmp_path / "dec.csv"
+        main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(dec)])
+        rep = tmp_path / "r.txt"
+        assert main(["report", str(dec), str(bsm_csv), "--detector", "cusum",
+                     "--windows", "1.0:2.0", "--out", str(rep)]) == 0
+        lines = rep.read_text().splitlines()
+        assert "latency_windows_detected = 0" in lines
+        assert "latency_windows_undetected = 1" in lines
+        assert "latency_mean_s = nan" in lines
+        assert "latency_max_s = nan" in lines
+
     def test_exclude_warmup_drops_rows(self, tmp_path, bsm_csv):
         dec = tmp_path / "dec.csv"
         main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(dec)])
@@ -583,11 +597,13 @@ class TestTrainEvaluate:
         assert code == 2
         assert "grid" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_nn_exits_2(self, tmp_path, bsm_csv, capsys):
         model = tmp_path / "m.json"
-        code = main(["train", str(bsm_csv), "--model", "nn", "--grid",
-                     '{"lr": [1e300], "epochs": [3]}', "--out", str(model)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", str(bsm_csv), "--model", "nn", "--grid",
+                         '{"lr": [1e300], "epochs": [3]}', "--out", str(model)])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err
         assert code == 2
         assert "the learning rate 1e+300 is likely too high" in err
