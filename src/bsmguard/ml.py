@@ -9,6 +9,14 @@ one-row call left is ``knn_predict``: the benchmark's tracer
 (``perfbench/tracer.py``) patches it by name, so it goes together with that
 tracer hook.
 
+KNN scoring (``knn_scores``) and SMOTE (``smote_balance``) need only each
+row's k nearest neighbours, so ``_nearest`` finds them by partition instead
+of a full stable sort: every distance below a row's kth value, then the
+columns equal to it in column order. That is exactly the head of the stable
+argsort, so the neighbours, scores, synthetic rows and model bytes are the
+same; ``tests/test_knn.py`` and ``tests/test_smote.py`` keep the full-sort
+versions as oracles.
+
 CART (``cart_fit``) and the forest (``rf_fit``) share one grower
 (``_grow``), which argsorts each feature once per tree and grows a block of
 trees one depth at a time: the open nodes of every tree in the block own
@@ -56,6 +64,9 @@ LABEL_CUT = 0.5
 
 #: Distances KNN holds at once: 128 KiB of float64 per block of query rows.
 KNN_BLOCK_CELLS = 1 << 14
+
+#: The tree split criteria.
+CRITERIA = ("gini", "entropy")
 
 #: Bootstrap rows a forest grows at once. A level pass's temporaries come to
 #: about 1.3 MiB for a full block of two-feature rows; growing 40 trees of
@@ -129,6 +140,14 @@ def smote_balance(
     one of its k minority-class nearest neighbors (uniform interpolation
     coefficient). Both classes end at the midpoint count, so the result is
     balanced within one sample. Already balanced input passes through.
+
+    Neighbours rank by distance, ties by minority row order. ``_nearest``
+    selects each row's ``min(k, minority - 1)`` nearest without sorting the
+    whole distance row, and only those are stably sorted by distance: the
+    same neighbours in the same order as a full stable sort. The loop makes
+    the generator's draws in their fixed order and records them; the
+    synthetic rows are then interpolated in one array operation with the
+    same arithmetic per element, so the output is the same bit for bit.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -152,18 +171,24 @@ def smote_balance(
     keep_maj = rng.choice(maj_idx, size=target, replace=False)
 
     X_min = X[min_idx]
-    d2 = np.sum((X_min[:, None, :] - X_min[None, :, :]) ** 2, axis=2)
+    d2 = _sq_dists(X_min, X_min)
     np.fill_diagonal(d2, np.inf)
     k_eff = min(k, n_min - 1)
-    neighbor_idx = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    # Each row's k_eff nearest, in column order, then stably by distance:
+    # the first k_eff columns of the row's stable argsort.
+    near = np.nonzero(_nearest(d2, k_eff))[1].reshape(n_min, k_eff)
+    rank = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
+    neighbors = np.take_along_axis(near, rank, axis=1).tolist()
 
     n_new = target - n_min
-    synth = np.empty((n_new, X.shape[1]))
-    for s in range(n_new):
+    rows, picks, fracs = [], [], []
+    for _ in range(n_new):
         i = int(rng.integers(0, n_min))
-        j = int(neighbor_idx[i, int(rng.integers(0, k_eff))])
-        frac = rng.uniform()
-        synth[s] = X_min[i] + frac * (X_min[j] - X_min[i])
+        rows.append(i)
+        picks.append(neighbors[i][int(rng.integers(0, k_eff))])
+        fracs.append(rng.random())
+    base = X_min[rows]
+    synth = base + np.array(fracs)[:, None] * (X_min[picks] - base)
 
     X_out = np.concatenate([X[keep_maj], X_min, synth])
     y_out = np.concatenate(
@@ -189,22 +214,56 @@ def knn_scores(
     add up one feature column at a time, so no (queries, train, features)
     temporary is built, and query rows go in blocks of at most
     ``KNN_BLOCK_CELLS`` distances, so peak memory stays that of a few rows.
+    ``_nearest`` selects the neighbours by partition, not a full sort; the
+    score is their exact integer attack count over ``k``, the same double
+    as the mean of their labels.
     """
     X_train = np.asarray(X_train, dtype=float)
     y_train = np.asarray(y_train, dtype=int)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if k < 1 or k > len(X_train):
         raise DataError(f"k must be in [1, {len(X_train)}], got {k}")
+    attack = y_train == 1
     out = np.empty(len(Q))
     step = max(1, KNN_BLOCK_CELLS // len(X_train))
     for start in range(0, len(Q), step):
-        block = Q[start : start + step]
-        d2 = np.zeros((len(block), len(X_train)))
-        for j in range(X_train.shape[1]):
-            d2 += (X_train[:, j] - block[:, j, None]) ** 2
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start : start + step] = np.mean(y_train[order] == 1, axis=1)
+        near = _nearest(_sq_dists(Q[start : start + step], X_train), k)
+        out[start : start + step] = np.count_nonzero(near & attack, axis=1) / k
     return out
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, (rows of A, rows of B).
+
+    The squares add up one feature column at a time, in column order. For
+    fewer than eight features that is the order in which ``np.sum`` adds
+    them along the last axis of an (A, B, features) difference array, and
+    no such array is built.
+    """
+    d2 = np.zeros((len(A), len(B)))
+    for j in range(B.shape[1]):
+        d2 += (B[:, j] - A[:, j, None]) ** 2
+    return d2
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's ``k`` smallest entries, ties taken in column order.
+
+    These are the first ``k`` columns of the row's stable argsort, found
+    without sorting: ``np.partition`` gives the row's kth value, every column
+    below it is in, and the columns equal to it fill the remaining places
+    from the left. Only rows with more such columns than places need the
+    running count. ``d2`` must hold no NaN: NaN compares false both ways,
+    so a row whose kth value is NaN would come out short.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+    near = d2 < kth
+    tied = d2 == kth
+    places = k - np.count_nonzero(near, axis=1)
+    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > places)
+    if len(over):
+        tied[over] &= np.cumsum(tied[over], axis=1) <= places[over, None]
+    return near | tied
 
 
 def knn_predict(
@@ -340,15 +399,17 @@ def cart_fit(
     many copies (``_class_total``). Both carry the same bits as summing the
     rows themselves, so the trees equal those of a node-by-node search.
     """
-    X, y, wc = _tree_inputs(X, y, weights)
+    X, y, wc = _tree_inputs(X, y, criterion, weights)
     rows = np.arange(len(y))[None, :]
     return _grow(X, y, rows, wc, criterion, max_depth, min_split, min_leaf)[0]
 
 
 def _tree_inputs(
-    X: np.ndarray, y: np.ndarray, weights: Mapping[int, float] | None
+    X: np.ndarray, y: np.ndarray, criterion: str, weights: Mapping[int, float] | None
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Checked float features and 0/1 labels, and the (clean, attack) weights."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(X) == 0:
@@ -570,7 +631,7 @@ def rf_fit(
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
-    X, y, wc = _tree_inputs(X, y, weights)
+    X, y, wc = _tree_inputs(X, y, criterion, weights)
     n = len(y)
     children = np.random.SeedSequence(seed).spawn(n_trees)
     per_block = max(1, RF_BLOCK_ROWS // n)
@@ -791,7 +852,7 @@ def _at_least(low, kind=int) -> Callable[[object], bool]:
 
 
 _TREE_KEYS = {
-    "criterion": lambda v: v in ("gini", "entropy"),
+    "criterion": lambda v: v in CRITERIA,
     "max_depth": _at_least(0),
     "min_split": _at_least(1),
     "min_leaf": _at_least(1),

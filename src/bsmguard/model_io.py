@@ -51,11 +51,17 @@ def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, floa
     """Read a model document back; returns (model, standardizer, seed, test_fraction).
 
     Anything but a well-formed v1 document of a known family raises
-    DataError naming ``path``; a well-formed model must score one row.
+    DataError naming ``path``; a well-formed model must score one row. So
+    does a ``NaN``, ``Infinity`` or ``-Infinity`` anywhere in the document,
+    which ``json`` would otherwise read as a float.
     """
+
+    def non_finite(token: str):
+        raise DataError(f"{path}: non-finite number {token} in the model document")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=non_finite)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
@@ -79,6 +85,6 @@ def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, floa
         if seed < 0 or not 0.0 < test_fraction < 1.0:
             raise ValueError(f"seed {seed} or test_fraction {test_fraction!r} out of range")
         entry.scores(model.state, model.params, np.zeros((1, 2)))
-    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"{path}: malformed model document ({exc!r})") from None
     return model, std, seed, test_fraction

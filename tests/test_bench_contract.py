@@ -62,6 +62,28 @@ def test_traced_train_and_evaluate_count_trees_and_rows(tmp_path):
     assert tracer.calls["ml.fit_family"] > 0
 
 
+def test_traced_train_balances_through_the_smote_hook(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("duration_s = 30.0\nseed = 7\nattack.windows = 10.0:15.0\n")
+    csv_path = tmp_path / "bsm.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(csv_path)]) == 0
+
+    tracer_module = load_tracer_module()
+    # Grid cells per family: knn's default k in {5, 19}, and one nn cell.
+    for family, grid, cells in (("knn", '{"k": [5, 19]}', 2),
+                                ("nn", '{"epochs": [2]}', 1)):
+        tracer = tracer_module.Tracer()
+        tracer_module.install(tracer)
+        try:
+            assert main(["train", str(csv_path), "--model", family, "--grid", grid,
+                         "--out", str(tmp_path / f"{family}.json")]) == 0
+        finally:
+            tracer.uninstall()
+        # Every fold of every cell, plus the final fit, balances through the
+        # module attribute the tracer wraps.
+        assert tracer.calls["ml.smote_balance"] == cells * 5 + 1, family
+
+
 def test_traced_em_detect_counts_iterations(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("duration_s = 10.0\nseed = 3\nattack.windows = 5.0:6.0\n")
@@ -84,9 +106,11 @@ def test_train_overlap_models_match_the_bench_reference(tmp_path, capsys):
     workloads = load_perfbench_module("workloads")
     workloads.build_inputs("train-overlap", workloads.DEFAULT_SEED, str(tmp_path))
     reference = json.loads((PERFBENCH / "reference" / "train-overlap.json").read_text())
-    ops = {op.label: op for op in workloads.make_ops("train-overlap", str(tmp_path))}
-    for label in ("train:cart", "train:rf", "train:nn"):
-        op = ops[label]
+    # Every family's train op, each followed by the evaluate op that reads its model.
+    for op in workloads.make_ops("train-overlap", str(tmp_path)):
+        if op.kind not in ("train", "evaluate"):
+            continue
+        label = op.label
         assert main(list(op.argv)) == 0
         hashes = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in op.outputs]
         assert hashes == reference["hashes"][label], label

@@ -38,6 +38,13 @@ class TestImpurity:
             impurity((1, 1), "misc")
 
 
+def test_cart_fit_rejects_an_unknown_criterion():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="unknown criterion 'misc'"):
+        cart_fit(X, y, criterion="misc")
+
+
 def tree_depth(node: CartNode) -> int:
     if node.is_leaf:
         return 0

@@ -722,6 +722,10 @@ def _without(key):
         json.dumps({**GOOD_MODEL, "payload": {"train_features": "x", "train_labels": [0]}}),
         json.dumps({**GOOD_MODEL, "params": {"k": 5}}),
         json.dumps({**GOOD_MODEL, "test_fraction": 1.5}),
+        json.dumps({**GOOD_MODEL, "payload": {"train_features": [[float("nan"), 0.0]],
+                                              "train_labels": [0]}}),
+        json.dumps({**GOOD_MODEL, "payload": {"train_features": [[10**400, 0.0]],
+                                              "train_labels": [0]}}),
         json.dumps({**GOOD_MODEL, "standardizer": {"mean": [0.0], "stdev": [1.0]}}),
         json.dumps({**GOOD_MODEL, "family": "cart", "payload": {"tree": {
             "impurity": 0.0, "counts": [1.0, 0.0], "n_samples": 1,

@@ -49,6 +49,12 @@ def test_n_trees_validated():
         rf_fit(X, y, n_trees=0)
 
 
+def test_unknown_criterion_rejected():
+    X, y = make_data(0)
+    with pytest.raises(ValueError, match="unknown criterion 'Gini'"):
+        rf_fit(X, y, n_trees=2, criterion="Gini")
+
+
 def test_depth_cap_beyond_data_is_harmless():
     # A 90-deep cap on a small sample cannot be reached; the fit just stops
     # at purity.

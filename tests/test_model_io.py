@@ -1,9 +1,11 @@
 """Bit-exact persistence round-trips for every model family."""
 
+import json
+
 import numpy as np
 import pytest
 
-from bsmguard.bsm import StandardizationParams
+from bsmguard.bsm import DataError, StandardizationParams
 from bsmguard.ml import fit_family
 from bsmguard.model_io import load_model, save_model
 
@@ -50,6 +52,29 @@ def test_saved_file_is_versioned_json(tmp_path):
     text = path.read_text()
     assert '"format": "bsmguard-model"' in text
     assert '"version": 1' in text
+
+
+# Where each family's file gets a non-finite number: a KNN training
+# feature, the NN's output bias, a forest threshold, a standardizer mean.
+NON_FINITE_SPOTS = {
+    "knn": lambda doc: doc["payload"]["train_features"][3].__setitem__(1, float("nan")),
+    "nn": lambda doc: doc["payload"].__setitem__("b_out", float("nan")),
+    "rf": lambda doc: doc["payload"]["trees"][2].__setitem__("threshold", float("inf")),
+    "cart": lambda doc: doc["standardizer"]["mean"].__setitem__(0, float("-inf")),
+}
+
+
+@pytest.mark.parametrize("family", sorted(NON_FINITE_SPOTS))
+def test_non_finite_number_rejected(tmp_path, family):
+    X, y = data()
+    model = fit_family(family, PARAMS[family], X, y, seed=3)
+    path = tmp_path / "model.json"
+    save_model(path, model, StandardizationParams((0.0, 0.0), (1.0, 1.0)), 3, 0.2)
+    doc = json.loads(path.read_text())
+    NON_FINITE_SPOTS[family](doc)
+    path.write_text(json.dumps(doc))  # json writes NaN, Infinity, -Infinity
+    with pytest.raises(DataError, match=f"{path}: non-finite number"):
+        load_model(path)
 
 
 def test_wrong_format_rejected(tmp_path):
