@@ -12,6 +12,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 import time
@@ -24,7 +25,6 @@ from bsmguard.config import DetectorSettings
 from bsmguard.detectors import DETECTOR_NAMES
 from bsmguard.ml import MODEL_FAMILIES
 from bsmguard.pipeline import (
-    DecisionRow,
     detector_report,
     run_detection,
     train_and_evaluate,
@@ -39,70 +39,47 @@ GRIDS = {
 }
 
 
+def summary_row(name: str, reports, latency_s: float, ms_per_sample: float) -> dict:
+    """Mean quality of one model's per-seed reports; AUROC over the seeds that have one."""
+    aurocs = [r.auroc_value for r in reports if r.auroc_value is not None]
+    return {
+        "name": name,
+        "accuracy": statistics.fmean(r.quality.accuracy for r in reports),
+        "precision": statistics.fmean(r.quality.precision_macro for r in reports),
+        "recall": statistics.fmean(r.quality.detection_macro for r in reports),
+        "auroc": statistics.fmean(aurocs) if aurocs else math.nan,
+        "latency_s": latency_s,
+        "ms_per_sample": ms_per_sample,
+    }
+
+
 def detector_rows(seeds: int):
     settings = DetectorSettings()
     rows = []
     for name in DETECTOR_NAMES:
-        accs, precisions, recalls, aurocs, latencies = [], [], [], [], []
-        per_sample_ms = []
+        reports, per_sample_ms = [], []
         for seed in range(seeds):
             samples = list(aggregate(default_scenario(seed=seed).run()))
             std = welford_feature_stats(samples)
             started = time.perf_counter()
             pairs = list(run_detection(samples, name, settings, std))
             per_sample_ms.append(1000 * (time.perf_counter() - started) / len(pairs))
-            decisions = [
-                DecisionRow(
-                    t=s.t, score=d.score, attack=int(d.attack), warmed_up=int(d.warmed_up)
-                )
-                for s, d in pairs
-            ]
-            rep = detector_report(name, samples, decisions, windows=((100.0, 105.0),))
-            accs.append(rep.quality.accuracy)
-            precisions.append(rep.quality.precision_macro)
-            recalls.append(rep.quality.detection_macro)
-            if rep.auroc_value is not None:
-                aurocs.append(rep.auroc_value)
-            if rep.latency and rep.latency.detected:
-                latencies.append(rep.latency.mean)
-        rows.append(
-            {
-                "name": name,
-                "accuracy": statistics.fmean(accs),
-                "precision": statistics.fmean(precisions),
-                "recall": statistics.fmean(recalls),
-                "auroc": statistics.fmean(aurocs) if aurocs else float("nan"),
-                "latency_s": statistics.fmean(latencies) if latencies else float("nan"),
-                "ms_per_sample": statistics.fmean(per_sample_ms),
-            }
-        )
+            reports.append(detector_report(name, pairs, windows=((100.0, 105.0),)))
+        latencies = [r.latency.mean for r in reports if r.latency.detected]
+        latency_s = statistics.fmean(latencies) if latencies else math.nan
+        rows.append(summary_row(name, reports, latency_s, statistics.fmean(per_sample_ms)))
     return rows
 
 
 def baseline_rows(seeds: int):
     rows = []
     for family in MODEL_FAMILIES:
-        accs, precisions, recalls, aurocs = [], [], [], []
+        reports = []
         for seed in range(seeds):
             samples = list(aggregate(default_scenario(seed=seed).run()))
             outcome = train_and_evaluate(samples, family, seed=seed, grid=GRIDS.get(family))
-            q = outcome.report.quality
-            accs.append(q.accuracy)
-            precisions.append(q.precision_macro)
-            recalls.append(q.detection_macro)
-            if outcome.report.auroc_value is not None:
-                aurocs.append(outcome.report.auroc_value)
-        rows.append(
-            {
-                "name": family,
-                "accuracy": statistics.fmean(accs),
-                "precision": statistics.fmean(precisions),
-                "recall": statistics.fmean(recalls),
-                "auroc": statistics.fmean(aurocs) if aurocs else float("nan"),
-                "latency_s": float("nan"),
-                "ms_per_sample": float("nan"),
-            }
-        )
+            reports.append(outcome.report)
+        rows.append(summary_row(family, reports, math.nan, math.nan))
     return rows
 
 

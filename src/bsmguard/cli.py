@@ -184,15 +184,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    decisions = read_decisions_csv(args.decisions)
-    samples = _samples(args)
+    pairs = read_decisions_csv(args.decisions, _samples(args))
     windows = parse_windows(args.windows, "--windows") if args.windows else ()
     report = detector_report(
-        args.detector or "detector",
-        samples,
-        decisions,
-        windows=windows,
-        exclude_warmup=args.exclude_warmup,
+        args.detector or "detector", pairs, windows=windows, exclude_warmup=args.exclude_warmup
     )
     if args.roc_out and report.auroc_value is None:
         raise DataError("ROC output needs both classes present in the scored decisions")
@@ -204,8 +199,7 @@ def cmd_report(args) -> int:
         if args.out:
             _write_text(stage(args.out), text)
         if args.roc_out:
-            labels, _, scores = scored_pairs(args.detector, samples, decisions,
-                                             args.exclude_warmup)
+            labels, _, scores = scored_pairs(args.detector, pairs, args.exclude_warmup)
             points = roc_points(scores, labels)
             write_roc_csv(stage(args.roc_out), points)
     sys.stdout.write(text)

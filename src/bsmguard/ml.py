@@ -323,6 +323,10 @@ def _impurity_vec(w0: np.ndarray, w1: np.ndarray, criterion: str) -> np.ndarray:
     return out
 
 
+#: Model input columns, (avg_speed, avg_accel), as pipeline.samples_to_dataset builds.
+N_FEATURES = 2
+
+
 @dataclass
 class CartNode:
     """One node of a fitted tree. Leaves carry class probabilities."""
@@ -596,9 +600,17 @@ def _tree_to_dict(node: CartNode) -> dict:
 
 
 def _tree_from_dict(d: dict) -> CartNode:
+    """The tree a model file holds; a node that cannot score is a ValueError."""
     node = CartNode(**d)
-    if not node.is_leaf:
+    if node.is_leaf:
+        scored = node.probs
+    else:
+        if type(node.feature) is not int or not 0 <= node.feature < N_FEATURES:
+            raise ValueError(f"tree node feature {node.feature!r} is not in [0, {N_FEATURES})")
+        scored = (node.threshold,)
         node.left, node.right = _tree_from_dict(d["left"]), _tree_from_dict(d["right"])
+    if not all(map(math.isfinite, (node.impurity, node.n_samples, *node.counts, *scored))):
+        raise ValueError("non-finite number in a tree node")
     return node
 
 
@@ -882,6 +894,14 @@ class Family:
     required: tuple[str, ...] = ()
 
 
+def _finite_array(values) -> np.ndarray:
+    """A model file's float array; json reads a literal like 1e999 as inf, a ValueError here."""
+    a = np.array(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite number in the model payload")
+    return a
+
+
 # The fit callables look cart_fit, rf_fit and nn_train up as module globals
 # at call time, so a wrapper installed on the module attribute sees every fit.
 FAMILIES: dict[str, Family] = {
@@ -897,7 +917,7 @@ FAMILIES: dict[str, Family] = {
             "train_labels": state[1].tolist(),
         },
         from_payload=lambda p: (
-            np.array(p["train_features"], dtype=float),
+            _finite_array(p["train_features"]),
             np.array(p["train_labels"], dtype=int),
         ),
     ),
@@ -935,10 +955,10 @@ FAMILIES: dict[str, Family] = {
             f.name: np.asarray(getattr(nn, f.name)).tolist() for f in fields(nn)
         },
         from_payload=lambda p: NnModel(
-            np.array(p["w_hidden"], dtype=float),
-            np.array(p["b_hidden"], dtype=float),
-            np.array(p["w_out"], dtype=float),
-            float(p["b_out"]),
+            _finite_array(p["w_hidden"]),
+            _finite_array(p["b_hidden"]),
+            _finite_array(p["w_out"]),
+            _finite_array(p["b_out"]).item(),
         ),
     ),
 }

@@ -10,11 +10,12 @@ model reloads bit-exactly. The schema is documented in the README.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from bsmguard.bsm import DataError, StandardizationParams
-from bsmguard.ml import FAMILIES, FittedModel
+from bsmguard.ml import FAMILIES, N_FEATURES, FittedModel
 
 FORMAT_NAME = "bsmguard-model"
 FORMAT_VERSION = 1
@@ -53,7 +54,9 @@ def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, floa
     Anything but a well-formed v1 document of a known family raises
     DataError naming ``path``; a well-formed model must score one row. So
     does a ``NaN``, ``Infinity`` or ``-Infinity`` anywhere in the document,
-    which ``json`` would otherwise read as a float.
+    which ``json`` would otherwise read as a float, and a non-finite number
+    (an overflowing literal such as ``1e999``, which ``json`` reads as inf)
+    in the standardizer or the payload.
     """
 
     def non_finite(token: str):
@@ -77,14 +80,15 @@ def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, floa
             mean=tuple(map(float, doc["standardizer"]["mean"])),
             stdev=tuple(map(float, doc["standardizer"]["stdev"])),
         )
-        # Two features, (avg_speed, avg_accel), as pipeline.samples_to_dataset builds.
-        if len(std.mean) != 2 or len(std.stdev) != 2 or not all(s > 0 for s in std.stdev):
-            raise ValueError("standardizer needs a mean and a positive stdev per feature")
+        if (len(std.mean) != N_FEATURES or len(std.stdev) != N_FEATURES
+                or not all(map(math.isfinite, std.mean + std.stdev))
+                or not all(s > 0 for s in std.stdev)):
+            raise ValueError("standardizer needs a finite mean and positive stdev per feature")
         model = FittedModel(family, dict(doc["params"]), entry.from_payload(doc["payload"]))
         seed, test_fraction = int(doc["seed"]), float(doc["test_fraction"])
         if seed < 0 or not 0.0 < test_fraction < 1.0:
             raise ValueError(f"seed {seed} or test_fraction {test_fraction!r} out of range")
-        entry.scores(model.state, model.params, np.zeros((1, 2)))
+        entry.scores(model.state, model.params, np.zeros((1, N_FEATURES)))
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"{path}: malformed model document ({exc!r})") from None
     return model, std, seed, test_fraction

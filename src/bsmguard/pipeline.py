@@ -13,7 +13,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -188,16 +188,16 @@ def write_decisions_csv(
     return n
 
 
-class DecisionRow(NamedTuple):
-    """One row of a decisions CSV."""
+def read_decisions_csv(
+    path: str, samples: Sequence[AggregatedSample]
+) -> list[tuple[AggregatedSample, DetectorDecision]]:
+    """Join a decisions CSV to the samples ``detect`` wrote it from: row i to sample i.
 
-    t: float
-    score: float
-    attack: int
-    warmed_up: int
-
-
-def read_decisions_csv(path: str) -> list[DecisionRow]:
+    Returns the ``(sample, decision)`` pairs ``run_detection`` yielded. A
+    malformed row, a row count other than the sample count, or a row whose
+    ``t`` is not exactly its sample's ``t`` (``detect`` writes ``repr(t)``) is
+    a DataError naming ``path``, and the line where there is one.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
@@ -207,7 +207,8 @@ def read_decisions_csv(path: str) -> list[DecisionRow]:
     header = next(reader, None)
     if header is None or tuple(header) != DECISIONS_HEADER:
         raise DataError(f"{path}: bad decisions header {header!r}")
-    rows = []
+    pairs = []
+    row_samples = iter(samples)
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -227,26 +228,28 @@ def read_decisions_csv(path: str) -> list[DecisionRow]:
             raise DataError(f"{path}:{lineno}: non-finite t or score in {row!r}")
         if attack not in (0, 1) or warmed_up not in (0, 1):
             raise DataError(f"{path}:{lineno}: attack and warmed_up must be 0 or 1 in {row!r}")
-        rows.append(DecisionRow(t, score, attack, warmed_up))
-    return rows
+        sample = next(row_samples, None)  # None past the last sample: the count check fails
+        if sample is not None and t != sample.t:
+            raise DataError(f"{path}:{lineno}: t={t!r} does not match its sample's t={sample.t!r}")
+        pairs.append((sample, DetectorDecision(attack == 1, score, warmed_up == 1)))
+    if len(pairs) != len(samples):
+        raise DataError(
+            f"{path}: decision count {len(pairs)} does not match sample count {len(samples)}"
+        )
+    return pairs
 
 
 def scored_pairs(
     detector_name: str | None,
-    samples: Sequence[AggregatedSample],
-    decisions: Sequence[DecisionRow],
+    pairs: Sequence[tuple[AggregatedSample, DetectorDecision]],
     exclude_warmup: bool = False,
 ) -> tuple[list[int], list[int], list[float]]:
-    """The (labels, flags, oriented scores) of the decisions a report and its ROC score.
+    """The (labels, flags, oriented scores) of the pairs a report and its ROC score.
 
     Warm-up decisions count unless ``exclude_warmup``. Scores take the detector
     table's sign (1 for an unnamed detector), so larger means more suspicious.
     """
-    if len(samples) != len(decisions):
-        raise DataError(
-            f"decision count {len(decisions)} does not match sample count {len(samples)}"
-        )
-    pairs = [(s, d) for s, d in zip(samples, decisions) if d.warmed_up or not exclude_warmup]
+    pairs = [(s, d) for s, d in pairs if d.warmed_up or not exclude_warmup]
     if not pairs:
         raise DataError("all decisions fell inside warm-up")
     kind = DETECTORS.get(detector_name)
@@ -269,19 +272,16 @@ def scored_report(
 
 def detector_report(
     detector_name: str,
-    samples: Sequence[AggregatedSample],
-    decisions: Sequence[DecisionRow],
+    pairs: Sequence[tuple[AggregatedSample, DetectorDecision]],
     windows: Sequence[tuple[float, float]] = (),
     exclude_warmup: bool = False,
 ) -> EvalReport:
-    """Score the decisions ``scored_pairs`` selects against their ground-truth
-    labels; latency covers every decision."""
-    labels, flags, scores = scored_pairs(detector_name, samples, decisions, exclude_warmup)
+    """Score the ``(sample, decision)`` pairs ``scored_pairs`` selects against
+    their samples' labels; latency covers every pair, timed by the samples' t."""
+    labels, flags, scores = scored_pairs(detector_name, pairs, exclude_warmup)
     latency = None
     if windows:
-        latency = detection_latency(
-            [d.t for d in decisions], [d.attack for d in decisions], windows
-        )
+        latency = detection_latency([s.t for s, _ in pairs], [d.attack for _, d in pairs], windows)
     return scored_report(
         detector_name, labels, flags, scores,
         latency=latency, extra={"excluded_warmup": int(exclude_warmup)},

@@ -121,9 +121,12 @@ def test_fleet_roc_outputs_match_the_bench_reference(tmp_path, capsys):
     workloads.build_inputs("fleet-roc", workloads.DEFAULT_SEED, str(tmp_path))
     reference = json.loads((PERFBENCH / "reference" / "fleet-roc.json").read_text())
     ops = {op.label: op for op in workloads.make_ops("fleet-roc", str(tmp_path))}
+    # The side ops' reports carry --windows, so their latency lines are pinned too.
     for label in ("simulate:stream",
                   "detect:fleet-v0:bocpd:transform", "report:fleet-v0:bocpd:transform",
-                  "detect:fleet-v0:cusum:transform", "report:fleet-v0:cusum:transform"):
+                  "detect:fleet-v0:cusum:transform", "report:fleet-v0:cusum:transform",
+                  *(f"{kind}:side:{det}:default" for det in ("bocpd", "cusum", "em")
+                    for kind in ("detect", "report"))):
         op = ops[label]
         assert main(list(op.argv)) == 0
         hashes = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in op.outputs]

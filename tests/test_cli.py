@@ -8,7 +8,10 @@ import warnings
 
 import pytest
 
+from bsmguard.bsm import aggregate, read_bsm_csv
 from bsmguard.cli import main
+from bsmguard.config import DetectorSettings
+from bsmguard.pipeline import detector_report, run_detection, welford_feature_stats
 
 SCENARIO = """\
 duration_s = 30.0
@@ -443,6 +446,36 @@ class TestReport:
         code = main(["report", str(dec), str(bsm_csv)])
         assert code == 3
 
+    def test_decisions_of_another_stream_exit_3(self, tmp_path, bsm_csv, capsys):
+        # A 30 s clip at 0.1 s windows and a 300 s stream at 1 s windows both
+        # give 300 samples; the clip's decisions start at t=0.1, the stream's
+        # samples at t=1.0.
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("duration_s = 300.0\nseed = 1\nattack.windows = 100.0:105.0\n")
+        long_csv = tmp_path / "long.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(long_csv)]) == 0
+        dec = tmp_path / "dec.csv"
+        assert main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(dec)]) == 0
+        capsys.readouterr()
+        code = main(["report", str(dec), str(long_csv), "--window", "1.0"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{dec}:2: t=0.1 does not match its sample's t=1.0" in err
+
+    @pytest.mark.parametrize("detector", ["bocpd", "em", "cusum"])
+    def test_report_matches_the_library_on_the_same_samples(self, tmp_path, bsm_csv,
+                                                              capsys, detector):
+        dec = tmp_path / "dec.csv"
+        assert main(["detect", str(bsm_csv), "--detector", detector, "--out", str(dec)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(dec), str(bsm_csv), "--detector", detector,
+                     "--windows", "10.0:15.0"]) == 0
+        samples = list(aggregate(read_bsm_csv(str(bsm_csv))))
+        pairs = run_detection(samples, detector, DetectorSettings(),
+                              welford_feature_stats(samples))
+        report = detector_report(detector, list(pairs), ((10.0, 15.0),))
+        assert capsys.readouterr().out == report.to_text()
+
     def test_roc_on_single_class_truth_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "clean.cfg"
         cfg.write_text("duration_s = 30.0\nseed = 0\n")
@@ -706,6 +739,22 @@ def _without(key):
     return {k: v for k, v in GOOD_MODEL.items() if k != key}
 
 
+LEAF = {"impurity": 0.0, "counts": [1.0, 0.0], "n_samples": 1, "probs": [1.0, 0.0]}
+
+
+def _cart_model(right):
+    """A cart document whose root sends the zero row left, to a leaf, and the
+    rest to ``right``, a node that load's one-row scoring never reaches."""
+    return json.dumps({**GOOD_MODEL, "family": "cart", "payload": {"tree": {
+        "impurity": 1.0, "counts": [1.0, 1.0], "n_samples": 2, "feature": 0,
+        "threshold": 0.0, "left": LEAF, "right": right}}})
+
+
+def _split(feature, threshold=0.0):
+    return {"impurity": 0.0, "counts": [1.0, 0.0], "n_samples": 1, "feature": feature,
+            "threshold": threshold, "left": LEAF, "right": LEAF}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -732,6 +781,17 @@ def _without(key):
             "feature": 0, "threshold": 0.0}}}),
         json.dumps({**GOOD_MODEL, "family": "nn", "payload": {
             "w_hidden": [[1.0]], "b_hidden": [0.0], "w_out": [1.0], "b_out": 0.0}}),
+        # json reads an overflowing literal as inf.
+        json.dumps({**GOOD_MODEL, "payload": {"train_features": [[0.5, 0.0]],
+                                              "train_labels": [0]}}).replace("0.5", "1e999"),
+        json.dumps({**GOOD_MODEL, "standardizer": {"mean": [0.5, 0.0], "stdev": [1.0, 1.0]}})
+        .replace("0.5", "1e999"),
+        _cart_model(_split(7)),
+        _cart_model(_split(-1)),
+        _cart_model(_split(1.0)),
+        _cart_model(_split(True)),
+        _cart_model(_split(1, 0.5)).replace("0.5", "1e999"),
+        _cart_model(_split(1, None)),
     ],
 )
 def test_malformed_model_file_exits_3(tmp_path, bsm_csv, capsys, text):
@@ -748,6 +808,13 @@ def test_minimal_model_document_evaluates(tmp_path, bsm_csv):
     # The control for the malformed cases: the unbroken document is accepted.
     model = tmp_path / "model.json"
     model.write_text(json.dumps(GOOD_MODEL))
+    assert main(["evaluate", str(model), str(bsm_csv)]) == 0
+
+
+def test_minimal_cart_model_document_evaluates(tmp_path, bsm_csv):
+    # The control for the malformed tree nodes: a split on feature 1 is fine.
+    model = tmp_path / "model.json"
+    model.write_text(_cart_model(_split(1)))
     assert main(["evaluate", str(model), str(bsm_csv)]) == 0
 
 

@@ -54,6 +54,13 @@ def test_saved_file_is_versioned_json(tmp_path):
     assert '"version": 1' in text
 
 
+def saved_doc(path, family):
+    X, y = data()
+    model = fit_family(family, PARAMS[family], X, y, seed=3)
+    save_model(path, model, StandardizationParams((0.0, 0.0), (1.0, 1.0)), 3, 0.2)
+    return json.loads(path.read_text())
+
+
 # Where each family's file gets a non-finite number: a KNN training
 # feature, the NN's output bias, a forest threshold, a standardizer mean.
 NON_FINITE_SPOTS = {
@@ -66,14 +73,63 @@ NON_FINITE_SPOTS = {
 
 @pytest.mark.parametrize("family", sorted(NON_FINITE_SPOTS))
 def test_non_finite_number_rejected(tmp_path, family):
-    X, y = data()
-    model = fit_family(family, PARAMS[family], X, y, seed=3)
     path = tmp_path / "model.json"
-    save_model(path, model, StandardizationParams((0.0, 0.0), (1.0, 1.0)), 3, 0.2)
-    doc = json.loads(path.read_text())
+    doc = saved_doc(path, family)
     NON_FINITE_SPOTS[family](doc)
     path.write_text(json.dumps(doc))  # json writes NaN, Infinity, -Infinity
     with pytest.raises(DataError, match=f"{path}: non-finite number"):
+        load_model(path)
+
+
+# Where each family's payload gets an overflowing literal: a KNN training
+# feature, an NN hidden weight, a forest node's impurity, a cart
+# threshold. json reads 1e999 as inf without calling parse_constant.
+MARK = 0.123456789
+OVERFLOW_SPOTS = {
+    "knn": lambda doc: doc["payload"]["train_features"][3].__setitem__(1, MARK),
+    "nn": lambda doc: doc["payload"]["w_hidden"][1].__setitem__(0, MARK),
+    "rf": lambda doc: doc["payload"]["trees"][2]["left"].__setitem__("impurity", MARK),
+    "cart": lambda doc: doc["payload"]["tree"]["right"].__setitem__("threshold", MARK),
+}
+
+
+@pytest.mark.parametrize("spot", ["payload", "standardizer"])
+@pytest.mark.parametrize("family", sorted(OVERFLOW_SPOTS))
+def test_overflowing_literal_rejected(tmp_path, family, spot):
+    path = tmp_path / "model.json"
+    doc = saved_doc(path, family)
+    if spot == "payload":
+        OVERFLOW_SPOTS[family](doc)
+    else:
+        doc["standardizer"]["mean"][1] = MARK
+    text = json.dumps(doc)
+    assert text.count(repr(MARK)) == 1
+    path.write_text(text.replace(repr(MARK), "1e999"))
+    with pytest.raises(DataError, match=f"{path}: malformed model document.*finite"):
+        load_model(path)
+
+
+def off_zero_path_split(tree):
+    """A split node that the all-zero row, load's one scoring probe, never reaches."""
+    node = tree
+    while "feature" in node:
+        taken, other = ("left", "right") if 0.0 <= node["threshold"] else ("right", "left")
+        if "feature" in node[other]:
+            return node[other]
+        node = node[taken]
+    raise AssertionError("every split lies on the zero row's path")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("feature", 2), ("feature", 7), ("feature", -1), ("feature", 1.0), ("feature", True),
+    ("feature", "0"), ("threshold", None), ("threshold", "0.5"),
+])
+def test_tree_node_out_of_range_rejected(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    doc = saved_doc(path, "cart")
+    off_zero_path_split(doc["payload"]["tree"])[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"{path}: malformed model document"):
         load_model(path)
 
 

@@ -5,11 +5,10 @@ import tracemalloc
 
 import pytest
 
-from bsmguard.bsm import aggregate, fit_standardizer
+from bsmguard.bsm import DataError, aggregate, fit_standardizer
 from bsmguard.config import DetectorSettings, detector_settings_from_mapping
 from bsmguard.detectors import DETECTORS
 from bsmguard.pipeline import (
-    DecisionRow,
     detect_records,
     detector_report,
     read_decisions_csv,
@@ -73,11 +72,7 @@ def test_score_orientation_yields_high_auroc_for_all_detectors():
     std = welford_feature_stats(samples)
     for name in ("bocpd", "em", "cusum"):
         pairs = list(run_detection(samples, name, DetectorSettings(), std))
-        rows = [
-            DecisionRow(t=s.t, score=d.score, attack=int(d.attack), warmed_up=int(d.warmed_up))
-            for s, d in pairs
-        ]
-        rep = detector_report(name, samples, rows, windows=((100.0, 105.0),))
+        rep = detector_report(name, pairs, windows=((100.0, 105.0),))
         assert rep.auroc_value is not None and rep.auroc_value > 0.95
         assert rep.latency is not None and rep.latency.detected == 1
     assert DETECTORS["bocpd"].orientation == -1.0
@@ -87,20 +82,52 @@ def test_report_exclude_warmup_changes_totals():
     samples = scenario_samples(2)
     std = welford_feature_stats(samples)
     pairs = list(run_detection(samples, "cusum", DetectorSettings(), std))
-    rows = [
-        DecisionRow(t=s.t, score=d.score, attack=int(d.attack), warmed_up=int(d.warmed_up))
-        for s, d in pairs
-    ]
-    full = detector_report("cusum", samples, rows)
-    trimmed = detector_report("cusum", samples, rows, exclude_warmup=True)
+    full = detector_report("cusum", pairs)
+    trimmed = detector_report("cusum", pairs, exclude_warmup=True)
     assert full.cm.total == 2000
     assert trimmed.cm.total == 2000 - 50
 
 
-def test_report_length_mismatch_rejected():
+def written_decisions(tmp_path, samples):
+    """The decisions CSV of cusum on raw speed over ``samples``."""
+    settings = detector_settings_from_mapping({"cusum.input": "speed"})
+    path = tmp_path / "d.csv"
+    write_decisions_csv(path, run_detection(samples, "cusum", settings))
+    return path
+
+
+def test_report_length_mismatch_rejected(tmp_path):
     samples = scenario_samples(0)[:10]
-    with pytest.raises(Exception, match="match"):
-        detector_report("cusum", samples, [])
+    path = written_decisions(tmp_path, samples)
+    with pytest.raises(DataError, match="decision count 10 does not match sample count 9"):
+        read_decisions_csv(path, samples[:9])
+
+
+def test_decisions_csv_extra_row_rejected(tmp_path):
+    samples = scenario_samples(0)[:10]
+    path = written_decisions(tmp_path, samples)
+    with path.open("a") as fh:
+        fh.write(f"{samples[9].t + 0.1!r},0.0,0,1\n")
+    with pytest.raises(DataError, match="decision count 11 does not match sample count 10"):
+        read_decisions_csv(path, samples)
+
+
+def test_decisions_csv_missing_row_rejected(tmp_path):
+    samples = scenario_samples(0)[:10]
+    path = written_decisions(tmp_path, samples)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(DataError, match="decision count 9 does not match sample count 10"):
+        read_decisions_csv(path, samples)
+
+
+def test_decisions_csv_t_mismatch_names_the_line_and_both_times(tmp_path):
+    samples = scenario_samples(0)[:10]
+    path = written_decisions(tmp_path, samples)
+    shifted = [s._replace(t=s.t + 0.05) for s in samples]
+    with pytest.raises(DataError) as err:
+        read_decisions_csv(path, samples[:4] + shifted[4:])
+    assert f"d.csv:6: t={samples[4].t!r}" in str(err.value)
+    assert repr(shifted[4].t) in str(err.value)
 
 
 def test_decisions_csv_roundtrip(tmp_path):
@@ -110,10 +137,7 @@ def test_decisions_csv_roundtrip(tmp_path):
     path = tmp_path / "d.csv"
     n = write_decisions_csv(path, iter(pairs))
     assert n == 200
-    rows = read_decisions_csv(path)
-    assert len(rows) == 200
-    assert rows[0].t == samples[0].t
-    assert [r.score for r in rows] == [d.score for _, d in pairs]
+    assert read_decisions_csv(path, samples) == pairs
 
 
 def test_detect_records_memory_stays_bounded(tmp_path):

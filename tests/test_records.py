@@ -2,14 +2,12 @@
 
 from bsmguard.bsm import AggregatedSample, BsmRecord, aggregate, read_bsm_csv, write_bsm_csv
 from bsmguard.detectors import DetectorDecision
-from bsmguard.pipeline import DecisionRow
 from bsmguard.simulate import default_scenario
 
 
 def test_field_names_and_order():
     assert BsmRecord._fields == ("t", "vehicle_id", "speed", "accel", "label")
     assert AggregatedSample._fields == ("t", "avg_speed", "avg_accel", "label")
-    assert DecisionRow._fields == ("t", "score", "attack", "warmed_up")
     assert DetectorDecision._fields == ("attack", "score", "warmed_up")
 
 
@@ -18,7 +16,6 @@ def test_keyword_construction_matches_positional():
         0.1, "v1", 2.0, -0.5, 1
     )
     assert AggregatedSample(t=0.1, avg_speed=2.0, avg_accel=0.0, label=0).avg_speed == 2.0
-    assert DecisionRow(t=0.1, score=0.5, attack=1, warmed_up=0).warmed_up == 0
     assert DetectorDecision(attack=True, score=0.25, warmed_up=True).score == 0.25
 
 
