@@ -33,17 +33,24 @@ so every weighted count is a function of integer class counts and is
 computed with the same floating-point operations as summing the rows: the
 trees are bit for bit those of a node-by-node search.
 
-The NN (``nn_train``) steps on flat, preallocated buffers: one parameter
-vector laid out ``w_hidden | b_hidden | w_out | b_out``, which the
-loss-and-gradient kernel reads through views, a gradient vector of the same
-layout, and the two Adam moments as the rows of one array, so a step is a
-few dozen whole-array operations. ``nn_loss_and_grads`` runs the same kernel.
-Each step keeps the floating-point order of the per-array update it
-replaced: m = B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g, the step
+The NN trainer (``nn_train_block``) trains a block of networks whose
+training sets have the same row count in one stacked Adam step: the
+parameters are one (networks, n_params) array, each row laid out
+``w_hidden | b_hidden | w_out | b_out``, which the loss-and-gradient kernel
+reads through views; the gradient has the same layout, and the two Adam
+moments are the planes of one array, so a step is a few dozen whole-array
+operations for the whole block. Each network keeps its own generator,
+initialization and epoch permutation, and its slice of every operation is
+the one it would run alone, so it comes out bit for bit as it trains alone.
+``nn_train`` is the one-network block and ``nn_loss_and_grads`` runs the same
+kernel; ``grid_search`` trains a cell's folds together, grouped by row count
+(``_nn_fit``). Each step keeps the floating-point order of the per-array
+update it replaced: m = B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g, the step
 (lr*(m/corr1)) / (sqrt(v/corr2)+eps), the loss (max(l,0) - y*l) +
 log1p(exp(-|l|)) averaged as sum/n, and +0.0 gradient where a relu is off.
 That order is what keeps the trained weights, and so the model files, byte
-for byte the same; ``tests/test_nn.py`` keeps the per-array loop as an oracle.
+for byte the same; ``tests/test_nn.py`` keeps the per-array loop as an oracle
+and checks the block against one network at a time.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -603,7 +610,11 @@ def _tree_from_dict(d: dict) -> CartNode:
     """The tree a model file holds; a node that cannot score is a ValueError."""
     node = CartNode(**d)
     if node.is_leaf:
-        scored = node.probs
+        # In range means finite too: the attack probability is the row's score.
+        probs = node.probs
+        if len(probs) != 2 or not (0.0 <= probs[0] <= 1.0 and 0.0 <= probs[1] <= 1.0):
+            raise ValueError(f"tree leaf probabilities {probs!r} are not two numbers in [0, 1]")
+        scored = ()
     else:
         if type(node.feature) is not int or not 0 <= node.feature < N_FEATURES:
             raise ValueError(f"tree node feature {node.feature!r} is not in [0, {N_FEATURES})")
@@ -711,51 +722,86 @@ def _nn_pack(model: NnModel) -> np.ndarray:
 
 
 def _nn_split(flat: np.ndarray, n_features: int, n_hidden: int):
-    """``w_hidden``, ``b_hidden`` and ``w_out`` as views into a packed vector."""
+    """``w_hidden``, ``b_hidden`` and ``w_out`` of every packed row of ``flat``, as views."""
     k = n_features * n_hidden
-    return flat[:k].reshape(n_features, n_hidden), flat[k : k + n_hidden], flat[k + n_hidden : -1]
+    return (
+        flat[:, :k].reshape(len(flat), n_features, n_hidden),
+        flat[:, k : k + n_hidden],
+        flat[:, k + n_hidden : -1],
+    )
+
+
+def _stacked(k: int, *shape: int) -> np.ndarray:
+    """An empty (k, *shape) float array whose k slices start a whole number of
+    16-byte units apart.
+
+    numpy allocates each array 16-byte aligned, so each slice has the
+    alignment the array would have on its own. That matters to the bits:
+    some BLAS kernels (OpenBLAS's SSE3 dot product, for one) add in an order
+    that depends on it.
+    """
+    size = math.prod(shape)
+    return np.empty((k, size + size % 2))[:, :size].reshape(k, *shape)
 
 
 def _nn_kernel(theta: np.ndarray, grad: np.ndarray, n_features: int, n_hidden: int):
-    """Bind the loss-and-gradient step to packed parameter and gradient buffers.
+    """Bind the loss-and-gradient step of a block of networks to its buffers.
 
-    Returns ``step(X, y) -> loss``: the mean binary cross-entropy of one batch
-    at ``theta``, with its gradient written into ``grad`` (same layout). The
+    ``theta`` and ``grad`` hold one packed parameter vector per network, as
+    the rows of a (networks, n_params) array. Returns ``step(X, y) ->
+    losses``: for a (networks, batch, features) stack ``X`` and its
+    (networks, batch, 1) labels ``y``, each network's binary cross-entropy
+    summed over the batch at its ``theta`` row, with the gradient of its
+    mean written into its ``grad`` row. Each operation runs once over the
+    whole stack. A network's
+    slice of it has the strides, and (with ``_stacked`` buffers) the
+    alignment, it would have alone, so the matrix products make the same
+    BLAS call per network and the reductions add in the same order. The
     loss is computed from logits (softplus form), so it stays finite for any
-    weights, and its mean is the sum over n, as ``np.mean`` computes it.
+    weights; its mean is the sum over n, as ``np.mean`` computes it, and is
+    finite exactly when the sum is.
     """
     W, bh, wo = _nn_split(theta, n_features, n_hidden)
     gW, gbh, gwo = _nn_split(grad, n_features, n_hidden)
+    bh, wo_col, wo_row, b_out = bh[:, None], wo[:, :, None], wo[:, None], theta[:, -1:, None]
+    gwo, gb_out = gwo[:, :, None], grad[:, -1:]
+    k = len(theta)
+    temps: dict[int, tuple] = {}  # batch rows -> the step's temporaries
 
-    def step(X: np.ndarray, y: np.ndarray) -> float:
-        n = len(y)
-        hidden = X @ W
+    def step(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        n = y.shape[1]
+        if n not in temps:
+            temps[n] = (_stacked(k, n, n_hidden), _stacked(k, n, n_hidden),
+                        *(_stacked(k, n, 1) for _ in range(4)))
+        hidden, dhidden, logits, losses, tail, dlogits = temps[n]
+        np.matmul(X, W, out=hidden)
         hidden += bh
         np.maximum(hidden, 0.0, out=hidden)
-        logits = hidden @ wo
-        logits += theta[-1]
+        np.matmul(hidden, wo_col, out=logits)
+        logits += b_out
         # (max(l, 0) - y*l) + log1p(exp(-|l|))
-        losses = np.maximum(logits, 0.0)
-        losses -= y * logits
-        tail = np.abs(logits)
+        np.maximum(logits, 0.0, out=losses)
+        np.multiply(y, logits, out=tail)
+        losses -= tail
+        np.abs(logits, out=tail)
         np.negative(tail, out=tail)
         np.exp(tail, out=tail)
         np.log1p(tail, out=tail)
         losses += tail
         # dlogits = (1 / (1 + exp(-l)) - y) / n
-        dlogits = np.negative(logits)
+        np.negative(logits, out=dlogits)
         np.exp(dlogits, out=dlogits)
         dlogits += 1.0
         np.divide(1.0, dlogits, out=dlogits)
         dlogits -= y
         dlogits /= n
-        np.matmul(hidden.T, dlogits, out=gwo)
-        grad[-1] = dlogits.sum()
-        dhidden = np.multiply(dlogits[:, None], wo)
+        np.matmul(hidden.transpose(0, 2, 1), dlogits, out=gwo)
+        dlogits.sum(axis=1, out=gb_out)
+        np.multiply(dlogits, wo_row, out=dhidden)
         np.copyto(dhidden, 0.0, where=hidden <= 0.0)
-        np.matmul(X.T, dhidden, out=gW)
-        dhidden.sum(axis=0, out=gbh)
-        return float(losses.sum()) / n
+        np.matmul(X.transpose(0, 2, 1), dhidden, out=gW)
+        dhidden.sum(axis=1, out=gbh)
+        return losses.sum(axis=(1, 2))
 
     return step
 
@@ -763,18 +809,19 @@ def _nn_kernel(theta: np.ndarray, grad: np.ndarray, n_features: int, n_hidden: i
 def nn_loss_and_grads(model: NnModel, X: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy and its gradients for one batch.
 
-    Runs ``nn_train``'s kernel on a packed copy of ``model``; the gradients
-    are views into the kernel's gradient buffer. The tests compare them
-    against central finite differences.
+    Runs the training kernel on a packed copy of ``model``, as a block of one
+    network; the gradients are views into the kernel's gradient buffer. The
+    tests compare them against central finite differences.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = model.w_hidden.shape
-    theta = _nn_pack(model)
+    theta = _nn_pack(model)[None]
     grad = np.empty_like(theta)
-    loss = _nn_kernel(theta, grad, *shape)(X, y)
+    loss = float(_nn_kernel(theta, grad, *shape)(X[None], y[None, :, None])[0]) / len(y)
     gW, gbh, gwo = _nn_split(grad, *shape)
-    return loss, {"w_hidden": gW, "b_hidden": gbh, "w_out": gwo, "b_out": float(grad[-1])}
+    return loss, {"w_hidden": gW[0], "b_hidden": gbh[0], "w_out": gwo[0],
+                  "b_out": float(grad[0, -1])}
 
 
 class NnDivergedError(ConfigError, RuntimeError):
@@ -795,44 +842,70 @@ def nn_train(
 
     Raises ``NnDivergedError`` if the loss goes non-finite (lower the
     learning rate). Deterministic per seed: initialization and epoch
-    shuffles come from the same generator.
-
-    One step works on flat, preallocated buffers: the parameters are one
-    vector ``theta`` (``w_hidden | b_hidden | w_out | b_out``) that the
-    kernel reads through views, the gradient fills a vector of the same
-    layout, and the Adam moments are the two rows of one array, so the
-    update is eleven in-place operations over all parameters at once. Each
-    epoch gathers its shuffled rows once and slices the batches from them.
-    The floating-point order is that of the per-array update,
-    m = B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g and
-    theta -= (lr*(m/corr1)) / (sqrt(v/corr2)+eps), which keeps the trained
-    weights, and so the model files, bit for bit.
+    shuffles come from the same generator. This is the one-network block of
+    ``nn_train_block``, which says how a step works.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int).astype(float)
-    rng = np.random.default_rng(seed)
-    model = nn_init(X.shape[1], n_hidden, seed=int(rng.integers(2**32)))
-    theta = _nn_pack(model)
-    grad = np.empty_like(theta)
-    loss_and_grad = _nn_kernel(theta, grad, X.shape[1], n_hidden)
-    moments = np.zeros((2, len(theta)))
+    return nn_train_block([(X, y, seed)], epochs, batch_size, lr, n_hidden)[0]
+
+
+def nn_train_block(
+    sets: Sequence[tuple[np.ndarray, np.ndarray, int]],
+    epochs: int = 100,
+    batch_size: int = 50,
+    lr: float = 0.2,
+    n_hidden: int = 10,
+) -> list[NnModel]:
+    """Train one network per ``(X, y, seed)`` set, all in one stacked Adam step.
+
+    Every set needs the same row and feature counts, so all networks take
+    the same steps. Each network's generator draws its initialization and
+    then its epoch permutations, as ``nn_train`` does for it alone, and each
+    comes out bit for bit as ``nn_train`` trains it. If any network's loss
+    goes non-finite, the block raises ``NnDivergedError``.
+
+    The parameters are the rows of one (networks, n_params) ``theta``, the
+    gradient has the same layout, and the Adam moments are the two planes
+    of one array, so the update is eleven in-place operations over every
+    parameter of every network, in the per-array order m = B1*m + (1-B1)*g,
+    v = B2*v + ((1-B2)*g)*g, theta -= (lr*(m/corr1)) / (sqrt(v/corr2)+eps).
+    Each epoch gathers every network's shuffled rows once and slices the
+    batches from that stack. Every array a matrix product reads or writes is
+    ``_stacked``, so each network's slice has the layout and alignment of
+    its own array.
+    """
+    X = np.stack([np.asarray(X, dtype=float) for X, _, _ in sets])
+    y = np.stack([np.asarray(y, dtype=int).astype(float) for _, y, _ in sets])[:, :, None]
+    rngs = [np.random.default_rng(seed) for _, _, seed in sets]
+    k, n, n_features = X.shape
+    packed = np.array([_nn_pack(nn_init(n_features, n_hidden, seed=int(rng.integers(2**32))))
+                       for rng in rngs])
+    theta, grad = _stacked(*packed.shape), _stacked(*packed.shape)
+    theta[...] = packed
+    loss_and_grad = _nn_kernel(theta, grad, n_features, n_hidden)
+    moments = np.zeros((2, *theta.shape))
     m, v = moments
     terms = np.empty_like(moments)
     m_hat, v_hat = terms
-    decay = np.array([[ADAM_BETA1], [ADAM_BETA2]])
-    gain = np.array([[1 - ADAM_BETA1], [1 - ADAM_BETA2]])
+    decay = np.array([ADAM_BETA1, ADAM_BETA2])[:, None, None]
+    gain = np.array([1 - ADAM_BETA1, 1 - ADAM_BETA2])[:, None, None]
+    nets = np.arange(k)[:, None]
+    # Each epoch's shuffled rows overwrite one stack, so the batch views are
+    # cut once. Its slices are C-ordered and aligned as a fresh gather's rows
+    # would be: a batch's memory layout selects the BLAS path, and so the
+    # bits of its products.
+    X_epoch, y_epoch = _stacked(k, n, n_features), np.empty(y.shape)
+    batches = [(X_epoch[:, start : start + batch_size], y_epoch[:, start : start + batch_size])
+               for start in range(0, n, batch_size)]
     step = 0
-    n = len(y)
     # A diverging run overflows on its way to the non-finite loss the check
     # below reports; numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            order = rng.permutation(n)
-            X_epoch, y_epoch = X[order], y[order]
-            for start in range(0, n, batch_size):
-                stop = start + batch_size
-                loss = loss_and_grad(X_epoch[start:stop], y_epoch[start:stop])
-                if not math.isfinite(loss):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            X_epoch[...], y_epoch[...] = X[nets, order], y[nets, order]
+            for X_batch, y_batch in batches:
+                loss_sums = loss_and_grad(X_batch, y_batch)
+                if not all(map(math.isfinite, loss_sums.tolist())):
                     raise NnDivergedError(
                         "training diverged to a non-finite loss; the learning rate "
                         f"{lr} is likely too high for this data"
@@ -849,8 +922,9 @@ def nn_train(
                 v_hat += ADAM_EPS
                 m_hat /= v_hat
                 theta -= m_hat
-    W, bh, wo = _nn_split(theta, X.shape[1], n_hidden)
-    return NnModel(W.copy(), bh.copy(), wo.copy(), float(theta[-1]))
+    W, bh, wo = _nn_split(theta, n_features, n_hidden)
+    return [NnModel(W[i].copy(), bh[i].copy(), wo[i].copy(), float(theta[i, -1]))
+            for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -879,15 +953,18 @@ class Family:
     ``smote_k`` parameter is consumed there), or else ``fit`` weighs the
     classes with ``class_weights``. ``keys`` maps each parameter a grid may
     set to its value check; a grid must set the ``required`` ones.
-    ``fit(params, X, y, seed)`` returns the fitted state, ``scores(state,
-    params, X)`` scores a batch of rows, and ``to_payload``/``from_payload``
-    convert the state to and from the family's part of the model file.
+    ``fit(params, sets)`` yields one fitted state per ``(X, y, seed)``
+    training set, in order: the NN trains several sets together, and the
+    trees fit one set per ``next``, so a grid search scores each forest
+    before it grows the next. ``scores(state, params, X)`` scores a batch
+    of rows, and ``to_payload``/``from_payload`` convert the state to and
+    from the family's part of the model file.
     """
 
     smote: bool
     grid: dict[str, list]
     keys: dict[str, Callable[[object], bool]]
-    fit: Callable[[dict, np.ndarray, np.ndarray, int], Any]
+    fit: Callable[[dict, Sequence[tuple[np.ndarray, np.ndarray, int]]], Iterable]
     scores: Callable[[Any, dict, np.ndarray], np.ndarray]
     to_payload: Callable[[Any], dict]
     from_payload: Callable[[dict], Any]
@@ -902,15 +979,41 @@ def _finite_array(values) -> np.ndarray:
     return a
 
 
-# The fit callables look cart_fit, rf_fit and nn_train up as module globals
-# at call time, so a wrapper installed on the module attribute sees every fit.
+def _label_array(values) -> np.ndarray:
+    """A model file's class labels: each must be the integer 0 or 1 (not a bool)."""
+    if not all(type(v) is int and v in (0, 1) for v in values):
+        raise ValueError("training labels must be the integers 0 or 1")
+    return np.array(values, dtype=int)
+
+
+def _nn_fit(params: dict, sets: Sequence[tuple[np.ndarray, np.ndarray, int]]) -> list[NnModel]:
+    """One network per set: the sets of one row count train as one block,
+    and a set whose row count no other set has trains alone (``nn_train``)."""
+    by_rows: dict[int, list[int]] = {}
+    for i, (_, y, _) in enumerate(sets):
+        by_rows.setdefault(len(y), []).append(i)
+    models: list[NnModel] = [None] * len(sets)
+    for group in by_rows.values():
+        if len(group) == 1:
+            X, y, seed = sets[group[0]]
+            trained = [nn_train(X, y, seed=seed, **params)]
+        else:
+            trained = nn_train_block([sets[i] for i in group], **params)
+        for i, model in zip(group, trained):
+            models[i] = model
+    return models
+
+
+# The fit callables look cart_fit, rf_fit, nn_train and nn_train_block up as
+# module globals at call time, so a wrapper installed on the module attribute
+# sees every fit.
 FAMILIES: dict[str, Family] = {
     "knn": Family(
         smote=True,
         grid={"k": [5, 19]},
         keys={"k": _at_least(1), "smote_k": _at_least(1)},
         required=("k",),
-        fit=lambda params, X, y, seed: (X, y),
+        fit=lambda params, sets: ((X, y) for X, y, _ in sets),
         scores=lambda state, params, X: knn_scores(state[0], state[1], X, params["k"]),
         to_payload=lambda state: {
             "train_features": state[0].tolist(),
@@ -918,14 +1021,16 @@ FAMILIES: dict[str, Family] = {
         },
         from_payload=lambda p: (
             _finite_array(p["train_features"]),
-            np.array(p["train_labels"], dtype=int),
+            _label_array(p["train_labels"]),
         ),
     ),
     "cart": Family(
         smote=False,
         grid={"criterion": ["entropy"], "max_depth": [4, 8]},
         keys=_TREE_KEYS,
-        fit=lambda params, X, y, seed: cart_fit(X, y, weights=class_weights(y), **params),
+        fit=lambda params, sets: (
+            cart_fit(X, y, weights=class_weights(y), **params) for X, y, _ in sets
+        ),
         scores=lambda tree, params, X: cart_scores(tree, X),
         to_payload=lambda tree: {"tree": _tree_to_dict(tree)},
         from_payload=lambda p: _tree_from_dict(p["tree"]),
@@ -934,7 +1039,9 @@ FAMILIES: dict[str, Family] = {
         smote=False,
         grid={"n_trees": [400], "max_depth": [90], "min_split": [12], "min_leaf": [5]},
         keys={**_TREE_KEYS, "n_trees": _at_least(1)},
-        fit=lambda params, X, y, seed: rf_fit(X, y, seed=seed, weights=class_weights(y), **params),
+        fit=lambda params, sets: (
+            rf_fit(X, y, seed=seed, weights=class_weights(y), **params) for X, y, seed in sets
+        ),
         scores=lambda forest, params, X: rf_scores(forest, X),
         to_payload=lambda forest: {"trees": [_tree_to_dict(t) for t in forest]},
         from_payload=lambda p: [_tree_from_dict(t) for t in p["trees"]],
@@ -949,7 +1056,7 @@ FAMILIES: dict[str, Family] = {
             "n_hidden": _at_least(1),
             "smote_k": _at_least(1),
         },
-        fit=lambda params, X, y, seed: nn_train(X, y, seed=seed, **params),
+        fit=_nn_fit,
         scores=lambda nn, params, X: nn_forward(nn, np.atleast_2d(X)),
         to_payload=lambda nn: {
             f.name: np.asarray(getattr(nn, f.name)).tolist() for f in fields(nn)
@@ -982,19 +1089,34 @@ class FittedModel:
         return (self.predict_scores(X) > LABEL_CUT).astype(int)
 
 
+def _family(family: str) -> Family:
+    entry = FAMILIES.get(family)
+    if entry is None:
+        raise ValueError(f"unknown model family {family!r}; expected {MODEL_FAMILIES}")
+    return entry
+
+
+def _training_set(
+    entry: Family, params: Mapping[str, object], X: np.ndarray, y: np.ndarray, seed: int
+) -> tuple[dict, tuple[np.ndarray, np.ndarray, int]]:
+    """The fit parameters and the ``(X, y, seed)`` set the family fits: SMOTE-
+    balanced for a SMOTE family, which consumes its ``smote_k`` parameter."""
+    params = dict(params)
+    if entry.smote:
+        X, y = smote_balance(X, y, k=params.pop("smote_k", 5), seed=seed)
+    return params, (X, y, seed)
+
+
 def fit_family(
     family: str, params: Mapping[str, object], X: np.ndarray, y: np.ndarray, seed: int
 ) -> FittedModel:
     """Balance (per family policy) and fit one model. Deterministic per seed."""
-    entry = FAMILIES.get(family)
-    if entry is None:
-        raise ValueError(f"unknown model family {family!r}; expected {MODEL_FAMILIES}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    params = dict(params)
-    if entry.smote:
-        X, y = smote_balance(X, y, k=params.pop("smote_k", 5), seed=seed)
-    return FittedModel(family, params, entry.fit(params, X, y, seed))
+    entry = _family(family)
+    params, train = _training_set(
+        entry, params, np.asarray(X, dtype=float), np.asarray(y, dtype=int), seed
+    )
+    (state,) = entry.fit(params, [train])
+    return FittedModel(family, params, state)
 
 
 def expand_grid(grid: Mapping[str, Sequence[object]]) -> list[dict]:
@@ -1040,26 +1162,33 @@ def grid_search(
     are never resampled, and their labels are read only to score. Ties keep
     the earliest cell in grid order. ``folds_idx`` overrides the seeded fold
     assignment (used by tests).
+
+    A cell's folds are balanced one by one and then fitted in one call to
+    the family's ``fit``, so the NN trains them together (``_nn_fit``); each
+    fold's model is the one ``fit_family`` gives on that fold and sub-seed.
     """
+    entry = _family(family)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if folds_idx is None:
         folds_idx = stratified_folds(y, folds, seed)
     all_idx = np.arange(len(y))
     results: list[GridCell] = []
-    for c_i, params in enumerate(cells):
-        accs: list[float] = []
-        preds: list[np.ndarray] = []
+    for c_i, cell in enumerate(cells):
+        sets = []
         for f_i, val_idx in enumerate(folds_idx):
             train_idx = np.setdiff1d(all_idx, val_idx)
             sub_seed = int(
                 np.random.SeedSequence((seed, c_i, f_i)).generate_state(1)[0]
             )
-            model = fit_family(family, params, X[train_idx], y[train_idx], sub_seed)
-            pred = model.predict_labels(X[val_idx])
-            preds.append(pred)
-            accs.append(float(np.mean(pred == y[val_idx])))
-        results.append(GridCell(params=dict(params), fold_accuracies=accs, fold_predictions=preds))
+            params, train = _training_set(entry, cell, X[train_idx], y[train_idx], sub_seed)
+            sets.append(train)
+        preds = [
+            FittedModel(family, params, state).predict_labels(X[val_idx])
+            for state, val_idx in zip(entry.fit(params, sets), folds_idx)
+        ]
+        accs = [float(np.mean(pred == y[val_idx])) for pred, val_idx in zip(preds, folds_idx)]
+        results.append(GridCell(params=dict(cell), fold_accuracies=accs, fold_predictions=preds))
     best = max(range(len(results)), key=lambda i: (results[i].mean_accuracy, -i))
     return GridSearchResult(
         best_params=results[best].params,

@@ -82,6 +82,12 @@ def test_traced_train_balances_through_the_smote_hook(tmp_path):
         # Every fold of every cell, plus the final fit, balances through the
         # module attribute the tracer wraps.
         assert tracer.calls["ml.smote_balance"] == cells * 5 + 1, family
+        # A cell's folds are fitted together through the family table; only
+        # the final fit goes through fit_family.
+        assert tracer.calls["ml.fit_family"] == 1, family
+    # The five folds have one balanced size and train as one block; the final
+    # fit, alone in its size, trains through the wrapped nn_train.
+    assert tracer.calls["ml.nn_train"] == 1
 
 
 def test_traced_em_detect_counts_iterations(tmp_path):
@@ -122,11 +128,14 @@ def test_fleet_roc_outputs_match_the_bench_reference(tmp_path, capsys):
     reference = json.loads((PERFBENCH / "reference" / "fleet-roc.json").read_text())
     ops = {op.label: op for op in workloads.make_ops("fleet-roc", str(tmp_path))}
     # The side ops' reports carry --windows, so their latency lines are pinned too.
+    # The nn train's folds have unequal balanced sizes (one 638-row fold beside
+    # four of 640 rows), so its grid search trains them in two groups.
     for label in ("simulate:stream",
                   "detect:fleet-v0:bocpd:transform", "report:fleet-v0:bocpd:transform",
                   "detect:fleet-v0:cusum:transform", "report:fleet-v0:cusum:transform",
                   *(f"{kind}:side:{det}:default" for det in ("bocpd", "cusum", "em")
-                    for kind in ("detect", "report"))):
+                    for kind in ("detect", "report")),
+                  "train:nn", "evaluate:nn"):
         op = ops[label]
         assert main(list(op.argv)) == 0
         hashes = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in op.outputs]

@@ -792,6 +792,15 @@ def _split(feature, threshold=0.0):
         _cart_model(_split(True)),
         _cart_model(_split(1, 0.5)).replace("0.5", "1e999"),
         _cart_model(_split(1, None)),
+        # knn counts only label 1 as attack; a leaf's attack probability is its score.
+        json.dumps({**GOOD_MODEL, "payload": {"train_features": [[0.0, 0.0]],
+                                              "train_labels": [7]}}),
+        json.dumps({**GOOD_MODEL, "payload": {"train_features": [[0.0, 0.0]],
+                                              "train_labels": [1.5]}}),
+        json.dumps({**GOOD_MODEL, "payload": {"train_features": [[0.0, 0.0]],
+                                              "train_labels": [True]}}),
+        _cart_model({**LEAF, "probs": [0.0, 7.0]}),
+        _cart_model({**LEAF, "probs": [1.0]}),
     ],
 )
 def test_malformed_model_file_exits_3(tmp_path, bsm_csv, capsys, text):

@@ -97,7 +97,9 @@ def test_tie_breaks_to_earlier_cell():
     assert result.best_params is result.cells[0].params
 
 
-@pytest.mark.parametrize("family,cell", [("cart", {"max_depth": 3}), ("knn", {"k": 5})])
+@pytest.mark.parametrize(
+    "family,cell", [("cart", {"max_depth": 3}), ("knn", {"k": 5}), ("nn", {"epochs": 2})]
+)
 def test_validation_labels_never_reach_fitting(family, cell):
     # Poison one validation fold's labels at a time, with fold assignment
     # pinned. The model evaluated on that fold trains only on the other
@@ -116,6 +118,37 @@ def test_validation_labels_never_reach_fitting(family, cell):
             clean.cells[0].fold_predictions[f_i],
             poisoned.cells[0].fold_predictions[f_i],
         )
+
+
+def test_nn_cells_train_their_folds_together_as_fit_family_fits_each_fold():
+    # 101 clean and 52 attack rows: the first stratified fold holds one more
+    # row of each class, so its balanced training set is 2 rows shorter than
+    # the other four's. Moved to the middle, it trains alone between the two
+    # halves of the block of four.
+    X, y = blob_data(7, n=153, imbalance=52 / 153)
+    folds = stratified_folds(y, 5, seed=4)
+    folds = folds[1:3] + folds[:1] + folds[3:]
+    all_idx = np.arange(len(y))
+    cells = ({"epochs": 3, "n_hidden": 4}, {"epochs": 2, "lr": 0.05, "batch_size": 16})
+    result = grid_search("nn", cells, X, y, seed=4, folds_idx=folds)
+
+    sizes = []
+    for c_i, cell in enumerate(cells):
+        preds, accs = [], []
+        for f_i, val_idx in enumerate(folds):
+            train_idx = np.setdiff1d(all_idx, val_idx)
+            sub_seed = int(np.random.SeedSequence((4, c_i, f_i)).generate_state(1)[0])
+            model = fit_family("nn", cell, X[train_idx], y[train_idx], sub_seed)
+            preds.append(model.predict_labels(X[val_idx]))
+            accs.append(float(np.mean(preds[-1] == y[val_idx])))
+            sizes.append(len(smote_balance(X[train_idx], y[train_idx], seed=sub_seed)[1]))
+        got = result.cells[c_i]
+        assert got.params == cell
+        assert got.fold_accuracies == accs
+        assert all(np.array_equal(a, b) for a, b in zip(got.fold_predictions, preds))
+    assert sizes[:5] == [122, 122, 120, 122, 122]
+    means = [float(np.mean(cell.fold_accuracies)) for cell in result.cells]
+    assert result.best_params == cells[int(np.argmax(means))]
 
 
 def test_unknown_family_rejected():

@@ -133,6 +133,31 @@ def test_tree_node_out_of_range_rejected(tmp_path, field, value):
         load_model(path)
 
 
+@pytest.mark.parametrize("label", [7, -1, 1.5, 1.0, True, "1", None])
+def test_knn_label_not_zero_or_one_rejected(tmp_path, label):
+    # knn counts only label 1 as attack, so any other label would score as clean.
+    path = tmp_path / "model.json"
+    doc = saved_doc(path, "knn")
+    doc["payload"]["train_labels"][5] = label
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"{path}: malformed model document.*integers 0 or 1"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("probs", [[0.0, 7.0], [-0.5, 1.5], [1.0], [0.5, 0.25, 0.25]])
+def test_tree_leaf_probabilities_out_of_range_rejected(tmp_path, probs):
+    # A leaf's second probability is the row's attack score, which must lie in [0, 1].
+    path = tmp_path / "model.json"
+    doc = saved_doc(path, "cart")
+    leaf = off_zero_path_split(doc["payload"]["tree"])
+    while "feature" in leaf:
+        leaf = leaf["left"]
+    leaf["probs"] = probs
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"{path}: malformed model document.*not two numbers in"):
+        load_model(path)
+
+
 def test_wrong_format_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else", "version": 1}')

@@ -1,20 +1,28 @@
 """Neural baseline: forward algebra, gradient check, training sanity."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bsmguard
 from bsmguard.ml import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     NN_INIT_RANGE,
+    NnDivergedError,
     NnModel,
     nn_forward,
     nn_init,
     nn_loss_and_grads,
     nn_train,
+    nn_train_block,
 )
 
 
@@ -235,3 +243,104 @@ def test_uniform_init_range():
     for arr in (model.w_hidden, model.b_hidden, model.w_out):
         assert np.all(np.abs(arr) <= NN_INIT_RANGE)
     assert abs(model.b_out) <= NN_INIT_RANGE
+
+
+def assert_same_model(got, want):
+    assert np.array_equal(got.w_hidden, want.w_hidden)
+    assert np.array_equal(got.b_hidden, want.b_hidden)
+    assert np.array_equal(got.w_out, want.w_out)
+    assert got.b_out == want.b_out
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_block_matches_one_network_at_a_time_bit_for_bit(case):
+    # 1-5 networks, 1-3 features, 1-15 hidden units, batches from one row
+    # to more than n (so often a partial last batch), 0-3 epochs, and some
+    # training sets Fortran-ordered.
+    rng = np.random.default_rng(1000 + case)
+    k, features, hidden = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 16))
+    n = int(rng.integers(1, 70))
+    batch_size = int(rng.integers(1, n + 10))
+    epochs = int(rng.integers(0, 4))
+    lr = float(rng.choice([0.01, 0.2, 1.0]))
+    sets = []
+    for _ in range(k):
+        X = rng.normal(0, 1.5, size=(n, features))
+        if rng.random() < 0.4:
+            X = np.asfortranarray(X)
+        sets.append((X, rng.integers(0, 2, size=n), int(rng.integers(1000))))
+    block = nn_train_block(sets, epochs=epochs, batch_size=batch_size, lr=lr, n_hidden=hidden)
+    assert len(block) == k
+    for got, (X, y, seed) in zip(block, sets):
+        want = nn_train(X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
+                        n_hidden=hidden)
+        assert_same_model(got, want)
+
+
+def test_block_of_the_default_cell_matches_one_network_at_a_time():
+    # The grid search's shape: five 640-row folds, 100 epochs of 50-row batches.
+    rng = np.random.default_rng(11)
+    sets = [(rng.normal(0, 1, size=(640, 2)), rng.integers(0, 2, size=640), seed)
+            for seed in range(5)]
+    for got, (X, y, seed) in zip(nn_train_block(sets), sets):
+        assert_same_model(got, nn_train(X, y, seed=seed))
+
+
+def test_block_raises_when_one_network_diverges():
+    # At this step size the two blob sets still train to finite losses; the
+    # middle set's astronomically scaled inputs diverge at once.
+    X, y = separable_blobs(3, n=40)
+    bad = np.full((40, 2), 1e308)
+    for X_one in (X, X[::-1]):
+        nn_train(X_one, y, epochs=3, lr=1e9, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NnDivergedError) as exc:
+            nn_train_block([(X, y, 1), (bad, y, 2), (X[::-1], y, 3)], epochs=3, lr=1e9)
+    assert str(exc.value) == (
+        "training diverged to a non-finite loss; the learning rate 1000000000.0 is likely "
+        "too high for this data"
+    )
+
+
+#: Run in a fresh process: block-versus-alone mismatches over random blocks
+#: and the grid search's default shape, printed as one count.
+BLOCK_CHECK = """
+import numpy as np
+from bsmguard.ml import nn_train, nn_train_block
+
+rng = np.random.default_rng(7)
+# (networks, n, features, hidden, batch_size, epochs): the grid search's
+# shape, then one hidden unit and one feature with odd row counts, where
+# OpenBLAS's SSE3 kernels take a dot product whose sum order follows the
+# alignment of its operands.
+cases = [(5, 640, 2, 10, 50, 3), (3, 43, 2, 1, 33, 2), (4, 29, 1, 1, 9, 2)]
+for _ in range(30):
+    n = int(rng.integers(1, 60))
+    cases.append((int(rng.integers(1, 6)), n, int(rng.integers(1, 4)), int(rng.integers(1, 16)),
+                  int(rng.integers(1, n + 10)), int(rng.integers(0, 4))))
+bad = 0
+for k, n, features, hidden, batch_size, epochs in cases:
+    sets = [(rng.normal(0, 1.5, size=(n, features)), rng.integers(0, 2, size=n),
+             int(rng.integers(1000))) for _ in range(k)]
+    sets = [(np.asfortranarray(X) if i % 2 else X, y, s) for i, (X, y, s) in enumerate(sets)]
+    block = nn_train_block(sets, epochs=epochs, batch_size=batch_size, n_hidden=hidden)
+    for got, (X, y, seed) in zip(block, sets):
+        want = nn_train(X, y, epochs=epochs, batch_size=batch_size, seed=seed, n_hidden=hidden)
+        bad += not all(np.array_equal(getattr(got, f), getattr(want, f))
+                       for f in ("w_hidden", "b_hidden", "w_out", "b_out"))
+print(bad)
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_block_matches_one_network_at_a_time_on_other_blas_kernels(coretype):
+    # OPENBLAS_CORETYPE picks the BLAS kernels of another CPU for this one
+    # child process. The weights may differ from the default kernel's, but
+    # stacking must add no CPU dependence of its own.
+    src = str(Path(bsmguard.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", BLOCK_CHECK], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout.split() == ["0"]
