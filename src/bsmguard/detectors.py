@@ -209,9 +209,11 @@ def _e_step(
     """Attack responsibilities of ``points`` and their mixture log-likelihood.
 
     The log-likelihood is the sum, in point order, of each point's log
-    normaliser ``m + log(exp(la - m) + exp(lb - m))``, so it costs no extra
-    pass; a point that both components rule out makes it nan. Both stdevs
-    must be positive.
+    normaliser ``m + log(exp(la - m) + exp(lb - m))`` with ``m = max(la, lb)``,
+    so it costs no extra pass. The larger term's exp is ``exp(0.0) = 1.0``, so
+    each point computes only the other one. A point that both components rule
+    out makes the total nan and gets responsibility 0.0. Both stdevs must be
+    positive.
     """
     log_pa = math.log(pi2) if pi2 > 0 else -math.inf
     log_pb = math.log(1.0 - pi2) if pi2 < 1 else -math.inf
@@ -225,16 +227,14 @@ def _e_step(
         zb = (x - mu1) / s1
         la = log_pa + (-0.5 * za * za - log_s2 - c)
         lb = log_pb + (-0.5 * zb * zb - log_s1 - c)
-        m = max(la, lb)
-        ea = exp(la - m)
-        eb = exp(lb - m)
-        total += m + log(ea + eb)
-        if la == -math.inf:
-            resp.append(0.0)
-        elif lb == -math.inf:
-            resp.append(1.0)
+        if lb > la:
+            e = exp(la - lb)
+            total += lb + log(e + 1.0)
+            resp.append(e / (e + 1.0))
         else:
-            resp.append(ea / (ea + eb))
+            e = exp(lb - la)
+            total += la + log(1.0 + e)
+            resp.append(1.0 / (1.0 + e) if la != -math.inf else 0.0)
     return resp, total
 
 
@@ -276,8 +276,11 @@ def _em_from(
     """EM iterations from ``resp``, the responsibilities of ``points`` under ``theta``.
 
     Each iteration is an M-step then an E-step; the E-step's log-likelihood
-    joins the history. Returns the fitted theta, the history and the
-    responsibilities under the fitted theta.
+    joins the history. An M-step that returns the theta (``==``) whose E-step
+    this loop already ran has reached its exact fixed point: that E-step would
+    repeat, so the last history entry is appended again and the loop stops,
+    as the full iteration would with a zero parameter change. Returns the
+    fitted theta, the history and the responsibilities under the fitted theta.
     """
     ll_history: list[float] = []
     for _ in range(EM_MAX_ITER):
@@ -285,6 +288,11 @@ def _em_from(
             new = gmm_m_step(points, resp)
         except ValueError:
             break  # one component vanished; keep the last stable fit
+        if ll_history and new == theta:
+            # ``new`` still replaces ``theta``: ``==`` holds for 0.0 and -0.0.
+            theta = new
+            ll_history.append(ll_history[-1])
+            break
         delta = max(abs(a - b) for a, b in zip(new, theta))
         theta = new
         resp, loglik = _e_step(points, *theta)
@@ -304,10 +312,12 @@ def fit_two_component_gmm(
 ) -> tuple[tuple[float, float, float, float, float], list[float]]:
     """EM for a two-component Gaussian mixture on a small point set.
 
-    Runs until the largest parameter change drops below EM_TOL or for
-    EM_MAX_ITER iterations. Returns the fitted (mu1, s1, mu2, s2, pi2) and
-    the log-likelihood after each M-step (a non-decreasing sequence, which
-    the tests assert).
+    Runs until the largest parameter change drops below EM_TOL, an M-step
+    returns the previous M-step's theta exactly, or for EM_MAX_ITER
+    iterations. Returns the fitted (mu1, s1, mu2, s2, pi2) and the
+    log-likelihood after each M-step (a non-decreasing sequence, which the
+    tests assert). A stop at that exact fixed point repeats the last entry,
+    just as a further E-step would.
     """
     theta = (mu1, max(s1, SIGMA_FLOOR), mu2, max(s2, SIGMA_FLOOR), pi2)
     resp, _ = _e_step(points, *theta)
@@ -324,6 +334,9 @@ class EmDetector:
     N(EM_ATTACK_MEAN, EM_ATTACK_STDEV^2).
     Every later observation y is classified by running EM to convergence on
     the anchors plus y and thresholding y's attack responsibility.
+    ``last_ll_history`` holds that fit's log-likelihood per M-step; on a
+    typical stream it has two entries, the second a repeat of the first,
+    since the second M-step returns the first one's theta bit for bit.
 
     All randomness comes from the seed carried in the config, so decision
     sequences are bit-for-bit reproducible.

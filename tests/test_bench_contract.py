@@ -140,3 +140,17 @@ def test_fleet_roc_outputs_match_the_bench_reference(tmp_path, capsys):
         assert main(list(op.argv)) == 0
         hashes = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in op.outputs]
         assert hashes == reference["hashes"][label], label
+
+
+def test_stream_long_em_outputs_match_the_bench_reference(tmp_path, capsys):
+    # The 10,000-sample em op: its decisions bytes are pinned, so any change to
+    # the EM loop must keep every score bit for bit.
+    workloads = load_perfbench_module("workloads")
+    workloads.build_inputs("stream-long", workloads.DEFAULT_SEED, str(tmp_path))
+    reference = json.loads((PERFBENCH / "reference" / "stream-long.json").read_text())
+    ops = {op.label: op for op in workloads.make_ops("stream-long", str(tmp_path))}
+    for label in ("simulate:stream", "detect:stream:em:default", "report:stream:em:default"):
+        op = ops[label]
+        assert main(list(op.argv)) == 0
+        hashes = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in op.outputs]
+        assert hashes == reference["hashes"][label], label

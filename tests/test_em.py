@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsmguard import detectors
 from bsmguard.bsm import aggregate
 from bsmguard.detectors import (
     EM_ATTACK_MEAN,
@@ -18,11 +19,12 @@ from bsmguard.detectors import (
     EmConfig,
     EmDetector,
     SIGMA_FLOOR,
+    _e_step,
     attack_responsibility,
     fit_two_component_gmm,
     gmm_m_step,
 )
-from bsmguard.simulate import AttackSpec, DrivingProfile, Scenario
+from bsmguard.simulate import AttackSpec, DrivingProfile, Scenario, default_scenario
 
 
 def loglik(points, mu1, s1, mu2, s2, pi2):
@@ -310,3 +312,162 @@ def test_detector_bit_identical_to_oracle_on_false_stop_stream(seed):
     ys = [s.avg_speed for s in aggregate(scenario.run())]
     assert len(ys) == 3000
     assert_detector_matches_oracle(ys, seed)
+
+
+# ---------------------------------------------------------------------------
+# One exp per point, and the stop at the exact fixed point
+# ---------------------------------------------------------------------------
+
+
+def assert_e_step_matches_oracle(points, theta):
+    resp, total = _e_step(points, *theta)
+    want = [oracle_responsibility(x, *theta) for x in points]
+    assert repr((resp, total)) == repr((want, oracle_loglik(points, *theta))), (points, theta)
+
+
+@pytest.mark.parametrize("pi2", [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.3])
+def test_e_step_matches_two_exp_oracle_at_extreme_mixing_weights(pi2):
+    points = [15.6, 0.5, 0.0, -3.0, 1e6, 7.9]
+    assert_e_step_matches_oracle(points, (15.6, 0.25, EM_ATTACK_MEAN, EM_ATTACK_STDEV, pi2))
+
+
+def test_e_step_matches_oracle_on_ties():
+    # Mirror-image components at equal weight: la == lb at 0.0 and at every
+    # point whose distances to both means are equal.
+    theta = (-2.0, 1.5, 2.0, 1.5, 0.5)
+    resp, _ = _e_step([0.0], *theta)
+    assert resp == [0.5]
+    assert_e_step_matches_oracle([0.0, -0.0, 0.0, 1.0, -1.0], theta)
+
+
+def test_e_step_point_both_components_rule_out():
+    # The squared z-scores overflow, so la == lb == -inf: responsibility 0.0
+    # and a nan total, as in the two-exp form.
+    theta = (0.0, 1.0, 1.0, 1.0, 0.4)
+    resp, total = _e_step([1e300], *theta)
+    assert resp == [0.0]
+    assert math.isnan(total)
+    assert_e_step_matches_oracle([1e300, 0.5, -1e300], theta)
+    # With pi2 = 0 the attack side is -inf everywhere; a far point rules out
+    # the clean side too.
+    assert_e_step_matches_oracle([1e200, 3.0], (0.0, SIGMA_FLOOR, 0.5, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("x", [1e12, -1e12])
+def test_e_step_matches_oracle_at_floor_stdevs_and_far_points(x):
+    for theta in ((0.0, SIGMA_FLOOR, 0.5, SIGMA_FLOOR, 0.8),
+                  (x, SIGMA_FLOOR, 0.0, SIGMA_FLOOR, 0.2),
+                  (0.0, SIGMA_FLOOR, x, 1.0, 5e-324)):
+        assert_e_step_matches_oracle([x, 0.0, 0.5, x / 2], theta)
+
+
+def test_e_step_matches_oracle_on_random_parameters():
+    rng = np.random.default_rng(15)
+    for _ in range(2000):
+        scale = 10.0 ** float(rng.uniform(-2, 12))
+        points = [float(v) for v in rng.normal(0, scale, 4)]
+        stdevs = [SIGMA_FLOOR if rng.random() < 0.2 else 10.0 ** float(rng.uniform(-8, 6))
+                  for _ in range(2)]
+        pi2 = float(rng.choice([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, rng.uniform(0, 1)]))
+        theta = (float(rng.normal(0, scale)), stdevs[0], float(rng.normal(0, scale)),
+                 stdevs[1], pi2)
+        assert_e_step_matches_oracle(points, theta)
+
+
+def test_detector_bit_identical_to_oracle_on_the_default_scenario():
+    ys = [s.avg_speed for s in aggregate(default_scenario(0).run())]
+    assert len(ys) == 2000
+    assert_detector_matches_oracle(ys, 0)
+
+
+@pytest.mark.parametrize("magnitude", [1.0, -1.0])
+def test_detector_bit_identical_to_oracle_on_an_offset_stream(magnitude):
+    scenario = Scenario(
+        profile=DrivingProfile(duration_s=60.0, base_speed=15.6, noise_stdev=0.25),
+        attack=AttackSpec(windows=((20.0, 40.0),), mode="offset", magnitude=magnitude),
+        seed=5,
+    )
+    assert_detector_matches_oracle([s.avg_speed for s in aggregate(scenario.run())], 5)
+
+
+def test_detector_bit_identical_to_oracle_on_signed_zero_speeds():
+    ys = [15.6, 15.7] * 5 + [-0.0, 0.0, 15.6, -0.0, 15.65, -0.0]
+    assert_detector_matches_oracle(ys, 2)
+    assert_detector_matches_oracle([-0.0] * 10 + [-0.0, 0.0, 1.0, -0.0], 1)
+
+
+def test_warm_observe_stops_at_the_fixed_point_after_one_full_e_step(monkeypatch):
+    # Per warmed observe: the new point's part of the first E-step, one full
+    # E-step after the first M-step, and a second M-step that returns the
+    # first one's theta, so no second E-step.
+    calls = []
+    e_step = detectors._e_step
+
+    def counting_e_step(points, *theta):
+        calls.append(len(points))
+        return e_step(points, *theta)
+
+    monkeypatch.setattr(detectors, "_e_step", counting_e_step)
+    det = EmDetector(EmConfig(seed=0))
+    for sample in aggregate(default_scenario(0).run()):
+        calls.clear()
+        d = det.observe(sample.avg_speed)
+        if d.warmed_up:
+            assert calls == [1, 11], sample.t
+            assert len(det.last_ll_history) == 2
+            assert det.last_ll_history[0] == det.last_ll_history[1]
+
+
+def test_fit_started_at_its_fixed_point_runs_one_full_iteration():
+    det = EmDetector(EmConfig(seed=4))
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        det.observe(float(15.6 + rng.normal(0, 0.25)))
+    det.observe(15.9)
+    points, theta = det.anchors + [15.9], det.theta
+    # The first M-step returns the start theta itself; with no E-step run
+    # yet in the loop, the fit must not stop before its first history entry.
+    resp, ll = _e_step(points, *theta)
+    assert gmm_m_step(points, resp) == theta
+    got = fit_two_component_gmm(points, *theta)
+    assert got == (theta, [ll])
+    assert repr(got) == repr(oracle_fit(points, *theta))
+
+
+def test_fixed_point_stop_returns_the_new_theta_with_its_zero_sign():
+    # The broad attack component owns the six points symmetric about 0; the
+    # clean one, at the floor stdev, owns the zeros and two tiny points of
+    # opposite sign, with an attack responsibility near 1e-8. The attack mean
+    # is then a signed zero whose sign depends on how those two tiny
+    # products round. The start is off the fixed point only in that mean.
+    # Its first M-step lands there with mu2 == -0.0; the second returns a
+    # theta == the first, but with mu2 == 0.0, and the fit returns that one
+    # as the full loop does.
+    points = [1.0, 2.0, 3.0, -1.0, -2.0, -3.0, 0.0, 0.0, 0.0,
+              1.2267798121760505e-300, -1.2267798121760507e-300]
+    theta0 = (-3.315618e-317, SIGMA_FLOOR, 0.0004333343008371484, 2.160246894469287,
+              0.5454545479795093)
+    first = gmm_m_step(points, _e_step(points, *theta0)[0])
+    theta, ll = fit_two_component_gmm(points, *theta0)
+    assert theta == first and (repr(first[2]), repr(theta[2])) == ("-0.0", "0.0")
+    assert len(ll) == 2 and ll[0] == ll[1]
+    assert repr((theta, ll)) == repr(oracle_fit(points, *theta0))
+
+
+def test_fit_bit_identical_to_oracle_when_more_than_two_iterations_run():
+    rng = np.random.default_rng(77)
+    long_fits = fixed_point_stops = 0
+    for _ in range(80):
+        points = list(rng.normal(0, 1, 8)) + list(rng.normal(2.5, 1.5, 4))
+        theta0 = (float(rng.normal(0, 1)), float(rng.uniform(0.3, 2)),
+                  float(rng.normal(2, 1)), float(rng.uniform(0.3, 2)),
+                  float(rng.uniform(0.2, 0.8)))
+        theta, ll = fit_two_component_gmm(points, *theta0)
+        assert repr((theta, ll)) == repr(oracle_fit(points, *theta0))
+        if len(ll) > 2:
+            long_fits += 1
+            fixed_point_stops += ll[-1] == ll[-2]
+    # Overlapping components: every fit runs many iterations, and about a
+    # third of them end at an exact fixed point rather than on EM_TOL.
+    assert long_fits == 80
+    assert fixed_point_stops >= 10

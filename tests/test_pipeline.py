@@ -1,9 +1,12 @@
 """Detection wiring: streaming contracts, score orientation, reports."""
 
+import functools
 import math
 import tracemalloc
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from bsmguard.bsm import DataError, aggregate, fit_standardizer
 from bsmguard.config import DetectorSettings, detector_settings_from_mapping
@@ -40,6 +43,39 @@ def test_one_decision_per_sample_all_modes():
     for name in ("bocpd", "em", "cusum"):
         pairs = list(run_detection(samples, name, settings, std))
         assert len(pairs) == len(samples)
+
+
+#: (detector, input mode) pairs that claim to be online: they read no
+#: statistic of a sample that comes later in the stream.
+ONLINE_MODES = (("em", "speed"), ("bocpd", "speed"), ("bocpd", "transform"),
+                ("cusum", "speed"), ("cusum", "transform"))
+
+
+@functools.lru_cache(maxsize=None)
+def full_stream_pairs(name, mode):
+    samples = scenario_samples()
+    settings = detector_settings_from_mapping({f"{name}.input": mode})
+    std = welford_feature_stats(samples) if mode == "standardized" else None
+    return samples, settings, list(run_detection(samples, name, settings, std))
+
+
+@hypothesis.settings(max_examples=12)
+@hypothesis.given(st.integers(1, 2000))
+def test_online_modes_decide_a_prefix_as_the_full_stream_does(k):
+    for name, mode in ONLINE_MODES:
+        samples, settings, full = full_stream_pairs(name, mode)
+        assert list(run_detection(samples[:k], name, settings)) == full[:k], (name, mode)
+
+
+def test_standardized_mode_is_the_documented_exception_to_online():
+    # Standardized input reads whole-stream statistics, so a stream cut at
+    # the attack's onset standardizes with other numbers than the full one.
+    k = 1000
+    for name in ("bocpd", "cusum"):
+        samples, settings, full = full_stream_pairs(name, "standardized")
+        prefix = samples[:k]
+        pairs = list(run_detection(prefix, name, settings, welford_feature_stats(prefix)))
+        assert [d.score for _, d in pairs] != [d.score for _, d in full[:k]], name
 
 
 def test_transform_mode_warms_up_nine_samples():
