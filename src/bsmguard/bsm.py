@@ -80,7 +80,8 @@ def aggregate(
     Yields one sample per non-empty window. Labels are OR-combined so any
     attacked record taints its window. Raises NonMonotonicTimestampError as
     soon as a timestamp fails to advance, so interleaved multi-vehicle input
-    must be split by vehicle first.
+    must be split by vehicle first. A window so small that ``t / window``
+    overflows is a DataError naming the record.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
@@ -101,7 +102,11 @@ def aggregate(
         prev_t = t
         # Records land in ((k-1)*w, k*w]; the 1e-9 slack absorbs float drift
         # in timestamps that are nominal multiples of the window.
-        k = ceil(t / window - 1e-9)
+        try:
+            k = ceil(t / window - 1e-9)
+        except OverflowError:
+            raise DataError(f"record {idx} (vehicle {vehicle_id!r}, t={t!r}): t / window "
+                            f"overflows at window {window!r}") from None
         if k != key:
             if count:
                 yield AggregatedSample(
@@ -207,60 +212,69 @@ class TransformWindow:
         return math.fsum([(v - z_mean) ** 2 for v in z]) / (TRANSFORM_SPAN - 2)
 
 
-def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
-    """Write records in the canonical CSV schema. Returns the row count."""
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write ``header`` and ``rows`` as UTF-8 CSV with LF line ends; returns the row count.
+
+    Floats are written with ``repr``, so they read back bit for bit.
+    """
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(
-                [repr(rec.t), rec.vehicle_id, repr(rec.speed), repr(rec.accel), rec.label]
-            )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
             n += 1
     return n
 
 
-def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
-    """Stream records from a canonical CSV, validating encoding, schema and labels."""
+def read_csv(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, fields)`` for each non-blank row after an exact ``header``.
+
+    Text that is not UTF-8, an empty file, another header and a row that is
+    not as wide as the header are DataErrors naming ``path`` (and the line).
+    """
     try:
-        yield from _parse_bsm_csv(path)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            if tuple(first) != tuple(header):
+                raise DataError(f"{path}: bad header {first!r}, expected {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) == len(header):
+                    yield lineno, row
+                elif row:
+                    raise DataError(
+                        f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_bsm_csv(path: str) -> Iterator[BsmRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
+    """Write records in the canonical CSV schema. Returns the row count."""
+    return write_csv(path, CSV_HEADER, records)
+
+
+def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
+    """Stream records from a canonical CSV, validating encoding, schema and labels."""
+    big = MAX_FIELD_MAGNITUDE
+    for lineno, row in read_csv(path, CSV_HEADER):
+        t, vehicle_id, speed, accel, label = row
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if tuple(header) != CSV_HEADER:
+            t = float(t)
+            speed = float(speed)
+            accel = float(accel)
+            label = int(label)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not (-big <= t <= big and -big <= speed <= big and -big <= accel <= big):
             raise DataError(
-                f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+                f"{path}:{lineno}: t, speed or accel is non-finite or beyond "
+                f"{big:g} in {row!r}"
             )
-        big = MAX_FIELD_MAGNITUDE
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
-            t, vehicle_id, speed, accel, label = row
-            try:
-                t = float(t)
-                speed = float(speed)
-                accel = float(accel)
-                label = int(label)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not (-big <= t <= big and -big <= speed <= big and -big <= accel <= big):
-                raise DataError(
-                    f"{path}:{lineno}: t, speed or accel is non-finite or beyond "
-                    f"{big:g} in {row!r}"
-                )
-            if label not in (NO_ATTACK, ATTACK):
-                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
-            if speed < 0:
-                raise DataError(f"{path}:{lineno}: negative speed {speed!r}")
-            yield BsmRecord(t, vehicle_id, speed, accel, label)
+        if label not in (NO_ATTACK, ATTACK):
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
+        if speed < 0:
+            raise DataError(f"{path}:{lineno}: negative speed {speed!r}")
+        yield BsmRecord(t, vehicle_id, speed, accel, label)

@@ -4,7 +4,8 @@ Subcommands: simulate, detect, train, evaluate, report. Every command is
 deterministic given its config and seed. Exit codes: 0 ok, 2 usage or
 config error, 3 data error. A command writes its output files all together
 or not at all (``pipeline.staged_outputs``), and prints only once they are
-in place.
+in place; before any work it rejects an output that is one of its inputs or
+another of its outputs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from bsmguard import __version__
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, reads=("config",), writes=("out",))
 
     p = sub.add_parser("detect", help="run one detector over a BSM CSV")
     p.add_argument("csv", help="input BSM CSV")
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_window, default=0.1, help="aggregation window (s)")
     p.add_argument("--vehicle", default=None, help="vehicle id for multi-vehicle CSVs")
     p.add_argument("--timing-out", default=None, help="write per-sample timing stats here")
-    p.set_defaults(func=cmd_detect)
+    p.set_defaults(func=cmd_detect, reads=("csv", "config"), writes=("out", "timing_out"))
 
     p = sub.add_parser("train", help="grid-search and fit a supervised baseline")
     p.add_argument("csv", help="labeled BSM CSV")
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=_fraction, default=0.2, help="held-out split size")
     p.add_argument("--window", type=_window, default=0.1)
     p.add_argument("--vehicle", default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, reads=("csv",), writes=("out", "report_out"))
 
     p = sub.add_parser("evaluate", help="re-evaluate a saved model on its test split")
     p.add_argument("model_file", help="model produced by train")
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report here")
     p.add_argument("--window", type=_window, default=0.1)
     p.add_argument("--vehicle", default=None)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, reads=("model_file", "csv"), writes=("out",))
 
     p = sub.add_parser("report", help="score a decisions CSV against ground truth")
     p.add_argument("decisions", help="decisions CSV from detect")
@@ -284,14 +286,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roc-out", default=None, help="write per-threshold ROC points CSV")
     p.add_argument("--window", type=_window, default=0.1)
     p.add_argument("--vehicle", default=None)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, reads=("decisions", "csv"), writes=("out", "roc_out"))
     return parser
+
+
+def _reject_shared_paths(args) -> None:
+    """Reject, before any work, two outputs that are one file and an output that is an input.
+
+    A pipe or device is written in place (``staged_outputs``), so it may repeat.
+    """
+    outputs = [p for p in (getattr(args, name) for name in args.writes)
+               if p is not None and (os.path.isfile(p) or not os.path.exists(p))]
+    inputs = [p for p in (getattr(args, name) for name in args.reads) if p is not None]
+    for i, out in enumerate(outputs):
+        for other in outputs[:i]:
+            if os.path.realpath(out) == os.path.realpath(other):
+                raise ConfigError(f"outputs {other} and {out} are the same file")
+        for path in inputs:
+            if os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+                raise ConfigError(f"output {out} is the input {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_shared_paths(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

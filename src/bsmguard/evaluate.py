@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
+from bsmguard.bsm import write_csv
+
 REPORT_VERSION = 1
 
 #: Samples dropped from the front of a timing run so interpreter and cache
@@ -271,7 +273,4 @@ class EvalReport:
 
 
 def write_roc_csv(path: str, points: Sequence[tuple[float, float, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("threshold,fpr,tpr\n")
-        for thr, fpr, tpr in points:
-            fh.write(f"{thr!r},{fpr!r},{tpr!r}\n")
+    write_csv(path, ("threshold", "fpr", "tpr"), points)

@@ -9,7 +9,6 @@ only keeps running sums.
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -26,6 +25,8 @@ from bsmguard.bsm import (
     aggregate,
     apply_standardizer,
     fit_standardizer,
+    read_csv,
+    write_csv,
 )
 from bsmguard.config import DetectorSettings
 from bsmguard.detectors import DETECTORS, WARMUP_DECISION, DetectorDecision, make_detector
@@ -44,20 +45,18 @@ DECISIONS_HEADER = ("t", "score", "attack", "warmed_up")
 
 
 def welford_feature_stats(samples: Iterable[AggregatedSample]) -> StandardizationParams:
-    """One streaming pass over (avg_speed, avg_accel) with O(1) memory."""
+    """One streaming pass over ``avg_speed``, the one feature the standardized
+    input mode reads, with O(1) memory."""
     count = 0
-    mean = [0.0, 0.0]
-    m2 = [0.0, 0.0]
+    mean = m2 = 0.0
     for s in samples:
         count += 1
-        for j, x in enumerate((s.avg_speed, s.avg_accel)):
-            delta = x - mean[j]
-            mean[j] += delta / count
-            m2[j] += delta * (x - mean[j])
+        delta = s.avg_speed - mean
+        mean += delta / count
+        m2 += delta * (s.avg_speed - mean)
     if count == 0:
         raise DataError("stream produced no aggregated samples")
-    stdev = tuple(max(math.sqrt(m / count), 1e-12) for m in m2)
-    return StandardizationParams(mean=tuple(mean), stdev=stdev)
+    return StandardizationParams(mean=(mean,), stdev=(max(math.sqrt(m2 / count), 1e-12),))
 
 
 def feature_stream(
@@ -78,8 +77,9 @@ def feature_stream(
     elif mode == "standardized":
         if std is None:
             raise ValueError("standardized input mode needs standardization parameters")
+        (mean,), (stdev,) = std.mean, std.stdev
         for sample in samples:
-            yield sample, apply_standardizer(std, (sample.avg_speed, sample.avg_accel))[0]
+            yield sample, (sample.avg_speed - mean) / stdev
     else:
         window = TransformWindow()
         for sample in samples:
@@ -178,14 +178,8 @@ def write_decisions_csv(
     path: str, rows: Iterable[tuple[AggregatedSample, DetectorDecision]]
 ) -> int:
     """Write one CSV row per decision; returns the number of rows."""
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DECISIONS_HEADER)
-        for sample, (attack, score, warmed_up) in rows:
-            writer.writerow((repr(sample.t), repr(score), int(attack), int(warmed_up)))
-            n += 1
-    return n
+    return write_csv(path, DECISIONS_HEADER, ((sample.t, score, int(attack), int(warmed_up))
+                                              for sample, (attack, score, warmed_up) in rows))
 
 
 def read_decisions_csv(
@@ -198,24 +192,9 @@ def read_decisions_csv(
     ``t`` is not exactly its sample's ``t`` (``detect`` writes ``repr(t)``) is
     a DataError naming ``path``, and the line where there is one.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None or tuple(header) != DECISIONS_HEADER:
-        raise DataError(f"{path}: bad decisions header {header!r}")
     pairs = []
     row_samples = iter(samples)
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(DECISIONS_HEADER):
-            raise DataError(
-                f"{path}:{lineno}: expected {len(DECISIONS_HEADER)} columns, got {len(row)}"
-            )
+    for lineno, row in read_csv(path, DECISIONS_HEADER):
         t, score, attack, warmed_up = row
         try:
             t = float(t)

@@ -561,18 +561,23 @@ class TestReport:
 
 
     @pytest.mark.parametrize(
-        "row, message",
+        "text, message",
         [
-            ("0.1,nan,0,1", ":2: non-finite"),
-            ("0.1,0.5,7,1", ":2: attack and warmed_up must be 0 or 1"),
-            ("0.1,\xff,0,1", ": not UTF-8 text"),
-            ("0.1,0.5,0,1,junk", ":2: expected 4 columns, got 5"),
-            ("0.1,0.5,0", ":2: expected 4 columns, got 3"),
+            ("t,score,attack,warmed_up\n0.1,nan,0,1\n", ":2: non-finite"),
+            ("t,score,attack,warmed_up\n0.1,0.5,7,1\n",
+             ":2: attack and warmed_up must be 0 or 1"),
+            ("t,score,attack,warmed_up\n0.1,\xff,0,1\n", ": not UTF-8 text"),
+            ("t,score,attack,warmed_up\n0.1,0.5,0,1,junk\n", ":2: expected 4 columns, got 5"),
+            ("t,score,attack,warmed_up\n0.1,0.5,0\n", ":2: expected 4 columns, got 3"),
+            ("", ": empty file"),
+            ("t,score,flag,warmed_up\n0.1,0.5,0,1\n",
+             ": bad header ['t', 'score', 'flag', 'warmed_up'], "
+             "expected t,score,attack,warmed_up"),
         ],
     )
-    def test_bad_decision_values_exit_3(self, tmp_path, bsm_csv, capsys, row, message):
+    def test_bad_decision_values_exit_3(self, tmp_path, bsm_csv, capsys, text, message):
         dec = tmp_path / "dec.csv"
-        dec.write_bytes(b"t,score,attack,warmed_up\n" + row.encode("latin-1") + b"\n")
+        dec.write_bytes(text.encode("latin-1"))
         code = main(["report", str(dec), str(bsm_csv)])
         err = capsys.readouterr().err
         assert code == 3
@@ -846,3 +851,87 @@ def test_bad_numeric_argument_exits_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.fixture
+def model_and_decisions(tmp_path, bsm_csv):
+    """A cart model file and a cusum decisions file made from ``bsm_csv``."""
+    model, dec = tmp_path / "model.json", tmp_path / "dec.csv"
+    assert main(["train", str(bsm_csv), "--model", "cart", "--grid", '{"max_depth": [1]}',
+                 "--out", str(model)]) == 0
+    assert main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(dec)]) == 0
+    return model, dec
+
+
+@pytest.mark.parametrize("window", ["1e-308", "5e-324"])
+@pytest.mark.parametrize("command", ["detect", "train", "evaluate", "report"])
+def test_window_too_small_for_t_exits_3_naming_t_and_window(
+    tmp_path, bsm_csv, model_and_decisions, capsys, command, window
+):
+    model, dec = model_and_decisions
+    out = tmp_path / "out"
+    argv = {
+        "detect": ["detect", str(bsm_csv), "--detector", "cusum", "--out", str(out)],
+        "train": ["train", str(bsm_csv), "--model", "cart", "--out", str(out)],
+        "evaluate": ["evaluate", str(model), str(bsm_csv), "--out", str(out)],
+        "report": ["report", str(dec), str(bsm_csv), "--detector", "cusum", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    code = main(argv + ["--window", window])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error: record ") and err.count("\n") == 1, err
+    assert f"t / window overflows at window {float(window)!r}" in err
+    assert not out.exists()
+
+
+def _shared_path_cases(tmp_path, bsm_csv, dec):
+    x, y = str(tmp_path / "x"), str(tmp_path / "y")
+    y_again = str(tmp_path / ".." / tmp_path.name / "y")
+    detect = ["detect", str(bsm_csv), "--detector", "cusum"]
+    return {
+        "detect-out-timing": (detect + ["--out", x, "--timing-out", x],
+                              f"outputs {x} and {x} are the same file"),
+        "train-out-report": (["train", str(bsm_csv), "--model", "cart", "--out", x,
+                              "--report-out", x], f"outputs {x} and {x} are the same file"),
+        # Two outputs that do not exist yet, one named through a parent-directory hop.
+        "report-out-roc": (["report", str(dec), str(bsm_csv), "--detector", "cusum",
+                            "--out", y, "--roc-out", y_again],
+                           f"outputs {y} and {y_again} are the same file"),
+        "detect-onto-input": (detect + ["--out", str(bsm_csv)],
+                              f"output {bsm_csv} is the input {bsm_csv}"),
+        "detect-through-link-onto-input": (
+            detect + ["--out", str(tmp_path / "link")],
+            f"output {tmp_path / 'link'} is the input {bsm_csv}"),
+        "report-onto-decisions": (["report", str(dec), str(bsm_csv), "--roc-out", str(dec)],
+                                  f"output {dec} is the input {dec}"),
+        "simulate-onto-config": (["simulate", "--config", str(tmp_path / "scenario.cfg"),
+                                  "--out", str(tmp_path / "scenario.cfg")],
+                                 f"output {tmp_path / 'scenario.cfg'} is the input "
+                                 f"{tmp_path / 'scenario.cfg'}"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "detect-out-timing", "train-out-report", "report-out-roc", "detect-onto-input",
+    "detect-through-link-onto-input", "report-onto-decisions", "simulate-onto-config",
+])
+def test_output_sharing_a_file_exits_2_before_any_work(
+    tmp_path, bsm_csv, model_and_decisions, capsys, case
+):
+    _, dec = model_and_decisions
+    (tmp_path / "x").write_text("earlier output\n")
+    (tmp_path / "link").symlink_to(bsm_csv)
+    argv, message = _shared_path_cases(tmp_path, bsm_csv, dec)[case]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: {message}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_devices_may_take_more_than_one_output(bsm_csv, capsys):
+    assert main(["detect", str(bsm_csv), "--detector", "cusum", "--out", os.devnull,
+                 "--timing-out", os.devnull]) == 0

@@ -29,7 +29,7 @@ def scenario_samples(seed=0):
 def test_welford_matches_batch_standardizer():
     samples = scenario_samples()
     streaming = welford_feature_stats(iter(samples))
-    batch = fit_standardizer([(s.avg_speed, s.avg_accel) for s in samples])
+    batch = fit_standardizer([(s.avg_speed,) for s in samples])
     assert streaming.mean == pytest.approx(batch.mean, rel=1e-12)
     assert streaming.stdev == pytest.approx(batch.stdev, rel=1e-9)
 
