@@ -228,7 +228,8 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int
 
 
 def read_csv(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line, fields)`` for each non-blank row after an exact ``header``.
+    """Yield ``(line, fields)`` for each non-blank row after an exact ``header``;
+    ``line`` is the file line the row ends on, past any quoted line breaks.
 
     Text that is not UTF-8, an empty file, another header and a row that is
     not as wide as the header are DataErrors naming ``path`` (and the line).
@@ -241,12 +242,12 @@ def read_csv(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]
                 raise DataError(f"{path}: empty file")
             if tuple(first) != tuple(header):
                 raise DataError(f"{path}: bad header {first!r}, expected {','.join(header)}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if len(row) == len(header):
-                    yield lineno, row
+                    yield reader.line_num, row
                 elif row:
-                    raise DataError(
-                        f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                    f"columns, got {len(row)}")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 

@@ -28,7 +28,7 @@ from bsmguard.config import (
 )
 from bsmguard.detectors import DETECTOR_NAMES, make_detector
 from bsmguard.evaluate import roc_points, time_inference, write_roc_csv
-from bsmguard.ml import FAMILIES, MODEL_FAMILIES
+from bsmguard.ml import FAMILIES, MODEL_FAMILIES, check_params
 from bsmguard.model_io import load_model, save_model
 from bsmguard.pipeline import (
     detect_records,
@@ -135,15 +135,11 @@ def _parse_grid(raw: str | None, family: str):
         raise ConfigError(
             "--grid must be a JSON object mapping parameter to a non-empty list of values"
         )
-    entry = FAMILIES[family]
-    reject_unknown_keys(grid, entry.keys, f"--grid: unknown {family} parameter")
-    for key, values in grid.items():
-        for value in values:
-            if not entry.keys[key](value):
-                raise ConfigError(f"--grid: {family} parameter {key!r}: {value!r} is out of range")
-    for key in entry.required:
-        if key not in grid:
-            raise ConfigError(f"--grid: {family} needs parameter {key!r}")
+    reject_unknown_keys(grid, FAMILIES[family].keys, f"--grid: unknown {family} parameter")
+    try:
+        check_params(family, grid)
+    except ValueError as exc:
+        raise ConfigError(f"--grid: {exc}") from None
     return grid
 
 

@@ -47,16 +47,6 @@ def load_flat_config(path: str) -> dict[str, str]:
     return parse_flat_config(text, source=path)
 
 
-def _convert(raw: str, key: str, kind):
-    try:
-        value = kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
-    return value
-
-
 def reject_unknown_keys(keys: Iterable[str], known: Iterable[str], what: str) -> None:
     """Raise ConfigError ``what 'key'`` for the first key not in ``known``,
     with the nearest known key as a hint, so a typo cannot fall back silently."""
@@ -76,30 +66,30 @@ def get_value(cfg: Mapping[str, str], key: str, kind, default=_REQUIRED):
         if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         return default
-    return _convert(cfg[key], key, kind)
+    try:
+        value = kind(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {cfg[key]!r} is not a finite number")
+    return value
 
 
-def check_windows(windows, duration_s: float | None = None) -> None:
-    """Raise ValueError for an empty or inverted window, a window outside a
-    ``duration_s`` stream (when given), or two windows that overlap."""
+def check_windows(windows, key: str = "attack.windows") -> None:
+    """Raise ConfigError naming ``key`` for an empty or inverted window or two
+    windows that overlap."""
     ordered = sorted(windows)
     for start, end in ordered:
         if end <= start:
-            raise ValueError(f"empty or inverted attack window ({start}, {end})")
-        if duration_s is not None and (start < 0 or end > duration_s + 1e-9):
-            raise ValueError(
-                f"attack window ({start}, {end}) falls outside the {duration_s} s stream"
-            )
+            raise ConfigError(f"key {key!r}: empty or inverted attack window ({start}, {end})")
     for (s1, e1), (s2, e2) in zip(ordered, ordered[1:]):
         if s2 < e1 - 1e-9:
-            raise ValueError(f"attack windows ({s1}, {e1}) and ({s2}, {e2}) overlap")
+            raise ConfigError(f"key {key!r}: attack windows ({s1}, {e1}) and ({s2}, {e2}) overlap")
 
 
-def parse_windows(raw: str, key: str = "attack.windows") -> tuple[tuple[float, float], ...]:
-    """Parse 'start:end[,start:end...]' into (start, end) pairs that pass
-    ``check_windows``."""
-    raw = raw.strip()
-    if not raw:
+def window_pairs(raw: str, key: str = "attack.windows") -> tuple[tuple[float, float], ...]:
+    """Parse 'start:end[,start:end...]' into (start, end) pairs of finite numbers."""
+    if not raw.strip():
         return ()
     windows = []
     for part in raw.split(","):
@@ -113,11 +103,14 @@ def parse_windows(raw: str, key: str = "attack.windows") -> tuple[tuple[float, f
         if not (math.isfinite(start) and math.isfinite(end)):
             raise ConfigError(f"key {key!r}: window {part!r} has a non-finite bound")
         windows.append((start, end))
-    try:
-        check_windows(windows)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from None
     return tuple(windows)
+
+
+def parse_windows(raw: str, key: str = "attack.windows") -> tuple[tuple[float, float], ...]:
+    """``window_pairs`` that pass ``check_windows``."""
+    windows = window_pairs(raw, key)
+    check_windows(windows, key)
+    return windows
 
 
 #: How each detector's input stream is produced from aggregated samples.
@@ -135,6 +128,12 @@ class DetectorSettings:
         default_factory=lambda: {name: kind.input for name, kind in DETECTORS.items()}
     )
 
+    def __post_init__(self) -> None:
+        for name, mode in self.inputs.items():
+            if mode not in INPUT_MODES:
+                raise ConfigError(f"key '{name}.input': unknown mode {mode!r}, "
+                                 f"expected one of {INPUT_MODES}")
+
     def config(self, detector: str):
         """The named detector's config, as ``make_detector`` takes it."""
         return self.configs[detector]
@@ -151,7 +150,9 @@ def detector_settings_from_mapping(
     Each detector in ``DETECTORS`` takes one ``<name>.<field>`` key per field
     of its config, typed by the field's default, plus ``<name>.input``. Any
     other key is an error naming ``source`` and the nearest valid key, so a
-    misspelled setting cannot silently fall back to its default.
+    misspelled setting cannot silently fall back to its default. A value a
+    detector's config rejects is an error with the detector's name and the
+    config's message.
     """
     known = [
         f"{name}.{key}"
@@ -161,20 +162,11 @@ def detector_settings_from_mapping(
     reject_unknown_keys(cfg, known, f"{source}: unknown detector key")
     configs, inputs = {}, {}
     for name, kind in DETECTORS.items():
-        mode = get_value(cfg, f"{name}.input", str, kind.input)
-        if mode not in INPUT_MODES:
-            raise ConfigError(
-                f"key '{name}.input': unknown mode {mode!r}, expected one of {INPUT_MODES}"
-            )
-        configs[name] = kind.config(
-            **{
-                f.name: get_value(cfg, f"{name}.{f.name}", type(f.default), f.default)
-                for f in fields(kind.config)
-            }
-        )
+        inputs[name] = get_value(cfg, f"{name}.input", str, kind.input)
+        values = {f.name: get_value(cfg, f"{name}.{f.name}", type(f.default), f.default)
+                  for f in fields(kind.config)}
         try:
-            configs[name].validate()
+            configs[name] = kind.config(**values)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
-        inputs[name] = mode
     return DetectorSettings(configs=configs, inputs=inputs)

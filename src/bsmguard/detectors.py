@@ -109,7 +109,7 @@ class BocpdConfig:
     threshold: float = 0.0002  # alarm when predictive density drops below
     warmup: int = 10  # updates consumed before alarms may fire
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kappa <= 0 or self.alpha <= 0 or self.beta <= 0:
             raise ValueError("kappa, alpha and beta must all be positive")
         if self.threshold < 0:
@@ -138,7 +138,6 @@ class BocpdDetector:
 
     def __init__(self, config: BocpdConfig | None = None):
         self.config = config or BocpdConfig()
-        self.config.validate()
         self.mu = self.config.mu0
         self.kappa = self.config.kappa
         self.alpha = self.config.alpha
@@ -192,7 +191,7 @@ class EmConfig:
     threshold: float = 0.01
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
         if self.seed < 0:
@@ -344,7 +343,6 @@ class EmDetector:
 
     def __init__(self, config: EmConfig | None = None):
         self.config = config or EmConfig()
-        self.config.validate()
         self._buffer: list[float] = []
         self.anchors: list[float] | None = None
         self.seed_mean = 0.0
@@ -395,7 +393,7 @@ class CusumConfig:
     h_sigma: float = 5.0  # alarm threshold, in units of the estimated sigma
     warmup: int = 50  # observations used to estimate the in-control mean/sigma
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.h_sigma <= 0:
@@ -427,7 +425,6 @@ class CusumDetector:
 
     def __init__(self, config: CusumConfig | None = None):
         self.config = config or CusumConfig()
-        self.config.validate()
         self._buffer: list[float] = []
         self.mu = 0.0
         self.sigma = 1.0

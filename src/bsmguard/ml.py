@@ -951,8 +951,9 @@ class Family:
 
     ``smote`` is the balancing policy: SMOTE-resample before ``fit`` (its
     ``smote_k`` parameter is consumed there), or else ``fit`` weighs the
-    classes with ``class_weights``. ``keys`` maps each parameter a grid may
-    set to its value check; a grid must set the ``required`` ones.
+    classes with ``class_weights``. ``keys`` maps each parameter a grid or a
+    model file may set to its value check; both must set the ``required``
+    ones (``check_params``).
     ``fit(params, sets)`` yields one fitted state per ``(X, y, seed)``
     training set, in order: the NN trains several sets together, and the
     trees fit one set per ``next``, so a grid search scores each forest
@@ -1094,6 +1095,22 @@ def _family(family: str) -> Family:
     if entry is None:
         raise ValueError(f"unknown model family {family!r}; expected {MODEL_FAMILIES}")
     return entry
+
+
+def check_params(family: str, grid: Mapping[str, Iterable]) -> None:
+    """Raise ValueError naming the first parameter of ``grid`` (each with a list
+    of values) that ``family`` does not take or whose value fails its ``keys``
+    check, or a ``required`` parameter that ``grid`` lacks."""
+    entry = _family(family)
+    for key, values in grid.items():
+        if key not in entry.keys:
+            raise ValueError(f"unknown {family} parameter {key!r}")
+        for value in values:
+            if not entry.keys[key](value):
+                raise ValueError(f"{family} parameter {key!r}: {value!r} is out of range")
+    for key in entry.required:
+        if key not in grid:
+            raise ValueError(f"{family} needs parameter {key!r}")
 
 
 def _training_set(

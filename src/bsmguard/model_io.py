@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from bsmguard.bsm import DataError, StandardizationParams
-from bsmguard.ml import FAMILIES, N_FEATURES, FittedModel
+from bsmguard.ml import FAMILIES, N_FEATURES, FittedModel, check_params
 
 FORMAT_NAME = "bsmguard-model"
 FORMAT_VERSION = 1
@@ -56,7 +56,8 @@ def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, floa
     does a ``NaN``, ``Infinity`` or ``-Infinity`` anywhere in the document,
     which ``json`` would otherwise read as a float, and a non-finite number
     (an overflowing literal such as ``1e999``, which ``json`` reads as inf)
-    in the standardizer or the payload.
+    in the standardizer or the payload, and ``params`` that ``--grid`` would
+    reject (``ml.check_params``).
     """
 
     def non_finite(token: str):
@@ -84,7 +85,9 @@ def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, floa
                 or not all(map(math.isfinite, std.mean + std.stdev))
                 or not all(s > 0 for s in std.stdev)):
             raise ValueError("standardizer needs a finite mean and positive stdev per feature")
-        model = FittedModel(family, dict(doc["params"]), entry.from_payload(doc["payload"]))
+        params = dict(doc["params"])
+        check_params(family, {key: [value] for key, value in params.items()})
+        model = FittedModel(family, params, entry.from_payload(doc["payload"]))
         seed, test_fraction = int(doc["seed"]), float(doc["test_fraction"])
         if seed < 0 or not 0.0 < test_fraction < 1.0:
             raise ValueError(f"seed {seed} or test_fraction {test_fraction!r} out of range")

@@ -14,18 +14,37 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from bsmguard.bsm import ATTACK, BSM_PERIOD_S, BsmRecord
+from bsmguard.bsm import ATTACK, BSM_PERIOD_S, MAX_FIELD_MAGNITUDE, BsmRecord
 from bsmguard.config import (
     ConfigError,
     check_windows,
     get_value,
-    parse_windows,
     reject_unknown_keys,
+    window_pairs,
 )
 
 ATTACK_MODES = ("constant_replace", "offset", "noise_burst")
 
 DEFAULT_VEHICLE_ID = "cv1"
+
+#: Largest |speed|, noise stdev or |attack magnitude| a scenario takes: at a
+#: thousandth of MAX_FIELD_MAGNITUDE, every speed and finite-difference
+#: acceleration generate_stream and inject_false_info write stays inside it,
+#: since numpy's normal draws stay below 14 sigma.
+MAX_SCENARIO_SPEED = MAX_FIELD_MAGNITUDE / 1000
+
+
+def _check(ok: bool, key: str, value, requirement: str) -> None:
+    """Raise ConfigError naming the scenario config ``key`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"key {key!r}: {value!r} {requirement}")
+
+
+def _check_within(windows, last_t: float) -> None:
+    """Raise ConfigError for a window outside a stream whose last record is at ``last_t``."""
+    for w in windows:
+        _check(w[0] >= 0 and w[1] <= last_t + 1e-9, "attack.windows", w,
+               f"falls outside the {last_t} s stream")
 
 
 @dataclass(frozen=True)
@@ -36,6 +55,13 @@ class Segment:
     length_s: float
     target_speed: float | None = None  # required for decel/accel
 
+    def __post_init__(self) -> None:
+        _check(self.kind in ("cruise", "decel", "accel"), "kind", self.kind,
+               "must be cruise, decel or accel")
+        ramp_ok = self.target_speed is not None and abs(self.target_speed) <= MAX_SCENARIO_SPEED
+        _check(self.kind == "cruise" or ramp_ok, "target_speed", self.target_speed,
+               f"must be a speed of at most {MAX_SCENARIO_SPEED:g} in magnitude for a ramp")
+
 
 @dataclass(frozen=True)
 class DrivingProfile:
@@ -43,13 +69,30 @@ class DrivingProfile:
 
     Default is a constant cruise near a 35 mph corridor with Gaussian speed
     noise. Optional segments chain cruise/decel/accel legs; ramps move
-    linearly to their target speed. Speeds are clamped at zero.
+    linearly to their target speed. Speeds are clamped at zero. The trace
+    has at least one 0.1 s tick, the last at most MAX_FIELD_MAGNITUDE s in.
     """
 
     duration_s: float
     base_speed: float = 15.6
     noise_stdev: float = 0.25
     segments: tuple[Segment, ...] = ()
+
+    def __post_init__(self) -> None:
+        d = self.duration_s
+        _check(d > 0, "duration_s", d, "must be positive")
+        _check(d <= MAX_FIELD_MAGNITUDE and self.ticks * BSM_PERIOD_S <= MAX_FIELD_MAGNITUDE,
+               "duration_s", d, f"puts the last record past t = {MAX_FIELD_MAGNITUDE:g}")
+        _check(self.ticks >= 1, "duration_s", d, "rounds to zero 0.1 s ticks")
+        _check(abs(self.base_speed) <= MAX_SCENARIO_SPEED, "base_speed_mps", self.base_speed,
+               f"must be at most {MAX_SCENARIO_SPEED:g} in magnitude")
+        _check(0 <= self.noise_stdev <= MAX_SCENARIO_SPEED, "noise_stdev", self.noise_stdev,
+               f"must be non-negative and at most {MAX_SCENARIO_SPEED:g}")
+
+    @property
+    def ticks(self) -> int:
+        """Records in the trace: one per 0.1 s tick, the last at ``ticks * 0.1`` s."""
+        return int(round(self.duration_s / BSM_PERIOD_S))
 
     def base_trace(self, n: int) -> np.ndarray:
         """Noise-free speed value at each of the n ticks."""
@@ -63,15 +106,13 @@ class DrivingProfile:
         for i in range(n):
             t = (i + 1) * BSM_PERIOD_S
             while seg is not None and t > seg_start + seg.length_s:
-                if seg.kind in ("decel", "accel") and seg.target_speed is not None:
+                if seg.kind != "cruise":
                     speed = seg.target_speed
                 seg_start += seg.length_s
                 seg = next(seg_iter, None)
             if seg is None or seg.kind == "cruise":
                 values[i] = speed
             else:
-                if seg.target_speed is None:
-                    raise ValueError(f"{seg.kind} segment needs a target_speed")
                 frac = (t - seg_start) / seg.length_s
                 values[i] = speed + (seg.target_speed - speed) * frac
         return values
@@ -92,15 +133,14 @@ class AttackSpec:
     magnitude: float = 0.0
     seed: int = 0
 
-    def validate(self, duration_s: float | None = None) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in ATTACK_MODES:
-            raise ValueError(f"unknown attack mode {self.mode!r}; expected {ATTACK_MODES}")
-        check_windows(self.windows, duration_s)
-        if self.mode != "offset" and self.magnitude < 0:
-            raise ValueError(
-                f"attack.magnitude {self.magnitude!r} must be >= 0 for {self.mode} "
-                "(a speed or a noise stdev)"
-            )
+            raise ConfigError(f"unknown attack mode {self.mode!r}; expected {ATTACK_MODES}")
+        check_windows(self.windows)
+        _check(self.mode == "offset" or self.magnitude >= 0, "attack.magnitude", self.magnitude,
+               f"must be >= 0 for {self.mode} (a speed or a noise stdev)")
+        _check(abs(self.magnitude) <= MAX_SCENARIO_SPEED, "attack.magnitude", self.magnitude,
+               f"must be at most {MAX_SCENARIO_SPEED:g} in magnitude")
 
 
 def generate_stream(
@@ -111,9 +151,7 @@ def generate_stream(
     The broadcast acceleration is the finite difference of the broadcast
     speed, (v_t - v_{t-0.1}) / 0.1, with the first record reporting zero.
     """
-    if profile.duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {profile.duration_s}")
-    n = int(round(profile.duration_s / BSM_PERIOD_S))
+    n = profile.ticks
     rng = np.random.default_rng(seed)
     speeds = profile.base_trace(n)
     if profile.noise_stdev > 0:
@@ -137,10 +175,11 @@ def inject_false_info(
     """Rewrite speeds inside the attack windows and label those records.
 
     Only the speed field changes; timestamps, vehicle ids, and accelerations
-    are carried through bit-identically.
+    are carried through bit-identically. A window outside the stream is a
+    ConfigError.
     """
-    duration = stream[-1].t if stream else None
-    spec.validate(duration)
+    if stream:
+        _check_within(spec.windows, stream[-1].t)
     rng = np.random.default_rng(spec.seed)
     # A record at t is hit by [start, end) when start <= t < end, up to 1e-9.
     bounds = [(start - 1e-9, end - 1e-9) for start, end in spec.windows]
@@ -163,11 +202,17 @@ def inject_false_info(
 
 @dataclass(frozen=True)
 class Scenario:
-    """A profile, an optional attack, and the master seed."""
+    """A profile, an optional attack whose windows end by the profile's last
+    record, and the master seed."""
 
     profile: DrivingProfile
     attack: AttackSpec | None
     seed: int
+
+    def __post_init__(self) -> None:
+        _check(self.seed >= 0, "seed", self.seed, "must be non-negative")
+        if self.attack is not None:
+            _check_within(self.attack.windows, round(self.profile.ticks * BSM_PERIOD_S, 9))
 
     def run(self) -> list[BsmRecord]:
         stream = generate_stream(self.profile, self.seed)
@@ -188,43 +233,24 @@ SCENARIO_KEYS = (
 )
 
 
-def _require(ok: bool, key: str, value, requirement: str) -> None:
-    if not ok:
-        raise ConfigError(f"key {key!r}: {value!r} {requirement}")
-
-
 def scenario_from_mapping(cfg: Mapping[str, str], source: str = "<config>") -> Scenario:
     """Build a scenario from flat config keys (``SCENARIO_KEYS``).
 
     Required: duration_s, seed. Optional: base_speed_mps, noise_stdev,
-    attack.windows, attack.mode, attack.magnitude. Unknown keys and values a
-    scenario cannot run with are ConfigErrors naming the key.
+    attack.windows, attack.mode, attack.magnitude. Unknown keys, and values
+    the constructors reject, are ConfigErrors naming the key.
     """
     reject_unknown_keys(cfg, SCENARIO_KEYS, f"{source}: unknown scenario key")
     duration = get_value(cfg, "duration_s", float)
     seed = get_value(cfg, "seed", int)
-    profile = DrivingProfile(
-        duration_s=duration,
-        base_speed=get_value(cfg, "base_speed_mps", float, 15.6),
-        noise_stdev=get_value(cfg, "noise_stdev", float, 0.25),
-    )
-    _require(duration > 0, "duration_s", duration, "must be positive")
-    _require(seed >= 0, "seed", seed, "must be non-negative")
-    _require(profile.noise_stdev >= 0, "noise_stdev", profile.noise_stdev, "must be non-negative")
-    attack = None
-    if "attack.windows" in cfg:
-        windows = parse_windows(cfg["attack.windows"])
-        attack = AttackSpec(
-            windows=windows,
-            mode=get_value(cfg, "attack.mode", str, "constant_replace"),
-            magnitude=get_value(cfg, "attack.magnitude", float, 0.0),
-            seed=seed,
-        )
-        try:
-            attack.validate(duration)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return Scenario(profile=profile, attack=attack, seed=seed)
+    base_speed = get_value(cfg, "base_speed_mps", float, 15.6)
+    noise_stdev = get_value(cfg, "noise_stdev", float, 0.25)
+    windows = window_pairs(cfg["attack.windows"]) if "attack.windows" in cfg else None
+    mode = get_value(cfg, "attack.mode", str, "constant_replace")
+    magnitude = get_value(cfg, "attack.magnitude", float, 0.0)
+    profile = DrivingProfile(duration, base_speed, noise_stdev)
+    attack = None if windows is None else AttackSpec(windows, mode, magnitude, seed)
+    return Scenario(profile, attack, seed)
 
 
 def default_scenario(seed: int = 0) -> Scenario:

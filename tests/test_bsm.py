@@ -205,6 +205,10 @@ def beyond(line):
         (HEADER + "0.1,v1,-1e13,0.0,0\n", beyond("0.1,v1,-1e13,0.0,0")),
         # The line number counts the header and skipped blank lines.
         (HEADER + "0.1,v1,1.0,0.0,0\n\n0.2,v1,1.0,0.0,3\n", ":4: label must be 0 or 1, got '3'"),
+        # ... and the line breaks inside quoted fields: the bad row ends on line 7.
+        (HEADER + "".join(f'0.{i},"a\nb",{s},0.0,0\n' for i, s in ((1, 1.0), (2, 1.0), (3, "x"))),
+         ":7: could not convert string to float: 'x'"),
+        (HEADER + '0.1,"a\nb",1.0,0.0,0\n0.2,"a\nb",1.0\n', ":5: expected 5 columns, got 3"),
         (HEADER.encode() + b"0.1,v\xff,1.0,0.0,0\n", ": not UTF-8 text (invalid start byte)"),
     ],
 )

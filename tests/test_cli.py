@@ -100,6 +100,34 @@ class TestSimulate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # Each would write rows read_bsm_csv rejects, or none, or fail mid-run.
+            ("base_speed_mps = 1e308", "key 'base_speed_mps': 1e+308 must be at most"),
+            ("attack.windows = 1:2\nattack.mode = offset\nattack.magnitude = 1e308",
+             "key 'attack.magnitude': 1e+308 must be at most"),
+            ("duration_s = 1e300", "key 'duration_s': 1e+300 puts the last record past"),
+            ("duration_s = 0.04", "key 'duration_s': 0.04 rounds to zero 0.1 s ticks"),
+            # The last record of a 100.04 s stream is at t = 100.0.
+            ("duration_s = 100.04\nattack.windows = 100.0:100.04",
+             "key 'attack.windows': (100.0, 100.04) falls outside the 100.0 s stream"),
+        ],
+    )
+    def test_scenario_that_cannot_write_a_readable_csv_exits_2(self, tmp_path, capsys, lines,
+                                                               message):
+        cfg = tmp_path / "bad.cfg"
+        duration = "" if lines.startswith("duration_s") else "duration_s = 10\n"
+        cfg.write_text(f"seed = 1\n{duration}{lines}\n")
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestDetect:
     @pytest.mark.parametrize("detector", ["bocpd", "em", "cusum"])
     def test_decision_rows_match_sample_count(self, tmp_path, bsm_csv, detector):
@@ -750,7 +778,7 @@ LEAF = {"impurity": 0.0, "counts": [1.0, 0.0], "n_samples": 1, "probs": [1.0, 0.
 def _cart_model(right):
     """A cart document whose root sends the zero row left, to a leaf, and the
     rest to ``right``, a node that load's one-row scoring never reaches."""
-    return json.dumps({**GOOD_MODEL, "family": "cart", "payload": {"tree": {
+    return json.dumps({**GOOD_MODEL, "family": "cart", "params": {}, "payload": {"tree": {
         "impurity": 1.0, "counts": [1.0, 1.0], "n_samples": 2, "feature": 0,
         "threshold": 0.0, "left": LEAF, "right": right}}})
 

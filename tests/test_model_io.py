@@ -158,6 +158,22 @@ def test_tree_leaf_probabilities_out_of_range_rejected(tmp_path, probs):
         load_model(path)
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"k": True}, "knn parameter 'k': True is out of range"),
+    ({"k": 2.5}, "knn parameter 'k': 2.5 is out of range"),
+    ({"k": 5, "kk": 1}, "unknown knn parameter 'kk'"),
+    ({"smote_k": 5}, "knn needs parameter 'k'"),
+])
+def test_params_the_grid_would_reject_are_rejected(tmp_path, params, message):
+    # The checks ``train --grid`` applies: a bool k used to score as k=1.
+    path = tmp_path / "model.json"
+    doc = saved_doc(path, "knn")
+    doc["params"] = params
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"{path}: malformed model document.*{message}"):
+        load_model(path)
+
+
 def test_wrong_format_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else", "version": 1}')

@@ -166,6 +166,16 @@ def test_decisions_csv_t_mismatch_names_the_line_and_both_times(tmp_path):
     assert repr(shifted[4].t) in str(err.value)
 
 
+def test_decisions_csv_error_names_the_line_past_quoted_line_breaks(tmp_path):
+    # Each row's score spans two lines; the third row, with a bad flag, ends on line 7.
+    samples = scenario_samples(0)[:3]
+    rows = [f'{s.t!r},"0.5\n",{flag},1\n' for s, flag in zip(samples, (0, 0, 7))]
+    path = tmp_path / "d.csv"
+    path.write_text("t,score,attack,warmed_up\n" + "".join(rows))
+    with pytest.raises(DataError, match=r"d\.csv:7: attack and warmed_up must be 0 or 1"):
+        read_decisions_csv(path, samples)
+
+
 def test_decisions_csv_roundtrip(tmp_path):
     samples = scenario_samples(0)[:200]
     std = welford_feature_stats(samples)
