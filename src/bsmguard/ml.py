@@ -33,6 +33,17 @@ so every weighted count is a function of integer class counts and is
 computed with the same floating-point operations as summing the rows: the
 trees are bit for bit those of a node-by-node search.
 
+Trees are scored in one descent (``_leaf_probs``). Each call flattens its
+trees in pre-order into arrays, so a split's left child is the next node,
+and every (row, tree) pair then steps down at once with a single walk's
+``x <= threshold`` test until all pairs sit on leaves. ``rf_scores`` is the
+mean along the contiguous tree axis of that (rows, trees) array, the same
+bits as the mean of each row's tree list; ``cart_scores`` is its one column.
+The tree families' ``to_payload`` hands its ``CartNode``s to ``model_io``,
+whose writer puts each node out as the dict of its set fields;
+``tests/test_model_io.py`` keeps that dict form (``_tree_to_dict``) as the
+writer's oracle.
+
 The NN trainer (``nn_train_block``) trains a block of networks whose
 training sets have the same row count in one stacked Adam step: the
 parameters are one (networks, n_params) array, each row laid out
@@ -334,7 +345,7 @@ def _impurity_vec(w0: np.ndarray, w1: np.ndarray, criterion: str) -> np.ndarray:
 N_FEATURES = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class CartNode:
     """One node of a fitted tree. Leaves carry class probabilities."""
 
@@ -578,32 +589,61 @@ def _first_best(nd: np.ndarray, gains: np.ndarray, k_open: int) -> np.ndarray:
 
 
 def cart_scores(tree: CartNode, X: np.ndarray) -> np.ndarray:
-    """Attack probability of the leaf each row reaches.
+    """Attack probability of the leaf each row reaches: the one-tree column
+    of ``_leaf_probs``."""
+    return _leaf_probs([tree], X)[:, 0]
 
-    One descent for the whole batch: each split partitions the row indices
-    that reached it, with the same ``x <= threshold`` test as a single walk.
+
+def _flatten(trees: Sequence[CartNode]) -> tuple[np.ndarray, ...]:
+    """The trees' nodes in pre-order as arrays, so a split's left child is the
+    next node: (feature, threshold, right, p1, roots). A leaf has feature -1
+    and its attack probability in ``p1``; ``roots`` indexes each tree's root."""
+    feature, threshold, right, p1, roots = [], [], [], [], []
+    for tree in trees:
+        roots.append(len(feature))
+        todo = [(tree, -1)]  # (node, the split whose right child it is)
+        while todo:
+            node, parent = todo.pop()
+            if parent >= 0:
+                right[parent] = len(feature)
+            right.append(-1)
+            if node.feature is None:
+                feature.append(-1)
+                threshold.append(0.0)
+                p1.append(node.probs[1])
+            else:
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                p1.append(math.nan)
+                todo += ((node.right, len(feature) - 1), (node.left, -1))
+    return (np.array(feature, dtype=int), np.array(threshold, dtype=float),
+            np.array(right, dtype=int), np.array(p1, dtype=float), np.array(roots, dtype=int))
+
+
+def _leaf_probs(trees: Sequence[CartNode], X: np.ndarray) -> np.ndarray:
+    """Each tree's leaf attack probability per row, as a C-ordered (rows, trees) array.
+
+    One descent for every (row, tree) pair at once: the trees are flattened
+    (``_flatten``), and each step moves every pair not yet on a leaf to a
+    child with the same ``x <= threshold`` test as a single walk.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.empty(len(X))
-    todo = [(tree, np.arange(len(X)))]
-    while todo:
-        node, idx = todo.pop()
-        if node.is_leaf:
-            out[idx] = node.probs[1]
-            continue
-        go_left = X[idx, node.feature] <= node.threshold
-        for child, rows in ((node.left, idx[go_left]), (node.right, idx[~go_left])):
-            if len(rows):
-                todo.append((child, rows))
-    return out
-
-
-def _tree_to_dict(node: CartNode) -> dict:
-    """The node's set fields, children nested: the model file's tree schema."""
-    d = {k: v for k, v in vars(node).items() if v is not None}
-    if not node.is_leaf:
-        d["left"], d["right"] = _tree_to_dict(node.left), _tree_to_dict(node.right)
-    return d
+    feature, threshold, right, p1, roots = _flatten(trees)
+    n, k, d = len(X), len(roots), X.shape[1]
+    if n and feature.max() >= d:
+        raise IndexError(f"a tree splits on feature {feature.max()}, but rows have {d}")
+    values = X.ravel()
+    at = np.tile(roots, n)  # the node of pair row * k + tree
+    todo = np.flatnonzero(feature[at] >= 0)
+    first = todo // k * d  # where the pair's row starts in ``values``
+    while len(todo):
+        node = at[todo]
+        go_left = values[first + feature[node]] <= threshold[node]
+        node = np.where(go_left, node + 1, right[node])
+        at[todo] = node
+        inner = feature[node] >= 0
+        todo, first = todo[inner], first[inner]
+    return p1[at].reshape(n, k)
 
 
 def _tree_from_dict(d: dict) -> CartNode:
@@ -669,11 +709,13 @@ def rf_fit(
 def rf_scores(forest: list[CartNode], X: np.ndarray) -> np.ndarray:
     """Mean of the member trees' leaf probabilities, per row.
 
-    The mean runs along the contiguous tree axis of a (rows, trees) array,
-    which sums each row exactly as the mean of one row's tree list does.
+    The mean runs along the contiguous tree axis of ``_leaf_probs``'s (rows,
+    trees) array, which sums each row exactly as the mean of one row's tree
+    list does.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.stack([cart_scores(t, X) for t in forest], axis=1).mean(axis=1)
+    if not forest:
+        raise ValueError("a forest needs at least one tree")
+    return _leaf_probs(forest, X).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +1001,8 @@ class Family:
     trees fit one set per ``next``, so a grid search scores each forest
     before it grows the next. ``scores(state, params, X)`` scores a batch
     of rows, and ``to_payload``/``from_payload`` convert the state to and
-    from the family's part of the model file.
+    from the family's part of the model file; ``to_payload`` may hold
+    ``CartNode``s, which ``model_io`` writes as dicts of their set fields.
     """
 
     smote: bool
@@ -1033,7 +1076,7 @@ FAMILIES: dict[str, Family] = {
             cart_fit(X, y, weights=class_weights(y), **params) for X, y, _ in sets
         ),
         scores=lambda tree, params, X: cart_scores(tree, X),
-        to_payload=lambda tree: {"tree": _tree_to_dict(tree)},
+        to_payload=lambda tree: {"tree": tree},
         from_payload=lambda p: _tree_from_dict(p["tree"]),
     ),
     "rf": Family(
@@ -1044,7 +1087,7 @@ FAMILIES: dict[str, Family] = {
             rf_fit(X, y, seed=seed, weights=class_weights(y), **params) for X, y, seed in sets
         ),
         scores=lambda forest, params, X: rf_scores(forest, X),
-        to_payload=lambda forest: {"trees": [_tree_to_dict(t) for t in forest]},
+        to_payload=lambda forest: {"trees": forest},
         from_payload=lambda p: [_tree_from_dict(t) for t in p["trees"]],
     ),
     "nn": Family(

@@ -5,17 +5,30 @@ model family, its selected parameters, the preprocessing (standardization)
 parameters, and the family-specific payload, which the family's entry in
 ``ml.FAMILIES`` writes and reads. Floats serialize via repr, so a saved
 model reloads bit-exactly. The schema is documented in the README.
+
+Format v1 is written by this module's own writer (``_write``), whose text is
+byte for byte what ``json.dump(doc, fh, indent=1, sort_keys=True)`` writes,
+and read back by ``json.load``. ``json.dump`` encodes in pure Python, one
+generator frame per level of nesting for every token, and a forest's trees
+nest up to 90 deep; the writer instead streams each tree node
+(``ml.CartNode``) to the file as one formatted string, or three around a
+split's children, and each list of numbers as one. The indent stays because
+the benchmark's reference hashes pin these bytes; a v2 format without it is
+ROADMAP item 9. ``tests/test_model_io.py`` checks the writer against
+``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _string
+from typing import Any, Callable
 
 import numpy as np
 
 from bsmguard.bsm import DataError, StandardizationParams
-from bsmguard.ml import FAMILIES, N_FEATURES, FittedModel, check_params
+from bsmguard.ml import FAMILIES, N_FEATURES, CartNode, FittedModel, check_params
 
 FORMAT_NAME = "bsmguard-model"
 FORMAT_VERSION = 1
@@ -44,8 +57,103 @@ def save_model(
         "payload": FAMILIES[model.family].to_payload(model.state),
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        _write(fh.write, doc, 0)
         fh.write("\n")
+
+
+def _scalar(value: Any) -> str:
+    """The JSON text of a float, str, None, bool or int, as ``json.dump`` writes it.
+
+    Floats, the bulk of a model, are tested first; a bool is tested before
+    int, as json does, so it is ``true``/``false``. A non-finite float is
+    ``NaN``, ``Infinity`` or ``-Infinity``.
+    """
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a model document cannot hold a {type(value).__name__}")
+
+
+_CONTAINERS = (dict, list, tuple, CartNode)
+
+
+def _scalars(values, level: int) -> str:
+    """A list or tuple of scalars whose ``[`` sits at nesting ``level``, one item per line."""
+    if not values:
+        return "[]"
+    inner = "\n" + " " * (level + 1)
+    return "[" + inner + ("," + inner).join(map(_scalar, values)) + "\n" + " " * level + "]"
+
+
+def _write(put: Callable[[str], Any], value: Any, level: int) -> None:
+    """Write ``value`` whose first character sits at nesting ``level``, as
+    ``json.dump(value, indent=1, sort_keys=True)`` writes it there.
+
+    Dicts need string keys. A list or tuple of scalars goes out as one
+    string, and a ``CartNode`` as the dict of its set fields (``_write_tree``).
+    """
+    if isinstance(value, CartNode):
+        _write_tree(put, value, level)
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = "\n" + " " * (level + 1)
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"a model document key must be a str, not {key!r}")
+            put(sep + _string(key) + ": ")
+            _write(put, item, level + 1)
+            sep = "," + inner
+        put("\n" + " " * level + "}")
+    elif isinstance(value, (list, tuple)):
+        if not any(isinstance(item, _CONTAINERS) for item in value):
+            put(_scalars(value, level))
+            return
+        inner = "\n" + " " * (level + 1)
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write(put, item, level + 1)
+            sep = "," + inner
+        put("\n" + " " * level + "]")
+    else:
+        put(_scalar(value))
+
+
+def _write_tree(put: Callable[[str], Any], node: CartNode, level: int) -> None:
+    """Write a grown tree as nested dicts of each node's set fields, keys sorted.
+
+    A leaf is one string: ``counts``, ``impurity``, ``n_samples``, ``probs``.
+    A split is ``counts``, ``feature``, ``impurity``, then ``left``, then
+    ``n_samples``, then ``right``, then ``threshold``: three strings around
+    its two children.
+    """
+    ind = "\n" + " " * (level + 1)
+    counts = f'{{{ind}"counts": {_scalars(node.counts, level + 1)},{ind}'
+    end = "\n" + " " * level + "}"
+    if node.feature is None:
+        put(f'{counts}"impurity": {_scalar(node.impurity)},{ind}"n_samples": '
+            f'{_scalar(node.n_samples)},{ind}"probs": {_scalars(node.probs, level + 1)}{end}')
+        return
+    put(f'{counts}"feature": {_scalar(node.feature)},{ind}"impurity": '
+        f'{_scalar(node.impurity)},{ind}"left": ')
+    _write_tree(put, node.left, level + 1)
+    put(f',{ind}"n_samples": {_scalar(node.n_samples)},{ind}"right": ')
+    _write_tree(put, node.right, level + 1)
+    put(f',{ind}"threshold": {_scalar(node.threshold)}{end}')
 
 
 def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, float]:

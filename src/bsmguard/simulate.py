@@ -150,13 +150,19 @@ def generate_stream(
 
     The broadcast acceleration is the finite difference of the broadcast
     speed, (v_t - v_{t-0.1}) / 0.1, with the first record reporting zero.
+    A ``duration_s`` whose speed trace does not fit in memory is a
+    ConfigError naming the record count.
     """
     n = profile.ticks
     rng = np.random.default_rng(seed)
-    speeds = profile.base_trace(n)
-    if profile.noise_stdev > 0:
-        speeds = speeds + rng.normal(0.0, profile.noise_stdev, n)
-    speeds = np.maximum(speeds, 0.0)
+    try:
+        speeds = profile.base_trace(n)
+        if profile.noise_stdev > 0:
+            speeds = speeds + rng.normal(0.0, profile.noise_stdev, n)
+        speeds = np.maximum(speeds, 0.0)
+    except MemoryError:
+        raise ConfigError(f"key 'duration_s': {profile.duration_s!r} asks for {n} records, "
+                          "more than fit in memory") from None
 
     records = []
     prev = None

@@ -9,12 +9,13 @@ from bsmguard.ml import (
     LABEL_CUT,
     CartNode,
     _impurity_vec,
-    _tree_to_dict,
     cart_fit,
     cart_scores,
     class_weights,
     impurity,
 )
+
+from test_model_io import _tree_to_dict
 
 
 class TestImpurity:

@@ -109,6 +109,9 @@ class TestSimulate:
              "key 'attack.magnitude': 1e+308 must be at most"),
             ("duration_s = 1e300", "key 'duration_s': 1e+300 puts the last record past"),
             ("duration_s = 0.04", "key 'duration_s': 0.04 rounds to zero 0.1 s ticks"),
+            # Within the 1e12 s limit, but numpy refuses its 73 TiB speed trace at once.
+            ("duration_s = 1e12",
+             "key 'duration_s': 1000000000000.0 asks for 10000000000000 records, more than fit"),
             # The last record of a 100.04 s stream is at t = 100.0.
             ("duration_s = 100.04\nattack.windows = 100.0:100.04",
              "key 'attack.windows': (100.0, 100.04) falls outside the 100.0 s stream"),

@@ -2,6 +2,8 @@
 
 The bytes of a small BSM CSV, a decisions CSV, a detector config and a saved
 model file are mutated and fed to ``detect``, ``report`` and ``evaluate``.
+Single values of a detector config are mutated and fed to ``detect``, so
+the edits get past the parser to the config checks and the detectors.
 Mutated scenario configs are fed to ``simulate``, whose CSV must then read
 back; a mutated ``duration_s`` above 1,000 s is skipped, since it can ask for
 billions of records.
@@ -21,10 +23,10 @@ from bsmguard.cli import main
 from bsmguard.config import get_value, parse_flat_config
 
 SCENARIO = "duration_s = 6\nseed = 2\nattack.windows = 3:4\n"
-DETECTOR_CONFIG = (
-    "bocpd.threshold = 0.0002\nbocpd.input = standardized\n"
-    "em.seed = 3\ncusum.h_sigma = 5.0\ncusum.warmup = 20\n"
-)
+DETECTOR_VALUES = {
+    "bocpd.threshold": "0.0002", "bocpd.input": "standardized", "em.seed": "3",
+    "cusum.h_sigma": "5.0", "cusum.warmup": "20",
+}
 SCENARIO_VALUES = {
     "duration_s": "6", "seed": "2", "base_speed_mps": "15.6", "noise_stdev": "0.25",
     "attack.windows": "3:4,5:5.5", "attack.mode": "offset", "attack.magnitude": "-3.0",
@@ -43,7 +45,7 @@ EDITS = st.lists(
     max_size=6,
 )
 
-# Edits to one scenario value, in the characters numbers and windows are made of.
+# Edits to one config value, in the characters numbers and windows are made of.
 VALUE_EDITS = st.lists(
     st.tuples(st.sampled_from("rid"), st.integers(0, 16), st.sampled_from(b"0123456789.-+e:,")),
     min_size=1,
@@ -62,6 +64,13 @@ def mutate(data: bytes, edits) -> bytes:
         else:
             del out[pos]
     return bytes(out)
+
+
+def _config_text(values) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+DETECTOR_CONFIG = _config_text(DETECTOR_VALUES)
 
 
 def run(argv) -> int:
@@ -113,16 +122,24 @@ def test_mutated_detector_config(base, edits, detector):
 
 
 @FUZZ
+@given(key=st.sampled_from(sorted(DETECTOR_VALUES)), edits=VALUE_EDITS)
+def test_mutated_detector_value(base, key, edits):
+    value = mutate(DETECTOR_VALUES[key].encode(), edits).decode()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "det.cfg"
+        cfg.write_text(_config_text({**DETECTOR_VALUES, key: value}))
+        # The detector the edited key configures, so the value reaches its arithmetic.
+        run(["detect", base / "bsm.csv", "--detector", key.split(".")[0], "--config", cfg,
+             "--out", Path(tmp) / "out.csv"])
+
+
+@FUZZ
 @given(edits=EDITS)
 def test_mutated_model_file(base, edits):
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.json"
         model.write_bytes(mutate((base / "model.json").read_bytes(), edits))
         run(["evaluate", model, base / "bsm.csv"])
-
-
-def _scenario_text(values) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
 def simulate_reads_back(text: bytes) -> None:
@@ -146,11 +163,11 @@ def simulate_reads_back(text: bytes) -> None:
 @FUZZ
 @given(edits=EDITS)
 def test_mutated_scenario_config(edits):
-    simulate_reads_back(mutate(_scenario_text(SCENARIO_VALUES).encode(), edits))
+    simulate_reads_back(mutate(_config_text(SCENARIO_VALUES).encode(), edits))
 
 
 @FUZZ
 @given(key=st.sampled_from(sorted(SCENARIO_VALUES)), edits=VALUE_EDITS)
 def test_mutated_scenario_value(key, edits):
     value = mutate(SCENARIO_VALUES[key].encode(), edits).decode()
-    simulate_reads_back(_scenario_text({**SCENARIO_VALUES, key: value}).encode())
+    simulate_reads_back(_config_text({**SCENARIO_VALUES, key: value}).encode())

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from bsmguard import ml
-from bsmguard.ml import _tree_to_dict, cart_fit, cart_scores, class_weights, rf_fit, rf_scores
+from bsmguard.ml import cart_fit, cart_scores, class_weights, rf_fit, rf_scores
+
+from test_model_io import _tree_to_dict
 
 
 def make_data(seed=0, n=60):

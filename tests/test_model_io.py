@@ -1,13 +1,18 @@
-"""Bit-exact persistence round-trips for every model family."""
+"""Bit-exact persistence round-trips for every model family, and the model
+file writer against ``json.dumps``."""
 
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bsmguard.bsm import DataError, StandardizationParams
-from bsmguard.ml import fit_family
-from bsmguard.model_io import load_model, save_model
+from bsmguard.ml import FAMILIES, fit_family
+from bsmguard.model_io import _write, load_model, save_model
 
 
 def data(seed=0, n=80):
@@ -208,3 +213,104 @@ def test_labels_are_scores_cut_at_half(family):
     labels = model.predict_labels(Q)
     assert 0 < labels.sum() < len(labels)
     assert labels.tolist() == (model.predict_scores(Q) > 0.5).astype(int).tolist()
+
+
+def test_empty_forest_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    doc = saved_doc(path, "rf")
+    doc["payload"]["trees"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"{path}: malformed model document.*at least one tree"):
+        load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# The writer against json.dumps(indent=1, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+
+def _tree_to_dict(node) -> dict:
+    """The node's set fields, children nested: the model file's tree schema."""
+    d = {f.name: getattr(node, f.name) for f in fields(node) if getattr(node, f.name) is not None}
+    if not node.is_leaf:
+        d["left"], d["right"] = _tree_to_dict(node.left), _tree_to_dict(node.right)
+    return d
+
+
+def written(value) -> str:
+    out = []
+    _write(out.append, value, 0)
+    return "".join(out)
+
+
+# Keys and strings reach past ASCII: accents, CJK, astral characters, and
+# the control characters json escapes.
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from("\x00\x1f\x7f\"\\\n\t\u00e9\u4e2d\U0001f600")),
+               max_size=6)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from([2**63, -(2**64) - 1, 10**300]),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7,
+                     math.nan, math.inf, -math.inf]),
+    TEXT,
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES)
+@example([-0.0, 5e-324, math.nan, math.inf, -math.inf, 1e16, 2**64, True, False, None])
+@example({"\u00e9\x00": {"\U0001f600": [{}], "\x1f\"": ((), [1.5])}, "": -0.0})
+def test_writer_matches_json_dumps(value):
+    assert written(value) == json.dumps(value, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{}, [], (), {"": {}}, [[], {}, ()], {"a": [[[]]]}])
+def test_writer_matches_json_dumps_on_empty_containers(value):
+    assert written(value) == json.dumps(value, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [object()], {"a": np.float32(1)}])
+def test_writer_rejects_what_a_model_document_cannot_hold(value):
+    with pytest.raises(TypeError):
+        written(value)
+
+
+# The tree families' state in the model file's dict schema.
+ORACLE_PAYLOAD = {
+    "cart": lambda tree: {"tree": _tree_to_dict(tree)},
+    "rf": lambda forest: {"trees": [_tree_to_dict(t) for t in forest]},
+}
+DEEP_RF = {"n_trees": 6, "max_depth": 90, "min_split": 2, "min_leaf": 1}
+
+
+@pytest.mark.parametrize("family, params", [*sorted(PARAMS.items()), ("rf", DEEP_RF)])
+def test_saved_file_is_json_dumps_of_the_oracle_doc(tmp_path, family, params):
+    X, y = data(7, n=240)
+    y = np.where(np.random.default_rng(8).random(len(y)) < 0.3, 1 - y, y)  # overlapping classes
+    model = fit_family(family, params, X, y, seed=3)
+    std = StandardizationParams(mean=(1.25, -0.5), stdev=(2.0, 0.125))
+    path = tmp_path / "model.json"
+    save_model(path, model, std, seed=3, test_fraction=0.2)
+    doc = {
+        "format": "bsmguard-model",
+        "version": 1,
+        "family": family,
+        "params": model.params,
+        "seed": 3,
+        "test_fraction": 0.2,
+        "standardizer": {"mean": list(std.mean), "stdev": list(std.stdev)},
+        "payload": ORACLE_PAYLOAD.get(family, FAMILIES[family].to_payload)(model.state),
+    }
+    assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
