@@ -3,6 +3,14 @@
 Record and sample types, windowed aggregation at the infrastructure edge,
 per-feature standardization, the rolling control-variate transform, and the
 CSV schema used by every command.
+
+CSV files are read ``READ_BLOCK_LINES`` lines at a time (``read_csv``). A
+block of plain lines, which is every block ``write_csv`` writes for
+simulated streams and decisions, is split with ``str.split``; a quote, a
+CR, a blank line or a line as long as ``csv.field_size_limit()`` hands the
+rest of the file to ``csv.reader``. ``read_bsm_csv`` converts and checks a
+block a column at a time and walks a block that fails a check row by row,
+so the records and errors are those of a row-at-a-time reader.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NO_ATTACK = 0
@@ -39,6 +48,10 @@ TRANSFORM_SPAN = 10
 MAX_FIELD_MAGNITUDE = 1e12
 
 CSV_HEADER = ("t", "vehicle_id", "speed_mps", "accel_mps2", "label")
+
+#: Lines ``read_csv`` takes from a file at a time: a block of 512 simulated
+#: records is about 20 KB of text.
+READ_BLOCK_LINES = 512
 
 
 class DataError(ValueError):
@@ -227,29 +240,95 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int
     return n
 
 
-def read_csv(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line, fields)`` for each non-blank row after an exact ``header``;
-    ``line`` is the file line the row ends on, past any quoted line breaks.
+def _chunks(items: Iterable, size: int) -> Iterator[list]:
+    """Lists of up to ``size`` consecutive items. A ValueError raised by
+    ``items``, such as a DataError or a UnicodeDecodeError, is raised after a
+    list of the items before it."""
+    chunk = []
+    try:
+        for item in items:
+            chunk.append(item)
+            if len(chunk) == size:
+                yield chunk
+                chunk = []
+    except ValueError:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
 
-    Text that is not UTF-8, an empty file, another header and a row that is
-    not as wide as the header are DataErrors naming ``path`` (and the line).
+
+def read_csv(
+    path: str, header: Sequence[str]
+) -> Iterator[tuple[Sequence[int], Sequence[list[str]]]]:
+    """Yield ``(lines, rows)`` blocks of the non-blank rows after an exact
+    ``header``: ``rows[i]`` is a row's fields and ``lines[i]`` the file line it
+    ends on, past any quoted line breaks.
+
+    The file is read READ_BLOCK_LINES lines at a time. A plain block, with no
+    quote, CR, blank line or line as long as ``csv.field_size_limit()`` and
+    every line as wide as the header, is split with ``str.split``, which is
+    where ``csv.reader`` splits such text. From the first block that is not
+    plain on, ``csv.reader`` reads the rest of the file.
+
+    Text that is not UTF-8, an empty file, another header, a row that is not
+    as wide as the header and a field longer than ``csv.field_size_limit()``
+    are DataErrors naming ``path`` (and the line), raised after a block of the
+    rows before them.
     """
+    width = len(header)
+    limit = csv.field_size_limit()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            first = next(reader, None)
+            try:
+                first = next(reader, None)
+            except csv.Error as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
             if first is None:
                 raise DataError(f"{path}: empty file")
             if tuple(first) != tuple(header):
                 raise DataError(f"{path}: bad header {first!r}, expected {','.join(header)}")
-            for row in reader:
-                if len(row) == len(header):
-                    yield reader.line_num, row
-                elif row:
-                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
-                                    f"columns, got {len(row)}")
+            done = reader.line_num  # lines read so far
+            blocks = _chunks(fh, READ_BLOCK_LINES)
+            for block in blocks:
+                text = "".join(block)
+                lines = text.split("\n")
+                if not lines[-1]:
+                    lines.pop()  # after the block's last line break
+                rows = list(map(str.split, lines, repeat(",")))
+                if ('"' in text or "\r" in text or "" in lines
+                        or max(map(len, block)) >= limit or set(map(len, rows)) != {width}):
+                    break
+                yield range(done + 1, done + 1 + len(rows)), rows
+                done += len(rows)
+            else:
+                return
+            # This block is not plain: csv.reader reads it and the rest.
+            rest = _csv_rows(path, width, done, chain(block, chain.from_iterable(blocks)))
+            for chunk in _chunks(rest, READ_BLOCK_LINES):
+                numbers, rows = zip(*chunk)
+                yield numbers, rows
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _csv_rows(
+    path: str, width: int, done: int, lines: Iterable[str]
+) -> Iterator[tuple[int, list[str]]]:
+    """``(line, fields)`` for each non-blank row of ``lines``, the lines of
+    ``path`` after its first ``done``, read with ``csv.reader``."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if len(row) == width:
+                yield done + reader.line_num, row
+            elif row:
+                raise DataError(f"{path}:{done + reader.line_num}: expected {width} "
+                                f"columns, got {len(row)}")
+    except csv.Error as exc:
+        raise DataError(f"{path}:{done + reader.line_num}: {exc}") from None
 
 
 def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
@@ -258,9 +337,41 @@ def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
 
 
 def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
-    """Stream records from a canonical CSV, validating encoding, schema and labels."""
+    """Stream records from a canonical CSV, validating encoding, schema and labels.
+
+    Each ``read_csv`` block is converted a column at a time and its columns
+    checked whole; a block that fails a check is walked again row by row
+    (``_bsm_records``), which yields the records before the first bad row and
+    raises its error.
+    """
     big = MAX_FIELD_MAGNITUDE
-    for lineno, row in read_csv(path, CSV_HEADER):
+    for lines, rows in read_csv(path, CSV_HEADER):
+        t, vehicle_id, speed, accel, label = zip(*rows)
+        try:
+            t, speed, accel = (list(map(float, column)) for column in (t, speed, accel))
+            label = list(map(int, label))
+        except ValueError:
+            valid = False
+        else:
+            valid = (all(map(big.__ge__, map(abs, chain(t, speed, accel))))
+                     and min(speed) >= 0 and set(label) <= {NO_ATTACK, ATTACK})
+        if valid:
+            yield from map(_bsm_record, zip(t, vehicle_id, speed, accel, label))
+        else:
+            yield from _bsm_records(path, lines, rows)
+
+
+#: BsmRecord from a tuple of its fields, without the Python-level ``__new__``.
+_bsm_record = partial(tuple.__new__, BsmRecord)
+
+
+def _bsm_records(
+    path: str, lines: Sequence[int], rows: Sequence[Sequence[str]]
+) -> Iterator[BsmRecord]:
+    """The records of ``rows`` one at a time, up to the first malformed row,
+    whose DataError names ``path`` and its line."""
+    big = MAX_FIELD_MAGNITUDE
+    for lineno, row in zip(lines, rows):
         t, vehicle_id, speed, accel, label = row
         try:
             t = float(t)

@@ -647,21 +647,27 @@ def _leaf_probs(trees: Sequence[CartNode], X: np.ndarray) -> np.ndarray:
 
 
 def _tree_from_dict(d: dict) -> CartNode:
-    """The tree a model file holds; a node that cannot score is a ValueError."""
+    """The tree a model file holds; a node that cannot score, or that
+    ``cart_fit`` could not have grown, is a ValueError."""
     node = CartNode(**d)
+    counts = node.counts
+    if len(counts) != 2 or not (0.0 <= counts[0] < math.inf and 0.0 <= counts[1] < math.inf):
+        raise ValueError(f"tree node counts {counts!r} are not two finite numbers of at least 0")
+    if type(node.n_samples) is not int or node.n_samples < 1:
+        raise ValueError(f"tree node n_samples {node.n_samples!r} is not a positive int")
+    if not 0.0 <= node.impurity < math.inf:
+        raise ValueError(f"tree node impurity {node.impurity!r} is not finite and at least 0")
     if node.is_leaf:
         # In range means finite too: the attack probability is the row's score.
         probs = node.probs
         if len(probs) != 2 or not (0.0 <= probs[0] <= 1.0 and 0.0 <= probs[1] <= 1.0):
             raise ValueError(f"tree leaf probabilities {probs!r} are not two numbers in [0, 1]")
-        scored = ()
     else:
         if type(node.feature) is not int or not 0 <= node.feature < N_FEATURES:
             raise ValueError(f"tree node feature {node.feature!r} is not in [0, {N_FEATURES})")
-        scored = (node.threshold,)
+        if not math.isfinite(node.threshold):
+            raise ValueError(f"tree node threshold {node.threshold!r} is not finite")
         node.left, node.right = _tree_from_dict(d["left"]), _tree_from_dict(d["right"])
-    if not all(map(math.isfinite, (node.impurity, node.n_samples, *node.counts, *scored))):
-        raise ValueError("non-finite number in a tree node")
     return node
 
 

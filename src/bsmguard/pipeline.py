@@ -12,6 +12,7 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -190,11 +191,49 @@ def read_decisions_csv(
     Returns the ``(sample, decision)`` pairs ``run_detection`` yielded. A
     malformed row, a row count other than the sample count, or a row whose
     ``t`` is not exactly its sample's ``t`` (``detect`` writes ``repr(t)``) is
-    a DataError naming ``path``, and the line where there is one.
+    a DataError naming ``path``, and the line where there is one. Each
+    ``read_csv`` block is converted and checked a column at a time; a block
+    that fails a check is walked again row by row (``_decision_pairs``), which
+    raises the first bad row's error.
     """
     pairs = []
     row_samples = iter(samples)
-    for lineno, row in read_csv(path, DECISIONS_HEADER):
+    for lines, rows in read_csv(path, DECISIONS_HEADER):
+        block_samples = list(islice(row_samples, len(rows)))
+        t, score, attack, warmed_up = zip(*rows)
+        try:
+            t, score = list(map(float, t)), list(map(float, score))
+            attack, warmed_up = list(map(int, attack)), list(map(int, warmed_up))
+        except ValueError:
+            valid = False
+        else:
+            valid = (all(map(math.isfinite, chain(t, score)))
+                     and set(attack) <= {0, 1} and set(warmed_up) <= {0, 1}
+                     and t == [sample.t for sample in block_samples])
+        if valid:
+            pairs += zip(block_samples,
+                         map(DetectorDecision, map(bool, attack), score, map(bool, warmed_up)))
+        else:
+            pairs += _decision_pairs(path, lines, rows, block_samples)
+    if len(pairs) != len(samples):
+        raise DataError(
+            f"{path}: decision count {len(pairs)} does not match sample count {len(samples)}"
+        )
+    return pairs
+
+
+def _decision_pairs(
+    path: str,
+    lines: Sequence[int],
+    rows: Sequence[Sequence[str]],
+    samples: Sequence[AggregatedSample],
+) -> list[tuple[AggregatedSample | None, DetectorDecision]]:
+    """Join ``rows`` to ``samples`` one row at a time, raising the first malformed
+    row's DataError, which names ``path`` and its line. Rows past the last
+    sample get None, so the caller's count check fails."""
+    pairs = []
+    row_samples = iter(samples)
+    for lineno, row in zip(lines, rows):
         t, score, attack, warmed_up = row
         try:
             t = float(t)
@@ -207,14 +246,10 @@ def read_decisions_csv(
             raise DataError(f"{path}:{lineno}: non-finite t or score in {row!r}")
         if attack not in (0, 1) or warmed_up not in (0, 1):
             raise DataError(f"{path}:{lineno}: attack and warmed_up must be 0 or 1 in {row!r}")
-        sample = next(row_samples, None)  # None past the last sample: the count check fails
+        sample = next(row_samples, None)
         if sample is not None and t != sample.t:
             raise DataError(f"{path}:{lineno}: t={t!r} does not match its sample's t={sample.t!r}")
         pairs.append((sample, DetectorDecision(attack == 1, score, warmed_up == 1)))
-    if len(pairs) != len(samples):
-        raise DataError(
-            f"{path}: decision count {len(pairs)} does not match sample count {len(samples)}"
-        )
     return pairs
 
 

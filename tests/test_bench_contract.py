@@ -8,6 +8,7 @@ reference: on the default kernels, and for training also under three named
 OpenBLAS kernels and with numpy's SIMD dispatch off.
 """
 
+import csv
 import hashlib
 import importlib.util
 import json
@@ -19,7 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bsmguard.bsm import CSV_HEADER, aggregate, read_bsm_csv
 from bsmguard.cli import main
+from bsmguard.pipeline import DECISIONS_HEADER, read_decisions_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -137,12 +140,47 @@ def test_every_op_matches_the_bench_reference(workload, tmp_path, capsys):
     assert hashes == _reference(workload)
 
 
+def test_bench_inputs_are_split_without_csv_reader(tmp_path, monkeypatch):
+    # Only a file's header goes through csv.reader; every line of the bench's
+    # inputs is plain, so read_csv splits them all with str.split. A writer
+    # that quoted a field or wrote CR line ends would fail this, and lose the
+    # block reader's speed without failing anything else.
+    workloads = load_perfbench_module("workloads")
+    for workload in ("fleet-roc", "train-overlap"):
+        workloads.build_inputs(workload, workloads.DEFAULT_SEED, str(tmp_path))
+    ops = workloads.make_ops("train-overlap", str(tmp_path))
+    simulate, detect = ops[0], next(op for op in ops if op.kind == "detect")
+    assert main(list(simulate.argv)) == 0 and main(list(detect.argv)) == 0
+    fed = []  # the lines csv.reader takes
+
+    def counting_reader(lines, *args, **kwargs):
+        def counted():
+            for line in lines:
+                fed.append(line)
+                yield line
+        return csv_reader(counted(), *args, **kwargs)
+
+    csv_reader = csv.reader
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    for name in ("stream.csv", "fleet.csv", "overlap.csv"):
+        fed.clear()
+        assert sum(1 for _ in read_bsm_csv(str(tmp_path / name))) >= 1000
+        assert fed == [",".join(CSV_HEADER) + "\n"], name
+    fed.clear()
+    samples = list(aggregate(read_bsm_csv(simulate.outputs[0]), workloads.SIDE_WINDOW_S))
+    fed.clear()
+    assert len(read_decisions_csv(detect.outputs[0], samples)) == detect.samples
+    assert fed == [",".join(DECISIONS_HEADER) + "\n"]
+
+
 #: Runs train-overlap's train and evaluate ops in a fresh interpreter, so the
 #: environment it is started with picks the BLAS and numpy kernels, and prints
 #: their output hashes as JSON. Arguments: the workloads module, the workdir.
 KERNEL_RUN = """
 import contextlib, hashlib, importlib.util, io, json, sys
+from bsmguard.bsm import CSV_HEADER, aggregate, read_bsm_csv
 from bsmguard.cli import main
+from bsmguard.pipeline import DECISIONS_HEADER, read_decisions_csv
 spec = importlib.util.spec_from_file_location("perfbench_workloads", sys.argv[1])
 workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(workloads)

@@ -325,6 +325,18 @@ class TestDetect:
         assert code == 3
         assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
 
+    def test_over_limit_field_exits_3_with_line(self, tmp_path, bsm_csv, capsys):
+        # csv.reader refuses a field longer than csv.field_size_limit() (131,072).
+        lines = bsm_csv.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace("cv1", "v" * 140_000)
+        bad = tmp_path / "long.csv"
+        bad.write_text("".join(lines))
+        code = main(["detect", str(bad), "--detector", "cusum", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{bad}:4: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+
     def test_non_utf8_config_exits_2_with_line(self, tmp_path, bsm_csv, capsys):
         cfg = tmp_path / "det.cfg"
         cfg.write_bytes(b"# detector\ncusum.h_sigma = 4\xb5\n")
@@ -601,6 +613,8 @@ class TestReport:
             ("t,score,attack,warmed_up\n0.1,0.5,0,1,junk\n", ":2: expected 4 columns, got 5"),
             ("t,score,attack,warmed_up\n0.1,0.5,0\n", ":2: expected 4 columns, got 3"),
             ("", ": empty file"),
+            pytest.param("t,score,attack,warmed_up\n0.1," + "5" * 140_000 + ",0,1\n",
+                         ":2: field larger than field limit (131072)", id="over-limit-field"),
             ("t,score,flag,warmed_up\n0.1,0.5,0,1\n",
              ": bad header ['t', 'score', 'flag', 'warmed_up'], "
              "expected t,score,attack,warmed_up"),
@@ -837,6 +851,14 @@ def _split(feature, threshold=0.0):
                                               "train_labels": [True]}}),
         _cart_model({**LEAF, "probs": [0.0, 7.0]}),
         _cart_model({**LEAF, "probs": [1.0]}),
+        # Node numbers cart_fit could not have written.
+        _cart_model({**LEAF, "counts": [1.0, 2.0, 3.0], "n_samples": 2.5, "impurity": -7.0}),
+        _cart_model({**LEAF, "counts": [1.0, 2.0, 3.0]}),
+        _cart_model({**LEAF, "counts": [-1.0, 2.0]}),
+        _cart_model({**LEAF, "n_samples": 2.5}),
+        _cart_model({**LEAF, "n_samples": True}),
+        _cart_model({**LEAF, "n_samples": 0}),
+        _cart_model({**LEAF, "impurity": -7.0}),
     ],
 )
 def test_malformed_model_file_exits_3(tmp_path, bsm_csv, capsys, text):

@@ -163,6 +163,28 @@ def test_tree_leaf_probabilities_out_of_range_rejected(tmp_path, probs):
         load_model(path)
 
 
+@pytest.mark.parametrize("family", ["cart", "rf"])
+@pytest.mark.parametrize("field, value, message", [
+    ("counts", [1.0, 2.0, 3.0], "counts .* are not two finite numbers of at least 0"),
+    ("counts", [1.0], "counts .* are not two finite numbers of at least 0"),
+    ("counts", [-1.0, 2.0], "counts .* are not two finite numbers of at least 0"),
+    ("n_samples", 2.5, "n_samples 2.5 is not a positive int"),
+    ("n_samples", True, "n_samples True is not a positive int"),
+    ("n_samples", 0, "n_samples 0 is not a positive int"),
+    ("impurity", -7.0, "impurity -7.0 is not finite and at least 0"),
+])
+def test_tree_node_numbers_cart_fit_cannot_write_are_rejected(tmp_path, family, field, value,
+                                                              message):
+    # A split off the zero row's path, so load's scoring probe never reads it.
+    path = tmp_path / "model.json"
+    doc = saved_doc(path, family)
+    payload = doc["payload"]
+    off_zero_path_split(payload["tree"] if family == "cart" else payload["trees"][1])[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"{path}: malformed model document.*{message}"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("params, message", [
     ({"k": True}, "knn parameter 'k': True is out of range"),
     ({"k": 2.5}, "knn parameter 'k': 2.5 is out of range"),

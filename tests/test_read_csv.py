@@ -1,0 +1,321 @@
+"""The block CSV readers against the row-at-a-time readers they replaced.
+
+``bsm.read_csv`` splits plain blocks with ``str.split`` and hands the rest of
+a file to ``csv.reader``; ``read_bsm_csv`` and ``read_decisions_csv`` convert
+and check a block a column at a time. The oracles below are the per-row
+readers they replaced, so every file, well formed or not, must give the
+same rows, records and pairs, or the same error after the same prefix, at
+every block size.
+"""
+
+import csv
+import math
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bsmguard import bsm
+from bsmguard.bsm import (
+    ATTACK,
+    CSV_HEADER,
+    MAX_FIELD_MAGNITUDE,
+    NO_ATTACK,
+    AggregatedSample,
+    BsmRecord,
+    DataError,
+    read_bsm_csv,
+    read_csv,
+)
+from bsmguard.detectors import DetectorDecision
+from bsmguard.pipeline import DECISIONS_HEADER, read_decisions_csv
+
+BLOCK_SIZES = (1, 2, 3, 512)
+
+
+# --- Oracles: the per-row readers. The one change is that a csv.Error (a
+# field over csv.field_size_limit()) is a DataError at the reader's line.
+
+
+def oracle_read_csv(path, header):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                first = next(reader, None)
+                if first is None:
+                    raise DataError(f"{path}: empty file")
+                if tuple(first) != tuple(header):
+                    raise DataError(f"{path}: bad header {first!r}, expected {','.join(header)}")
+                for row in reader:
+                    if len(row) == len(header):
+                        yield reader.line_num, row
+                    elif row:
+                        raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                        f"columns, got {len(row)}")
+            except csv.Error as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def oracle_read_bsm_csv(path):
+    big = MAX_FIELD_MAGNITUDE
+    for lineno, row in oracle_read_csv(path, CSV_HEADER):
+        t, vehicle_id, speed, accel, label = row
+        try:
+            t = float(t)
+            speed = float(speed)
+            accel = float(accel)
+            label = int(label)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not (-big <= t <= big and -big <= speed <= big and -big <= accel <= big):
+            raise DataError(
+                f"{path}:{lineno}: t, speed or accel is non-finite or beyond "
+                f"{big:g} in {row!r}"
+            )
+        if label not in (NO_ATTACK, ATTACK):
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
+        if speed < 0:
+            raise DataError(f"{path}:{lineno}: negative speed {speed!r}")
+        yield BsmRecord(t, vehicle_id, speed, accel, label)
+
+
+def oracle_read_decisions_csv(path, samples):
+    pairs = []
+    row_samples = iter(samples)
+    for lineno, row in oracle_read_csv(path, DECISIONS_HEADER):
+        t, score, attack, warmed_up = row
+        try:
+            t = float(t)
+            score = float(score)
+            attack = int(attack)
+            warmed_up = int(warmed_up)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(t) and math.isfinite(score)):
+            raise DataError(f"{path}:{lineno}: non-finite t or score in {row!r}")
+        if attack not in (0, 1) or warmed_up not in (0, 1):
+            raise DataError(f"{path}:{lineno}: attack and warmed_up must be 0 or 1 in {row!r}")
+        sample = next(row_samples, None)
+        if sample is not None and t != sample.t:
+            raise DataError(f"{path}:{lineno}: t={t!r} does not match its sample's t={sample.t!r}")
+        pairs.append((sample, DetectorDecision(attack == 1, score, warmed_up == 1)))
+    if len(pairs) != len(samples):
+        raise DataError(
+            f"{path}: decision count {len(pairs)} does not match sample count {len(samples)}"
+        )
+    return pairs
+
+
+# --- Files
+
+
+LIMIT = csv.field_size_limit()
+
+def sample_t(i):
+    """The ``t`` of sample i (from 0), which a decisions row that joins repeats."""
+    return round(0.1 * (i + 1), 9)
+
+
+SPECIAL = [
+    '"a,b"', '"a\nb"', '"a\r\nb"', '"x""y"', 'a"b', '"', "v\r", "\r", " ", "",
+    "v" * (LIMIT - 1), "v" * LIMIT, "v" * (LIMIT + 1), "é",
+]
+NUMBERS = ["-0.0", "1e12", "-1e12", "1e13", "-1e13", "nan", "-nan", "inf", "-inf", "1e999",
+           "-1.0", "x", " 1.5", "1_0", '"2.5"', "0x1p3"]
+FLAGS = ["0", "1", " 1", "01", "2", "-0", "+1", "-1", "0.5", "True", "", '"1"']
+
+
+@st.composite
+def row(draw, columns):
+    """One data row: good fields, or one field bad or special, or a field
+    short or long."""
+    fields = [draw(good) for good, _ in columns]
+    kind = draw(st.sampled_from(["good"] * 3 + ["bad", "special", "short", "long"]))
+    at = draw(st.integers(0, len(columns) - 1))
+    if kind == "bad":
+        fields[at] = draw(st.sampled_from(columns[at][1]))
+    elif kind == "special":
+        fields[at] = draw(st.sampled_from(SPECIAL))
+    elif kind == "short":
+        del fields[-1]
+    elif kind == "long":
+        fields.append("0")
+    return ",".join(fields)
+
+
+@st.composite
+def csv_bytes(draw, header, columns, filler):
+    """A CSV file: ``header``, rows of ``columns``, blank and whitespace lines,
+    mixed line ends, and maybe an undecodable byte anywhere.
+
+    ``filler(i)`` is a plain, valid row i; a run of them at the start makes a
+    file longer than one 8 KiB decoder chunk, so a bad byte can come after
+    rows the reader has already yielded.
+    """
+    n_filler = draw(st.sampled_from([0, 0, 3, 250, 600]))
+    lines = [draw(st.sampled_from([
+        ",".join(header), ",".join(header), ",".join(header), ",".join(header[::-1]),
+        ",".join(f'"{h}"' for h in header), "v" * (LIMIT + 1)]))]
+    lines += [",".join(filler(i)) for i in range(n_filler)]
+    lines += draw(st.lists(st.one_of(row(columns), row(columns), row(columns), row(columns),
+                                     st.sampled_from(["", "  "])), max_size=16))
+    ends = [draw(st.sampled_from(["\n"] * 10 + ["\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line break after the last line
+    data = "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    if draw(st.booleans()):
+        return data
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + data[at:]
+
+
+def flatten(blocks):
+    """``read_csv``'s blocks as ``(line, row)`` pairs."""
+    for lines, block_rows in blocks:
+        yield from zip(lines, block_rows)
+
+
+def outcome(items):
+    """What a reader yields, and the type and message of what it raises."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except Exception as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+def returned(call):
+    """What ``call()`` returns, and the type and message of what it raises."""
+    try:
+        return call(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def at_every_block_size(read):
+    """``read()`` at each patched READ_BLOCK_LINES."""
+    outcomes = []
+    for size in BLOCK_SIZES:
+        with mock.patch.object(bsm, "READ_BLOCK_LINES", size):
+            outcomes.append(read())
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    """The file each example writes over."""
+    return tmp_path_factory.mktemp("csv") / "data.csv"
+
+
+BSM_COLUMNS = [
+    (st.sampled_from(["0.1", "0.2", "1000.0", "5e-324"]), NUMBERS + ["0.1"]),
+    (st.sampled_from(["cv1", "v2", "é", "x y"]), ["", " v", "0.1"]),
+    (st.floats(0, 40).map(repr), NUMBERS),
+    (st.floats(-5, 5).map(repr), NUMBERS),
+    (st.sampled_from(["0", "1"]), FLAGS),
+]
+
+
+def bsm_filler(i):
+    return [repr(sample_t(i)), "cv1", "15.6", "-0.25", str(i % 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=csv_bytes(CSV_HEADER, BSM_COLUMNS, bsm_filler))
+def test_bsm_readers_match_the_row_readers(csv_path, data):
+    csv_path.write_bytes(data)
+    path = str(csv_path)
+    rows_expected = outcome(oracle_read_csv(path, CSV_HEADER))
+    records_expected = outcome(oracle_read_bsm_csv(path))
+    for got in at_every_block_size(lambda: outcome(flatten(read_csv(path, CSV_HEADER)))):
+        assert got == rows_expected
+    for got in at_every_block_size(lambda: outcome(read_bsm_csv(path))):
+        assert got == records_expected
+        assert all(type(record) is BsmRecord for record in got[0])
+
+
+def one_bad_field(columns, header):
+    """Every (column, bad or special value), with an id that stays short."""
+    return [pytest.param(at, value, id=f"{header[at]}-{value[:12]!r}-{len(value)}")
+            for at, (_, bad) in enumerate(columns) for value in bad + SPECIAL]
+
+
+#: The row of a seven-row file that gets the bad field: line 6.
+BAD_ROW = 4
+
+
+@pytest.mark.parametrize("at, value", one_bad_field(BSM_COLUMNS, CSV_HEADER))
+def test_one_bad_bsm_field_matches_the_row_readers(csv_path, at, value):
+    rows = [bsm_filler(i) for i in range(7)]
+    rows[BAD_ROW][at] = value
+    csv_path.write_text("".join(",".join(r) + "\n" for r in [list(CSV_HEADER), *rows]))
+    rows_expected = outcome(oracle_read_csv(str(csv_path), CSV_HEADER))
+    records_expected = outcome(oracle_read_bsm_csv(str(csv_path)))
+    for got in at_every_block_size(
+            lambda: outcome(flatten(read_csv(str(csv_path), CSV_HEADER)))):
+        assert got == rows_expected
+    for got in at_every_block_size(lambda: outcome(read_bsm_csv(str(csv_path)))):
+        assert got == records_expected
+
+
+#: A row's ``t`` written as its sample's ``repr(t)``, so the row joins.
+JOINED = "joined"
+
+DECISION_COLUMNS = [
+    (st.just(JOINED), NUMBERS + ["0.1", "0.30000000000000004"]),
+    (st.floats(-50, 50).map(repr), NUMBERS),
+    (st.sampled_from(["0", "1"]), FLAGS),
+    (st.sampled_from(["0", "1"]), FLAGS),
+]
+
+
+def decision_filler(i):
+    return [JOINED, "0.5", str(i % 2), "1"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=csv_bytes(DECISIONS_HEADER, DECISION_COLUMNS, decision_filler),
+       extra_samples=st.integers(-2, 1))
+def test_decisions_reader_matches_the_row_reader(csv_path, data, extra_samples):
+    # The i-th JOINED field becomes the i-th sample's t; the file's row count,
+    # give or take a sample or two, is the sample count.
+    n_joined = data.count(JOINED.encode())
+    for i in range(n_joined):
+        data = data.replace(JOINED.encode(), repr(sample_t(i)).encode(), 1)
+    samples = [AggregatedSample(sample_t(i), 15.0, 0.0, 0)
+               for i in range(max(0, n_joined + extra_samples))]
+    csv_path.write_bytes(data)
+    expected = returned(lambda: oracle_read_decisions_csv(str(csv_path), samples))
+    for got in at_every_block_size(lambda: returned(
+            lambda: read_decisions_csv(str(csv_path), samples))):
+        assert got == expected
+
+
+@pytest.mark.parametrize("at, value", one_bad_field(DECISION_COLUMNS, DECISIONS_HEADER))
+def test_one_bad_decisions_field_matches_the_row_reader(csv_path, at, value):
+    rows = [decision_filler(i) for i in range(7)]
+    for i, r in enumerate(rows):
+        r[0] = repr(sample_t(i))
+    rows[BAD_ROW][at] = value
+    csv_path.write_text("".join(",".join(r) + "\n" for r in [list(DECISIONS_HEADER), *rows]))
+    samples = [AggregatedSample(sample_t(i), 15.0, 0.0, 0) for i in range(7)]
+    expected = returned(lambda: oracle_read_decisions_csv(str(csv_path), samples))
+    for got in at_every_block_size(lambda: returned(
+            lambda: read_decisions_csv(str(csv_path), samples))):
+        assert got == expected
+
+
+def test_a_blank_line_is_skipped_under_a_one_column_header(csv_path):
+    # A blank line splits to one empty field, as wide as a one-column header;
+    # csv.reader reads it as no row at all.
+    csv_path.write_text("a\n1\n\n2\n")
+    expected = list(oracle_read_csv(str(csv_path), ("a",)))
+    assert expected == [(2, ["1"]), (4, ["2"])]
+    for got in at_every_block_size(lambda: list(flatten(read_csv(str(csv_path), ("a",))))):
+        assert got == expected
