@@ -24,12 +24,7 @@ from bsmguard.bsm import aggregate
 from bsmguard.config import DetectorSettings
 from bsmguard.detectors import DETECTOR_NAMES
 from bsmguard.ml import MODEL_FAMILIES
-from bsmguard.pipeline import (
-    detector_report,
-    run_detection,
-    train_and_evaluate,
-    welford_feature_stats,
-)
+from bsmguard.pipeline import detector_report, run_detection, train_and_evaluate
 from bsmguard.simulate import default_scenario
 
 #: Desk-scale grids so the whole experiment stays in the tens of seconds; a
@@ -60,9 +55,8 @@ def detector_rows(seeds: int):
         reports, per_sample_ms = [], []
         for seed in range(seeds):
             samples = list(aggregate(default_scenario(seed=seed).run()))
-            std = welford_feature_stats(samples)
             started = time.perf_counter()
-            pairs = list(run_detection(samples, name, settings, std))
+            pairs = list(run_detection(samples, name, settings))
             per_sample_ms.append(1000 * (time.perf_counter() - started) / len(pairs))
             reports.append(detector_report(name, pairs, windows=((100.0, 105.0),)))
         latencies = [r.latency.mean for r in reports if r.latency.detected]

@@ -10,7 +10,9 @@ simulated streams and decisions, is split with ``str.split``; a quote, a
 CR, a blank line or a line as long as ``csv.field_size_limit()`` hands the
 rest of the file to ``csv.reader``. ``read_bsm_csv`` converts and checks a
 block a column at a time and walks a block that fails a check row by row,
-so the records and errors are those of a row-at-a-time reader.
+so the records and errors are those of a row-at-a-time reader. A number's
+text is held to what ``write_csv`` writes: no underscore, whitespace or
+non-ASCII character, all of which ``float()`` and ``int()`` would accept.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import string
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -331,6 +334,24 @@ def _csv_rows(
         raise DataError(f"{path}:{done + reader.line_num}: {exc}") from None
 
 
+def plain_numbers(text: str) -> bool:
+    """Whether ``text`` holds none of what ``float()`` and ``int()`` accept in a
+    number beyond ``write_csv``'s ``repr`` floats and ints: an underscore,
+    whitespace or a non-ASCII character, such as an Arabic-Indic digit."""
+    return text.isascii() and not any(map(text.__contains__, "_" + string.whitespace))
+
+
+def check_plain_numbers(
+    path: str, lineno: int, header: Sequence[str], row: Sequence[str], columns: Iterable[int]
+) -> None:
+    """A DataError naming ``path``, its line and the first of ``row``'s number
+    ``columns`` whose text is not ``plain_numbers``."""
+    for i in columns:
+        if not plain_numbers(row[i]):
+            raise DataError(f"{path}:{lineno}: {header[i]} {row[i]!r} holds whitespace, "
+                            f"'_' or a non-ASCII character")
+
+
 def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
     """Write records in the canonical CSV schema. Returns the row count."""
     return write_csv(path, CSV_HEADER, records)
@@ -340,13 +361,14 @@ def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
     """Stream records from a canonical CSV, validating encoding, schema and labels.
 
     Each ``read_csv`` block is converted a column at a time and its columns
-    checked whole; a block that fails a check is walked again row by row
-    (``_bsm_records``), which yields the records before the first bad row and
-    raises its error.
+    checked whole, the numbers' text with ``plain_numbers``; a block that
+    fails a check is walked again row by row (``_bsm_records``), which yields
+    the records before the first bad row and raises its error.
     """
     big = MAX_FIELD_MAGNITUDE
     for lines, rows in read_csv(path, CSV_HEADER):
         t, vehicle_id, speed, accel, label = zip(*rows)
+        numbers = "".join(chain(t, speed, accel, label))
         try:
             t, speed, accel = (list(map(float, column)) for column in (t, speed, accel))
             label = list(map(int, label))
@@ -354,7 +376,8 @@ def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
             valid = False
         else:
             valid = (all(map(big.__ge__, map(abs, chain(t, speed, accel))))
-                     and min(speed) >= 0 and set(label) <= {NO_ATTACK, ATTACK})
+                     and min(speed) >= 0 and set(label) <= {NO_ATTACK, ATTACK}
+                     and plain_numbers(numbers))
         if valid:
             yield from map(_bsm_record, zip(t, vehicle_id, speed, accel, label))
         else:
@@ -389,4 +412,5 @@ def _bsm_records(
             raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
         if speed < 0:
             raise DataError(f"{path}:{lineno}: negative speed {speed!r}")
+        check_plain_numbers(path, lineno, CSV_HEADER, row, (0, 2, 3, 4))
         yield BsmRecord(t, vehicle_id, speed, accel, label)

@@ -39,7 +39,6 @@ from bsmguard.pipeline import (
     read_decisions_csv,
     scored_pairs,
     staged_outputs,
-    stream_std_params,
     train_and_evaluate,
     write_decisions_csv,
 )
@@ -92,16 +91,14 @@ def _detector_settings(args) -> DetectorSettings:
 def cmd_detect(args) -> int:
     settings = _detector_settings(args)
     records_factory = functools.partial(_vehicle_records, args.csv, args.vehicle)
-    mode = settings.input_mode(args.detector)
-    std = stream_std_params(records_factory, mode, args.window)
-    rows = detect_records(records_factory, args.detector, settings, args.window, std)
+    rows = detect_records(records_factory, args.detector, settings, args.window)
     with staged_outputs() as stage:
         n = write_decisions_csv(stage(args.out), rows)
         if args.timing_out:
             # Re-run a fresh detector over the same inputs purely to time it.
             # Wall-clock output is intentionally kept out of the decisions file.
-            samples = aggregate(records_factory(), args.window)
-            values = (v for _, v in feature_stream(samples, mode, std) if v is not None)
+            stream = feature_stream(_samples(args), settings.input_mode(args.detector))
+            values = (v for _, v in stream if v is not None)
             det = make_detector(args.detector, settings.config(args.detector))
             try:
                 stats = time_inference(det.observe, values)

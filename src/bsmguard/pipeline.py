@@ -11,9 +11,9 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from bsmguard.bsm import (
     TransformWindow,
     aggregate,
     apply_standardizer,
+    check_plain_numbers,
     fit_standardizer,
+    plain_numbers,
     read_csv,
     write_csv,
 )
@@ -61,23 +63,25 @@ def welford_feature_stats(samples: Iterable[AggregatedSample]) -> Standardizatio
 
 
 def feature_stream(
-    samples: Iterable[AggregatedSample],
-    mode: str,
-    std: StandardizationParams | None = None,
+    samples: Iterable[AggregatedSample], mode: str
 ) -> Iterator[tuple[AggregatedSample, float | None]]:
     """Turn each sample into the detector input its input mode selects.
 
-    Yields ``(sample, value)``: the raw average speed, the standardized
-    average speed (requires ``std``), or the rolling control-variate
-    transform, whose value is None while its window fills. Every detector
-    input, for decisions and for timing alike, comes from here.
+    Yields ``(sample, value)``: the raw average speed, the average speed
+    standardized with the stream's own mean and stdev, or the rolling
+    control-variate transform, whose value is None while its window fills.
+    The standardized mode reads ``samples`` twice, first for its statistics
+    (``welford_feature_stats``), so a one-shot iterator is a TypeError there.
+    Every detector input, for decisions and for timing alike, comes from here.
     """
     if mode == "speed":
         for sample in samples:
             yield sample, sample.avg_speed
     elif mode == "standardized":
-        if std is None:
-            raise ValueError("standardized input mode needs standardization parameters")
+        if isinstance(samples, Iterator):
+            raise TypeError("standardized input mode reads its samples twice; "
+                            "pass a re-iterable, not an iterator")
+        std = welford_feature_stats(samples)
         (mean,), (stdev,) = std.mean, std.stdev
         for sample in samples:
             yield sample, (sample.avg_speed - mean) / stdev
@@ -87,20 +91,10 @@ def feature_stream(
             yield sample, window.push(sample.avg_speed, sample.avg_accel)
 
 
-def stream_std_params(
-    records_factory: Callable[[], Iterable[BsmRecord]], mode: str, window: float
-) -> StandardizationParams | None:
-    """Feature statistics for the standardized mode (one pass), else None."""
-    if mode != "standardized":
-        return None
-    return welford_feature_stats(aggregate(records_factory(), window))
-
-
 def run_detection(
     samples: Iterable[AggregatedSample],
     detector_name: str,
     settings: DetectorSettings,
-    std_params: StandardizationParams | None = None,
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
     """Feed a sample stream through one detector; yields one decision per sample.
 
@@ -111,7 +105,7 @@ def run_detection(
     """
     detector = make_detector(detector_name, settings.config(detector_name))
     mode = settings.input_mode(detector_name)
-    for sample, value in feature_stream(samples, mode, std_params):
+    for sample, value in feature_stream(samples, mode):
         if value is None:
             yield sample, WARMUP_DECISION
             continue
@@ -125,22 +119,27 @@ def run_detection(
         yield sample, decision
 
 
+@dataclass(frozen=True)
+class _Aggregated:
+    """The aggregated samples of the records ``records_factory`` opens, opened
+    anew on each iteration: the standardized mode's two passes hold no list."""
+
+    records_factory: Callable[[], Iterable[BsmRecord]]
+    window: float
+
+    def __iter__(self) -> Iterator[AggregatedSample]:
+        return aggregate(self.records_factory(), self.window)
+
+
 def detect_records(
     records_factory: Callable[[], Iterable[BsmRecord]],
     detector_name: str,
     settings: DetectorSettings,
     window: float,
-    std_params: StandardizationParams | None,
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
-    """Aggregate and detect over the records ``records_factory`` opens.
-
-    ``std_params`` holds the standardized input mode's feature statistics
-    (``stream_std_params``, which takes a pass of its own); other modes pass
-    None.
-    """
-    return run_detection(
-        aggregate(records_factory(), window), detector_name, settings, std_params
-    )
+    """Aggregate and detect over the records ``records_factory`` opens: once,
+    or twice for the standardized input mode."""
+    return run_detection(_Aggregated(records_factory, window), detector_name, settings)
 
 
 @contextlib.contextmanager
@@ -191,7 +190,8 @@ def read_decisions_csv(
     Returns the ``(sample, decision)`` pairs ``run_detection`` yielded. A
     malformed row, a row count other than the sample count, or a row whose
     ``t`` is not exactly its sample's ``t`` (``detect`` writes ``repr(t)``) is
-    a DataError naming ``path``, and the line where there is one. Each
+    a DataError naming ``path``, and the line where there is one, and so is a
+    number with whitespace, an underscore or a non-ASCII character. Each
     ``read_csv`` block is converted and checked a column at a time; a block
     that fails a check is walked again row by row (``_decision_pairs``), which
     raises the first bad row's error.
@@ -201,6 +201,7 @@ def read_decisions_csv(
     for lines, rows in read_csv(path, DECISIONS_HEADER):
         block_samples = list(islice(row_samples, len(rows)))
         t, score, attack, warmed_up = zip(*rows)
+        numbers = "".join(chain(t, score, attack, warmed_up))
         try:
             t, score = list(map(float, t)), list(map(float, score))
             attack, warmed_up = list(map(int, attack)), list(map(int, warmed_up))
@@ -209,7 +210,8 @@ def read_decisions_csv(
         else:
             valid = (all(map(math.isfinite, chain(t, score)))
                      and set(attack) <= {0, 1} and set(warmed_up) <= {0, 1}
-                     and t == [sample.t for sample in block_samples])
+                     and t == [sample.t for sample in block_samples]
+                     and plain_numbers(numbers))
         if valid:
             pairs += zip(block_samples,
                          map(DetectorDecision, map(bool, attack), score, map(bool, warmed_up)))
@@ -249,6 +251,7 @@ def _decision_pairs(
         sample = next(row_samples, None)
         if sample is not None and t != sample.t:
             raise DataError(f"{path}:{lineno}: t={t!r} does not match its sample's t={sample.t!r}")
+        check_plain_numbers(path, lineno, DECISIONS_HEADER, row, range(len(row)))
         pairs.append((sample, DetectorDecision(attack == 1, score, warmed_up == 1)))
     return pairs
 

@@ -29,7 +29,7 @@ from bsmguard.detectors import (
 )
 from bsmguard.evaluate import ConfusionMatrix, auroc, metrics, time_inference
 from bsmguard.ml import cart_fit, knn_predict, nn_init, nn_loss_and_grads
-from bsmguard.pipeline import run_detection, welford_feature_stats
+from bsmguard.pipeline import feature_stream, run_detection
 from bsmguard.simulate import default_scenario
 
 from test_bocpd import nig_posterior
@@ -67,8 +67,7 @@ def test_criterion_02_changepoint_efficacy_and_runtime():
         for seed in range(10):
             samples = list(aggregate(default_scenario(seed=seed).run()))
             assert len(samples) == 2000
-            std = welford_feature_stats(samples)
-            pairs = list(run_detection(samples, name, settings, std))
+            pairs = list(run_detection(samples, name, settings))
             accs.append(
                 sum(1 for s, d in pairs if int(d.attack) == s.label) / len(pairs)
             )
@@ -275,9 +274,8 @@ def test_criterion_10_inference_timing_ordering():
     # bound is asserted for the two lightweight detectors and documented for
     # the mixture one (wall-clock absolutes depend on the host).
     samples = list(aggregate(default_scenario(seed=0).run()))
-    std = welford_feature_stats(samples)
-    speeds = [s.avg_speed for s in samples]
-    standardized = [(s.avg_speed - std.mean[0]) / std.stdev[0] for s in samples]
+    speeds, standardized = ([v for _, v in feature_stream(samples, mode)]
+                            for mode in ("speed", "standardized"))
 
     means = {}
     for name, values in (("bocpd", standardized), ("em", speeds), ("cusum", standardized)):

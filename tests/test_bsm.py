@@ -177,6 +177,10 @@ class TestCsvRoundTrip:
 HEADER = "t,vehicle_id,speed_mps,accel_mps2,label\n"
 
 
+#: The rejection of a number that float() or int() would take but write_csv never writes.
+LOOSE = "holds whitespace, '_' or a non-ASCII character"
+
+
 def beyond(line):
     """The magnitude rejection of data line ``line`` (line 2 of the file)."""
     return f":2: t, speed or accel is non-finite or beyond 1e+12 in {line.split(',')!r}"
@@ -210,6 +214,17 @@ def beyond(line):
          ":7: could not convert string to float: 'x'"),
         (HEADER + '0.1,"a\nb",1.0,0.0,0\n0.2,"a\nb",1.0\n', ":5: expected 5 columns, got 3"),
         (HEADER.encode() + b"0.1,v\xff,1.0,0.0,0\n", ": not UTF-8 text (invalid start byte)"),
+        # float() and int() take these; write_csv never writes them.
+        (HEADER + "0.1,v1,1_6.04,0.0,0\n", ":2: speed_mps '1_6.04' " + LOOSE),
+        (HEADER + "0.1,v1, 16.04,0.0,0\n", ":2: speed_mps ' 16.04' " + LOOSE),
+        (HEADER + "0.1 ,v1,16.04,0.0,0\n", ":2: t '0.1 ' " + LOOSE),
+        (HEADER + "0.1,v1,16.04,\u0661,0\n", ":2: accel_mps2 '\u0661' " + LOOSE),
+        (HEADER + "0.1,v1,16.04,0.0, 1\n", ":2: label ' 1' " + LOOSE),
+        (HEADER + "0.1,v1,16.04,0.0,\u0660\n", ":2: label '\u0660' " + LOOSE),
+        # A vehicle id is text, not a number: only the label is reported.
+        (HEADER + "0.1,v 1_\u00e9,16.04,0.0,0_1\n", ":2: label '0_1' " + LOOSE),
+        # The checks that were there first report first.
+        (HEADER + "0.1,v1, 16.04,0.0,2\n", ":2: label must be 0 or 1, got '2'"),
     ],
 )
 def test_read_bsm_csv_rejection_messages(tmp_path, body, message):

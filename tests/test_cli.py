@@ -8,10 +8,10 @@ import warnings
 
 import pytest
 
-from bsmguard.bsm import aggregate, read_bsm_csv
+from bsmguard.bsm import CSV_HEADER, aggregate, read_bsm_csv
 from bsmguard.cli import main
 from bsmguard.config import DetectorSettings
-from bsmguard.pipeline import detector_report, run_detection, welford_feature_stats
+from bsmguard.pipeline import detector_report, run_detection
 
 SCENARIO = """\
 duration_s = 30.0
@@ -22,6 +22,10 @@ attack.mode = constant_replace
 attack.magnitude = 0.0
 seed = 7
 """
+
+
+#: The rejection of a number that float() or int() would take but no command writes.
+LOOSE = "holds whitespace, '_' or a non-ASCII character"
 
 
 @pytest.fixture
@@ -363,6 +367,50 @@ class TestDetect:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("field, value", [(2, "1_6.04"), (2, " 16.04"), (4, " 1"),
+                                              (4, "\u0660")])
+    def test_numbers_the_csv_writer_never_writes_exit_3(self, tmp_path, bsm_csv, capsys, field,
+                                                        value):
+        # float() and int() take digit-group underscores, surrounding
+        # whitespace and non-ASCII digits; the reader does not.
+        lines = bsm_csv.read_text().splitlines()
+        fields = lines[100].split(",")
+        fields[field] = value
+        lines[100] = ",".join(fields)
+        bad = tmp_path / "loose.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["detect", str(bad), "--detector", "bocpd", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{bad}:101: {CSV_HEADER[field]} {value!r} {LOOSE}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode, reads", [("speed", 1), ("transform", 1), ("standardized", 2)])
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_detect_reads_its_csv_once_or_twice_for_standardized_input(
+        self, tmp_path, bsm_csv, monkeypatch, mode, reads, timing
+    ):
+        # The README's Performance notes: one pass, a first statistics pass for
+        # standardized input, and one more for --timing-out.
+        from bsmguard import cli
+
+        opened = []
+        read_bsm_csv = cli.read_bsm_csv
+
+        def spy(path):
+            opened.append(path)
+            return read_bsm_csv(path)
+
+        monkeypatch.setattr(cli, "read_bsm_csv", spy)
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(f"cusum.input = {mode}\n")
+        argv = ["detect", str(bsm_csv), "--detector", "cusum", "--config", str(cfg),
+                "--out", str(tmp_path / "d.csv")]
+        if timing:
+            argv += ["--timing-out", str(tmp_path / "t.txt")]
+        assert main(argv) == 0
+        assert opened == [str(bsm_csv)] * (reads + timing)
+
     @pytest.mark.parametrize("line", ["bocpd.mu0 = 1e300", "bocpd.kappa = 1e-320"])
     def test_config_the_detector_cannot_compute_with_exits_3(self, tmp_path, bsm_csv, capsys,
                                                              line):
@@ -514,8 +562,7 @@ class TestReport:
         assert main(["report", str(dec), str(bsm_csv), "--detector", detector,
                      "--windows", "10.0:15.0"]) == 0
         samples = list(aggregate(read_bsm_csv(str(bsm_csv))))
-        pairs = run_detection(samples, detector, DetectorSettings(),
-                              welford_feature_stats(samples))
+        pairs = run_detection(samples, detector, DetectorSettings())
         report = detector_report(detector, list(pairs), ((10.0, 15.0),))
         assert capsys.readouterr().out == report.to_text()
 
@@ -618,6 +665,13 @@ class TestReport:
             ("t,score,flag,warmed_up\n0.1,0.5,0,1\n",
              ": bad header ['t', 'score', 'flag', 'warmed_up'], "
              "expected t,score,attack,warmed_up"),
+            # Numbers float() and int() take but detect never writes.
+            ("t,score,attack,warmed_up\n0.1,0.5_0,0,1\n", ":2: score '0.5_0' " + LOOSE),
+            ("t,score,attack,warmed_up\n0.1 ,0.5,0,1\n", ":2: t '0.1 ' " + LOOSE),
+            ("t,score,attack,warmed_up\n0.1,0.5, 1,1\n", ":2: attack ' 1' " + LOOSE),
+            # The file holds the UTF-8 bytes of an Arabic-Indic one.
+            ("t,score,attack,warmed_up\n0.1,0.5,0," + "\u0661".encode().decode("latin-1")
+             + "\n", ":2: warmed_up '\u0661' " + LOOSE),
         ],
     )
     def test_bad_decision_values_exit_3(self, tmp_path, bsm_csv, capsys, text, message):

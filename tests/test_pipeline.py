@@ -14,6 +14,7 @@ from bsmguard.detectors import DETECTORS
 from bsmguard.pipeline import (
     detect_records,
     detector_report,
+    feature_stream,
     read_decisions_csv,
     run_detection,
     welford_feature_stats,
@@ -39,9 +40,8 @@ def test_one_decision_per_sample_all_modes():
     settings = detector_settings_from_mapping(
         {"bocpd.input": "standardized", "em.input": "speed", "cusum.input": "transform"}
     )
-    std = welford_feature_stats(samples)
     for name in ("bocpd", "em", "cusum"):
-        pairs = list(run_detection(samples, name, settings, std))
+        pairs = list(run_detection(samples, name, settings))
         assert len(pairs) == len(samples)
 
 
@@ -55,8 +55,7 @@ ONLINE_MODES = (("em", "speed"), ("bocpd", "speed"), ("bocpd", "transform"),
 def full_stream_pairs(name, mode):
     samples = scenario_samples()
     settings = detector_settings_from_mapping({f"{name}.input": mode})
-    std = welford_feature_stats(samples) if mode == "standardized" else None
-    return samples, settings, list(run_detection(samples, name, settings, std))
+    return samples, settings, list(run_detection(samples, name, settings))
 
 
 @hypothesis.settings(max_examples=12)
@@ -74,15 +73,14 @@ def test_standardized_mode_is_the_documented_exception_to_online():
     for name in ("bocpd", "cusum"):
         samples, settings, full = full_stream_pairs(name, "standardized")
         prefix = samples[:k]
-        pairs = list(run_detection(prefix, name, settings, welford_feature_stats(prefix)))
+        pairs = list(run_detection(prefix, name, settings))
         assert [d.score for _, d in pairs] != [d.score for _, d in full[:k]], name
 
 
 def test_transform_mode_warms_up_nine_samples():
     samples = scenario_samples()
     settings = detector_settings_from_mapping({"cusum.input": "transform"})
-    std = welford_feature_stats(samples)
-    pairs = list(run_detection(samples, "cusum", settings, std))
+    pairs = list(run_detection(samples, "cusum", settings))
     # 9 samples fill the transform window, then the detector's own warm-up.
     for _, decision in pairs[:9]:
         assert not decision.warmed_up
@@ -92,22 +90,29 @@ def test_transform_mode_warms_up_nine_samples():
 
 def test_scores_always_finite():
     samples = scenario_samples(3)
-    std = welford_feature_stats(samples)
     for name in ("bocpd", "em", "cusum"):
-        for _, d in run_detection(samples, name, DetectorSettings(), std):
+        for _, d in run_detection(samples, name, DetectorSettings()):
             assert math.isfinite(d.score)
 
 
-def test_standardized_mode_requires_params():
-    with pytest.raises(ValueError, match="standardization"):
-        next(iter(run_detection(scenario_samples(), "bocpd", DetectorSettings(), None)))
+def test_standardized_mode_standardizes_with_the_streams_own_statistics():
+    samples = scenario_samples()
+    std = welford_feature_stats(samples)
+    (mean,), (stdev,) = std.mean, std.stdev
+    assert list(feature_stream(samples, "standardized")) == [
+        (s, (s.avg_speed - mean) / stdev) for s in samples]
+
+
+def test_standardized_mode_rejects_a_one_shot_iterator():
+    # It reads its samples twice; an iterator would be empty the second time.
+    with pytest.raises(TypeError, match="reads its samples twice"):
+        next(run_detection(iter(scenario_samples()), "bocpd", DetectorSettings()))
 
 
 def test_score_orientation_yields_high_auroc_for_all_detectors():
     samples = scenario_samples(1)
-    std = welford_feature_stats(samples)
     for name in ("bocpd", "em", "cusum"):
-        pairs = list(run_detection(samples, name, DetectorSettings(), std))
+        pairs = list(run_detection(samples, name, DetectorSettings()))
         rep = detector_report(name, pairs, windows=((100.0, 105.0),))
         assert rep.auroc_value is not None and rep.auroc_value > 0.95
         assert rep.latency is not None and rep.latency.detected == 1
@@ -116,8 +121,7 @@ def test_score_orientation_yields_high_auroc_for_all_detectors():
 
 def test_report_exclude_warmup_changes_totals():
     samples = scenario_samples(2)
-    std = welford_feature_stats(samples)
-    pairs = list(run_detection(samples, "cusum", DetectorSettings(), std))
+    pairs = list(run_detection(samples, "cusum", DetectorSettings()))
     full = detector_report("cusum", pairs)
     trimmed = detector_report("cusum", pairs, exclude_warmup=True)
     assert full.cm.total == 2000
@@ -167,44 +171,44 @@ def test_decisions_csv_t_mismatch_names_the_line_and_both_times(tmp_path):
 
 
 def test_decisions_csv_error_names_the_line_past_quoted_line_breaks(tmp_path):
-    # Each row's score spans two lines; the third row, with a bad flag, ends on line 7.
+    # Each score is quoted; the third row's, with a bad flag, spans two lines,
+    # so that row ends on line 5. A line break in the first two would be a
+    # whitespace error of its own.
     samples = scenario_samples(0)[:3]
-    rows = [f'{s.t!r},"0.5\n",{flag},1\n' for s, flag in zip(samples, (0, 0, 7))]
+    scores = ('"0.5"', '"0.5"', '"0.5\n"')
+    rows = [f'{s.t!r},{score},{flag},1\n' for s, score, flag in zip(samples, scores, (0, 0, 7))]
     path = tmp_path / "d.csv"
     path.write_text("t,score,attack,warmed_up\n" + "".join(rows))
-    with pytest.raises(DataError, match=r"d\.csv:7: attack and warmed_up must be 0 or 1"):
+    with pytest.raises(DataError, match=r"d\.csv:5: attack and warmed_up must be 0 or 1"):
         read_decisions_csv(path, samples)
 
 
 def test_decisions_csv_roundtrip(tmp_path):
     samples = scenario_samples(0)[:200]
-    std = welford_feature_stats(samples)
-    pairs = list(run_detection(samples, "bocpd", DetectorSettings(), std))
+    pairs = list(run_detection(samples, "bocpd", DetectorSettings()))
     path = tmp_path / "d.csv"
     n = write_decisions_csv(path, iter(pairs))
     assert n == 200
     assert read_decisions_csv(path, samples) == pairs
 
 
-def test_detect_records_memory_stays_bounded(tmp_path):
+@pytest.mark.parametrize("mode", ["speed", "standardized"])
+def test_detect_records_memory_stays_bounded(tmp_path, mode):
     # Streaming contract: quadrupling the stream must not grow peak memory
-    # materially. Uses generator input end to end (cusum on raw speed needs
-    # a single pass and no buffering).
-    settings = detector_settings_from_mapping({"cusum.input": "speed"})
+    # materially. Records come from a fresh iterator on each pass: cusum on
+    # raw speed takes one pass, and on its default standardized input two,
+    # neither of which may hold the samples.
+    settings = detector_settings_from_mapping({"cusum.input": mode})
 
     def run(n_seconds):
         profile = DrivingProfile(duration_s=n_seconds, noise_stdev=0.1)
-
-        def factory():
-            return iter(generate_stream(profile, seed=1))
-
         records = generate_stream(profile, seed=1)
 
         def lazy_factory():
             return iter(records)
 
         tracemalloc.start()
-        for _ in detect_records(lazy_factory, "cusum", settings, 0.1, None):
+        for _ in detect_records(lazy_factory, "cusum", settings, 0.1):
             pass
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()

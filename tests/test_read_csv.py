@@ -10,6 +10,7 @@ every block size.
 
 import csv
 import math
+import re
 from unittest import mock
 
 import pytest
@@ -34,8 +35,17 @@ from bsmguard.pipeline import DECISIONS_HEADER, read_decisions_csv
 BLOCK_SIZES = (1, 2, 3, 512)
 
 
-# --- Oracles: the per-row readers. The one change is that a csv.Error (a
-# field over csv.field_size_limit()) is a DataError at the reader's line.
+# --- Oracles: the per-row readers, with two additions: a csv.Error (a field
+# over csv.field_size_limit()) is a DataError at the reader's line, and after a
+# row's other checks, a number whose text holds whitespace, an underscore or a
+# non-ASCII character is a DataError.
+
+
+def oracle_check_plain(path, lineno, header, row, columns):
+    for i in columns:
+        if not row[i].isascii() or re.search(r"[_\s]", row[i]):
+            raise DataError(f"{path}:{lineno}: {header[i]} {row[i]!r} holds whitespace, "
+                            f"'_' or a non-ASCII character")
 
 
 def oracle_read_csv(path, header):
@@ -80,6 +90,7 @@ def oracle_read_bsm_csv(path):
             raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
         if speed < 0:
             raise DataError(f"{path}:{lineno}: negative speed {speed!r}")
+        oracle_check_plain(path, lineno, CSV_HEADER, row, (0, 2, 3, 4))
         yield BsmRecord(t, vehicle_id, speed, accel, label)
 
 
@@ -102,6 +113,7 @@ def oracle_read_decisions_csv(path, samples):
         sample = next(row_samples, None)
         if sample is not None and t != sample.t:
             raise DataError(f"{path}:{lineno}: t={t!r} does not match its sample's t={sample.t!r}")
+        oracle_check_plain(path, lineno, DECISIONS_HEADER, row, range(4))
         pairs.append((sample, DetectorDecision(attack == 1, score, warmed_up == 1)))
     if len(pairs) != len(samples):
         raise DataError(
@@ -125,8 +137,10 @@ SPECIAL = [
     "v" * (LIMIT - 1), "v" * LIMIT, "v" * (LIMIT + 1), "é",
 ]
 NUMBERS = ["-0.0", "1e12", "-1e12", "1e13", "-1e13", "nan", "-nan", "inf", "-inf", "1e999",
-           "-1.0", "x", " 1.5", "1_0", '"2.5"', "0x1p3"]
-FLAGS = ["0", "1", " 1", "01", "2", "-0", "+1", "-1", "0.5", "True", "", '"1"']
+           "-1.0", "x", " 1.5", "1.5\t", "1_0", "1\xa0", "\u0661.5", '"2.5"', '"2.5\n"',
+           "0x1p3", " nan"]
+FLAGS = ["0", "1", " 1", "1\x0c", "01", "2", "-0", "+1", "-1", "0.5", "True", "", '"1"',
+         "1_1", "\u0660", "\uff11"]
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 from bsmguard.bsm import aggregate
 from bsmguard.config import ConfigError, DetectorSettings, detector_settings_from_mapping
 from bsmguard.detectors import DETECTORS
-from bsmguard.pipeline import run_detection, welford_feature_stats
+from bsmguard.pipeline import run_detection
 from bsmguard.simulate import (
     SCENARIO_KEYS,
     AttackSpec,
@@ -87,10 +87,9 @@ def test_near_ambient_offsets_are_caught_by_bocpd_and_cusum_not_em():
         attack = AttackSpec(windows=((100.0, 120.0),), mode="offset",
                             magnitude=1.0 if seed % 2 else -1.0)
         samples = list(aggregate(Scenario(DrivingProfile(duration_s=200.0), attack, seed).run()))
-        std = welford_feature_stats(samples)
         hits = {}
         for name in DETECTORS:
-            pairs = list(run_detection(samples, name, settings, std))
+            pairs = list(run_detection(samples, name, settings))
             hits[name] = (sum(d.attack for _, d in pairs),
                           sum(d.attack for s, d in pairs if s.label))
         assert hits["em"] == (0, 0), seed

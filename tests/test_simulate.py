@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bsmguard.bsm import aggregate
 from bsmguard.config import DetectorSettings
-from bsmguard.pipeline import run_detection, welford_feature_stats
+from bsmguard.pipeline import run_detection
 from bsmguard.simulate import (
     AttackSpec,
     DrivingProfile,
@@ -165,10 +165,8 @@ class TestInject:
             stream = generate_stream(profile, seed=seed)
             spec = AttackSpec(windows=((20.0, 25.0),), mode="offset", magnitude=2.5)
             samples = list(aggregate(inject_false_info(stream, spec)))
-            std = welford_feature_stats(samples)
             flagged = any(
-                d.attack and s.label
-                for s, d in run_detection(samples, "bocpd", settings_, std)
+                d.attack and s.label for s, d in run_detection(samples, "bocpd", settings_)
             )
             hits += flagged
         assert hits >= 99
