@@ -146,14 +146,13 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_train(args) -> int:
-    outcome = train_and_evaluate(
-        _samples(args),
-        args.model,
-        seed=args.seed,
-        grid=_parse_grid(args.grid, args.model),
-        folds=args.folds,
-        test_fraction=args.test_fraction,
-    )
+    samples, grid = _samples(args), _parse_grid(args.grid, args.model)
+    try:
+        outcome = train_and_evaluate(samples, args.model, seed=args.seed, grid=grid,
+                                     folds=args.folds, test_fraction=args.test_fraction)
+    except MemoryError as exc:
+        # A grid cell too large to fit, such as an NN with 1e17 hidden units.
+        raise ConfigError(f"{args.model} training ran out of memory: {exc}") from None
     text = outcome.report.to_text()
     with staged_outputs() as stage:
         save_model(stage(args.out), outcome.model, outcome.standardizer, args.seed,

@@ -80,7 +80,7 @@ from bsmguard.config import ConfigError
 #: Every family labels a row attack when its score is above this cut.
 LABEL_CUT = 0.5
 
-#: Distances KNN holds at once: 128 KiB of float64 per block of query rows.
+#: Distances KNN and SMOTE hold at once: 128 KiB of float64 per block of rows.
 KNN_BLOCK_CELLS = 1 << 14
 
 #: The tree split criteria.
@@ -159,7 +159,9 @@ def smote_balance(
     coefficient). Both classes end at the midpoint count, so the result is
     balanced within one sample. Already balanced input passes through.
 
-    Neighbours rank by distance, ties by minority row order. ``_nearest``
+    Neighbours rank by distance, ties by minority row order. Minority rows
+    go in blocks of at most ``KNN_BLOCK_CELLS`` distances, as in
+    ``knn_scores``, so no (minority, minority) matrix is built. ``_nearest``
     selects each row's ``min(k, minority - 1)`` nearest without sorting the
     whole distance row, and only those are stably sorted by distance: the
     same neighbours in the same order as a full stable sort. The loop makes
@@ -189,14 +191,18 @@ def smote_balance(
     keep_maj = rng.choice(maj_idx, size=target, replace=False)
 
     X_min = X[min_idx]
-    d2 = _sq_dists(X_min, X_min)
-    np.fill_diagonal(d2, np.inf)
     k_eff = min(k, n_min - 1)
-    # Each row's k_eff nearest, in column order, then stably by distance:
-    # the first k_eff columns of the row's stable argsort.
-    near = np.nonzero(_nearest(d2, k_eff))[1].reshape(n_min, k_eff)
-    rank = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
-    neighbors = np.take_along_axis(near, rank, axis=1).tolist()
+    neighbors = []
+    step = max(1, KNN_BLOCK_CELLS // n_min)
+    for start in range(0, n_min, step):
+        d2 = _sq_dists(X_min[start : start + step], X_min)
+        own = np.arange(len(d2))
+        d2[own, start + own] = np.inf
+        # Each row's k_eff nearest, in column order, then stably by distance:
+        # the first k_eff columns of the row's stable argsort.
+        near = np.nonzero(_nearest(d2, k_eff))[1].reshape(len(d2), k_eff)
+        rank = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
+        neighbors += np.take_along_axis(near, rank, axis=1).tolist()
 
     n_new = target - n_min
     rows, picks, fracs = [], [], []

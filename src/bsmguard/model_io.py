@@ -6,23 +6,21 @@ parameters, and the family-specific payload, which the family's entry in
 ``ml.FAMILIES`` writes and reads. Floats serialize via repr, so a saved
 model reloads bit-exactly. The schema is documented in the README.
 
-Format v1 is written by this module's own writer (``_write``), whose text is
-byte for byte what ``json.dump(doc, fh, indent=1, sort_keys=True)`` writes,
-and read back by ``json.load``. ``json.dump`` encodes in pure Python, one
-generator frame per level of nesting for every token, and a forest's trees
-nest up to 90 deep; the writer instead streams each tree node
-(``ml.CartNode``) to the file as one formatted string, or three around a
-split's children, and each list of numbers as one. The indent stays because
-the benchmark's reference hashes pin these bytes; a v2 format without it is
-ROADMAP item 9. ``tests/test_model_io.py`` checks the writer against
-``json.dumps``.
+Format v1 is ``json.dumps(doc, indent=1, sort_keys=True)``, read back by
+``json.load``. json encodes in pure Python, one generator frame per level of
+nesting for every token, and a forest's trees nest up to 90 deep, so json
+writes a marker in each tree's (``ml.CartNode``) place and ``_write_tree``
+streams the tree there: json's text for the dict of each node's set fields,
+one string per leaf or three around a split's children. The indent stays
+because the benchmark's reference hashes pin these bytes; a v2 format
+without it, with array trees that need no streaming, is ROADMAP item 10.
+``tests/test_model_io.py`` checks the file against ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Callable
 
 import numpy as np
@@ -42,7 +40,11 @@ def save_model(
     test_fraction: float,
 ) -> None:
     """Write a model document. seed and test_fraction let evaluation rebuild
-    the exact train/test split the model was produced with."""
+    the exact train/test split the model was produced with.
+
+    An object json cannot write is a TypeError, and a string holding a NUL,
+    the trees' marker, a ValueError; then no file is written.
+    """
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -56,81 +58,44 @@ def save_model(
         },
         "payload": FAMILIES[model.family].to_payload(model.state),
     }
+    trees = []
+
+    def tree_marker(value: Any) -> str:
+        if not isinstance(value, CartNode):
+            raise TypeError(f"a model document cannot hold a {type(value).__name__}")
+        trees.append(value)
+        return "\x00"
+
+    # Each tree leaves one "\u0000" in the text; a string holding a NUL adds another.
+    text = json.dumps(doc, indent=1, sort_keys=True, default=tree_marker)
+    if text.count("\\u0000") != len(trees):
+        raise ValueError("a model document's strings cannot hold a NUL, which marks its trees")
+    parts = text.split('"\\u0000"')
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write(fh.write, doc, 0)
-        fh.write("\n")
+        for part, tree in zip(parts, trees):
+            fh.write(part)
+            line = part.rpartition("\n")[2]
+            _write_tree(fh.write, tree, len(line) - len(line.lstrip()))
+        fh.write(parts[-1] + "\n")
 
 
-def _scalar(value: Any) -> str:
-    """The JSON text of a float, str, None, bool or int, as ``json.dump`` writes it.
-
-    Floats, the bulk of a model, are tested first; a bool is tested before
-    int, as json does, so it is ``true``/``false``. A non-finite float is
-    ``NaN``, ``Infinity`` or ``-Infinity``.
-    """
+def _scalar(value: float | int) -> str:
+    """The JSON text of a float or int, ``NaN`` and ``Infinity`` included, as json writes it."""
     if isinstance(value, float):
         if math.isfinite(value):
             return float.__repr__(value)
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, str):
-        return _string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"a model document cannot hold a {type(value).__name__}")
 
 
-_CONTAINERS = (dict, list, tuple, CartNode)
-
-
 def _scalars(values, level: int) -> str:
-    """A list or tuple of scalars whose ``[`` sits at nesting ``level``, one item per line."""
+    """A list or tuple of numbers whose ``[`` sits at nesting ``level``, one item per line."""
     if not values:
         return "[]"
     inner = "\n" + " " * (level + 1)
     return "[" + inner + ("," + inner).join(map(_scalar, values)) + "\n" + " " * level + "]"
-
-
-def _write(put: Callable[[str], Any], value: Any, level: int) -> None:
-    """Write ``value`` whose first character sits at nesting ``level``, as
-    ``json.dump(value, indent=1, sort_keys=True)`` writes it there.
-
-    Dicts need string keys. A list or tuple of scalars goes out as one
-    string, and a ``CartNode`` as the dict of its set fields (``_write_tree``).
-    """
-    if isinstance(value, CartNode):
-        _write_tree(put, value, level)
-    elif isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner = "\n" + " " * (level + 1)
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"a model document key must be a str, not {key!r}")
-            put(sep + _string(key) + ": ")
-            _write(put, item, level + 1)
-            sep = "," + inner
-        put("\n" + " " * level + "}")
-    elif isinstance(value, (list, tuple)):
-        if not any(isinstance(item, _CONTAINERS) for item in value):
-            put(_scalars(value, level))
-            return
-        inner = "\n" + " " * (level + 1)
-        sep = "[" + inner
-        for item in value:
-            put(sep)
-            _write(put, item, level + 1)
-            sep = "," + inner
-        put("\n" + " " * level + "]")
-    else:
-        put(_scalar(value))
 
 
 def _write_tree(put: Callable[[str], Any], node: CartNode, level: int) -> None:

@@ -58,7 +58,7 @@ def _layer_case(metric):
     if metric == "ml.knn_predict_s":
         marks = pytest.mark.xfail(strict=True, reason="KNN scores in batches through "
                                   "knn_scores, so no CLI path calls knn_predict (CHANGES.md "
-                                  "FOUND line on ml.knn_predict_s; ROADMAP item 5)")
+                                  "FOUND line on ml.knn_predict_s; ROADMAP item 3)")
     return pytest.param(BENCH_RUN.LAYER_TIMES[metric], id=metric, marks=marks)
 
 

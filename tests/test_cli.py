@@ -747,6 +747,18 @@ class TestTrainEvaluate:
         assert "Traceback" not in err
         assert not model.exists()
 
+    def test_grid_too_large_for_memory_exits_2(self, tmp_path, bsm_csv, capsys):
+        # 1e17 hidden units ask for about 1.4 EiB at once; a size that fits the
+        # address space could be overcommitted and then filled page by page.
+        model = tmp_path / "m.json"
+        code = main(["train", str(bsm_csv), "--model", "nn", "--grid",
+                     f'{{"n_hidden": [{10**17}]}}', "--out", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: nn training ran out of memory: Unable to allocate")
+        assert err.count("\n") == 1
+        assert not model.exists()
+
     def test_single_class_data_exits_3(self, tmp_path, scenario_file):
         clean_cfg = tmp_path / "clean.cfg"
         clean_cfg.write_text("duration_s = 30.0\nseed = 1\n")

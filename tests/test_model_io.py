@@ -1,9 +1,12 @@
 """Bit-exact persistence round-trips for every model family, and the model
-file writer against ``json.dumps``."""
+file against ``json.dumps``."""
 
+import dataclasses
+import functools
 import json
 import math
-from dataclasses import fields
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 from bsmguard.bsm import DataError, StandardizationParams
 from bsmguard.ml import FAMILIES, fit_family
-from bsmguard.model_io import _write, load_model, save_model
+from bsmguard.model_io import load_model, save_model
 
 
 def data(seed=0, n=80):
@@ -247,26 +250,65 @@ def test_empty_forest_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The writer against json.dumps(indent=1, sort_keys=True)
+# The file against json.dumps(indent=1, sort_keys=True) of the oracle doc
 # ---------------------------------------------------------------------------
 
 
 def _tree_to_dict(node) -> dict:
     """The node's set fields, children nested: the model file's tree schema."""
-    d = {f.name: getattr(node, f.name) for f in fields(node) if getattr(node, f.name) is not None}
+    d = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)
+         if getattr(node, f.name) is not None}
     if not node.is_leaf:
         d["left"], d["right"] = _tree_to_dict(node.left), _tree_to_dict(node.right)
     return d
 
 
-def written(value) -> str:
-    out = []
-    _write(out.append, value, 0)
-    return "".join(out)
+# The tree families' state in the model file's dict schema.
+ORACLE_PAYLOAD = {
+    "cart": lambda tree: {"tree": _tree_to_dict(tree)},
+    "rf": lambda forest: {"trees": [_tree_to_dict(t) for t in forest]},
+}
+DEEP_RF = {"n_trees": 6, "max_depth": 90, "min_split": 2, "min_leaf": 1}
+STD = StandardizationParams(mean=(1.25, -0.5), stdev=(2.0, 0.125))
+
+
+def oracle_text(model) -> str:
+    """What ``save_model(path, model, STD, 3, 0.2)`` writes, by ``json.dumps``."""
+    doc = {
+        "format": "bsmguard-model",
+        "version": 1,
+        "family": model.family,
+        "params": model.params,
+        "seed": 3,
+        "test_fraction": 0.2,
+        "standardizer": {"mean": list(STD.mean), "stdev": list(STD.stdev)},
+        "payload": ORACLE_PAYLOAD.get(model.family, FAMILIES[model.family].to_payload)(
+            model.state),
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def overlap_model(family, params):
+    X, y = data(7, n=240)
+    y = np.where(np.random.default_rng(8).random(len(y)) < 0.3, 1 - y, y)  # overlapping classes
+    return fit_family(family, params, X, y, seed=3)
+
+
+@functools.cache
+def tree_model(family):
+    return overlap_model(family, PARAMS[family])
+
+
+@pytest.mark.parametrize("family, params", [*sorted(PARAMS.items()), ("rf", DEEP_RF)])
+def test_saved_file_is_json_dumps_of_the_oracle_doc(tmp_path, family, params):
+    model = overlap_model(family, params)
+    path = tmp_path / "model.json"
+    save_model(path, model, STD, seed=3, test_fraction=0.2)
+    assert path.read_text() == oracle_text(model)
 
 
 # Keys and strings reach past ASCII: accents, CJK, astral characters, and
-# the control characters json escapes.
+# the control characters json escapes, NUL (the trees' marker) among them.
 TEXT = st.text(st.one_of(st.characters(), st.sampled_from("\x00\x1f\x7f\"\\\n\t\u00e9\u4e2d\U0001f600")),
                max_size=6)
 SCALARS = st.one_of(
@@ -274,9 +316,8 @@ SCALARS = st.one_of(
     st.booleans(),
     st.integers(),
     st.integers(-(10**40), 10**40),
-    st.sampled_from([2**63, -(2**64) - 1, 10**300]),
     st.floats(),
-    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7,
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7,
                      math.nan, math.inf, -math.inf]),
     TEXT,
 )
@@ -287,52 +328,44 @@ JSON_VALUES = st.recursive(
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(TEXT, inner, max_size=4),
     ),
-    max_leaves=24,
+    max_leaves=16,
 )
 
 
-@given(JSON_VALUES)
-@example([-0.0, 5e-324, math.nan, math.inf, -math.inf, 1e16, 2**64, True, False, None])
-@example({"\u00e9\x00": {"\U0001f600": [{}], "\x1f\"": ((), [1.5])}, "": -0.0})
-def test_writer_matches_json_dumps(value):
-    assert written(value) == json.dumps(value, indent=1, sort_keys=True)
+@given(st.sampled_from(["cart", "rf"]), st.dictionaries(TEXT, JSON_VALUES, max_size=4))
+@example("rf", {"\u00e9\x1f\"": {"\U0001f600": [{}], "": ((), [1.5, -0.0, math.nan])}, "a": 2**64})
+@example("cart", {"note": "\x000"})
+@example("rf", {"\\u0000": 1})
+def test_saved_file_is_json_dumps_of_the_oracle_doc_for_any_params(family, params):
+    # The file is json's text with each tree in place, unless that text
+    # holds the trees' marker escape, \u0000: then nothing is written.
+    model = dataclasses.replace(tree_model(family), params=params)
+    expected = oracle_text(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        if "\\u0000" in expected:
+            with pytest.raises(ValueError, match="cannot hold a NUL"):
+                save_model(path, model, STD, seed=3, test_fraction=0.2)
+            assert not os.path.exists(path)
+        else:
+            save_model(path, model, STD, seed=3, test_fraction=0.2)
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == expected
 
 
-@pytest.mark.parametrize("value", [{}, [], (), {"": {}}, [[], {}, ()], {"a": [[[]]]}])
-def test_writer_matches_json_dumps_on_empty_containers(value):
-    assert written(value) == json.dumps(value, indent=1, sort_keys=True)
-
-
-@pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [object()], {"a": np.float32(1)}])
-def test_writer_rejects_what_a_model_document_cannot_hold(value):
-    with pytest.raises(TypeError):
-        written(value)
-
-
-# The tree families' state in the model file's dict schema.
-ORACLE_PAYLOAD = {
-    "cart": lambda tree: {"tree": _tree_to_dict(tree)},
-    "rf": lambda forest: {"trees": [_tree_to_dict(t) for t in forest]},
-}
-DEEP_RF = {"n_trees": 6, "max_depth": 90, "min_split": 2, "min_leaf": 1}
-
-
-@pytest.mark.parametrize("family, params", [*sorted(PARAMS.items()), ("rf", DEEP_RF)])
-def test_saved_file_is_json_dumps_of_the_oracle_doc(tmp_path, family, params):
-    X, y = data(7, n=240)
-    y = np.where(np.random.default_rng(8).random(len(y)) < 0.3, 1 - y, y)  # overlapping classes
-    model = fit_family(family, params, X, y, seed=3)
-    std = StandardizationParams(mean=(1.25, -0.5), stdev=(2.0, 0.125))
+@pytest.mark.parametrize("family", ["cart", "rf"])
+@pytest.mark.parametrize("params, error", [
+    # A NUL after the tree's place would take the tree's text without the guard.
+    ({"note": "\x000"}, ValueError),
+    ({"\x00": 1}, ValueError),
+    ({"a": np.float32(1)}, TypeError),
+    ({"a": [object()]}, TypeError),
+    ({(1, 2): 3}, TypeError),
+])
+def test_what_a_model_document_cannot_hold_is_rejected_and_no_file_written(
+        tmp_path, family, params, error):
+    model = dataclasses.replace(tree_model(family), params=params)
     path = tmp_path / "model.json"
-    save_model(path, model, std, seed=3, test_fraction=0.2)
-    doc = {
-        "format": "bsmguard-model",
-        "version": 1,
-        "family": family,
-        "params": model.params,
-        "seed": 3,
-        "test_fraction": 0.2,
-        "standardizer": {"mean": list(std.mean), "stdev": list(std.stdev)},
-        "payload": ORACLE_PAYLOAD.get(family, FAMILIES[family].to_payload)(model.state),
-    }
-    assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    with pytest.raises(error):
+        save_model(path, model, STD, seed=3, test_fraction=0.2)
+    assert not path.exists()

@@ -1,10 +1,13 @@
 """Class balancing: interpolation geometry and count contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsmguard import ml
 from bsmguard.bsm import DataError
 from bsmguard.ml import smote_balance
 
@@ -168,3 +171,33 @@ def test_one_more_majority_row_adds_no_synthetics():
     Xb, yb = smote_balance(X, y, k=1, seed=0)
     assert yb.tolist() == [0, 0, 1, 1]
     assert_same_as_full_sort(X, y, 1, seed=0)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 25])
+def test_equals_the_full_sort_in_row_blocks(monkeypatch, block_rows):
+    # 25 minority rows: blocks of one row, of two, of seven with a short
+    # last block, and one block. Duplicated rows put a zero distance right
+    # beside each row's own excluded one.
+    n_min = 25
+    monkeypatch.setattr(ml, "KNN_BLOCK_CELLS", block_rows * n_min + n_min - 1)
+    rng = np.random.default_rng(block_rows)
+    for case in range(20):
+        X = rng.integers(-2, 3, size=(n_min + 40, 2)).astype(float)
+        X[rng.integers(0, len(X), size=len(X) // 4)] = X[-1]
+        y = rng.permutation(np.array([1] * n_min + [0] * 40))
+        for k in (1, 4, n_min - 1):
+            assert_same_as_full_sort(X, y, k, seed=case)
+
+
+def test_memory_stays_far_below_the_minority_distance_matrix():
+    # 4,000 minority rows: their full distance matrix alone is 128 MB.
+    rng = np.random.default_rng(4)
+    X = rng.normal(0, 1, size=(8400, 2))
+    y = np.array([1] * 4000 + [0] * 4400)
+    tracemalloc.start()
+    try:
+        smote_balance(X, y, k=5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
