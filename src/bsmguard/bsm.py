@@ -4,9 +4,13 @@ Record and sample types, windowed aggregation at the infrastructure edge,
 per-feature standardization, the rolling control-variate transform, and the
 CSV schema used by every command.
 
-CSV files are read ``READ_BLOCK_LINES`` lines at a time (``read_csv``). A
+CSV files are written and read ``READ_BLOCK_LINES`` rows at a time.
+``write_csv`` formats a plain block of rows (tuples of one width whose
+columns each hold one exact type, float, int or str, and no text
+``csv.writer`` would quote) as one string and hands any other block to
+``csv.writer``, so the bytes are ``csv.writer``'s. ``read_csv`` splits a
 block of plain lines, which is every block ``write_csv`` writes for
-simulated streams and decisions, is split with ``str.split``; a quote, a
+simulated streams, decisions and ROC points, with ``str.split``; a quote, a
 CR, a blank line or a line as long as ``csv.field_size_limit()`` hands the
 rest of the file to ``csv.reader``. ``read_bsm_csv`` converts and checks a
 block a column at a time and walks a block that fails a check row by row,
@@ -52,8 +56,8 @@ MAX_FIELD_MAGNITUDE = 1e12
 
 CSV_HEADER = ("t", "vehicle_id", "speed_mps", "accel_mps2", "label")
 
-#: Lines ``read_csv`` takes from a file at a time: a block of 512 simulated
-#: records is about 20 KB of text.
+#: Rows ``write_csv`` writes, and lines ``read_csv`` takes from a file, at a
+#: time: a block of 512 simulated records is about 20 KB of text.
 READ_BLOCK_LINES = 512
 
 
@@ -231,16 +235,63 @@ class TransformWindow:
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
     """Write ``header`` and ``rows`` as UTF-8 CSV with LF line ends; returns the row count.
 
-    Floats are written with ``repr``, so they read back bit for bit.
+    Floats are written with ``repr``, so they read back bit for bit. Rows are
+    written READ_BLOCK_LINES at a time: a plain block (``_plain_text``) as one
+    string, any other with ``csv.writer``, so the bytes are those of
+    ``csv.writer`` alone. A ValueError raised by ``rows`` is raised after the
+    rows before it are written.
     """
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-            n += 1
+        for block in _chunks(rows, READ_BLOCK_LINES):
+            text = _plain_text(block)
+            if text is None:
+                writer.writerows(block)
+            else:
+                fh.write(text)
+            n += len(block)
     return n
+
+
+#: What makes ``csv.writer`` quote a field here, and CR, which it quotes in
+#: some Python versions and not in others.
+_QUOTED = ',"\r\n'
+
+
+def _plain_text(block: list) -> str | None:
+    """``block``'s CSV text when it is plain, else None.
+
+    Plain is: every row a tuple of one width, each column's fields of one
+    exact type (float, int or str), and no str field empty or holding any
+    of ``_QUOTED``. ``csv.writer`` writes such a field as ``repr`` (float)
+    or ``str``, which is what ``%r`` and ``%s`` give.
+    """
+    if not all(map(issubclass, set(map(type, block)), repeat(tuple))):
+        return None
+    columns = list(zip(*block))
+    if set(map(len, block)) != {len(columns)}:
+        return None
+    spec = []
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            spec.append("%r")
+        elif kinds == {int}:
+            spec.append("%s")
+        elif kinds == {str}:
+            values = set(column)
+            text = "".join(values)
+            if "" in values or any(map(text.__contains__, _QUOTED)):
+                return None
+            spec.append("%s")
+        else:
+            return None
+    try:
+        return "".join(map((",".join(spec) + "\n").__mod__, block))
+    except ValueError:  # an int past sys.get_int_max_str_digits(): csv.writer raises it
+        return None
 
 
 def _chunks(items: Iterable, size: int) -> Iterator[list]:

@@ -31,9 +31,7 @@ __all__ = [
     "EmDetector",
     "CusumDetector",
     "student_t_logpdf",
-    "fit_two_component_gmm",
     "gmm_m_step",
-    "attack_responsibility",
     "make_detector",
     "DetectorKind",
     "DETECTORS",
@@ -237,13 +235,6 @@ def _e_step(
     return resp, total
 
 
-def attack_responsibility(
-    y: float, mu1: float, s1: float, mu2: float, s2: float, pi2: float
-) -> float:
-    """Posterior probability that y came from the attack component (index 2)."""
-    return _e_step([y], mu1, s1, mu2, s2, pi2)[0][0]
-
-
 def gmm_m_step(
     points: list[float], resp: list[float]
 ) -> tuple[float, float, float, float, float]:
@@ -299,29 +290,6 @@ def _em_from(
         if delta < EM_TOL:
             break
     return theta, ll_history, resp
-
-
-def fit_two_component_gmm(
-    points: list[float],
-    mu1: float,
-    s1: float,
-    mu2: float,
-    s2: float,
-    pi2: float,
-) -> tuple[tuple[float, float, float, float, float], list[float]]:
-    """EM for a two-component Gaussian mixture on a small point set.
-
-    Runs until the largest parameter change drops below EM_TOL, an M-step
-    returns the previous M-step's theta exactly, or for EM_MAX_ITER
-    iterations. Returns the fitted (mu1, s1, mu2, s2, pi2) and the
-    log-likelihood after each M-step (a non-decreasing sequence, which the
-    tests assert). A stop at that exact fixed point repeats the last entry,
-    just as a further E-step would.
-    """
-    theta = (mu1, max(s1, SIGMA_FLOOR), mu2, max(s2, SIGMA_FLOOR), pi2)
-    resp, _ = _e_step(points, *theta)
-    theta, ll_history, _ = _em_from(points, resp, theta)
-    return theta, ll_history
 
 
 class EmDetector:

@@ -53,8 +53,8 @@ moments are the planes of one array, so a step is a few dozen whole-array
 operations for the whole block. Each network keeps its own generator,
 initialization and epoch permutation, and its slice of every operation is
 the one it would run alone, so it comes out bit for bit as it trains alone.
-``nn_train`` is the one-network block and ``nn_loss_and_grads`` runs the same
-kernel; ``grid_search`` trains a cell's folds together, grouped by row count
+``nn_train`` is the one-network block; ``tests/test_nn.py`` runs the same
+kernel for its gradient check. ``grid_search`` trains a cell's folds together, grouped by row count
 (``_nn_fit``). Each step keeps the floating-point order of the per-array
 update it replaced: m = B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g, the step
 (lr*(m/corr1)) / (sqrt(v/corr2)+eps), the loss (max(l,0) - y*l) +
@@ -159,15 +159,16 @@ def smote_balance(
     coefficient). Both classes end at the midpoint count, so the result is
     balanced within one sample. Already balanced input passes through.
 
-    Neighbours rank by distance, ties by minority row order. Minority rows
-    go in blocks of at most ``KNN_BLOCK_CELLS`` distances, as in
-    ``knn_scores``, so no (minority, minority) matrix is built. ``_nearest``
-    selects each row's ``min(k, minority - 1)`` nearest without sorting the
-    whole distance row, and only those are stably sorted by distance: the
-    same neighbours in the same order as a full stable sort. The loop makes
-    the generator's draws in their fixed order and records them; the
-    synthetic rows are then interpolated in one array operation with the
-    same arithmetic per element, so the output is the same bit for bit.
+    Neighbours rank by distance, ties by minority row order. The loop makes
+    the generator's draws in their fixed order and records them; neighbours
+    are then found only for the minority rows it drew, in blocks of at most
+    ``KNN_BLOCK_CELLS`` distances, as in ``knn_scores``, so no (minority,
+    minority) matrix is built. ``_nearest`` selects each row's
+    ``min(k, minority - 1)`` nearest without sorting the whole distance
+    row, and only those are stably sorted by distance: the same neighbours
+    in the same order as a full stable sort. The synthetic rows are
+    interpolated in one array operation with the same arithmetic per
+    element, so the output is the same bit for bit.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -192,25 +193,27 @@ def smote_balance(
 
     X_min = X[min_idx]
     k_eff = min(k, n_min - 1)
-    neighbors = []
+    n_new = target - n_min
+    rows, slots, fracs = [], [], []
+    for _ in range(n_new):
+        rows.append(int(rng.integers(0, n_min)))
+        slots.append(int(rng.integers(0, k_eff)))
+        fracs.append(rng.random())
+
+    # Only the drawn rows' neighbours are used, so only they are found.
+    drawn = np.unique(np.array(rows, dtype=np.intp))
+    neighbors = np.empty((len(drawn), k_eff), dtype=np.intp)
     step = max(1, KNN_BLOCK_CELLS // n_min)
-    for start in range(0, n_min, step):
-        d2 = _sq_dists(X_min[start : start + step], X_min)
-        own = np.arange(len(d2))
-        d2[own, start + own] = np.inf
+    for start in range(0, len(drawn), step):
+        block = drawn[start : start + step]
+        d2 = _sq_dists(X_min[block], X_min)
+        d2[np.arange(len(block)), block] = np.inf
         # Each row's k_eff nearest, in column order, then stably by distance:
         # the first k_eff columns of the row's stable argsort.
         near = np.nonzero(_nearest(d2, k_eff))[1].reshape(len(d2), k_eff)
         rank = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
-        neighbors += np.take_along_axis(near, rank, axis=1).tolist()
-
-    n_new = target - n_min
-    rows, picks, fracs = [], [], []
-    for _ in range(n_new):
-        i = int(rng.integers(0, n_min))
-        rows.append(i)
-        picks.append(neighbors[i][int(rng.integers(0, k_eff))])
-        fracs.append(rng.random())
+        neighbors[start : start + step] = np.take_along_axis(near, rank, axis=1)
+    picks = neighbors[np.searchsorted(drawn, rows), slots]
     base = X_min[rows]
     synth = base + np.array(fracs)[:, None] * (X_min[picks] - base)
 
@@ -858,24 +861,6 @@ def _nn_kernel(theta: np.ndarray, grad: np.ndarray, n_features: int, n_hidden: i
         return losses.sum(axis=(1, 2))
 
     return step
-
-
-def nn_loss_and_grads(model: NnModel, X: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy and its gradients for one batch.
-
-    Runs the training kernel on a packed copy of ``model``, as a block of one
-    network; the gradients are views into the kernel's gradient buffer. The
-    tests compare them against central finite differences.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = model.w_hidden.shape
-    theta = _nn_pack(model)[None]
-    grad = np.empty_like(theta)
-    loss = float(_nn_kernel(theta, grad, *shape)(X[None], y[None, :, None])[0]) / len(y)
-    gW, gbh, gwo = _nn_split(grad, *shape)
-    return loss, {"w_hidden": gW[0], "b_hidden": gbh[0], "w_out": gwo[0],
-                  "b_out": float(grad[0, -1])}
 
 
 class NnDivergedError(ConfigError, RuntimeError):

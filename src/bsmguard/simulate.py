@@ -10,11 +10,13 @@ exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import itemgetter, sub, truediv
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from bsmguard.bsm import ATTACK, BSM_PERIOD_S, MAX_FIELD_MAGNITUDE, BsmRecord
+from bsmguard.bsm import ATTACK, BSM_PERIOD_S, MAX_FIELD_MAGNITUDE, BsmRecord, _bsm_record
 from bsmguard.config import (
     ConfigError,
     check_windows,
@@ -151,7 +153,8 @@ def generate_stream(
     The broadcast acceleration is the finite difference of the broadcast
     speed, (v_t - v_{t-0.1}) / 0.1, with the first record reporting zero.
     A ``duration_s`` whose speed trace does not fit in memory is a
-    ConfigError naming the record count.
+    ConfigError naming the record count. The records are zipped from
+    columns: the speeds, the rounded tick times and the differences.
     """
     n = profile.ticks
     rng = np.random.default_rng(seed)
@@ -164,15 +167,11 @@ def generate_stream(
         raise ConfigError(f"key 'duration_s': {profile.duration_s!r} asks for {n} records, "
                           "more than fit in memory") from None
 
-    records = []
-    prev = None
-    for i in range(n):
-        t = round((i + 1) * BSM_PERIOD_S, 9)
-        v = float(speeds[i])
-        a = 0.0 if prev is None else (v - prev) / BSM_PERIOD_S
-        records.append(BsmRecord(t, vehicle_id, v, a, 0))
-        prev = v
-    return records
+    speeds = speeds.tolist()
+    t = map(round, map(BSM_PERIOD_S.__rmul__, range(1, n + 1)), repeat(9))
+    accel = chain([0.0], map(truediv, map(sub, islice(speeds, 1, None), speeds),
+                             repeat(BSM_PERIOD_S)))
+    return list(map(_bsm_record, zip(t, repeat(vehicle_id), speeds, accel, repeat(0))))
 
 
 def inject_false_info(
@@ -182,27 +181,28 @@ def inject_false_info(
 
     Only the speed field changes; timestamps, vehicle ids, and accelerations
     are carried through bit-identically. A window outside the stream is a
-    ConfigError.
+    ConfigError. Each window's hits come from one mask over the records'
+    times; the hit records are rewritten in record order, which is the
+    order of the noise-burst draws.
     """
     if stream:
         _check_within(spec.windows, stream[-1].t)
     rng = np.random.default_rng(spec.seed)
+    out = list(stream)
+    t = np.fromiter(map(itemgetter(0), out), float, len(out))
+    hit = np.zeros(len(out), dtype=bool)
     # A record at t is hit by [start, end) when start <= t < end, up to 1e-9.
-    bounds = [(start - 1e-9, end - 1e-9) for start, end in spec.windows]
-    out: list[BsmRecord] = []
-    for rec in stream:
-        t = rec.t
-        hit = any(lo <= t < hi for lo, hi in bounds)
-        if not hit:
-            out.append(rec)
-            continue
+    for start, end in spec.windows:
+        hit |= (start - 1e-9 <= t) & (t < end - 1e-9)
+    for i in np.flatnonzero(hit).tolist():
+        rec = out[i]
         if spec.mode == "constant_replace":
             speed = spec.magnitude
         elif spec.mode == "offset":
             speed = max(0.0, rec.speed + spec.magnitude)
         else:  # noise_burst
             speed = max(0.0, rec.speed + float(rng.normal(0.0, spec.magnitude)))
-        out.append(BsmRecord(t, rec.vehicle_id, speed, rec.accel, ATTACK))
+        out[i] = BsmRecord(rec.t, rec.vehicle_id, speed, rec.accel, ATTACK)
     return out
 
 

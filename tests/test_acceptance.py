@@ -24,19 +24,20 @@ from bsmguard.detectors import (
     CusumDetector,
     EmConfig,
     EmDetector,
-    fit_two_component_gmm,
     make_detector,
 )
 from bsmguard.evaluate import ConfusionMatrix, auroc, metrics, time_inference
-from bsmguard.ml import cart_fit, knn_predict, nn_init, nn_loss_and_grads
+from bsmguard.ml import cart_fit, knn_predict, nn_init
 from bsmguard.pipeline import feature_stream, run_detection
 from bsmguard.simulate import default_scenario
 
 from test_bocpd import nig_posterior
 from test_cart import brute_best_root_gain, root_gain
 from test_cusum import naive_cusum
+from test_em import fit_two_component_gmm
 from test_evaluate import pairwise_auroc
 from test_knn import brute_knn
+from test_nn import nn_loss_and_grads
 
 
 def report(line: str) -> None:

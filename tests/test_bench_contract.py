@@ -222,6 +222,42 @@ def test_bench_inputs_are_split_without_csv_reader(tmp_path, monkeypatch):
     assert fed == [",".join(DECISIONS_HEADER) + "\n"]
 
 
+def test_bench_outputs_are_written_without_csv_writer(tmp_path, monkeypatch):
+    # Only a file's header goes through csv.writer; every block of the
+    # bench's streams, decisions and ROC points is plain, so write_csv
+    # formats it at once. A score that came out as a numpy scalar, or a label
+    # as a bool, would fail this, and lose the block writer's speed without
+    # failing anything else.
+    written = []  # the rows csv.writer takes
+
+    def counting_writer(fh, *args, **kwargs):
+        writer = csv_writer(fh, *args, **kwargs)
+
+        def writerows(rows):
+            rows = list(rows)
+            written.extend(rows)
+            return writer.writerows(rows)
+        return mock.Mock(writerow=lambda row: writerows([row]), writerows=writerows)
+
+    csv_writer = csv.writer
+    monkeypatch.setattr(csv, "writer", counting_writer)
+    workloads = load_perfbench_module("workloads")
+    for workload in ("fleet-roc", "train-overlap"):
+        written.clear()
+        workloads.build_inputs(workload, workloads.DEFAULT_SEED, str(tmp_path))
+        assert written == [CSV_HEADER], workload
+    ops = workloads.make_ops("train-overlap", str(tmp_path))
+    roc_reports = [op for op in ops if op.kind == "report" and len(op.outputs) == 2]
+    assert roc_reports
+    for op in ops:
+        if op.kind in ("simulate", "detect", "report"):
+            written.clear()
+            assert main(list(op.argv)) == 0, op.label
+            header = {"simulate": [CSV_HEADER], "detect": [DECISIONS_HEADER],
+                      "report": [("threshold", "fpr", "tpr")] if op in roc_reports else []}
+            assert written == header[op.kind], op.label
+
+
 #: Runs train-overlap's train and evaluate ops in a fresh interpreter, so the
 #: environment it is started with picks the BLAS and numpy kernels, and prints
 #: their output hashes as JSON. Arguments: the workloads module, the workdir.

@@ -20,11 +20,31 @@ from bsmguard.detectors import (
     EmDetector,
     SIGMA_FLOOR,
     _e_step,
-    attack_responsibility,
-    fit_two_component_gmm,
+    _em_from,
     gmm_m_step,
 )
 from bsmguard.simulate import AttackSpec, DrivingProfile, Scenario, default_scenario
+
+
+def attack_responsibility(y, mu1, s1, mu2, s2, pi2):
+    """Posterior probability that y came from the attack component (index 2)."""
+    return _e_step([y], mu1, s1, mu2, s2, pi2)[0][0]
+
+
+def fit_two_component_gmm(points, mu1, s1, mu2, s2, pi2):
+    """EM for a two-component Gaussian mixture on a small point set, as
+    ``EmDetector`` runs it from its anchors' theta.
+
+    Runs until the largest parameter change drops below EM_TOL, an M-step
+    returns the previous M-step's theta exactly, or for EM_MAX_ITER
+    iterations. Returns the fitted (mu1, s1, mu2, s2, pi2) and the
+    log-likelihood after each M-step. A stop at that exact fixed point
+    repeats the last entry, just as a further E-step would.
+    """
+    theta = (mu1, max(s1, SIGMA_FLOOR), mu2, max(s2, SIGMA_FLOOR), pi2)
+    resp, _ = _e_step(points, *theta)
+    theta, ll_history, _ = _em_from(points, resp, theta)
+    return theta, ll_history
 
 
 def loglik(points, mu1, s1, mu2, s2, pi2):

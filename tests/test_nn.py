@@ -19,11 +19,30 @@ from bsmguard.ml import (
     NnDivergedError,
     NnModel,
     nn_forward,
+    _nn_kernel,
+    _nn_pack,
+    _nn_split,
     nn_init,
-    nn_loss_and_grads,
     nn_train,
     nn_train_block,
 )
+
+
+def nn_loss_and_grads(model, X, y):
+    """Mean binary cross-entropy and its gradients for one batch.
+
+    Runs the training kernel on a packed copy of ``model``, as a block of one
+    network; the gradients are views into the kernel's gradient buffer.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = model.w_hidden.shape
+    theta = _nn_pack(model)[None]
+    grad = np.empty_like(theta)
+    loss = float(_nn_kernel(theta, grad, *shape)(X[None], y[None, :, None])[0]) / len(y)
+    gW, gbh, gwo = _nn_split(grad, *shape)
+    return loss, {"w_hidden": gW[0], "b_hidden": gbh[0], "w_out": gwo[0],
+                  "b_out": float(grad[0, -1])}
 
 
 def zero_model(n_features=2, n_hidden=10):

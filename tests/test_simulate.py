@@ -1,13 +1,21 @@
-"""Stream generation and false-speed injection."""
+"""Stream generation and false-speed injection.
 
+``generate_stream`` and ``inject_false_info`` build their records from
+columns; the oracles below are the per-record loops they replaced, and
+every stream must come out the same, ``repr`` for ``repr``.
+"""
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsmguard.bsm import aggregate
+from bsmguard.bsm import ATTACK, BSM_PERIOD_S, BsmRecord, aggregate
 from bsmguard.config import DetectorSettings
 from bsmguard.pipeline import run_detection
 from bsmguard.simulate import (
+    ATTACK_MODES,
+    DEFAULT_VEHICLE_ID,
     AttackSpec,
     DrivingProfile,
     Segment,
@@ -16,6 +24,92 @@ from bsmguard.simulate import (
     inject_false_info,
     scenario_from_mapping,
 )
+
+
+def oracle_generate_stream(profile, seed, vehicle_id=DEFAULT_VEHICLE_ID):
+    n = profile.ticks
+    rng = np.random.default_rng(seed)
+    speeds = profile.base_trace(n)
+    if profile.noise_stdev > 0:
+        speeds = speeds + rng.normal(0.0, profile.noise_stdev, n)
+    speeds = np.maximum(speeds, 0.0)
+    records = []
+    prev = None
+    for i in range(n):
+        t = round((i + 1) * BSM_PERIOD_S, 9)
+        v = float(speeds[i])
+        a = 0.0 if prev is None else (v - prev) / BSM_PERIOD_S
+        records.append(BsmRecord(t, vehicle_id, v, a, 0))
+        prev = v
+    return records
+
+
+def oracle_inject_false_info(stream, spec):
+    rng = np.random.default_rng(spec.seed)
+    bounds = [(start - 1e-9, end - 1e-9) for start, end in spec.windows]
+    out = []
+    for rec in stream:
+        t = rec.t
+        if not any(lo <= t < hi for lo, hi in bounds):
+            out.append(rec)
+            continue
+        if spec.mode == "constant_replace":
+            speed = spec.magnitude
+        elif spec.mode == "offset":
+            speed = max(0.0, rec.speed + spec.magnitude)
+        else:  # noise_burst
+            speed = max(0.0, rec.speed + float(rng.normal(0.0, spec.magnitude)))
+        out.append(BsmRecord(t, rec.vehicle_id, speed, rec.accel, ATTACK))
+    return out
+
+
+SEGMENTS = st.lists(
+    st.builds(Segment, st.sampled_from(["cruise", "decel", "accel"]),
+              st.sampled_from([0.05, 0.1, 0.25, 1.0, 3.3]), st.sampled_from([0.0, 0.3, 12.0])),
+    max_size=4,
+).map(tuple)
+
+PROFILES = st.builds(
+    DrivingProfile,
+    duration_s=st.sampled_from([0.1, 0.15, 1.0, 2.35, 7.0, 30.0]),
+    base_speed=st.sampled_from([0.0, 0.05, 0.4, 15.6]),
+    noise_stdev=st.sampled_from([0.0, 0.25, 3.0]),
+    segments=SEGMENTS,
+)
+
+
+@st.composite
+def attacks(draw, last_t):
+    """An attack spec whose windows start and end on record times, give or
+    take up to 1e-9, and may end at the last record."""
+    ticks = int(round(last_t / BSM_PERIOD_S))
+    cuts = sorted(draw(st.lists(st.integers(0, ticks), max_size=6)))
+    nudge = st.sampled_from([0.0, 0.0, -1e-9, 1e-9, -5e-10, 5e-10, -2e-9])
+    windows = []
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        start = max(0.0, round(lo * BSM_PERIOD_S, 9) + draw(nudge))
+        end = min(last_t + 1e-9, round(hi * BSM_PERIOD_S, 9) + draw(nudge))
+        if start < end and (not windows or windows[-1][1] <= start):
+            windows.append((start, end))
+    if draw(st.booleans()) and (not windows or windows[-1][1] < last_t):
+        windows.append((windows[-1][1] if windows else 0.0, last_t))
+    mode = draw(st.sampled_from(ATTACK_MODES))
+    magnitude = draw(st.sampled_from([0.0, 0.5, 3.0] + ([-2.0, -20.0] if mode == "offset" else [])))
+    return AttackSpec(tuple(windows), mode, magnitude, draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=PROFILES, seed=st.integers(0, 2**32), data=st.data())
+@example(profile=DrivingProfile(duration_s=200.0), seed=0, data=None)
+def test_stream_and_attack_match_the_per_record_loops(profile, seed, data):
+    stream = generate_stream(profile, seed, vehicle_id="v7")
+    assert repr(stream) == repr(oracle_generate_stream(profile, seed, vehicle_id="v7"))
+    last_t = stream[-1].t
+    specs = [default_scenario(seed).attack] if data is None else [
+        data.draw(attacks(last_t)) for _ in range(3)]
+    for spec in specs:
+        assert repr(inject_false_info(stream, spec)) == repr(
+            oracle_inject_false_info(stream, spec))
 
 
 class TestGenerate:
