@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bsmguard.bsm import aggregate
 from bsmguard.config import DetectorSettings
 from bsmguard.detectors import DETECTOR_NAMES
+from bsmguard.evaluate import timing_stats
 from bsmguard.ml import MODEL_FAMILIES
 from bsmguard.pipeline import detector_report, run_detection, train_and_evaluate
 from bsmguard.simulate import default_scenario
@@ -55,9 +56,9 @@ def detector_rows(seeds: int):
         reports, per_sample_ms = [], []
         for seed in range(seeds):
             samples = list(aggregate(default_scenario(seed=seed).run()))
-            started = time.perf_counter()
-            pairs = list(run_detection(samples, name, settings))
-            per_sample_ms.append(1000 * (time.perf_counter() - started) / len(pairs))
+            timings = []
+            pairs = list(run_detection(samples, name, settings, timings))
+            per_sample_ms.append(timing_stats(timings).mean_ms)
             reports.append(detector_report(name, pairs, windows=((100.0, 105.0),)))
         latencies = [r.latency.mean for r in reports if r.latency.detected]
         latency_s = statistics.fmean(latencies) if latencies else math.nan

@@ -12,11 +12,14 @@ columns each hold one exact type, float, int or str, and no text
 block of plain lines, which is every block ``write_csv`` writes for
 simulated streams, decisions and ROC points, with ``str.split``; a quote, a
 CR, a blank line or a line as long as ``csv.field_size_limit()`` hands the
-rest of the file to ``csv.reader``. ``read_bsm_csv`` converts and checks a
-block a column at a time and walks a block that fails a check row by row,
-so the records and errors are those of a row-at-a-time reader. A number's
-text is held to what ``write_csv`` writes: no underscore, whitespace or
-non-ASCII character, all of which ``float()`` and ``int()`` would accept.
+rest of the file to ``csv.reader``. Each reader states its checks once, in
+a function that converts and checks a list of rows a column at a time
+(``_bsm_block`` here, the join in ``pipeline.read_decisions_csv``);
+``read_checked`` runs it on each block and again one row at a time on a
+block that fails, so the records and errors are those of a row-at-a-time
+reader. A number's text is held to what ``write_csv`` writes: no
+underscore, whitespace or non-ASCII character, all of which ``float()`` and
+``int()`` would accept.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 NO_ATTACK = 0
 ATTACK = 1
@@ -393,14 +396,40 @@ def plain_numbers(text: str) -> bool:
 
 
 def check_plain_numbers(
-    path: str, lineno: int, header: Sequence[str], row: Sequence[str], columns: Iterable[int]
+    header: Sequence[str], columns: Sequence[Sequence[str]], numbers: Iterable[int]
 ) -> None:
-    """A DataError naming ``path``, its line and the first of ``row``'s number
-    ``columns`` whose text is not ``plain_numbers``."""
-    for i in columns:
-        if not plain_numbers(row[i]):
-            raise DataError(f"{path}:{lineno}: {header[i]} {row[i]!r} holds whitespace, "
-                            f"'_' or a non-ASCII character")
+    """A ValueError for the first of the ``numbers`` columns (indices into
+    ``header`` and ``columns``) whose text is not ``plain_numbers``; it quotes
+    the column's first field, the bad one when the column holds one field."""
+    for i in numbers:
+        if not plain_numbers("".join(columns[i])):
+            raise ValueError(f"{header[i]} {columns[i][0]!r} holds whitespace, "
+                             f"'_' or a non-ASCII character")
+
+
+def read_checked(
+    path: str, header: Sequence[str], convert: Callable[[Sequence[list[str]]], Iterable]
+) -> Iterator:
+    """The items ``convert`` makes of each ``read_csv`` block of ``path``.
+
+    ``convert`` converts and checks a list of rows a column at a time and
+    raises a ValueError for the first check that fails, which is exact when
+    the list holds one row. A block that fails is converted again one row at
+    a time: the items of the rows before the first bad one are yielded, then
+    its error is raised as a DataError naming ``path`` and the row's line.
+    """
+    for lines, rows in read_csv(path, header):
+        try:
+            items = convert(rows)
+        except ValueError:
+            for lineno, row in zip(lines, rows):
+                try:
+                    items = convert([row])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                yield from items
+        else:
+            yield from items
 
 
 def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
@@ -409,59 +438,30 @@ def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
 
 
 def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
-    """Stream records from a canonical CSV, validating encoding, schema and labels.
-
-    Each ``read_csv`` block is converted a column at a time and its columns
-    checked whole, the numbers' text with ``plain_numbers``; a block that
-    fails a check is walked again row by row (``_bsm_records``), which yields
-    the records before the first bad row and raises its error.
-    """
-    big = MAX_FIELD_MAGNITUDE
-    for lines, rows in read_csv(path, CSV_HEADER):
-        t, vehicle_id, speed, accel, label = zip(*rows)
-        numbers = "".join(chain(t, speed, accel, label))
-        try:
-            t, speed, accel = (list(map(float, column)) for column in (t, speed, accel))
-            label = list(map(int, label))
-        except ValueError:
-            valid = False
-        else:
-            valid = (all(map(big.__ge__, map(abs, chain(t, speed, accel))))
-                     and min(speed) >= 0 and set(label) <= {NO_ATTACK, ATTACK}
-                     and plain_numbers(numbers))
-        if valid:
-            yield from map(_bsm_record, zip(t, vehicle_id, speed, accel, label))
-        else:
-            yield from _bsm_records(path, lines, rows)
+    """Stream records from a canonical CSV, validating encoding, schema and labels
+    (``read_checked`` with ``_bsm_block``)."""
+    return read_checked(path, CSV_HEADER, _bsm_block)
 
 
 #: BsmRecord from a tuple of its fields, without the Python-level ``__new__``.
 _bsm_record = partial(tuple.__new__, BsmRecord)
 
 
-def _bsm_records(
-    path: str, lines: Sequence[int], rows: Sequence[Sequence[str]]
-) -> Iterator[BsmRecord]:
-    """The records of ``rows`` one at a time, up to the first malformed row,
-    whose DataError names ``path`` and its line."""
+def _bsm_block(rows: Sequence[list[str]]) -> Iterator[BsmRecord]:
+    """The records of ``rows``, converted and checked a column at a time. Each
+    row's checks run in this order: the numbers convert, t, speed and accel are
+    finite and within MAX_FIELD_MAGNITUDE, the label is 0 or 1, the speed is not
+    negative, and the numbers' text is ``plain_numbers``."""
+    columns = list(zip(*rows))
+    t, vehicle_id, speed, accel, label = columns
+    t, speed, accel = list(map(float, t)), list(map(float, speed)), list(map(float, accel))
+    label = list(map(int, label))
     big = MAX_FIELD_MAGNITUDE
-    for lineno, row in zip(lines, rows):
-        t, vehicle_id, speed, accel, label = row
-        try:
-            t = float(t)
-            speed = float(speed)
-            accel = float(accel)
-            label = int(label)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not (-big <= t <= big and -big <= speed <= big and -big <= accel <= big):
-            raise DataError(
-                f"{path}:{lineno}: t, speed or accel is non-finite or beyond "
-                f"{big:g} in {row!r}"
-            )
-        if label not in (NO_ATTACK, ATTACK):
-            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
-        if speed < 0:
-            raise DataError(f"{path}:{lineno}: negative speed {speed!r}")
-        check_plain_numbers(path, lineno, CSV_HEADER, row, (0, 2, 3, 4))
-        yield BsmRecord(t, vehicle_id, speed, accel, label)
+    if not all(map(big.__ge__, map(abs, chain(t, speed, accel)))):
+        raise ValueError(f"t, speed or accel is non-finite or beyond {big:g} in {rows[0]!r}")
+    if not set(label) <= {NO_ATTACK, ATTACK}:
+        raise ValueError(f"label must be 0 or 1, got {rows[0][4]!r}")
+    if min(speed) < 0:
+        raise ValueError(f"negative speed {speed[0]!r}")
+    check_plain_numbers(CSV_HEADER, columns, (0, 2, 3, 4))
+    return map(_bsm_record, zip(t, vehicle_id, speed, accel, label))

@@ -26,15 +26,14 @@ from bsmguard.config import (
     parse_windows,
     reject_unknown_keys,
 )
-from bsmguard.detectors import DETECTOR_NAMES, make_detector
-from bsmguard.evaluate import roc_points, time_inference, write_roc_csv
+from bsmguard.detectors import DETECTOR_NAMES
+from bsmguard.evaluate import roc_points, timing_stats, write_roc_csv
 from bsmguard.ml import FAMILIES, MODEL_FAMILIES, check_params
 from bsmguard.model_io import load_model, save_model
 from bsmguard.pipeline import (
     detect_records,
     detector_report,
     evaluate_model,
-    feature_stream,
     model_dataset,
     read_decisions_csv,
     scored_pairs,
@@ -90,18 +89,20 @@ def _detector_settings(args) -> DetectorSettings:
 
 def cmd_detect(args) -> int:
     settings = _detector_settings(args)
+    if (settings.input_mode(args.detector) == "standardized"
+            and os.path.exists(args.csv) and not os.path.isfile(args.csv)):
+        raise ConfigError(f"{args.detector}'s standardized input mode reads its CSV twice, "
+                          f"so {args.csv} must be a regular file, not a pipe or device")
     records_factory = functools.partial(_vehicle_records, args.csv, args.vehicle)
-    rows = detect_records(records_factory, args.detector, settings, args.window)
+    # Wall-clock times of the decision pass's observes; they stay out of the
+    # decisions file.
+    timings = [] if args.timing_out else None
+    rows = detect_records(records_factory, args.detector, settings, args.window, timings)
     with staged_outputs() as stage:
         n = write_decisions_csv(stage(args.out), rows)
         if args.timing_out:
-            # Re-run a fresh detector over the same inputs purely to time it.
-            # Wall-clock output is intentionally kept out of the decisions file.
-            stream = feature_stream(_samples(args), settings.input_mode(args.detector))
-            values = (v for _, v in stream if v is not None)
-            det = make_detector(args.detector, settings.config(args.detector))
             try:
-                stats = time_inference(det.observe, values)
+                stats = timing_stats(timings)
             except ValueError as exc:
                 raise DataError(str(exc)) from None
             _write_text(

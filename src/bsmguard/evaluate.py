@@ -11,7 +11,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from bsmguard.bsm import write_csv
 
@@ -205,22 +205,28 @@ class TimingStats:
     p99_ms: float
 
 
-def time_inference(step: Callable[[object], object], stream: Iterable[object]) -> TimingStats:
-    """Time ``step`` per element, excluding the first ``TIMING_WARMUP_SAMPLES``.
+def timed(step: Callable, durations_ns: list[int]) -> Callable:
+    """``step``, appending the wall-clock time of each call to ``durations_ns``.
 
-    Timing runs should be single-threaded and pinned to one stream; the
-    caller passes a bound observe/predict callable.
+    Timing runs should be single-threaded and pinned to one stream; wrap a
+    bound observe/predict callable.
     """
-    samples_ms = []
-    for i, item in enumerate(stream):
-        t0 = time.perf_counter_ns()
-        step(item)
-        dt = time.perf_counter_ns() - t0
-        if i >= TIMING_WARMUP_SAMPLES:
-            samples_ms.append(dt / 1e6)
-    if not samples_ms:
+    clock = time.perf_counter_ns
+
+    def call(item):
+        start = clock()
+        result = step(item)
+        durations_ns.append(clock() - start)
+        return result
+
+    return call
+
+
+def timing_stats(durations_ns: Sequence[int]) -> TimingStats:
+    """Stats of the calls ``timed`` recorded, excluding the first ``TIMING_WARMUP_SAMPLES``."""
+    ordered = sorted(dt / 1e6 for dt in durations_ns[TIMING_WARMUP_SAMPLES:])
+    if not ordered:
         raise ValueError(f"stream must be longer than the {TIMING_WARMUP_SAMPLES}-sample warm-up")
-    ordered = sorted(samples_ms)
     p99_idx = min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)
     return TimingStats(
         n_measured=len(ordered),

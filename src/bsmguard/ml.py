@@ -310,32 +310,12 @@ def knn_predict(
 # ---------------------------------------------------------------------------
 
 
-def impurity(counts: Sequence[float], criterion: str = "gini") -> float:
-    """Node impurity from (possibly weighted) per-class counts.
-
-    gini is sum_{c1 != c2} p(c1) p(c2); entropy is the usual -sum p log2 p.
-    All-zero counts are rejected. The scalar reference for ``_impurity_vec``.
-    """
-    total = float(sum(counts))
-    if total <= 0:
-        raise ValueError("impurity needs at least one counted sample")
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be non-negative")
-    p = [float(c) / total for c in counts]
-    if criterion == "gini":
-        value = 0.0
-        for c1 in range(len(p)):
-            for c2 in range(len(p)):
-                if c1 == c2:
-                    continue
-                value += p[c1] * p[c2]
-        return value
-    if criterion == "entropy":
-        return -sum(pi * math.log2(pi) for pi in p if pi > 0.0)
-    raise ValueError(f"unknown criterion {criterion!r}")
-
-
 def _impurity_vec(w0: np.ndarray, w1: np.ndarray, criterion: str) -> np.ndarray:
+    """Node impurity per element from two-class (possibly weighted) counts
+    ``w0`` and ``w1``: gini 2 p (1 - p), or entropy -p log2 p - q log2 q,
+    with p = w1 / (w0 + w1) and q = 1 - p. An all-zero pair gives 0.
+    ``criterion`` is one of CRITERIA: ``_tree_inputs`` checks it.
+    """
     total = w0 + w1
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(total > 0, w1 / total, 0.0)

@@ -3,7 +3,8 @@
 Detection is streaming: aggregated samples flow one at a time through the
 selected input transform into the detector, and memory stays bounded no
 matter how long the stream is. Standardized inputs use a first pass that
-only keeps running sums.
+only keeps running sums. Decisions files are read back with
+``bsm.read_checked``, whose block and row checks are one function.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -27,13 +28,12 @@ from bsmguard.bsm import (
     apply_standardizer,
     check_plain_numbers,
     fit_standardizer,
-    plain_numbers,
-    read_csv,
+    read_checked,
     write_csv,
 )
 from bsmguard.config import DetectorSettings
 from bsmguard.detectors import DETECTORS, WARMUP_DECISION, DetectorDecision, make_detector
-from bsmguard.evaluate import EvalReport, auroc, confusion, detection_latency, metrics
+from bsmguard.evaluate import EvalReport, auroc, confusion, detection_latency, metrics, timed
 from bsmguard.ml import (
     FAMILIES,
     LABEL_CUT,
@@ -72,7 +72,7 @@ def feature_stream(
     control-variate transform, whose value is None while its window fills.
     The standardized mode reads ``samples`` twice, first for its statistics
     (``welford_feature_stats``), so a one-shot iterator is a TypeError there.
-    Every detector input, for decisions and for timing alike, comes from here.
+    Every detector input comes from here.
     """
     if mode == "speed":
         for sample in samples:
@@ -95,6 +95,7 @@ def run_detection(
     samples: Iterable[AggregatedSample],
     detector_name: str,
     settings: DetectorSettings,
+    timings: list[int] | None = None,
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
     """Feed a sample stream through one detector; yields one decision per sample.
 
@@ -102,15 +103,18 @@ def run_detection(
     ``feature_stream``). Samples consumed while the transform window fills
     get a warm-up decision. A value the detector cannot score under its
     config (its arithmetic overflows, say) is a DataError naming the sample.
+    With ``timings``, each observe's wall-clock time is appended to it
+    (``evaluate.timed``).
     """
     detector = make_detector(detector_name, settings.config(detector_name))
+    observe = detector.observe if timings is None else timed(detector.observe, timings)
     mode = settings.input_mode(detector_name)
     for sample, value in feature_stream(samples, mode):
         if value is None:
             yield sample, WARMUP_DECISION
             continue
         try:
-            decision = detector.observe(value)
+            decision = observe(value)
         except (ArithmeticError, ValueError) as exc:
             raise DataError(
                 f"{detector_name} cannot score the sample at t={sample.t!r} "
@@ -136,10 +140,11 @@ def detect_records(
     detector_name: str,
     settings: DetectorSettings,
     window: float,
+    timings: list[int] | None = None,
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
     """Aggregate and detect over the records ``records_factory`` opens: once,
     or twice for the standardized input mode."""
-    return run_detection(_Aggregated(records_factory, window), detector_name, settings)
+    return run_detection(_Aggregated(records_factory, window), detector_name, settings, timings)
 
 
 @contextlib.contextmanager
@@ -187,72 +192,41 @@ def read_decisions_csv(
 ) -> list[tuple[AggregatedSample, DetectorDecision]]:
     """Join a decisions CSV to the samples ``detect`` wrote it from: row i to sample i.
 
-    Returns the ``(sample, decision)`` pairs ``run_detection`` yielded. A
-    malformed row, a row count other than the sample count, or a row whose
-    ``t`` is not exactly its sample's ``t`` (``detect`` writes ``repr(t)``) is
-    a DataError naming ``path``, and the line where there is one, and so is a
-    number with whitespace, an underscore or a non-ASCII character. Each
-    ``read_csv`` block is converted and checked a column at a time; a block
-    that fails a check is walked again row by row (``_decision_pairs``), which
-    raises the first bad row's error.
+    Returns the ``(sample, decision)`` pairs ``run_detection`` yielded. The
+    rows are read with ``bsm.read_checked``, and each row's checks run in this
+    order: the numbers convert, t and score are finite, attack and warmed_up
+    are 0 or 1, t is exactly its sample's t (``detect`` writes ``repr(t)``),
+    and the numbers' text is ``plain_numbers``. A failed check or a row count
+    other than the sample count is a DataError naming ``path``, and the line
+    where there is one.
     """
-    pairs = []
-    row_samples = iter(samples)
-    for lines, rows in read_csv(path, DECISIONS_HEADER):
-        block_samples = list(islice(row_samples, len(rows)))
-        t, score, attack, warmed_up = zip(*rows)
-        numbers = "".join(chain(t, score, attack, warmed_up))
-        try:
-            t, score = list(map(float, t)), list(map(float, score))
-            attack, warmed_up = list(map(int, attack)), list(map(int, warmed_up))
-        except ValueError:
-            valid = False
-        else:
-            valid = (all(map(math.isfinite, chain(t, score)))
-                     and set(attack) <= {0, 1} and set(warmed_up) <= {0, 1}
-                     and t == [sample.t for sample in block_samples]
-                     and plain_numbers(numbers))
-        if valid:
-            pairs += zip(block_samples,
-                         map(DetectorDecision, map(bool, attack), score, map(bool, warmed_up)))
-        else:
-            pairs += _decision_pairs(path, lines, rows, block_samples)
+    joined = 0  # rows joined to their samples so far
+
+    def join(rows):
+        nonlocal joined
+        columns = list(zip(*rows))
+        t, score, attack, warmed_up = columns
+        t, score = list(map(float, t)), list(map(float, score))
+        attack, warmed_up = list(map(int, attack)), list(map(int, warmed_up))
+        if not all(map(math.isfinite, chain(t, score))):
+            raise ValueError(f"non-finite t or score in {rows[0]!r}")
+        if not set(attack) | set(warmed_up) <= {0, 1}:
+            raise ValueError(f"attack and warmed_up must be 0 or 1 in {rows[0]!r}")
+        # A row past the last sample joins None, so the count check below fails.
+        block = samples[joined:joined + len(rows)]
+        sample_t = [sample.t for sample in block]
+        if t[:len(sample_t)] != sample_t:
+            raise ValueError(f"t={t[0]!r} does not match its sample's t={sample_t[0]!r}")
+        check_plain_numbers(DECISIONS_HEADER, columns, range(len(columns)))
+        joined += len(rows)
+        return zip_longest(block, map(DetectorDecision, map(bool, attack), score,
+                                      map(bool, warmed_up)))
+
+    pairs = list(read_checked(path, DECISIONS_HEADER, join))
     if len(pairs) != len(samples):
         raise DataError(
             f"{path}: decision count {len(pairs)} does not match sample count {len(samples)}"
         )
-    return pairs
-
-
-def _decision_pairs(
-    path: str,
-    lines: Sequence[int],
-    rows: Sequence[Sequence[str]],
-    samples: Sequence[AggregatedSample],
-) -> list[tuple[AggregatedSample | None, DetectorDecision]]:
-    """Join ``rows`` to ``samples`` one row at a time, raising the first malformed
-    row's DataError, which names ``path`` and its line. Rows past the last
-    sample get None, so the caller's count check fails."""
-    pairs = []
-    row_samples = iter(samples)
-    for lineno, row in zip(lines, rows):
-        t, score, attack, warmed_up = row
-        try:
-            t = float(t)
-            score = float(score)
-            attack = int(attack)
-            warmed_up = int(warmed_up)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not (math.isfinite(t) and math.isfinite(score)):
-            raise DataError(f"{path}:{lineno}: non-finite t or score in {row!r}")
-        if attack not in (0, 1) or warmed_up not in (0, 1):
-            raise DataError(f"{path}:{lineno}: attack and warmed_up must be 0 or 1 in {row!r}")
-        sample = next(row_samples, None)
-        if sample is not None and t != sample.t:
-            raise DataError(f"{path}:{lineno}: t={t!r} does not match its sample's t={sample.t!r}")
-        check_plain_numbers(path, lineno, DECISIONS_HEADER, row, range(len(row)))
-        pairs.append((sample, DetectorDecision(attack == 1, score, warmed_up == 1)))
     return pairs
 
 

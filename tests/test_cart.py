@@ -1,5 +1,8 @@
 """CART: impurity fixtures, split-scan oracle, structural invariants."""
 
+import math
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,35 @@ from bsmguard.ml import (
     cart_fit,
     cart_scores,
     class_weights,
-    impurity,
 )
 
 from test_model_io import _tree_to_dict
+
+
+def impurity(counts: Sequence[float], criterion: str = "gini") -> float:
+    """Node impurity from (possibly weighted) per-class counts, the scalar
+    reference for ``ml._impurity_vec``.
+
+    gini is sum_{c1 != c2} p(c1) p(c2); entropy is the usual -sum p log2 p.
+    All-zero counts are rejected.
+    """
+    total = float(sum(counts))
+    if total <= 0:
+        raise ValueError("impurity needs at least one counted sample")
+    if any(c < 0 for c in counts):
+        raise ValueError("counts must be non-negative")
+    p = [float(c) / total for c in counts]
+    if criterion == "gini":
+        value = 0.0
+        for c1 in range(len(p)):
+            for c2 in range(len(p)):
+                if c1 == c2:
+                    continue
+                value += p[c1] * p[c2]
+        return value
+    if criterion == "entropy":
+        return -sum(pi * math.log2(pi) for pi in p if pi > 0.0)
+    raise ValueError(f"unknown criterion {criterion!r}")
 
 
 class TestImpurity:

@@ -3,6 +3,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -262,6 +264,8 @@ class TestDetect:
 
     @pytest.mark.parametrize("mode", ["speed", "standardized", "transform"])
     def test_timing_observes_the_decision_inputs(self, tmp_path, bsm_csv, monkeypatch, mode):
+        # The decision pass itself is timed: one detector, and every observe
+        # past the warm-up is one timed sample.
         from bsmguard.detectors import CusumDetector
 
         seen: dict[CusumDetector, list[str]] = {}  # keyed by instance, one per run
@@ -274,12 +278,13 @@ class TestDetect:
         monkeypatch.setattr(CusumDetector, "observe", spy)
         cfg = tmp_path / "det.cfg"
         cfg.write_text(f"cusum.input = {mode}\n")
+        timing = tmp_path / "t.txt"
         code = main(["detect", str(bsm_csv), "--detector", "cusum", "--config", str(cfg),
-                     "--out", str(tmp_path / "d.csv"), "--timing-out", str(tmp_path / "t.txt")])
+                     "--out", str(tmp_path / "d.csv"), "--timing-out", str(timing)])
         assert code == 0
-        decision_run, timing_run = seen.values()
+        (decision_run,) = seen.values()
         assert len(decision_run) > 100
-        assert timing_run == decision_run
+        assert f"timing_samples = {len(decision_run) - 100}\n" in timing.read_text()
 
     def test_non_finite_csv_values_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "nan.csv"
@@ -390,8 +395,8 @@ class TestDetect:
     def test_detect_reads_its_csv_once_or_twice_for_standardized_input(
         self, tmp_path, bsm_csv, monkeypatch, mode, reads, timing
     ):
-        # The README's Performance notes: one pass, a first statistics pass for
-        # standardized input, and one more for --timing-out.
+        # The README's Performance notes: one pass, and a first statistics pass
+        # for standardized input; --timing-out times the decision pass itself.
         from bsmguard import cli
 
         opened = []
@@ -409,7 +414,7 @@ class TestDetect:
         if timing:
             argv += ["--timing-out", str(tmp_path / "t.txt")]
         assert main(argv) == 0
-        assert opened == [str(bsm_csv)] * (reads + timing)
+        assert opened == [str(bsm_csv)] * reads
 
     @pytest.mark.parametrize("line", ["bocpd.mu0 = 1e300", "bocpd.kappa = 1e-320"])
     def test_config_the_detector_cannot_compute_with_exits_3(self, tmp_path, bsm_csv, capsys,
@@ -1054,3 +1059,46 @@ def test_output_sharing_a_file_exits_2_before_any_work(
 def test_devices_may_take_more_than_one_output(bsm_csv, capsys):
     assert main(["detect", str(bsm_csv), "--detector", "cusum", "--out", os.devnull,
                  "--timing-out", os.devnull]) == 0
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _detect_from_stdin(stdin, *argv):
+    """``bsmguard detect /dev/stdin ...`` in a new process, whose standard input
+    is a pipe carrying ``stdin`` (bytes) or the open file ``stdin``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    feed = {"input": stdin} if isinstance(stdin, bytes) else {"stdin": stdin}
+    return subprocess.run([sys.executable, "-m", "bsmguard.cli", "detect", "/dev/stdin", *argv],
+                          capture_output=True, env=env, timeout=120, **feed)
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_em_detect_reads_a_pipe_once_with_or_without_timing(tmp_path, bsm_csv, timing):
+    on_file = tmp_path / "file.csv"
+    assert main(["detect", str(bsm_csv), "--detector", "em", "--out", str(on_file)]) == 0
+    on_pipe = tmp_path / "pipe.csv"
+    timing_args = ["--timing-out", str(tmp_path / "t.txt")] if timing else []
+    done = _detect_from_stdin(bsm_csv.read_bytes(), "--detector", "em",
+                              "--out", str(on_pipe), *timing_args)
+    assert done.returncode == 0, done.stderr
+    assert on_pipe.read_bytes() == on_file.read_bytes()
+    assert (tmp_path / "t.txt").exists() == timing
+
+
+def test_standardized_detect_needs_a_regular_file_on_stdin(tmp_path, bsm_csv):
+    out = tmp_path / "d.csv"
+    done = _detect_from_stdin(bsm_csv.read_bytes(), "--detector", "bocpd", "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr.decode() == (
+        "config error: bocpd's standardized input mode reads its CSV twice, so /dev/stdin "
+        "must be a regular file, not a pipe or device\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bsm.csv", "scenario.cfg"]
+    # A file redirected to stdin can be read twice.
+    on_file = tmp_path / "file.csv"
+    assert main(["detect", str(bsm_csv), "--detector", "bocpd", "--out", str(on_file)]) == 0
+    with open(bsm_csv, "rb") as fh:
+        done = _detect_from_stdin(fh, "--detector", "bocpd", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == on_file.read_bytes()

@@ -15,7 +15,8 @@ from bsmguard.evaluate import (
     detection_latency,
     metrics,
     roc_points,
-    time_inference,
+    timed,
+    timing_stats,
 )
 
 
@@ -225,16 +226,23 @@ class TestReportText:
 
 
 class TestTiming:
+    @staticmethod
+    def run(step, stream):
+        timings = []
+        observe = timed(step, timings)
+        assert [observe(item) for item in stream] == [step(item) for item in stream]
+        return timing_stats(timings)
+
     def test_warmup_excluded_by_definition(self):
-        stats = time_inference(lambda v: v, range(350))
+        stats = self.run(lambda v: v, range(350))
         assert stats.n_measured == 250
 
     def test_stream_shorter_than_warmup_rejected(self):
-        with pytest.raises(ValueError):
-            time_inference(lambda v: v, range(50))
+        with pytest.raises(ValueError, match="warm-up"):
+            self.run(lambda v: v, range(100))
 
     def test_fields_present_and_ordered(self):
-        stats = time_inference(lambda v: sum(range(50)), range(500))
+        stats = self.run(lambda v: sum(range(50)), range(500))
         assert stats.mean_ms > 0
         assert stats.p99_ms >= stats.median_ms
 
@@ -243,9 +251,11 @@ class TestTiming:
         rng = np.random.default_rng(0)
 
         def run(n):
-            det = CusumDetector(CusumConfig())
-            ys = [float(v) for v in rng.normal(0, 1, n)]
-            return time_inference(det.observe, ys).median_ms
+            timings = []
+            observe = timed(CusumDetector(CusumConfig()).observe, timings)
+            for y in rng.normal(0, 1, n).tolist():
+                observe(y)
+            return timing_stats(timings).median_ms
 
         short = min(run(2000) for _ in range(3))
         long = min(run(4000) for _ in range(3))

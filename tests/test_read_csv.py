@@ -9,6 +9,7 @@ every block size.
 """
 
 import csv
+import itertools
 import math
 import re
 from unittest import mock
@@ -320,6 +321,52 @@ def test_one_bad_decisions_field_matches_the_row_reader(csv_path, at, value):
     csv_path.write_text("".join(",".join(r) + "\n" for r in [list(DECISIONS_HEADER), *rows]))
     samples = [AggregatedSample(sample_t(i), 15.0, 0.0, 0) for i in range(7)]
     expected = returned(lambda: oracle_read_decisions_csv(str(csv_path), samples))
+    for got in at_every_block_size(lambda: returned(
+            lambda: read_decisions_csv(str(csv_path), samples))):
+        assert got == expected
+
+
+def two_bad_fields(bad):
+    """Every pair of (column, value) from ``bad`` in two different columns: each
+    value fails one of a row's checks, so the pair pins the checks' order."""
+    fields = [(at, value) for at, values in bad.items() for value in values]
+    return [pytest.param(first, second, id=f"{first}-{second}")
+            for first, second in itertools.combinations(fields, 2) if first[0] != second[0]]
+
+
+#: One value per check a BSM field can fail: conversion, magnitude, label,
+#: sign and plain text.
+BSM_BAD = {0: ["x", "inf", " 1.5"], 2: ["x", "inf", "-1.0", "1_0"],
+           3: ["x", "1e13", "\u0661.5"], 4: ["x", "2", " 1"]}
+
+
+@pytest.mark.parametrize("first, second", two_bad_fields(BSM_BAD))
+def test_a_bsm_row_with_two_bad_fields_fails_its_first_check(csv_path, first, second):
+    rows = [bsm_filler(i) for i in range(7)]
+    for at, value in (first, second):
+        rows[BAD_ROW][at] = value
+    csv_path.write_text("".join(",".join(r) + "\n" for r in [list(CSV_HEADER), *rows]))
+    expected = outcome(oracle_read_bsm_csv(str(csv_path)))
+    assert expected[1][0] is DataError
+    for got in at_every_block_size(lambda: outcome(read_bsm_csv(str(csv_path)))):
+        assert got == expected
+
+
+#: One value per check a decisions field can fail: conversion, finiteness,
+#: flag value, the join to its sample's t, and plain text.
+DECISIONS_BAD = {0: ["x", "nan", "0.5", " " + repr(sample_t(BAD_ROW))], 1: ["x", "inf", "1_0"],
+                 2: ["x", "2", " 1"], 3: ["x", "2", "\u0661"]}
+
+
+@pytest.mark.parametrize("first, second", two_bad_fields(DECISIONS_BAD))
+def test_a_decisions_row_with_two_bad_fields_fails_its_first_check(csv_path, first, second):
+    rows = [[repr(sample_t(i)), *decision_filler(i)[1:]] for i in range(7)]
+    for at, value in (first, second):
+        rows[BAD_ROW][at] = value
+    csv_path.write_text("".join(",".join(r) + "\n" for r in [list(DECISIONS_HEADER), *rows]))
+    samples = [AggregatedSample(sample_t(i), 15.0, 0.0, 0) for i in range(7)]
+    expected = returned(lambda: oracle_read_decisions_csv(str(csv_path), samples))
+    assert expected[1][0] is DataError
     for got in at_every_block_size(lambda: returned(
             lambda: read_decisions_csv(str(csv_path), samples))):
         assert got == expected
