@@ -31,6 +31,7 @@ import string
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -95,20 +96,61 @@ class AggregatedSample(NamedTuple):
     label: int
 
 
+#: AggregatedSample from a tuple of its fields, without the Python-level ``__new__``.
+_aggregated_sample = partial(tuple.__new__, AggregatedSample)
+
+
+def _exact_window(window: float) -> tuple[int, int, int]:
+    """``(W, D, kmax)`` with ``round(k * window, 9) == k * W / D`` for every int
+    ``|k| <= kmax``, where ``W / D`` is the shortest ``repr`` of ``window`` in
+    lowest terms. It is ``(0, 1, -1)``, so every ``k`` takes ``round``, unless
+    ``window`` is a finite positive float whose shortest ``repr`` has at most
+    9 decimals.
+
+    ``k * window`` rounds to a double within ``|k| * window * 2**-53`` of the
+    exact product, which is within ``|k| * |window - W/D|`` of the 9-place
+    grid point ``k * W / D``. While the sum stays under 0.5e-9, ``round``'s
+    decimal rounding lands on that grid point and returns its correctly
+    rounded double, which is what int / int returns too. ``kmax`` is the last
+    ``k`` with the sum under 0.5e-9, worked out in exact fractions (and at
+    most 2**53, so ``k`` converts to a float exactly). Up to it
+    ``|k * window|`` is under 2**53 * 0.5e-9, so ``|k * W|`` is under 2**53
+    too and a float64 ``k * W / D`` in numpy gives the same double.
+    """
+    if type(window) is not float or not 0 < window < math.inf:
+        return 0, 1, -1
+    exact = Fraction(repr(window))
+    if 10**9 % exact.denominator:
+        return 0, 1, -1
+    slack = Fraction(1, 2 * 10**9) / (abs(Fraction(window) - exact) + Fraction(window) / 2**53)
+    return exact.numerator, exact.denominator, min(math.ceil(slack) - 1, 2**53)
+
+
+def _window_end(k: int, window: float) -> float:
+    """``round(k * window, 9)``, the end of window ``k``: the time of tick ``k``
+    at ``window = BSM_PERIOD_S``. Exact integer arithmetic where
+    ``_exact_window`` allows it."""
+    whole, denom, kmax = _exact_window(window)
+    return k * whole / denom if -kmax <= k <= kmax else round(k * window, 9)
+
+
 def aggregate(
     records: Iterable[BsmRecord], window: float = BSM_PERIOD_S
 ) -> Iterator[AggregatedSample]:
     """Average a single time-ordered stream into fixed windows.
 
-    Yields one sample per non-empty window. Labels are OR-combined so any
-    attacked record taints its window. Raises NonMonotonicTimestampError as
-    soon as a timestamp fails to advance, so interleaved multi-vehicle input
-    must be split by vehicle first. A window so small that ``t / window``
-    overflows is a DataError naming the record.
+    Yields one sample per non-empty window, as soon as the window closes.
+    Labels are OR-combined so any attacked record taints its window. Raises
+    NonMonotonicTimestampError as soon as a timestamp fails to advance, so
+    interleaved multi-vehicle input must be split by vehicle first. A window
+    so small that ``t / window`` overflows is a DataError naming the record.
+    A sample's ``t`` is ``_window_end(k, window)``, inlined.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
 
+    whole, denom, kmax = _exact_window(window)
+    sample = _aggregated_sample
     key = None
     speed_sum = accel_sum = 0.0
     count = 0
@@ -132,9 +174,8 @@ def aggregate(
                             f"overflows at window {window!r}") from None
         if k != key:
             if count:
-                yield AggregatedSample(
-                    round(key * window, 9), speed_sum / count, accel_sum / count, label
-                )
+                end = key * whole / denom if -kmax <= key <= kmax else round(key * window, 9)
+                yield sample((end, speed_sum / count, accel_sum / count, label))
             speed_sum = accel_sum = 0.0
             count = 0
             label = NO_ATTACK
@@ -145,9 +186,8 @@ def aggregate(
         if rec_label == ATTACK:
             label = ATTACK
     if count:
-        yield AggregatedSample(
-            round(key * window, 9), speed_sum / count, accel_sum / count, label
-        )
+        end = key * whole / denom if -kmax <= key <= kmax else round(key * window, 9)
+        yield sample((end, speed_sum / count, accel_sum / count, label))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from bsmguard.config import (
     reject_unknown_keys,
 )
 from bsmguard.detectors import DETECTOR_NAMES
-from bsmguard.evaluate import roc_points, timing_stats, write_roc_csv
+from bsmguard.evaluate import roc_counts, roc_points, timing_stats, write_roc_csv
 from bsmguard.ml import FAMILIES, MODEL_FAMILIES, check_params
 from bsmguard.model_io import load_model, save_model
 from bsmguard.pipeline import (
@@ -181,11 +181,15 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     pairs = read_decisions_csv(args.decisions, _samples(args))
     windows = parse_windows(args.windows, "--windows") if args.windows else ()
-    report = detector_report(
-        args.detector or "detector", pairs, windows=windows, exclude_warmup=args.exclude_warmup
-    )
-    if args.roc_out and report.auroc_value is None:
-        raise DataError("ROC output needs both classes present in the scored decisions")
+    counts = None
+    if args.roc_out:
+        # The scores are sorted once, for both the ROC rows and the AUROC.
+        labels, _, scores = scored_pairs(args.detector, pairs, args.exclude_warmup)
+        if not 0 < sum(labels) < len(labels):
+            raise DataError("ROC output needs both classes present in the scored decisions")
+        counts = roc_counts(scores, labels)
+    report = detector_report(args.detector or "detector", pairs, windows=windows,
+                             exclude_warmup=args.exclude_warmup, counts=counts)
     if args.detector is None:
         print("warning: no --detector given, so scores are read as higher = more "
               "suspicious; pass --detector (bocpd scores the other way)", file=sys.stderr)
@@ -194,8 +198,7 @@ def cmd_report(args) -> int:
         if args.out:
             _write_text(stage(args.out), text)
         if args.roc_out:
-            labels, _, scores = scored_pairs(args.detector, pairs, args.exclude_warmup)
-            points = roc_points(scores, labels)
+            points = roc_points(scores, labels, counts)
             write_roc_csv(stage(args.roc_out), points)
     sys.stdout.write(text)
     if args.roc_out:

@@ -121,25 +121,38 @@ def _roc_counts(
         raise ValueError("ROC and AUROC need both classes present")
 
 
-def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
+def roc_counts(scores: Sequence[float], labels: Sequence[int]) -> list[tuple[float, int, int]]:
+    """The rows of ``_roc_counts`` as a list: a caller that needs both the ROC
+    points and the AUROC sorts the scores once and hands these to each."""
+    return list(_roc_counts(scores, labels))
+
+
+def auroc(
+    scores: Sequence[float], labels: Sequence[int],
+    counts: list[tuple[float, int, int]] | None = None,
+) -> float:
     """Probability a random attack sample outscores a random clean one,
     counting ties as half. Equals the trapezoidal area under the ROC curve,
-    summed exactly in integer counts.
+    summed exactly in integer counts: ``counts``, or the scores' rows streamed
+    from ``_roc_counts`` when it is None.
     """
     twice = fp = tp = 0
-    for _, fp_next, tp_next in _roc_counts(scores, labels):
+    for _, fp_next, tp_next in _roc_counts(scores, labels) if counts is None else counts:
         twice += (fp_next - fp) * (tp_next + tp)
         fp, tp = fp_next, tp_next
     return twice / 2 / (tp * fp)
 
 
 def roc_points(
-    scores: Sequence[float], labels: Sequence[int]
+    scores: Sequence[float], labels: Sequence[int],
+    counts: list[tuple[float, int, int]] | None = None,
 ) -> list[tuple[float, float, float]]:
     """(threshold, fpr, tpr) rows for predict-attack-when-score >= threshold:
     the all-negative ``inf`` endpoint, then one row per distinct score in
-    ascending (fpr, tpr) order."""
-    counts = list(_roc_counts(scores, labels))
+    ascending (fpr, tpr) order; from ``counts``, or ``roc_counts`` of the
+    scores when it is None."""
+    if counts is None:
+        counts = roc_counts(scores, labels)
     _, n_neg, n_pos = counts[-1]
     return [(thr, fp / n_neg, tp / n_pos) for thr, fp, tp in counts]
 

@@ -253,11 +253,13 @@ def scored_pairs(
 
 
 def scored_report(
-    subject: str, labels: list[int], flags: list[int], scores: list[float], **fields
+    subject: str, labels: list[int], flags: list[int], scores: list[float],
+    counts: list[tuple[float, int, int]] | None = None, **fields
 ) -> EvalReport:
-    """Confusion, metrics and, when both classes are present, AUROC."""
+    """Confusion, metrics and, when both classes are present, AUROC (from
+    ``counts``, the scores' ``roc_counts``, when the caller has them)."""
     cm = confusion(labels, flags)
-    auc = auroc(scores, labels) if 0 < sum(labels) < len(labels) else None
+    auc = auroc(scores, labels, counts) if 0 < sum(labels) < len(labels) else None
     return EvalReport(subject=subject, cm=cm, quality=metrics(cm), auroc_value=auc, **fields)
 
 
@@ -266,15 +268,17 @@ def detector_report(
     pairs: Sequence[tuple[AggregatedSample, DetectorDecision]],
     windows: Sequence[tuple[float, float]] = (),
     exclude_warmup: bool = False,
+    counts: list[tuple[float, int, int]] | None = None,
 ) -> EvalReport:
     """Score the ``(sample, decision)`` pairs ``scored_pairs`` selects against
-    their samples' labels; latency covers every pair, timed by the samples' t."""
+    their samples' labels; latency covers every pair, timed by the samples' t.
+    ``counts``, when given, are those scores' ``roc_counts``."""
     labels, flags, scores = scored_pairs(detector_name, pairs, exclude_warmup)
     latency = None
     if windows:
         latency = detection_latency([s.t for s, _ in pairs], [d.attack for _, d in pairs], windows)
     return scored_report(
-        detector_name, labels, flags, scores,
+        detector_name, labels, flags, scores, counts,
         latency=latency, extra={"excluded_warmup": int(exclude_warmup)},
     )
 

@@ -10,13 +10,21 @@ exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, sub, truediv
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from bsmguard.bsm import ATTACK, BSM_PERIOD_S, MAX_FIELD_MAGNITUDE, BsmRecord, _bsm_record
+from bsmguard.bsm import (
+    ATTACK,
+    BSM_PERIOD_S,
+    MAX_FIELD_MAGNITUDE,
+    BsmRecord,
+    _bsm_record,
+    _exact_window,
+    _window_end,
+)
 from bsmguard.config import (
     ConfigError,
     check_windows,
@@ -34,6 +42,10 @@ DEFAULT_VEHICLE_ID = "cv1"
 #: acceleration generate_stream and inject_false_info write stays inside it,
 #: since numpy's normal draws stay below 14 sigma.
 MAX_SCENARIO_SPEED = MAX_FIELD_MAGNITUDE / 1000
+
+#: BSM_PERIOD_S as WHOLE / DENOM, and the last tick count whose time that
+#: spells exactly (``bsm._exact_window``): 1 / 10 and about 3.0e7 ticks.
+_TICK_WHOLE, _TICK_DENOM, _TICK_KMAX = _exact_window(BSM_PERIOD_S)
 
 
 def _check(ok: bool, key: str, value, requirement: str) -> None:
@@ -97,26 +109,32 @@ class DrivingProfile:
         return int(round(self.duration_s / BSM_PERIOD_S))
 
     def base_trace(self, n: int) -> np.ndarray:
-        """Noise-free speed value at each of the n ticks."""
+        """Noise-free speed value at each of the n ticks.
+
+        Tick i is at t = (i + 1) * 0.1 s and lies in the first segment whose
+        end (the lengths summed in order) is at least t; since a segment may
+        have a negative length, that is a search over the running maximum of
+        the ends. Past the last segment the trace holds the last ramp target.
+        Each segment's ticks are filled with one array expression.
+        """
         if not self.segments:
             return np.full(n, self.base_speed)
+        t = np.arange(1, n + 1) * BSM_PERIOD_S
+        starts = list(accumulate((seg.length_s for seg in self.segments), initial=0.0))
+        # Ticks up to edges[j] lie in segments 0..j.
+        edges = np.searchsorted(t, np.maximum.accumulate(starts[1:]), side="right").tolist()
         values = np.empty(n)
         speed = self.base_speed
-        seg_iter = iter(self.segments)
-        seg = next(seg_iter, None)
-        seg_start = 0.0
-        for i in range(n):
-            t = (i + 1) * BSM_PERIOD_S
-            while seg is not None and t > seg_start + seg.length_s:
-                if seg.kind != "cruise":
-                    speed = seg.target_speed
-                seg_start += seg.length_s
-                seg = next(seg_iter, None)
-            if seg is None or seg.kind == "cruise":
-                values[i] = speed
+        lo = 0
+        for seg, start, hi in zip(self.segments, starts, edges):
+            if seg.kind == "cruise":
+                values[lo:hi] = speed
             else:
-                frac = (t - seg_start) / seg.length_s
-                values[i] = speed + (seg.target_speed - speed) * frac
+                frac = (t[lo:hi] - start) / seg.length_s
+                values[lo:hi] = speed + (seg.target_speed - speed) * frac
+                speed = seg.target_speed
+            lo = hi
+        values[lo:] = speed
         return values
 
 
@@ -154,7 +172,9 @@ def generate_stream(
     speed, (v_t - v_{t-0.1}) / 0.1, with the first record reporting zero.
     A ``duration_s`` whose speed trace does not fit in memory is a
     ConfigError naming the record count. The records are zipped from
-    columns: the speeds, the rounded tick times and the differences.
+    columns: the speeds, the tick times and the differences. Tick i's time is
+    ``round(i * 0.1, 9)``, computed as ``i / 10`` up to ``_TICK_KMAX`` ticks
+    (``bsm._exact_window``).
     """
     n = profile.ticks
     rng = np.random.default_rng(seed)
@@ -168,7 +188,10 @@ def generate_stream(
                           "more than fit in memory") from None
 
     speeds = speeds.tolist()
-    t = map(round, map(BSM_PERIOD_S.__rmul__, range(1, n + 1)), repeat(9))
+    if n <= _TICK_KMAX:
+        t = (np.arange(1, n + 1) * _TICK_WHOLE / _TICK_DENOM).tolist()
+    else:
+        t = map(round, map(BSM_PERIOD_S.__rmul__, range(1, n + 1)), repeat(9))
     accel = chain([0.0], map(truediv, map(sub, islice(speeds, 1, None), speeds),
                              repeat(BSM_PERIOD_S)))
     return list(map(_bsm_record, zip(t, repeat(vehicle_id), speeds, accel, repeat(0))))
@@ -218,7 +241,7 @@ class Scenario:
     def __post_init__(self) -> None:
         _check(self.seed >= 0, "seed", self.seed, "must be non-negative")
         if self.attack is not None:
-            _check_within(self.attack.windows, round(self.profile.ticks * BSM_PERIOD_S, 9))
+            _check_within(self.attack.windows, _window_end(self.profile.ticks, BSM_PERIOD_S))
 
     def run(self) -> list[BsmRecord]:
         stream = generate_stream(self.profile, self.seed)

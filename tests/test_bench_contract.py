@@ -62,19 +62,20 @@ def _layer_case(metric):
     return pytest.param(BENCH_RUN.LAYER_TIMES[metric], id=metric, marks=marks)
 
 
-@pytest.fixture(scope="module")
-def traced_train_overlap_chain(tmp_path_factory):
-    """The tracer after one train-overlap chain, run as ``perfbench/run.py
+@pytest.fixture(scope="module", params=("stream-long", "fleet-roc", "train-overlap"))
+def traced_chain(request, tmp_path_factory):
+    """The tracer after one chain of a workload, run as ``perfbench/run.py
     --trace 1`` runs it, with every output checked against the reference."""
+    workload = request.param
     workloads = load_perfbench_module("workloads")
     tracer_module = load_tracer_module()
-    workdir = str(tmp_path_factory.mktemp("traced-train-overlap"))
-    workloads.build_inputs("train-overlap", workloads.DEFAULT_SEED, workdir)
-    checker = BENCH_RUN.Checker(_reference("train-overlap"))
+    workdir = str(tmp_path_factory.mktemp(f"traced-{workload}"))
+    workloads.build_inputs(workload, workloads.DEFAULT_SEED, workdir)
+    checker = BENCH_RUN.Checker(_reference(workload))
     tracer = tracer_module.Tracer()
     tracer_module.install(tracer)
     try:
-        BENCH_RUN.run_chain(cli, workloads.make_ops("train-overlap", workdir), checker, tracer)
+        BENCH_RUN.run_chain(cli, workloads.make_ops(workload, workdir), checker, tracer)
     finally:
         tracer.uninstall()
     assert checker.failures == []
@@ -82,10 +83,12 @@ def traced_train_overlap_chain(tmp_path_factory):
 
 
 @pytest.mark.parametrize("frame", [_layer_case(m) for m in BENCH_RUN.LAYER_TIMES])
-def test_every_traced_layer_does_work_on_train_overlap(traced_train_overlap_chain, frame):
+def test_every_traced_layer_does_work(traced_chain, frame):
     # A refactor that routes work around a wrapped function leaves its
-    # per-layer metric at 0.0 without failing the benchmark; this fails instead.
-    assert traced_train_overlap_chain.calls[frame] > 0, frame
+    # per-layer metric at 0.0 without failing the benchmark; this fails
+    # instead, on every workload. It also shows that ``bsm.aggregate`` still
+    # runs as a generator through the attributes the tracer patches.
+    assert traced_chain.calls[frame] > 0, frame
 
 
 def test_traced_train_and_evaluate_count_trees_and_rows(tmp_path):

@@ -10,10 +10,17 @@ import warnings
 
 import pytest
 
+from bsmguard import evaluate
 from bsmguard.bsm import CSV_HEADER, aggregate, read_bsm_csv
 from bsmguard.cli import main
 from bsmguard.config import DetectorSettings
-from bsmguard.pipeline import detector_report, run_detection
+from bsmguard.evaluate import roc_points
+from bsmguard.pipeline import (
+    detector_report,
+    read_decisions_csv,
+    run_detection,
+    scored_pairs,
+)
 
 SCENARIO = """\
 duration_s = 30.0
@@ -570,6 +577,31 @@ class TestReport:
         pairs = run_detection(samples, detector, DetectorSettings())
         report = detector_report(detector, list(pairs), ((10.0, 15.0),))
         assert capsys.readouterr().out == report.to_text()
+
+    def test_roc_report_sorts_the_scores_once(self, tmp_path, bsm_csv, capsys, monkeypatch):
+        dec, roc = tmp_path / "dec.csv", tmp_path / "roc.csv"
+        assert main(["detect", str(bsm_csv), "--detector", "cusum", "--out", str(dec)]) == 0
+        capsys.readouterr()
+        report_argv = ["report", str(dec), str(bsm_csv), "--detector", "cusum"]
+        assert main(report_argv) == 0
+        plain = capsys.readouterr().out
+        sorts = []
+        sort = evaluate._roc_counts
+
+        def counted(scores, labels):
+            sorts.append(len(scores))
+            return sort(scores, labels)
+
+        monkeypatch.setattr(evaluate, "_roc_counts", counted)
+        assert main([*report_argv, "--roc-out", str(roc)]) == 0
+        assert len(sorts) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(plain) and "auroc = " in plain
+        samples = list(aggregate(read_bsm_csv(str(bsm_csv))))
+        labels, _, scores = scored_pairs("cusum", read_decisions_csv(str(dec), samples))
+        with open(roc, newline="") as fh:
+            assert fh.read().splitlines()[1:] == [
+                f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(scores, labels)]
 
     def test_roc_on_single_class_truth_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "clean.cfg"

@@ -14,6 +14,7 @@ from bsmguard.evaluate import (
     confusion,
     detection_latency,
     metrics,
+    roc_counts,
     roc_points,
     timed,
     timing_stats,
@@ -173,6 +174,10 @@ class TestAuroc:
                 assert (fpr, tpr) == (hits.count(0) / n_neg, hits.count(1) / n_pos)
             area = sum((f - f0) * (t + t0) / 2 for (_, f0, t0), (_, f, t) in zip(pts, pts[1:]))
             assert auroc(scores, labels) == pytest.approx(area, abs=1e-12)
+            # Handed the counts, both give the same numbers without a sort.
+            counts = roc_counts(scores, labels)
+            assert repr(roc_points(scores, labels, counts)) == repr(pts)
+            assert repr(auroc(scores, labels, counts)) == repr(auroc(scores, labels))
             assert auroc(scores, labels) == pairwise_auroc(scores, labels)
 
 

@@ -63,6 +63,48 @@ def oracle_inject_false_info(stream, spec):
     return out
 
 
+def oracle_base_trace(profile, n):
+    """The per-tick loop ``DrivingProfile.base_trace`` replaced."""
+    if not profile.segments:
+        return np.full(n, profile.base_speed)
+    values = np.empty(n)
+    speed = profile.base_speed
+    seg_iter = iter(profile.segments)
+    seg = next(seg_iter, None)
+    seg_start = 0.0
+    for i in range(n):
+        t = (i + 1) * BSM_PERIOD_S
+        while seg is not None and t > seg_start + seg.length_s:
+            if seg.kind != "cruise":
+                speed = seg.target_speed
+            seg_start += seg.length_s
+            seg = next(seg_iter, None)
+        if seg is None or seg.kind == "cruise":
+            values[i] = speed
+        else:
+            frac = (t - seg_start) / seg.length_s
+            values[i] = speed + (seg.target_speed - speed) * frac
+    return values
+
+
+#: Segments of any length Segment accepts: zero, negative, off the tick grid.
+ANY_SEGMENTS = st.lists(
+    st.builds(Segment, st.sampled_from(["cruise", "decel", "accel"]),
+              st.one_of(st.sampled_from([0.0, -0.0, -1.0, 0.1, 0.3, 1.0, 2.5]),
+                        st.floats(-5.0, 12.0)),
+              st.one_of(st.sampled_from([0.0, 12.0]), st.floats(-30.0, 30.0))),
+    max_size=8,
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=ANY_SEGMENTS, base_speed=st.sampled_from([0.0, 0.4, 15.6]),
+       n=st.integers(0, 150))
+def test_base_trace_matches_the_per_tick_loop(segments, base_speed, n):
+    profile = DrivingProfile(duration_s=1.0, base_speed=base_speed, segments=segments)
+    assert profile.base_trace(n).tobytes() == oracle_base_trace(profile, n).tobytes()
+
+
 SEGMENTS = st.lists(
     st.builds(Segment, st.sampled_from(["cruise", "decel", "accel"]),
               st.sampled_from([0.05, 0.1, 0.25, 1.0, 3.3]), st.sampled_from([0.0, 0.3, 12.0])),
