@@ -36,6 +36,8 @@ from functools import partial
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 NO_ATTACK = 0
 ATTACK = 1
 
@@ -45,6 +47,9 @@ BSM_PERIOD_S = 0.1
 #: Lower bound applied to fitted standard deviations so constant features
 #: standardize to zero instead of blowing up.
 STDEV_FLOOR = 1e-12
+
+#: Slack, in seconds, of the attack-window rule (``in_window``) and window checks.
+WINDOW_SLACK_S = 1e-9
 
 #: Weight of the acceleration-difference control variate in the rolling
 #: transform.
@@ -204,16 +209,13 @@ def fit_standardizer(rows: Sequence[Sequence[float]]) -> StandardizationParams:
     Zero-variance features get their stdev floored to STDEV_FLOOR and a
     warning, so applying the standardizer maps them to exactly zero.
     """
+    rows = np.asarray(rows, dtype=float)
     if len(rows) == 0:
         raise ValueError("cannot fit a standardizer on an empty training set")
-    n_features = len(rows[0])
-    n = len(rows)
-    means = []
-    stdevs = []
-    for j in range(n_features):
-        col = [float(row[j]) for row in rows]
-        mean = math.fsum(col) / n
-        var = math.fsum((x - mean) ** 2 for x in col) / n
+    means, stdevs = [], []
+    for j, col in enumerate(rows.T.tolist()):
+        mean = math.fsum(col) / len(col)
+        var = math.fsum((x - mean) ** 2 for x in col) / len(col)
         stdev = math.sqrt(var)
         if stdev < STDEV_FLOOR:
             warnings.warn(
@@ -226,17 +228,20 @@ def fit_standardizer(rows: Sequence[Sequence[float]]) -> StandardizationParams:
     return StandardizationParams(mean=tuple(means), stdev=tuple(stdevs))
 
 
-def apply_standardizer(
-    params: StandardizationParams, row: Sequence[float]
-) -> tuple[float, ...]:
-    """Return (x - mean) / stdev per feature."""
-    if len(row) != len(params.mean):
-        raise ValueError(
-            f"expected {len(params.mean)} features, got {len(row)}"
-        )
-    return tuple(
-        (float(x) - m) / s for x, m, s in zip(row, params.mean, params.stdev)
-    )
+def apply_standardizer(params: StandardizationParams, rows) -> np.ndarray:
+    """``(rows - mean) / stdev`` per feature, for one row or a whole ``(rows,
+    features)`` array; a width other than the feature count is a ValueError."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1:] != (len(params.mean),):
+        raise ValueError(f"expected {len(params.mean)} features, got rows of shape {rows.shape}")
+    return (rows - params.mean) / params.stdev
+
+
+def in_window(t, start: float, end: float):
+    """Whether the attack window ``[start, end)`` covers each time ``t`` (a
+    float or an array): ``start <= t < end``, both bounds WINDOW_SLACK_S
+    earlier. It labels records and times detections alike."""
+    return (start - WINDOW_SLACK_S <= t) & (t < end - WINDOW_SLACK_S)
 
 
 class TransformWindow:

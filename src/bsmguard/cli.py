@@ -154,6 +154,11 @@ def cmd_train(args) -> int:
     except MemoryError as exc:
         # A grid cell too large to fit, such as an NN with 1e17 hidden units.
         raise ConfigError(f"{args.model} training ran out of memory: {exc}") from None
+    except (DataError, ConfigError):
+        raise
+    except (OverflowError, ValueError) as exc:
+        # A grid value numpy cannot size, such as 1e30 trees or 2**62 hidden units.
+        raise ConfigError(f"{args.model} training cannot run this grid: {exc}") from None
     text = outcome.report.to_text()
     with staged_outputs() as stage:
         save_model(stage(args.out), outcome.model, outcome.standardizer, args.seed,

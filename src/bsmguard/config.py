@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
+from bsmguard.bsm import WINDOW_SLACK_S
 from bsmguard.detectors import DETECTORS
 
 
@@ -83,7 +84,7 @@ def check_windows(windows, key: str = "attack.windows") -> None:
         if end <= start:
             raise ConfigError(f"key {key!r}: empty or inverted attack window ({start}, {end})")
     for (s1, e1), (s2, e2) in zip(ordered, ordered[1:]):
-        if s2 < e1 - 1e-9:
+        if s2 < e1 - WINDOW_SLACK_S:
             raise ConfigError(f"key {key!r}: attack windows ({s1}, {e1}) and ({s2}, {e2}) overlap")
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
-from bsmguard.bsm import write_csv
+import numpy as np
+
+from bsmguard.bsm import in_window, write_csv
 
 REPORT_VERSION = 1
 
@@ -188,24 +190,19 @@ def detection_latency(
 ) -> LatencyStats:
     """Delay from each window's start to its first in-window attack flag.
 
-    Windows with no in-window flag count as undetected and stay out of the
-    mean/max.
+    A flag is in a window when ``bsm.in_window`` says its time is. Windows
+    with no in-window flag count as undetected and stay out of the mean/max.
     """
     if len(times) != len(attack_flags):
         raise ValueError("times and flags must have equal length")
+    t = np.asarray(times, dtype=float)
+    flagged = np.asarray(attack_flags, dtype=bool)
     delays = []
-    undetected = 0
     for start, end in windows:
-        first = None
-        for t, flag in zip(times, attack_flags):
-            if flag and start - 1e-9 <= t < end - 1e-9:
-                first = t
-                break
-        if first is None:
-            undetected += 1
-        else:
-            delays.append(first - start)
-    return LatencyStats(delays=tuple(delays), undetected=undetected)
+        hits = np.flatnonzero(flagged & in_window(t, start, end))
+        if hits.size:
+            delays.append(t[hits[0]].item() - start)
+    return LatencyStats(delays=tuple(delays), undetected=len(windows) - len(delays))
 
 
 @dataclass(frozen=True)

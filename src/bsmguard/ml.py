@@ -111,19 +111,17 @@ def stratified_split(
     if not (0.0 < test_fraction < 1.0):
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
-    train, test = [], []
+    is_test = np.zeros(len(y), dtype=bool)
     for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        idx = rng.permutation(idx)
-        n_test = int(round(len(idx) * test_fraction))
-        n_test = min(max(n_test, 1), len(idx) - 1)
-        test.append(idx[:n_test])
-        train.append(idx[n_test:])
-    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
+        perm = rng.permutation(np.flatnonzero(y == cls))
+        n_test = min(max(int(round(len(perm) * test_fraction)), 1), len(perm) - 1)
+        is_test[perm[:n_test]] = True
+    return np.flatnonzero(~is_test), np.flatnonzero(is_test)
 
 
 def stratified_folds(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
-    """Seeded stratified partition into ``folds`` validation index arrays."""
+    """Seeded stratified partition into ``folds`` sorted validation index
+    arrays: fold f holds ``perm[f::folds]`` of each class's permutation."""
     if folds < 2:
         raise ValueError("need at least 2 folds")
     counts = np.bincount(y, minlength=2)
@@ -133,12 +131,11 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
             f"got counts {counts.tolist()}"
         )
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(folds)]
+    fold_of = np.empty(len(y), dtype=int)
     for cls in np.unique(y):
-        idx = rng.permutation(np.flatnonzero(y == cls))
-        for pos, i in enumerate(idx):
-            buckets[pos % folds].append(int(i))
-    return [np.sort(np.array(b, dtype=int)) for b in buckets]
+        perm = rng.permutation(np.flatnonzero(y == cls))
+        fold_of[perm] = np.arange(len(perm)) % folds
+    return [np.flatnonzero(fold_of == f) for f in range(folds)]
 
 
 def class_weights(y: np.ndarray) -> dict[int, float]:
@@ -218,13 +215,7 @@ def smote_balance(
     synth = base + np.array(fracs)[:, None] * (X_min[picks] - base)
 
     X_out = np.concatenate([X[keep_maj], X_min, synth])
-    y_out = np.concatenate(
-        [
-            np.full(target, majority, dtype=int),
-            np.full(n_min + n_new, minority, dtype=int),
-        ]
-    )
-    return X_out, y_out
+    return X_out, np.repeat([majority, minority], [target, n_min + n_new])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +321,7 @@ def _impurity_vec(w0: np.ndarray, w1: np.ndarray, criterion: str) -> np.ndarray:
     return out
 
 
-#: Model input columns, (avg_speed, avg_accel), as pipeline.samples_to_dataset builds.
+#: Model input columns, (avg_speed, avg_accel), as pipeline.model_dataset builds.
 N_FEATURES = 2
 
 
@@ -640,6 +631,9 @@ def _tree_from_dict(d: dict) -> CartNode:
     ``cart_fit`` could not have grown, is a ValueError."""
     node = CartNode(**d)
     counts = node.counts
+    numbers = (*counts, node.impurity, *(node.probs if node.is_leaf else [node.threshold]))
+    if not set(map(type, numbers)) <= {int, float}:
+        raise ValueError(f"tree node numbers {numbers!r} must be JSON numbers")
     if len(counts) != 2 or not (0.0 <= counts[0] < math.inf and 0.0 <= counts[1] < math.inf):
         raise ValueError(f"tree node counts {counts!r} are not two finite numbers of at least 0")
     if type(node.n_samples) is not int or node.n_samples < 1:
@@ -992,11 +986,16 @@ class Family:
     required: tuple[str, ...] = ()
 
 
-def _finite_array(values) -> np.ndarray:
-    """A model file's float array; json reads a literal like 1e999 as inf, a ValueError here."""
-    a = np.array(values, dtype=float)
+def finite_array(doc: Mapping, key: str) -> np.ndarray:
+    """The float array a model file holds at ``doc[key]``. A string or a bool,
+    which ``float()`` would take, is a ValueError naming ``key``, and so is a
+    literal like 1e999, which json reads as inf."""
+    values = np.array(doc[key], dtype=object)
+    if not set(map(type, values.flat)) <= {int, float}:
+        raise ValueError(f"{key} must hold JSON numbers only")
+    a = values.astype(float)
     if not np.isfinite(a).all():
-        raise ValueError("non-finite number in the model payload")
+        raise ValueError(f"non-finite number in the model file's {key}")
     return a
 
 
@@ -1041,7 +1040,7 @@ FAMILIES: dict[str, Family] = {
             "train_labels": state[1].tolist(),
         },
         from_payload=lambda p: (
-            _finite_array(p["train_features"]),
+            finite_array(p, "train_features"),
             _label_array(p["train_labels"]),
         ),
     ),
@@ -1083,10 +1082,10 @@ FAMILIES: dict[str, Family] = {
             f.name: np.asarray(getattr(nn, f.name)).tolist() for f in fields(nn)
         },
         from_payload=lambda p: NnModel(
-            _finite_array(p["w_hidden"]),
-            _finite_array(p["b_hidden"]),
-            _finite_array(p["w_out"]),
-            _finite_array(p["b_out"]).item(),
+            finite_array(p, "w_hidden"),
+            finite_array(p, "b_hidden"),
+            finite_array(p, "w_out"),
+            finite_array(p, "b_out").item(),
         ),
     ),
 }
@@ -1158,11 +1157,7 @@ def fit_family(
 
 def expand_grid(grid: Mapping[str, Sequence[object]]) -> list[dict]:
     """Cartesian product of a {param: values} grid, in insertion order."""
-    keys = list(grid.keys())
-    cells = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        cells.append(dict(zip(keys, combo)))
-    return cells
+    return [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
 
 
 @dataclass
@@ -1209,16 +1204,15 @@ def grid_search(
     y = np.asarray(y, dtype=int)
     if folds_idx is None:
         folds_idx = stratified_folds(y, folds, seed)
-    all_idx = np.arange(len(y))
     results: list[GridCell] = []
     for c_i, cell in enumerate(cells):
         sets = []
         for f_i, val_idx in enumerate(folds_idx):
-            train_idx = np.setdiff1d(all_idx, val_idx)
             sub_seed = int(
                 np.random.SeedSequence((seed, c_i, f_i)).generate_state(1)[0]
             )
-            params, train = _training_set(entry, cell, X[train_idx], y[train_idx], sub_seed)
+            params, train = _training_set(entry, cell, np.delete(X, val_idx, axis=0),
+                                          np.delete(y, val_idx), sub_seed)
             sets.append(train)
         preds = [
             FittedModel(family, params, state).predict_labels(X[val_idx])

@@ -26,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from bsmguard.bsm import DataError, StandardizationParams
-from bsmguard.ml import FAMILIES, N_FEATURES, CartNode, FittedModel, check_params
+from bsmguard.ml import FAMILIES, N_FEATURES, CartNode, FittedModel, check_params, finite_array
 
 FORMAT_NAME = "bsmguard-model"
 FORMAT_VERSION = 1
@@ -150,20 +150,19 @@ def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, floa
     if entry is None:
         raise DataError(f"{path}: unknown model family {family!r}")
     try:
-        std = StandardizationParams(
-            mean=tuple(map(float, doc["standardizer"]["mean"])),
-            stdev=tuple(map(float, doc["standardizer"]["stdev"])),
-        )
-        if (len(std.mean) != N_FEATURES or len(std.stdev) != N_FEATURES
-                or not all(map(math.isfinite, std.mean + std.stdev))
-                or not all(s > 0 for s in std.stdev)):
+        mean, stdev = (finite_array(doc["standardizer"], key) for key in ("mean", "stdev"))
+        if mean.shape != (N_FEATURES,) or stdev.shape != (N_FEATURES,) or not (stdev > 0).all():
             raise ValueError("standardizer needs a finite mean and positive stdev per feature")
+        std = StandardizationParams(mean=tuple(mean.tolist()), stdev=tuple(stdev.tolist()))
         params = dict(doc["params"])
         check_params(family, {key: [value] for key, value in params.items()})
         model = FittedModel(family, params, entry.from_payload(doc["payload"]))
-        seed, test_fraction = int(doc["seed"]), float(doc["test_fraction"])
-        if seed < 0 or not 0.0 < test_fraction < 1.0:
-            raise ValueError(f"seed {seed} or test_fraction {test_fraction!r} out of range")
+        seed, test_fraction = doc["seed"], doc["test_fraction"]
+        # A JSON number in (0, 1) is a float; an int or a bool is never in it.
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed {seed!r} is not an integer of at least 0")
+        if type(test_fraction) is not float or not 0.0 < test_fraction < 1.0:
+            raise ValueError(f"test_fraction {test_fraction!r} is not a number in (0, 1)")
         entry.scores(model.state, model.params, np.zeros((1, N_FEATURES)))
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"{path}: malformed model document ({exc!r})") from None

@@ -19,6 +19,7 @@ from itertools import chain, zip_longest
 import numpy as np
 
 from bsmguard.bsm import (
+    STDEV_FLOOR,
     AggregatedSample,
     BsmRecord,
     DataError,
@@ -59,7 +60,7 @@ def welford_feature_stats(samples: Iterable[AggregatedSample]) -> Standardizatio
         m2 += delta * (s.avg_speed - mean)
     if count == 0:
         raise DataError("stream produced no aggregated samples")
-    return StandardizationParams(mean=(mean,), stdev=(max(math.sqrt(m2 / count), 1e-12),))
+    return StandardizationParams(mean=(mean,), stdev=(max(math.sqrt(m2 / count), STDEV_FLOOR),))
 
 
 def feature_stream(
@@ -288,12 +289,6 @@ def detector_report(
 # ---------------------------------------------------------------------------
 
 
-def samples_to_dataset(samples: Sequence[AggregatedSample]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.array([[s.avg_speed, s.avg_accel] for s in samples], dtype=float)
-    y = np.array([s.label for s in samples], dtype=int)
-    return X, y
-
-
 def model_dataset(
     samples: Sequence[AggregatedSample],
     seed: int,
@@ -305,15 +300,17 @@ def model_dataset(
     Returns ``(X_train, y_train, X_test, y_test, std)``: the split of
     ``stratified_split(y, test_fraction, seed)``, every row standardized with
     ``std``, or with a standardizer fitted on the training split when ``std``
-    is None (training; evaluation passes the saved one).
+    is None (training; evaluation passes the saved one). The samples are one
+    float table, whose features are standardized in one call.
     """
-    X_raw, y = samples_to_dataset(samples)
+    table = np.array(samples, dtype=float).reshape(-1, len(AggregatedSample._fields))
+    X_raw, y = table[:, 1:3], table[:, 3].astype(int)
     if len(np.unique(y)) < 2:
         raise DataError("the train/test split needs both classes present in the data")
     train_idx, test_idx = stratified_split(y, test_fraction, seed)
     if std is None:
         std = fit_standardizer(X_raw[train_idx])
-    X = np.array([apply_standardizer(std, row) for row in X_raw])
+    X = apply_standardizer(std, X_raw)
     return X[train_idx], y[train_idx], X[test_idx], y[test_idx], std
 
 
@@ -355,6 +352,6 @@ def train_and_evaluate(
 
 
 def evaluate_model(model, family: str, X_test: np.ndarray, y_test: np.ndarray) -> EvalReport:
-    scores = [float(v) for v in model.predict_scores(X_test)]
+    scores = model.predict_scores(X_test).tolist()
     flags = [int(v > LABEL_CUT) for v in scores]
-    return scored_report(family, list(map(int, y_test)), flags, scores)
+    return scored_report(family, y_test.tolist(), flags, scores)

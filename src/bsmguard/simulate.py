@@ -20,10 +20,12 @@ from bsmguard.bsm import (
     ATTACK,
     BSM_PERIOD_S,
     MAX_FIELD_MAGNITUDE,
+    WINDOW_SLACK_S,
     BsmRecord,
     _bsm_record,
     _exact_window,
     _window_end,
+    in_window,
 )
 from bsmguard.config import (
     ConfigError,
@@ -57,7 +59,7 @@ def _check(ok: bool, key: str, value, requirement: str) -> None:
 def _check_within(windows, last_t: float) -> None:
     """Raise ConfigError for a window outside a stream whose last record is at ``last_t``."""
     for w in windows:
-        _check(w[0] >= 0 and w[1] <= last_t + 1e-9, "attack.windows", w,
+        _check(w[0] >= 0 and w[1] <= last_t + WINDOW_SLACK_S, "attack.windows", w,
                f"falls outside the {last_t} s stream")
 
 
@@ -204,9 +206,9 @@ def inject_false_info(
 
     Only the speed field changes; timestamps, vehicle ids, and accelerations
     are carried through bit-identically. A window outside the stream is a
-    ConfigError. Each window's hits come from one mask over the records'
-    times; the hit records are rewritten in record order, which is the
-    order of the noise-burst draws.
+    ConfigError. Each window's hits come from one ``bsm.in_window`` mask
+    over the records' times; the hit records are rewritten in record order,
+    which is the order of the noise-burst draws.
     """
     if stream:
         _check_within(spec.windows, stream[-1].t)
@@ -214,9 +216,8 @@ def inject_false_info(
     out = list(stream)
     t = np.fromiter(map(itemgetter(0), out), float, len(out))
     hit = np.zeros(len(out), dtype=bool)
-    # A record at t is hit by [start, end) when start <= t < end, up to 1e-9.
     for start, end in spec.windows:
-        hit |= (start - 1e-9 <= t) & (t < end - 1e-9)
+        hit |= in_window(t, start, end)
     for i in np.flatnonzero(hit).tolist():
         rec = out[i]
         if spec.mode == "constant_replace":

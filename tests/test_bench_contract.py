@@ -24,6 +24,7 @@ import pytest
 from bsmguard import cli
 from bsmguard.bsm import CSV_HEADER, aggregate, read_bsm_csv
 from bsmguard.cli import main
+from bsmguard.ml import MODEL_FAMILIES
 from bsmguard.pipeline import DECISIONS_HEADER, read_decisions_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -89,6 +90,13 @@ def test_every_traced_layer_does_work(traced_chain, frame):
     # instead, on every workload. It also shows that ``bsm.aggregate`` still
     # runs as a generator through the attributes the tracer patches.
     assert traced_chain.calls[frame] > 0, frame
+
+
+def test_each_model_dataset_is_standardized_in_one_call(traced_chain):
+    # Every workload trains and evaluates each family once, and each of those
+    # ops builds one model dataset, standardized as a whole array. A per-row
+    # loop would call the standardizer once per sample.
+    assert traced_chain.calls["bsm.apply_standardizer"] == 2 * len(MODEL_FAMILIES)
 
 
 def test_traced_train_and_evaluate_count_trees_and_rows(tmp_path):

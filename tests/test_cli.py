@@ -796,6 +796,24 @@ class TestTrainEvaluate:
         assert err.count("\n") == 1
         assert not model.exists()
 
+    @pytest.mark.parametrize("family, grid, message", [
+        ("rf", f'{{"n_trees": [{10**30}]}}', "too large to convert"),
+        ("nn", f'{{"n_hidden": [{2**62}]}}', "array is too big"),
+        ("nn", f'{{"n_hidden": [{2**63}]}}', "Maximum allowed dimension exceeded"),
+    ], ids=["rf-1e30-trees", "nn-2**62-hidden", "nn-2**63-hidden"])
+    def test_grid_too_large_for_numpy_exits_2(self, tmp_path, bsm_csv, capsys, family, grid,
+                                              message):
+        # numpy raises OverflowError or ValueError for these before it allocates.
+        model = tmp_path / "m.json"
+        code = main(["train", str(bsm_csv), "--model", family, "--grid", grid,
+                     "--out", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {family} training cannot run this grid: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert not model.exists()
+
     def test_single_class_data_exits_3(self, tmp_path, scenario_file):
         clean_cfg = tmp_path / "clean.cfg"
         clean_cfg.write_text("duration_s = 30.0\nseed = 1\n")
@@ -971,6 +989,37 @@ def test_malformed_model_file_exits_3(tmp_path, bsm_csv, capsys, text):
     err = capsys.readouterr().err
     assert code == 3
     assert str(model) in err
+    assert "Traceback" not in err
+
+
+def _knn_features(value):
+    return {**GOOD_MODEL, "payload": {"train_features": [[value, 0.0]], "train_labels": [0]}}
+
+
+@pytest.mark.parametrize("doc, key", [
+    # float() and int() would read each of these; a JSON number is required.
+    ({**GOOD_MODEL, "seed": 2.7}, "seed"),
+    ({**GOOD_MODEL, "seed": True}, "seed"),
+    ({**GOOD_MODEL, "seed": "0"}, "seed"),
+    ({**GOOD_MODEL, "test_fraction": "0.2"}, "test_fraction"),
+    ({**GOOD_MODEL, "standardizer": {"mean": ["15.6", 0.0], "stdev": [1.0, 1.0]}}, "mean"),
+    ({**GOOD_MODEL, "standardizer": {"mean": [0.0, 0.0], "stdev": [True, 1.0]}}, "stdev"),
+    (_knn_features("1.5"), "train_features"),
+    (_knn_features(True), "train_features"),
+    ({**GOOD_MODEL, "family": "nn", "params": {}, "payload": {
+        "w_hidden": [["0.5"], [0.5]], "b_hidden": [0.0], "w_out": [1.0], "b_out": 0.0}},
+     "w_hidden"),
+    (json.loads(_cart_model(_split(1, True))), "tree node numbers"),
+], ids=["seed-float", "seed-bool", "seed-str", "test_fraction-str", "mean-str", "stdev-bool",
+        "knn-feature-str", "knn-feature-bool", "nn-weight-str", "cart-threshold-bool"])
+def test_model_numbers_that_are_not_json_numbers_exit_3(tmp_path, bsm_csv, capsys, doc, key):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = main(["evaluate", str(model), str(bsm_csv)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"{model}: malformed model document" in err
+    assert key in err
     assert "Traceback" not in err
 
 

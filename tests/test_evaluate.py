@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsmguard.bsm import in_window
 from bsmguard.detectors import CusumConfig, CusumDetector
 from bsmguard.evaluate import (
     ConfusionMatrix,
@@ -211,6 +212,53 @@ class TestLatency:
     def test_flag_outside_window_does_not_count(self):
         stats = detection_latency([1.0, 5.0], [1, 0], [(4.0, 6.0)])
         assert stats.undetected == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_sample_loop(self, data):
+        # Times on the 0.1 s grid, some nudged to within 1e-9 of a window
+        # bound, against windows whose bounds sit on that grid.
+        n = data.draw(st.integers(0, 60))
+        nudge = st.sampled_from([0.0, 0.0, 0.0, -1e-9, 1e-9, -5e-10, 5e-10, -2e-9, 2e-9])
+        times = sorted({round(0.1 * i, 9) + data.draw(nudge) for i in range(n)})
+        flags = data.draw(st.lists(st.sampled_from([0, 1, True, False]),
+                                   min_size=len(times), max_size=len(times)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, 70), max_size=6)))
+        windows = [(round(0.1 * a, 9), round(0.1 * b, 9)) for a, b in zip(cuts[::2], cuts[1::2])]
+        stats = detection_latency(times, flags, windows)
+        assert repr(stats) == repr(oracle_detection_latency(times, flags, windows))
+        assert all(type(d) is float for d in stats.delays)
+
+
+def oracle_detection_latency(times, attack_flags, windows):
+    """The per-sample loop ``detection_latency`` replaced with ``bsm.in_window``."""
+    from bsmguard.evaluate import LatencyStats
+
+    delays = []
+    undetected = 0
+    for start, end in windows:
+        first = None
+        for t, flag in zip(times, attack_flags):
+            if flag and start - 1e-9 <= t < end - 1e-9:
+                first = t
+                break
+        if first is None:
+            undetected += 1
+        else:
+            delays.append(first - start)
+    return LatencyStats(delays=tuple(delays), undetected=undetected)
+
+
+@pytest.mark.parametrize("t, covered", [
+    (10.0, True), (10.0 - 5e-10, True), (10.0 - 1e-9, True), (10.0 - 2e-9, False),
+    (15.0, True), (20.0 - 2e-9, True), (20.0 - 1e-9, False), (20.0 - 5e-10, False),
+    (20.0, False), (20.0 + 5e-10, False), (9.0, False),
+])
+def test_attack_window_rule_within_1e_9_of_its_bounds(t, covered):
+    # [10, 20) covers t when 10 - 1e-9 <= t < 20 - 1e-9: a time that drifts
+    # just below a tick counts as on it, at either end.
+    assert in_window(t, 10.0, 20.0) == covered
+    assert in_window(np.array([t, t]), 10.0, 20.0).tolist() == [covered, covered]
 
 
 class TestReportText:

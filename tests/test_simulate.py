@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsmguard.bsm import ATTACK, BSM_PERIOD_S, BsmRecord, aggregate
+from bsmguard.bsm import ATTACK, BSM_PERIOD_S, BsmRecord, aggregate, in_window
 from bsmguard.config import DetectorSettings
 from bsmguard.pipeline import run_detection
 from bsmguard.simulate import (
@@ -149,9 +149,14 @@ def test_stream_and_attack_match_the_per_record_loops(profile, seed, data):
     last_t = stream[-1].t
     specs = [default_scenario(seed).attack] if data is None else [
         data.draw(attacks(last_t)) for _ in range(3)]
+    t = np.array([rec.t for rec in stream])
     for spec in specs:
-        assert repr(inject_false_info(stream, spec)) == repr(
-            oracle_inject_false_info(stream, spec))
+        attacked = inject_false_info(stream, spec)
+        assert repr(attacked) == repr(oracle_inject_false_info(stream, spec))
+        mask = np.zeros(len(t), dtype=bool)
+        for start, end in spec.windows:
+            mask |= in_window(t, start, end)
+        assert [rec.label for rec in attacked] == mask.astype(int).tolist()
 
 
 class TestGenerate:

@@ -130,6 +130,7 @@ def assert_same_as_full_sort(X, y, k, seed):
     got = smote_balance(X, y, k=k, seed=seed)
     want = full_sort_smote_balance(X, y, k=k, seed=seed)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[1].dtype == want[1].dtype
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
