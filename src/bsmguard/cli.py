@@ -186,15 +186,15 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     pairs = read_decisions_csv(args.decisions, _samples(args))
     windows = parse_windows(args.windows, "--windows") if args.windows else ()
-    counts = None
+    scored = counts = None
     if args.roc_out:
         # The scores are sorted once, for both the ROC rows and the AUROC.
-        labels, _, scores = scored_pairs(args.detector, pairs, args.exclude_warmup)
+        scored = labels, _, scores = scored_pairs(args.detector, pairs, args.exclude_warmup)
         if not 0 < sum(labels) < len(labels):
             raise DataError("ROC output needs both classes present in the scored decisions")
         counts = roc_counts(scores, labels)
     report = detector_report(args.detector or "detector", pairs, windows=windows,
-                             exclude_warmup=args.exclude_warmup, counts=counts)
+                             exclude_warmup=args.exclude_warmup, counts=counts, scored=scored)
     if args.detector is None:
         print("warning: no --detector given, so scores are read as higher = more "
               "suspicious; pass --detector (bocpd scores the other way)", file=sys.stderr)

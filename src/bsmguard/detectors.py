@@ -130,8 +130,8 @@ class BocpdDetector:
         kappa += 1
         alpha += 1/2
 
-    The full run-length-distribution variant lives only in the test suite as
-    an oracle; this product path is O(1) per observation.
+    ``tests/reference.py`` keeps the full run-length-distribution variant
+    (``RunLengthMatrixBocpd``) as an oracle; this path is O(1) per observation.
     """
 
     def __init__(self, config: BocpdConfig | None = None):

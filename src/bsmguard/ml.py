@@ -14,8 +14,7 @@ row's k nearest neighbours, so ``_nearest`` finds them by partition instead
 of a full stable sort: every distance below a row's kth value, then the
 columns equal to it in column order. That is exactly the head of the stable
 argsort, so the neighbours, scores, synthetic rows and model bytes are the
-same; ``tests/test_knn.py`` and ``tests/test_smote.py`` keep the full-sort
-versions as oracles.
+same; ``tests/reference.py`` keeps the full-sort versions as oracles.
 
 CART (``cart_fit``) and the forest (``rf_fit``) share one grower
 (``_grow``), which argsorts each feature once per tree and grows a block of
@@ -41,8 +40,7 @@ mean along the contiguous tree axis of that (rows, trees) array, the same
 bits as the mean of each row's tree list; ``cart_scores`` is its one column.
 The tree families' ``to_payload`` hands its ``CartNode``s to ``model_io``,
 whose writer puts each node out as the dict of its set fields;
-``tests/test_model_io.py`` keeps that dict form (``_tree_to_dict``) as the
-writer's oracle.
+``tests/reference.py`` keeps that dict form (``tree_to_dict``) as its oracle.
 
 The NN trainer (``nn_train_block``) trains a block of networks whose
 training sets have the same row count in one stacked Adam step: the
@@ -60,8 +58,8 @@ update it replaced: m = B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g, the step
 (lr*(m/corr1)) / (sqrt(v/corr2)+eps), the loss (max(l,0) - y*l) +
 log1p(exp(-|l|)) averaged as sum/n, and +0.0 gradient where a relu is off.
 That order is what keeps the trained weights, and so the model files, byte
-for byte the same; ``tests/test_nn.py`` keeps the per-array loop as an oracle
-and checks the block against one network at a time.
+for byte the same; ``tests/reference.py`` keeps the per-array loop as an
+oracle, and ``tests/test_nn.py`` checks the block against one network alone.
 """
 
 from __future__ import annotations

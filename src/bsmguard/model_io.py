@@ -14,7 +14,7 @@ streams the tree there: json's text for the dict of each node's set fields,
 one string per leaf or three around a split's children. The indent stays
 because the benchmark's reference hashes pin these bytes; a v2 format
 without it, with array trees that need no streaming, is ROADMAP item 10.
-``tests/test_model_io.py`` checks the file against ``json.dumps``.
+``tests/test_model_io.py`` checks the file against ``reference.model_text``.
 """
 
 from __future__ import annotations

@@ -270,11 +270,12 @@ def detector_report(
     windows: Sequence[tuple[float, float]] = (),
     exclude_warmup: bool = False,
     counts: list[tuple[float, int, int]] | None = None,
+    scored: tuple[list[int], list[int], list[float]] | None = None,
 ) -> EvalReport:
     """Score the ``(sample, decision)`` pairs ``scored_pairs`` selects against
     their samples' labels; latency covers every pair, timed by the samples' t.
-    ``counts``, when given, are those scores' ``roc_counts``."""
-    labels, flags, scores = scored_pairs(detector_name, pairs, exclude_warmup)
+    ``scored``, when given, is ``scored_pairs``' result, and ``counts`` its ``roc_counts``."""
+    labels, flags, scores = scored or scored_pairs(detector_name, pairs, exclude_warmup)
     latency = None
     if windows:
         latency = detection_latency([s.t for s, _ in pairs], [d.attack for _, d in pairs], windows)

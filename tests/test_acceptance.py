@@ -31,13 +31,8 @@ from bsmguard.ml import cart_fit, knn_predict, nn_init
 from bsmguard.pipeline import feature_stream, run_detection
 from bsmguard.simulate import default_scenario
 
-from test_bocpd import nig_posterior
-from test_cart import brute_best_root_gain, root_gain
-from test_cusum import naive_cusum
-from test_em import fit_two_component_gmm
-from test_evaluate import pairwise_auroc
-from test_knn import brute_knn
-from test_nn import nn_loss_and_grads
+import reference
+from product_calls import fit_two_component_gmm, nn_loss_and_grads
 
 
 def report(line: str) -> None:
@@ -95,7 +90,7 @@ def test_criterion_03_bocpd_matches_nig_oracle():
         det = BocpdDetector(BocpdConfig(threshold=0.0))
         for i, y in enumerate(ys, start=1):
             det.observe(y)
-            mu, kappa, alpha, beta = nig_posterior(ys[:i])
+            mu, kappa, alpha, beta = reference.nig_posterior(ys[:i])
             for got, want in (
                 (det.mu, mu),
                 (det.kappa, kappa),
@@ -129,7 +124,7 @@ def test_criterion_05_cusum_false_alarm_calibration():
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         ys = [float(v) for v in rng.normal(0.0, 1.0, 1000)]
-        oracle_flags = naive_cusum(
+        oracle_flags = reference.naive_cusum(
             ys, delta=cfg.delta, alpha=cfg.alpha, h=cfg.h_sigma, warmup=cfg.warmup
         )
         oracle_alarms += sum(oracle_flags[cfg.warmup :])
@@ -222,7 +217,7 @@ def test_criterion_08_classifier_oracles():
         y = rng.integers(0, 2, size=40)
         for _ in range(50):
             q = tuple(rng.normal(0, 1.5, 2))
-            assert knn_predict(X, y, q, k=19) == brute_knn(X, y, q, 19)
+            assert knn_predict(X, y, q, k=19) == reference.knn_predict(X, y, q, 19)
 
     # CART root split vs brute-force enumeration of every candidate.
     for criterion in ("gini", "entropy"):
@@ -233,11 +228,12 @@ def test_criterion_08_classifier_oracles():
                 continue
             w = np.ones(25)
             tree = cart_fit(X, y, criterion=criterion, max_depth=1)
-            want = brute_best_root_gain(X, y, w, criterion)
+            want = reference.brute_best_root_gain(X, y, w, criterion)
             if tree.is_leaf:
                 assert want <= 1e-12
             else:
-                assert root_gain(X, y, w, criterion, tree) == pytest.approx(want, abs=1e-12)
+                got = reference.root_gain(X, y, w, criterion, tree)
+                assert got == pytest.approx(want, abs=1e-12)
 
     # AUROC vs the all-pairs probability definition: every label pattern of
     # every size up to 12, tie-rich quantized scores.
@@ -247,7 +243,7 @@ def test_criterion_08_classifier_oracles():
             labels = [(bits >> i) & 1 for i in range(n)]
             scores = list(np.round(rng.uniform(0, 1, n) * 4) / 4.0)
             assert auroc(scores, labels) == pytest.approx(
-                pairwise_auroc(scores, labels), abs=1e-12
+                reference.pairwise_auroc(scores, labels), abs=1e-12
             )
             cases += 1
     report(

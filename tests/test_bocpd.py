@@ -7,74 +7,7 @@ import pytest
 
 from bsmguard.detectors import BocpdConfig, BocpdDetector, student_t_logpdf
 
-
-def nig_posterior(ys, mu0=0.0, kappa0=0.1, alpha0=1e-5, beta0=1e-5):
-    """Closed-form batch Normal-Inverse-Gamma posterior after observing ys.
-
-    Textbook update equations, written independently of the sequential code:
-        kappa_n = kappa0 + n
-        mu_n    = (kappa0 mu0 + n ybar) / kappa_n
-        alpha_n = alpha0 + n / 2
-        beta_n  = beta0 + ssd/2 + kappa0 n (ybar - mu0)^2 / (2 kappa_n)
-    """
-    n = len(ys)
-    if n == 0:
-        return mu0, kappa0, alpha0, beta0
-    ybar = math.fsum(ys) / n
-    ssd = math.fsum((y - ybar) ** 2 for y in ys)
-    kappa_n = kappa0 + n
-    mu_n = (kappa0 * mu0 + n * ybar) / kappa_n
-    alpha_n = alpha0 + n / 2.0
-    beta_n = beta0 + 0.5 * ssd + kappa0 * n * (ybar - mu0) ** 2 / (2.0 * kappa_n)
-    return mu_n, kappa_n, alpha_n, beta_n
-
-
-class RunLengthMatrixBocpd:
-    """Full run-length-distribution variant (test oracle only).
-
-    Tracks the joint over every run-length hypothesis with one NIG posterior
-    per hypothesis, constant hazard. O(t) state per step.
-    """
-
-    def __init__(self, hazard=0.01, mu0=0.0, kappa0=0.1, alpha0=1e-5, beta0=1e-5):
-        self.h = hazard
-        self.prior = (mu0, kappa0, alpha0, beta0)
-        self.mu = [mu0]
-        self.kappa = [kappa0]
-        self.alpha = [alpha0]
-        self.beta = [beta0]
-        self.joint = np.array([1.0])
-
-    def step(self, y):
-        preds = np.array(
-            [
-                math.exp(
-                    student_t_logpdf(
-                        y,
-                        df=2 * a,
-                        mean=m,
-                        scale=math.sqrt(b * (k + 1) / (a * k)),
-                    )
-                )
-                for m, k, a, b in zip(self.mu, self.kappa, self.alpha, self.beta)
-            ]
-        )
-        growth = self.joint * preds * (1.0 - self.h)
-        cp = float(np.sum(self.joint * preds * self.h))
-        joint = np.concatenate([[cp], growth])
-        self.joint = joint / np.sum(joint)
-        # Every hypothesis absorbs y; a fresh prior heads the list.
-        new_mu = [self.prior[0]]
-        new_kappa = [self.prior[1]]
-        new_alpha = [self.prior[2]]
-        new_beta = [self.prior[3]]
-        for m, k, a, b in zip(self.mu, self.kappa, self.alpha, self.beta):
-            new_beta.append(b + k * (y - m) ** 2 / (2 * (k + 1)))
-            new_mu.append((k * m + y) / (k + 1))
-            new_kappa.append(k + 1)
-            new_alpha.append(a + 0.5)
-        self.mu, self.kappa, self.alpha, self.beta = new_mu, new_kappa, new_alpha, new_beta
-        return int(np.argmax(self.joint))
+import reference
 
 
 def close(a, b, tol=1e-9):
@@ -97,7 +30,7 @@ def test_trajectory_matches_batch_nig_oracle():
     det = BocpdDetector(BocpdConfig(threshold=0.0))
     for i, y in enumerate(ys, start=1):
         det.observe(y)
-        mu, kappa, alpha, beta = nig_posterior(ys[:i])
+        mu, kappa, alpha, beta = reference.nig_posterior(ys[:i])
         assert close(det.mu, mu)
         assert close(det.kappa, kappa)
         assert close(det.alpha, alpha)
@@ -127,7 +60,7 @@ def test_level_jump_flagged_within_three_samples():
 
     # Brute-force check: the accumulated posterior (closed form) gives the
     # jump value a predictive density below the alarm threshold.
-    mu, kappa, alpha, beta = nig_posterior(calm)
+    mu, kappa, alpha, beta = reference.nig_posterior(calm)
     scale = math.sqrt(beta * (kappa + 1) / (alpha * kappa))
     p_jump = math.exp(student_t_logpdf(5.0, df=2 * alpha, mean=mu, scale=scale))
     assert p_jump < 0.0002
@@ -193,7 +126,7 @@ def test_agrees_with_run_length_matrix_oracle_on_change_location():
     ys = [float(v) for v in rng.normal(0.0, 0.1, 100)]
     ys += [float(v) for v in rng.normal(5.0, 0.1, 30)]
 
-    oracle = RunLengthMatrixBocpd()
+    oracle = reference.RunLengthMatrixBocpd()
     oracle_collapse = None
     for i, y in enumerate(ys):
         map_r = oracle.step(y)

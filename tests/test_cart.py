@@ -1,8 +1,5 @@
 """CART: impurity fixtures, split-scan oracle, structural invariants."""
 
-import math
-from collections.abc import Sequence
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,60 +8,33 @@ from hypothesis import strategies as st
 from bsmguard.ml import (
     LABEL_CUT,
     CartNode,
-    _impurity_vec,
     cart_fit,
     cart_scores,
     class_weights,
 )
 
-from test_model_io import _tree_to_dict
-
-
-def impurity(counts: Sequence[float], criterion: str = "gini") -> float:
-    """Node impurity from (possibly weighted) per-class counts, the scalar
-    reference for ``ml._impurity_vec``.
-
-    gini is sum_{c1 != c2} p(c1) p(c2); entropy is the usual -sum p log2 p.
-    All-zero counts are rejected.
-    """
-    total = float(sum(counts))
-    if total <= 0:
-        raise ValueError("impurity needs at least one counted sample")
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be non-negative")
-    p = [float(c) / total for c in counts]
-    if criterion == "gini":
-        value = 0.0
-        for c1 in range(len(p)):
-            for c2 in range(len(p)):
-                if c1 == c2:
-                    continue
-                value += p[c1] * p[c2]
-        return value
-    if criterion == "entropy":
-        return -sum(pi * math.log2(pi) for pi in p if pi > 0.0)
-    raise ValueError(f"unknown criterion {criterion!r}")
+import reference
 
 
 class TestImpurity:
     def test_pure_node_is_zero(self):
-        assert impurity((7, 0), "gini") == 0.0
-        assert impurity((7, 0), "entropy") == 0.0
+        assert reference.impurity((7, 0), "gini") == 0.0
+        assert reference.impurity((7, 0), "entropy") == 0.0
 
     def test_even_split(self):
-        assert impurity((5, 5), "gini") == pytest.approx(0.5)
-        assert impurity((5, 5), "entropy") == pytest.approx(1.0)
+        assert reference.impurity((5, 5), "gini") == pytest.approx(0.5)
+        assert reference.impurity((5, 5), "entropy") == pytest.approx(1.0)
 
     def test_three_one(self):
-        assert impurity((3, 1), "gini") == pytest.approx(0.375)
+        assert reference.impurity((3, 1), "gini") == pytest.approx(0.375)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            impurity((0, 0), "gini")
+            reference.impurity((0, 0), "gini")
 
     def test_unknown_criterion(self):
         with pytest.raises(ValueError):
-            impurity((1, 1), "misc")
+            reference.impurity((1, 1), "misc")
 
 
 def test_cart_fit_rejects_an_unknown_criterion():
@@ -74,12 +44,6 @@ def test_cart_fit_rejects_an_unknown_criterion():
         cart_fit(X, y, criterion="misc")
 
 
-def tree_depth(node: CartNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
 def iter_nodes(node: CartNode):
     yield node
     if not node.is_leaf:
@@ -87,56 +51,11 @@ def iter_nodes(node: CartNode):
         yield from iter_nodes(node.right)
 
 
-def brute_best_root_gain(X, y, w, criterion):
-    """Exhaustive oracle: enumerate every midpoint of every feature and
-    compute the weighted impurity decrease directly."""
-
-    def imp(idx):
-        w0 = sum(w[i] for i in idx if y[i] == 0)
-        w1 = sum(w[i] for i in idx if y[i] == 1)
-        if w0 + w1 == 0:
-            return 0.0, 0.0
-        return impurity((w0, w1), criterion), w0 + w1
-
-    all_idx = list(range(len(y)))
-    parent, total = imp(all_idx)
-    best = 0.0
-    for j in range(X.shape[1]):
-        values = sorted(set(X[:, j]))
-        for a, b in zip(values, values[1:]):
-            thr = (a + b) / 2
-            left = [i for i in all_idx if X[i, j] <= thr]
-            right = [i for i in all_idx if X[i, j] > thr]
-            il, wl = imp(left)
-            ir, wr = imp(right)
-            gain = parent - (wl / total) * il - (wr / total) * ir
-            best = max(best, gain)
-    return best
-
-
-def root_gain(X, y, w, criterion, tree):
-    w0 = sum(w[i] for i in range(len(y)) if y[i] == 0)
-    w1 = sum(w[i] for i in range(len(y)) if y[i] == 1)
-    total = w0 + w1
-    parent = impurity((w0, w1), criterion)
-    left = [i for i in range(len(y)) if X[i, tree.feature] <= tree.threshold]
-    right = [i for i in range(len(y)) if X[i, tree.feature] > tree.threshold]
-
-    def imp(idx):
-        a = sum(w[i] for i in idx if y[i] == 0)
-        b = sum(w[i] for i in idx if y[i] == 1)
-        return impurity((a, b), criterion), a + b
-
-    il, wl = imp(left)
-    ir, wr = imp(right)
-    return parent - (wl / total) * il - (wr / total) * ir
-
-
 def test_linearly_separable_single_feature_depth_one():
     X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
     tree = cart_fit(X, y, criterion="gini")
-    assert tree_depth(tree) == 1
+    assert reference.tree_depth(tree) == 1
     assert ((cart_scores(tree, X) > LABEL_CUT) == y).all()
 
 
@@ -144,7 +63,7 @@ def test_xor_needs_depth_two_and_fits_exactly():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
     tree = cart_fit(X, y, criterion="gini", min_split=2, min_leaf=1)
-    assert tree_depth(tree) == 2
+    assert reference.tree_depth(tree) == 2
     assert ((cart_scores(tree, X) > LABEL_CUT) == y).all()
 
 
@@ -159,10 +78,10 @@ def test_root_split_gain_matches_brute_enumeration():
             w = np.ones(30)
             tree = cart_fit(X, y, criterion=criterion, max_depth=1)
             if tree.is_leaf:
-                assert brute_best_root_gain(X, y, w, criterion) <= 1e-12
+                assert reference.brute_best_root_gain(X, y, w, criterion) <= 1e-12
                 continue
-            got = root_gain(X, y, w, criterion, tree)
-            want = brute_best_root_gain(X, y, w, criterion)
+            got = reference.root_gain(X, y, w, criterion, tree)
+            want = reference.brute_best_root_gain(X, y, w, criterion)
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -242,76 +161,10 @@ def test_deeper_trees_never_increase_training_error(seed):
 
 
 # ---------------------------------------------------------------------------
-# Per-node reference: each node re-sorts its own rows and scans every
-# candidate in (feature, threshold) order. cart_fit must build the same
-# trees, bit for bit.
+# Per-node reference (reference.reference_cart_fit): each node re-sorts its
+# own rows and scans every candidate in (feature, threshold) order. cart_fit
+# must build the same trees, bit for bit.
 # ---------------------------------------------------------------------------
-
-
-def reference_split_gains(X, y, w, criterion, min_leaf):
-    """Every candidate of one node as (gain, feature, threshold, left_rows)."""
-    n = len(y)
-    w0_total = float(np.sum(w[y == 0]))
-    w1_total = float(np.sum(w[y == 1]))
-    total = w0_total + w1_total
-    parent = float(_impurity_vec(np.array([w0_total]), np.array([w1_total]), criterion)[0])
-    out = []
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        ws = w[order]
-        cum0 = np.cumsum(np.where(ys == 0, ws, 0.0))
-        cum1 = np.cumsum(np.where(ys == 1, ws, 0.0))
-        boundary = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-        boundary = boundary[(boundary >= min_leaf) & (boundary <= n - min_leaf)]
-        left0 = cum0[boundary - 1]
-        left1 = cum1[boundary - 1]
-        right0 = w0_total - left0
-        right1 = w1_total - left1
-        wl = (left0 + left1) / total
-        wr = (right0 + right1) / total
-        gains = (
-            parent
-            - wl * _impurity_vec(left0, left1, criterion)
-            - wr * _impurity_vec(right0, right1, criterion)
-        )
-        for pos, gain in zip(boundary, gains):
-            out.append((gain, j, float((xs[pos - 1] + xs[pos]) / 2.0), order[:pos]))
-    return out
-
-
-def reference_cart_fit(X, y, criterion, max_depth, min_split, min_leaf, weights):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    w = np.array([1.0 if weights is None else float(weights[int(c)]) for c in y])
-
-    def build(idx, depth):
-        ys, ws = y[idx], w[idx]
-        w0 = float(np.sum(ws[ys == 0]))
-        w1 = float(np.sum(ws[ys == 1]))
-        total = w0 + w1
-        node = CartNode(
-            impurity=float(_impurity_vec(np.array([w0]), np.array([w1]), criterion)[0]),
-            counts=(w0, w1),
-            n_samples=len(idx),
-        )
-        best = None
-        if depth < max_depth and len(idx) >= min_split and w0 != 0.0 and w1 != 0.0:
-            for cand in reference_split_gains(X[idx], ys, ws, criterion, min_leaf):
-                if best is None or cand[0] > best[0] + 1e-15:
-                    best = (float(cand[0]),) + cand[1:]
-        if best is None:
-            node.probs = (w0 / total, w1 / total)
-            return node
-        _, node.feature, node.threshold, left_rows = best
-        left_mask = np.zeros(len(idx), dtype=bool)
-        left_mask[left_rows] = True
-        node.left = build(idx[left_mask], depth + 1)
-        node.right = build(idx[~left_mask], depth + 1)
-        return node
-
-    return build(np.arange(len(y)), 0)
 
 
 def oracle_case(seed):
@@ -343,8 +196,8 @@ def test_trees_equal_the_per_node_reference_bit_for_bit():
     differ = []
     for seed in range(320):
         X, y, kwargs = oracle_case(seed)
-        got = repr(_tree_to_dict(cart_fit(X, y, **kwargs)))
-        if got != repr(_tree_to_dict(reference_cart_fit(X, y, **kwargs))):
+        got = repr(reference.tree_to_dict(cart_fit(X, y, **kwargs)))
+        if got != repr(reference.tree_to_dict(reference.reference_cart_fit(X, y, **kwargs))):
             differ.append(seed)
     assert differ == []
 
@@ -354,11 +207,11 @@ def test_near_tie_keeps_the_first_candidate():
     # exact arithmetic; in floating point the later one is 5.6e-17 higher.
     X = np.arange(8.0)[:, None]
     y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    gains = [c[0] for c in reference_split_gains(X, y, np.ones(8), "gini", 1)]
+    gains = [c[0] for c in reference.reference_split_gains(X, y, np.ones(8), "gini", 1)]
     assert 0.0 < gains[-1] - gains[0] < 1e-15
     assert max(gains) == gains[-1]
     tree = cart_fit(X, y, criterion="gini", max_depth=1)
     assert tree.threshold == 0.5
-    assert repr(_tree_to_dict(tree)) == repr(
-        _tree_to_dict(reference_cart_fit(X, y, "gini", 1, 2, 1, None))
+    assert repr(reference.tree_to_dict(tree)) == repr(
+        reference.tree_to_dict(reference.reference_cart_fit(X, y, "gini", 1, 2, 1, None))
     )

@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from bsmguard import evaluate
+from bsmguard import cli, evaluate, pipeline
 from bsmguard.bsm import CSV_HEADER, aggregate, read_bsm_csv
 from bsmguard.cli import main
 from bsmguard.config import DetectorSettings
@@ -599,6 +599,33 @@ class TestReport:
         assert out.startswith(plain) and "auroc = " in plain
         samples = list(aggregate(read_bsm_csv(str(bsm_csv))))
         labels, _, scores = scored_pairs("cusum", read_decisions_csv(str(dec), samples))
+        with open(roc, newline="") as fh:
+            assert fh.read().splitlines()[1:] == [
+                f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(scores, labels)]
+
+    @pytest.mark.parametrize("exclude_warmup", [[], ["--exclude-warmup"]])
+    def test_roc_report_selects_the_scored_pairs_once(self, tmp_path, bsm_csv, capsys,
+                                                      monkeypatch, exclude_warmup):
+        # The ROC rows and the report score the same pairs, so one
+        # scored_pairs call serves both, wherever its name is bound.
+        dec, rep, roc = tmp_path / "dec.csv", tmp_path / "rep.txt", tmp_path / "roc.csv"
+        assert main(["detect", str(bsm_csv), "--detector", "bocpd", "--out", str(dec)]) == 0
+        calls = []
+        select = pipeline.scored_pairs
+
+        def counted(*args):
+            calls.append(args)
+            return select(*args)
+
+        monkeypatch.setattr(pipeline, "scored_pairs", counted)
+        monkeypatch.setattr(cli, "scored_pairs", counted, raising=False)
+        assert main(["report", str(dec), str(bsm_csv), "--detector", "bocpd", *exclude_warmup,
+                     "--windows", "10.0:15.0", "--out", str(rep), "--roc-out", str(roc)]) == 0
+        assert len(calls) == 1
+        pairs = read_decisions_csv(str(dec), list(aggregate(read_bsm_csv(str(bsm_csv)))))
+        labels, _, scores = select("bocpd", pairs, bool(exclude_warmup))
+        want = detector_report("bocpd", pairs, ((10.0, 15.0),), bool(exclude_warmup))
+        assert rep.read_text() == want.to_text()
         with open(roc, newline="") as fh:
             assert fh.read().splitlines()[1:] == [
                 f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(scores, labels)]

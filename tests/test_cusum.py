@@ -1,8 +1,6 @@
 """Adaptive CUSUM: zero-stream exactness, oracle agreement, step bounds,
 scale equivariance."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,37 +8,7 @@ from hypothesis import strategies as st
 
 from bsmguard.detectors import CusumConfig, CusumDetector
 
-
-def naive_cusum(ys, delta=1.0, alpha=0.025, h=5.0, warmup=50):
-    """Independent straight-line re-implementation of the adopted update.
-
-    Estimates mu/sigma from the first ``warmup`` values, then walks the
-    stream with plain floats. Returns the list of attack flags (one per
-    observation, False during warm-up).
-    """
-    flags = []
-    head = ys[:warmup]
-    mu = sum(head) / warmup
-    var = sum((v - mu) ** 2 for v in head) / (warmup - 1)
-    sigma = max(math.sqrt(var), 1e-8)
-    k = delta * sigma / 2.0
-    ewma = mu
-    cp = cn = 0.0
-    for i, y in enumerate(ys):
-        if i < warmup:
-            flags.append(False)
-            continue
-        d = ewma - mu
-        if d > k:
-            cp = max(0.0, cp + (d / sigma**2) * (y - mu - d / 2.0))
-        if d < -k:
-            cn = max(0.0, cn + (-d / sigma**2) * (mu - y + d / 2.0))
-        ewma = ewma + alpha * (y - ewma)
-        alarm = cp > h or cn > h
-        if alarm:
-            cp = cn = 0.0
-        flags.append(alarm)
-    return flags
+import reference
 
 
 def run_detector(ys, config=None):
@@ -82,7 +50,7 @@ def test_matches_naive_oracle_on_noise_and_steps():
             shift = float(rng.uniform(2, 12))
             ys += list(shift + rng.normal(0, 1, 100))
         got = [d.attack for d in run_detector(ys)]
-        want = naive_cusum([float(y) for y in ys])
+        want = reference.naive_cusum([float(y) for y in ys])
         assert got == want
 
 
@@ -96,7 +64,7 @@ def test_step_change_alarm_bound_from_simulation_oracle():
         rng = np.random.default_rng(seed)
         ys = [float(v) for v in rng.normal(0, 1, 100)]
         ys += [float(10 + v) for v in rng.normal(0, 1, 40)]
-        flags = naive_cusum(ys)
+        flags = reference.naive_cusum(ys)
         first = next((i - 100 for i in range(100, len(ys)) if flags[i]), None)
         assert first is not None
         oracle_max = max(oracle_max, first)

@@ -14,46 +14,21 @@ from bsmguard.detectors import (
     EM_ATTACK_MEAN,
     EM_ATTACK_STDEV,
     EM_INIT_WEIGHT,
-    EM_MAX_ITER,
-    EM_TOL,
     EmConfig,
     EmDetector,
     SIGMA_FLOOR,
     _e_step,
-    _em_from,
     gmm_m_step,
 )
 from bsmguard.simulate import AttackSpec, DrivingProfile, Scenario, default_scenario
+
+import reference
+from product_calls import fit_two_component_gmm
 
 
 def attack_responsibility(y, mu1, s1, mu2, s2, pi2):
     """Posterior probability that y came from the attack component (index 2)."""
     return _e_step([y], mu1, s1, mu2, s2, pi2)[0][0]
-
-
-def fit_two_component_gmm(points, mu1, s1, mu2, s2, pi2):
-    """EM for a two-component Gaussian mixture on a small point set, as
-    ``EmDetector`` runs it from its anchors' theta.
-
-    Runs until the largest parameter change drops below EM_TOL, an M-step
-    returns the previous M-step's theta exactly, or for EM_MAX_ITER
-    iterations. Returns the fitted (mu1, s1, mu2, s2, pi2) and the
-    log-likelihood after each M-step. A stop at that exact fixed point
-    repeats the last entry, just as a further E-step would.
-    """
-    theta = (mu1, max(s1, SIGMA_FLOOR), mu2, max(s2, SIGMA_FLOOR), pi2)
-    resp, _ = _e_step(points, *theta)
-    theta, ll_history, _ = _em_from(points, resp, theta)
-    return theta, ll_history
-
-
-def loglik(points, mu1, s1, mu2, s2, pi2):
-    total = 0.0
-    for x in points:
-        a = pi2 * math.exp(-0.5 * ((x - mu2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
-        b = (1 - pi2) * math.exp(-0.5 * ((x - mu1) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi))
-        total += math.log(a + b)
-    return total
 
 
 def test_m_step_hard_assignment_reduces_to_subgroup_means():
@@ -198,82 +173,17 @@ class TestDetector:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity oracle: the straightforward EM loop, one pass per quantity
+# Bit identity with the straightforward EM loop (reference.em_fit)
 # ---------------------------------------------------------------------------
-
-
-def oracle_norm_logpdf(x, mu, sigma):
-    z = (x - mu) / sigma
-    return -0.5 * z * z - math.log(sigma) - 0.9189385332046727
-
-
-def oracle_responsibility(y, mu1, s1, mu2, s2, pi2):
-    la = math.log(pi2) + oracle_norm_logpdf(y, mu2, s2) if pi2 > 0 else -math.inf
-    lb = math.log(1.0 - pi2) + oracle_norm_logpdf(y, mu1, s1) if pi2 < 1 else -math.inf
-    if la == -math.inf:
-        return 0.0
-    if lb == -math.inf:
-        return 1.0
-    m = max(la, lb)
-    ea = math.exp(la - m)
-    eb = math.exp(lb - m)
-    return ea / (ea + eb)
-
-
-def oracle_m_step(points, resp):
-    n = len(points)
-    w2 = math.fsum(resp)
-    w1 = n - w2
-    if w2 <= 0.0 or w1 <= 0.0:
-        raise ValueError("degenerate responsibilities")
-    mu2 = math.fsum(r * x for r, x in zip(resp, points)) / w2
-    mu1 = math.fsum((1.0 - r) * x for r, x in zip(resp, points)) / w1
-    var2 = math.fsum(r * (x - mu2) ** 2 for r, x in zip(resp, points)) / w2
-    var1 = math.fsum((1.0 - r) * (x - mu1) ** 2 for r, x in zip(resp, points)) / w1
-    s1 = max(math.sqrt(var1), SIGMA_FLOOR)
-    s2 = max(math.sqrt(var2), SIGMA_FLOOR)
-    return mu1, s1, mu2, s2, w2 / n
-
-
-def oracle_loglik(points, mu1, s1, mu2, s2, pi2):
-    total = 0.0
-    for x in points:
-        la = math.log(pi2) + oracle_norm_logpdf(x, mu2, s2) if pi2 > 0 else -math.inf
-        lb = math.log(1.0 - pi2) + oracle_norm_logpdf(x, mu1, s1) if pi2 < 1 else -math.inf
-        m = max(la, lb)
-        total += m + math.log(math.exp(la - m) + math.exp(lb - m))
-    return total
-
-
-def oracle_fit(points, mu1, s1, mu2, s2, pi2):
-    """E-step, M-step, then a separate log-likelihood pass, per iteration."""
-    s1 = max(s1, SIGMA_FLOOR)
-    s2 = max(s2, SIGMA_FLOOR)
-    ll_history = []
-    for _ in range(EM_MAX_ITER):
-        resp = [oracle_responsibility(x, mu1, s1, mu2, s2, pi2) for x in points]
-        try:
-            new = oracle_m_step(points, resp)
-        except ValueError:
-            break
-        delta = max(
-            abs(new[0] - mu1), abs(new[1] - s1), abs(new[2] - mu2),
-            abs(new[3] - s2), abs(new[4] - pi2),
-        )
-        mu1, s1, mu2, s2, pi2 = new
-        ll_history.append(oracle_loglik(points, mu1, s1, mu2, s2, pi2))
-        if delta < EM_TOL:
-            break
-    return (mu1, s1, mu2, s2, pi2), ll_history
 
 
 def assert_fit_matches_oracle(points, theta0):
     got = fit_two_component_gmm(points, *theta0)
-    want = oracle_fit(points, *theta0)
+    want = reference.em_fit(points, *theta0)
     assert repr(got) == repr(want), (points, theta0)
     for y in points:
         assert repr(attack_responsibility(y, *got[0])) == repr(
-            oracle_responsibility(y, *want[0])
+            reference.responsibility(y, *want[0])
         )
 
 
@@ -303,13 +213,12 @@ def test_fit_bit_identical_to_oracle_on_saturating_values(value):
 
 def assert_detector_matches_oracle(ys, seed):
     det = EmDetector(EmConfig(seed=seed))
-    for y in ys:
+    for y, fit in zip(ys, reference.em_fits(ys, seed)):
         d = det.observe(y)
-        if not d.warmed_up:
+        assert d.warmed_up == (fit is not None)
+        if fit is None:
             continue
-        theta, ll = oracle_fit(det.anchors + [y], det.seed_mean, det.seed_stdev,
-                               EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_INIT_WEIGHT)
-        score = oracle_responsibility(y, *theta)
+        theta, ll, score = fit
         assert repr((det.theta, det.last_ll_history, d.score)) == repr((theta, ll, score))
         assert d.attack == (score > det.config.threshold)
 
@@ -341,8 +250,8 @@ def test_detector_bit_identical_to_oracle_on_false_stop_stream(seed):
 
 def assert_e_step_matches_oracle(points, theta):
     resp, total = _e_step(points, *theta)
-    want = [oracle_responsibility(x, *theta) for x in points]
-    assert repr((resp, total)) == repr((want, oracle_loglik(points, *theta))), (points, theta)
+    want = [reference.responsibility(x, *theta) for x in points]
+    assert repr((resp, total)) == repr((want, reference.loglik(points, *theta))), (points, theta)
 
 
 @pytest.mark.parametrize("pi2", [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.3])
@@ -451,7 +360,7 @@ def test_fit_started_at_its_fixed_point_runs_one_full_iteration():
     assert gmm_m_step(points, resp) == theta
     got = fit_two_component_gmm(points, *theta)
     assert got == (theta, [ll])
-    assert repr(got) == repr(oracle_fit(points, *theta))
+    assert repr(got) == repr(reference.em_fit(points, *theta))
 
 
 def test_fixed_point_stop_returns_the_new_theta_with_its_zero_sign():
@@ -471,7 +380,7 @@ def test_fixed_point_stop_returns_the_new_theta_with_its_zero_sign():
     theta, ll = fit_two_component_gmm(points, *theta0)
     assert theta == first and (repr(first[2]), repr(theta[2])) == ("-0.0", "0.0")
     assert len(ll) == 2 and ll[0] == ll[1]
-    assert repr((theta, ll)) == repr(oracle_fit(points, *theta0))
+    assert repr((theta, ll)) == repr(reference.em_fit(points, *theta0))
 
 
 def test_fit_bit_identical_to_oracle_when_more_than_two_iterations_run():
@@ -483,7 +392,7 @@ def test_fit_bit_identical_to_oracle_when_more_than_two_iterations_run():
                   float(rng.normal(2, 1)), float(rng.uniform(0.3, 2)),
                   float(rng.uniform(0.2, 0.8)))
         theta, ll = fit_two_component_gmm(points, *theta0)
-        assert repr((theta, ll)) == repr(oracle_fit(points, *theta0))
+        assert repr((theta, ll)) == repr(reference.em_fit(points, *theta0))
         if len(ll) > 2:
             long_fits += 1
             fixed_point_stops += ll[-1] == ll[-2]

@@ -1,7 +1,5 @@
 """Metric formulas, AUROC oracle, latency, and timing stats."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +18,9 @@ from bsmguard.evaluate import (
     timed,
     timing_stats,
 )
+
+from reference import detection_latency as oracle_detection_latency
+from reference import pairwise_auroc
 
 
 class TestConfusion:
@@ -87,19 +88,6 @@ class TestMetrics:
         assert m.precision_macro == pytest.approx(
             (m.precision_attack + m.precision_clean) / 2
         )
-
-
-def pairwise_auroc(scores, labels):
-    """Oracle: direct average over all positive/negative pairs."""
-    pos = [s for s, l in zip(scores, labels) if l == 1]
-    neg = [s for s, l in zip(scores, labels) if l == 0]
-    total = 0.0
-    for p, n in itertools.product(pos, neg):
-        if p > n:
-            total += 1.0
-        elif p == n:
-            total += 0.5
-    return total / (len(pos) * len(neg))
 
 
 class TestAuroc:
@@ -228,25 +216,6 @@ class TestLatency:
         stats = detection_latency(times, flags, windows)
         assert repr(stats) == repr(oracle_detection_latency(times, flags, windows))
         assert all(type(d) is float for d in stats.delays)
-
-
-def oracle_detection_latency(times, attack_flags, windows):
-    """The per-sample loop ``detection_latency`` replaced with ``bsm.in_window``."""
-    from bsmguard.evaluate import LatencyStats
-
-    delays = []
-    undetected = 0
-    for start, end in windows:
-        first = None
-        for t, flag in zip(times, attack_flags):
-            if flag and start - 1e-9 <= t < end - 1e-9:
-                first = t
-                break
-        if first is None:
-            undetected += 1
-        else:
-            delays.append(first - start)
-    return LatencyStats(delays=tuple(delays), undetected=undetected)
 
 
 @pytest.mark.parametrize("t, covered", [

@@ -9,7 +9,7 @@ import pytest
 from bsmguard import ml
 from bsmguard.ml import cart_fit, cart_scores, class_weights, rf_fit, rf_scores
 
-from test_model_io import _tree_to_dict
+import reference
 
 
 def make_data(seed=0, n=60):
@@ -65,18 +65,12 @@ def test_depth_cap_beyond_data_is_harmless():
     assert len(forest) == 3
 
 
-def bootstraps(n, n_trees, seed):
-    """The row indices ``rf_fit`` draws for each tree."""
-    children = np.random.SeedSequence(seed).spawn(n_trees)
-    return [np.random.default_rng(ss).integers(0, n, size=n) for ss in children]
-
-
 def assert_trees_match_cart(X, y, n_trees, seed, weights, **params):
     forest = rf_fit(X, y, n_trees=n_trees, seed=seed, weights=weights, **params)
     assert len(forest) == n_trees
-    for tree, idx in zip(forest, bootstraps(len(y), n_trees, seed)):
+    for tree, idx in zip(forest, reference.bootstraps(len(y), n_trees, seed)):
         alone = cart_fit(X[idx], y[idx], weights=weights, **params)
-        assert repr(_tree_to_dict(tree)) == repr(_tree_to_dict(alone))
+        assert repr(reference.tree_to_dict(tree)) == repr(reference.tree_to_dict(alone))
 
 
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
@@ -98,7 +92,7 @@ def test_bootstrap_without_the_minority_class(weighted):
     X, y = make_data(3, n=40)
     y[:] = 0
     y[7] = 1  # one attack row, which some bootstraps miss
-    missing = [not y[idx].any() for idx in bootstraps(40, 12, 5)]
+    missing = [not y[idx].any() for idx in reference.bootstraps(40, 12, 5)]
     assert any(missing) and not all(missing)
     weights = class_weights(y) if weighted else None
     assert_trees_match_cart(X, y, 12, 5, weights, criterion="gini", max_depth=90,

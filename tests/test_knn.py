@@ -1,4 +1,4 @@
-"""KNN against exhaustive distance-sort oracles."""
+"""KNN against the exhaustive distance-sort oracle, ``reference.knn_scores``."""
 
 import numpy as np
 import pytest
@@ -8,17 +8,7 @@ from hypothesis import strategies as st
 from bsmguard import ml
 from bsmguard.ml import _nearest, knn_predict, knn_scores
 
-
-def brute_knn(X, y, query, k):
-    """Exhaustive oracle: full distance sort with index tie-break, then count."""
-    scored = []
-    for i, row in enumerate(X):
-        d = sum((float(a) - float(b)) ** 2 for a, b in zip(row, query))
-        scored.append((d, i))
-    scored.sort()
-    votes = [int(y[i]) for _, i in scored[:k]]
-    frac = sum(votes) / k
-    return (1 if frac > 0.5 else 0, frac)
+import reference
 
 
 def test_k1_on_training_point():
@@ -51,7 +41,7 @@ def test_matches_brute_oracle_on_query_grid():
         y = rng.integers(0, 2, size=40)
         for _ in range(50):
             q = tuple(rng.normal(0, 1.5, 2))
-            assert knn_predict(X, y, q, k=19) == brute_knn(X, y, q, 19)
+            assert knn_predict(X, y, q, k=19) == reference.knn_predict(X, y, q, 19)
 
 
 def test_empty_train_rejected():
@@ -81,24 +71,6 @@ def test_score_quantized_and_permutation_invariant(k, seed):
     perm = rng.permutation(n)
     label_p, score_p = knn_predict(X[perm], y[perm], q, k=k)
     assert (label_p, score_p) == (label, score)
-
-
-def full_sort_knn_scores(X_train, y_train, Q, k):
-    """``knn_scores`` as it was before partition selection: block by block,
-    each distance row fully stable-sorted and its first k columns kept."""
-    X_train = np.asarray(X_train, dtype=float)
-    y_train = np.asarray(y_train, dtype=int)
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    out = np.empty(len(Q))
-    step = max(1, ml.KNN_BLOCK_CELLS // len(X_train))
-    for start in range(0, len(Q), step):
-        block = Q[start : start + step]
-        d2 = np.zeros((len(block), len(X_train)))
-        for j in range(X_train.shape[1]):
-            d2 += (X_train[:, j] - block[:, j, None]) ** 2
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start : start + step] = np.mean(y_train[order] == 1, axis=1)
-    return out
 
 
 def tie_heavy_case(rng, n, d):
@@ -144,7 +116,7 @@ def test_knn_scores_equal_the_full_sort_on_ties(d):
         n = int(rng.integers(1, 40))
         X, y, Q = tie_heavy_case(rng, n, d)
         for k in {1, n, int(rng.integers(1, n + 1))}:
-            assert np.array_equal(knn_scores(X, y, Q, k), full_sort_knn_scores(X, y, Q, k))
+            assert np.array_equal(knn_scores(X, y, Q, k), reference.knn_scores(X, y, Q, k))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -156,7 +128,7 @@ def test_knn_scores_equal_the_full_sort_across_blocks(d):
     Q = np.round(rng.normal(0, 1.2, size=(150, d)), 1)
     assert ml.KNN_BLOCK_CELLS // n < len(Q) / 5  # more than five query blocks
     for k in (1, 5, 19, n):
-        assert np.array_equal(knn_scores(X, y, Q, k), full_sort_knn_scores(X, y, Q, k))
+        assert np.array_equal(knn_scores(X, y, Q, k), reference.knn_scores(X, y, Q, k))
 
 
 def test_nearest_is_the_head_of_a_stable_argsort():

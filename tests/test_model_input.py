@@ -3,11 +3,12 @@
 ``pipeline.model_dataset`` builds one float table of the samples and
 standardizes it in one ``apply_standardizer`` call, ``fit_standardizer``
 reads its columns from an array, and ``stratified_split`` and
-``stratified_folds`` mark each index's part in one array. The per-row and per-index versions are kept here as
-oracles; every array must match them in dtype, shape and bytes.
+``stratified_folds`` mark each index's part in one array. The oracles are
+the per-row and per-index versions (``reference.model_dataset``,
+``fit_standardizer``, ``apply_standardizer``, ``stratified_split`` and
+``stratified_folds``); every array must match them in dtype, shape and bytes.
 """
 
-import math
 import re
 import warnings
 
@@ -17,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmguard.bsm import (
-    STDEV_FLOOR,
     AggregatedSample,
     DataError,
     StandardizationParams,
@@ -27,63 +27,11 @@ from bsmguard.bsm import (
 from bsmguard.ml import stratified_folds, stratified_split
 from bsmguard.pipeline import model_dataset
 
-
-def oracle_fit_standardizer(rows):
-    """``fit_standardizer`` reading each value of each row with ``float()``."""
-    if len(rows) == 0:
-        raise ValueError("cannot fit a standardizer on an empty training set")
-    n = len(rows)
-    means, stdevs = [], []
-    for j in range(len(rows[0])):
-        col = [float(row[j]) for row in rows]
-        mean = math.fsum(col) / n
-        stdev = math.sqrt(math.fsum((x - mean) ** 2 for x in col) / n)
-        means.append(mean)
-        stdevs.append(STDEV_FLOOR if stdev < STDEV_FLOOR else stdev)
-    return StandardizationParams(mean=tuple(means), stdev=tuple(stdevs))
-
-
-def oracle_apply_standardizer(params, row):
-    """The per-row standardizer: a tuple of ``(float(x) - m) / s``."""
-    if len(row) != len(params.mean):
-        raise ValueError(f"expected {len(params.mean)} features, got {len(row)}")
-    return tuple((float(x) - m) / s for x, m, s in zip(row, params.mean, params.stdev))
-
-
-def oracle_model_dataset(samples, seed, test_fraction, std=None):
-    """``model_dataset`` building X and y row by row and standardizing each row."""
-    X_raw = np.array([[s.avg_speed, s.avg_accel] for s in samples], dtype=float)
-    y = np.array([s.label for s in samples], dtype=int)
-    if len(np.unique(y)) < 2:
-        raise DataError("the train/test split needs both classes present in the data")
-    train_idx, test_idx = oracle_stratified_split(y, test_fraction, seed)
-    if std is None:
-        std = oracle_fit_standardizer(X_raw[train_idx])
-    X = np.array([oracle_apply_standardizer(std, row) for row in X_raw])
-    return X[train_idx], y[train_idx], X[test_idx], y[test_idx], std
-
-
-def oracle_stratified_split(y, test_fraction, seed):
-    """``stratified_split`` concatenating each class's test and train slices."""
-    rng = np.random.default_rng(seed)
-    train, test = [], []
-    for cls in np.unique(y):
-        idx = rng.permutation(np.flatnonzero(y == cls))
-        n_test = min(max(int(round(len(idx) * test_fraction)), 1), len(idx) - 1)
-        test.append(idx[:n_test])
-        train.append(idx[n_test:])
-    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
-
-
-def oracle_stratified_folds(y, folds, seed):
-    """``stratified_folds`` dealing each class's permutation out one index at a time."""
-    rng = np.random.default_rng(seed)
-    buckets = [[] for _ in range(folds)]
-    for cls in np.unique(y):
-        idx = rng.permutation(np.flatnonzero(y == cls))
-        for pos, i in enumerate(idx):
-            buckets[pos % folds].append(int(i))
-    return [np.sort(np.array(b, dtype=int)) for b in buckets]
+from reference import apply_standardizer as oracle_apply_standardizer
+from reference import fit_standardizer as oracle_fit_standardizer
+from reference import model_dataset as oracle_model_dataset
+from reference import stratified_folds as oracle_stratified_folds
+from reference import stratified_split as oracle_stratified_split
 
 
 def assert_same_array(got, want):

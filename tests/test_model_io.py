@@ -14,29 +14,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bsmguard.bsm import DataError, StandardizationParams
-from bsmguard.ml import FAMILIES, fit_family
+from bsmguard.ml import fit_family
 from bsmguard.model_io import load_model, save_model
 
-
-def data(seed=0, n=80):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(0, 1, size=(n, 2))
-    y = ((X[:, 0] + rng.normal(0, 0.3, n)) > 0).astype(int)
-    return X, y
+import reference
 
 
-PARAMS = {
-    "knn": {"k": 5},
-    "cart": {"criterion": "entropy", "max_depth": 4},
-    "rf": {"n_trees": 8, "max_depth": 4, "min_split": 4, "min_leaf": 2},
-    "nn": {"epochs": 3, "batch_size": 20, "lr": 0.05, "n_hidden": 10},
-}
+@functools.cache
+def fitted(family):
+    """The family's model fitted on ``reference.model_data()``, shared by this module's tests."""
+    X, y = reference.model_data()
+    return fit_family(family, reference.MODEL_PARAMS[family], X, y, seed=3)
 
 
-@pytest.mark.parametrize("family", sorted(PARAMS))
+@pytest.mark.parametrize("family", sorted(reference.MODEL_PARAMS))
 def test_roundtrip_bit_exact_predictions(tmp_path, family):
-    X, y = data()
-    model = fit_family(family, PARAMS[family], X, y, seed=3)
+    model = fitted(family)
     std = StandardizationParams(mean=(1.25, -0.5), stdev=(2.0, 0.125))
     path = tmp_path / "model.json"
     save_model(path, model, std, seed=3, test_fraction=0.2)
@@ -53,8 +46,8 @@ def test_roundtrip_bit_exact_predictions(tmp_path, family):
 
 
 def test_saved_file_is_versioned_json(tmp_path):
-    X, y = data()
-    model = fit_family("cart", PARAMS["cart"], X, y, seed=0)
+    X, y = reference.model_data()
+    model = fit_family("cart", reference.MODEL_PARAMS["cart"], X, y, seed=0)
     path = tmp_path / "model.json"
     save_model(path, model, StandardizationParams((0.0, 0.0), (1.0, 1.0)), 0, 0.2)
     text = path.read_text()
@@ -63,8 +56,7 @@ def test_saved_file_is_versioned_json(tmp_path):
 
 
 def saved_doc(path, family):
-    X, y = data()
-    model = fit_family(family, PARAMS[family], X, y, seed=3)
+    model = fitted(family)
     save_model(path, model, StandardizationParams((0.0, 0.0), (1.0, 1.0)), 3, 0.2)
     return json.loads(path.read_text())
 
@@ -219,8 +211,8 @@ def test_wrong_version_rejected(tmp_path):
 
 
 def test_save_is_deterministic(tmp_path):
-    X, y = data(4)
-    model = fit_family("rf", PARAMS["rf"], X, y, seed=5)
+    X, y = reference.model_data(4)
+    model = fit_family("rf", reference.MODEL_PARAMS["rf"], X, y, seed=5)
     std = StandardizationParams((0.0, 0.0), (1.0, 1.0))
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
@@ -229,11 +221,10 @@ def test_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("family", sorted(PARAMS))
+@pytest.mark.parametrize("family", sorted(reference.MODEL_PARAMS))
 def test_labels_are_scores_cut_at_half(family):
     # evaluate_model takes labels from one scoring pass with this cut.
-    X, y = data()
-    model = fit_family(family, PARAMS[family], X, y, seed=3)
+    model = fitted(family)
     Q = np.random.default_rng(9).normal(0, 1.5, size=(200, 2))
     labels = model.predict_labels(Q)
     assert 0 < labels.sum() < len(labels)
@@ -250,56 +241,30 @@ def test_empty_forest_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The file against json.dumps(indent=1, sort_keys=True) of the oracle doc
+# The file against reference.model_text: json.dumps(indent=1, sort_keys=True)
 # ---------------------------------------------------------------------------
 
 
-def _tree_to_dict(node) -> dict:
-    """The node's set fields, children nested: the model file's tree schema."""
-    d = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)
-         if getattr(node, f.name) is not None}
-    if not node.is_leaf:
-        d["left"], d["right"] = _tree_to_dict(node.left), _tree_to_dict(node.right)
-    return d
-
-
-# The tree families' state in the model file's dict schema.
-ORACLE_PAYLOAD = {
-    "cart": lambda tree: {"tree": _tree_to_dict(tree)},
-    "rf": lambda forest: {"trees": [_tree_to_dict(t) for t in forest]},
-}
 DEEP_RF = {"n_trees": 6, "max_depth": 90, "min_split": 2, "min_leaf": 1}
 STD = StandardizationParams(mean=(1.25, -0.5), stdev=(2.0, 0.125))
 
-
-def oracle_text(model) -> str:
-    """What ``save_model(path, model, STD, 3, 0.2)`` writes, by ``json.dumps``."""
-    doc = {
-        "format": "bsmguard-model",
-        "version": 1,
-        "family": model.family,
-        "params": model.params,
-        "seed": 3,
-        "test_fraction": 0.2,
-        "standardizer": {"mean": list(STD.mean), "stdev": list(STD.stdev)},
-        "payload": ORACLE_PAYLOAD.get(model.family, FAMILIES[model.family].to_payload)(
-            model.state),
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+#: What ``save_model(path, model, STD, 3, 0.2)`` writes, by ``json.dumps``.
+oracle_text = functools.partial(reference.model_text, std=STD, seed=3, test_fraction=0.2)
 
 
 def overlap_model(family, params):
-    X, y = data(7, n=240)
+    X, y = reference.model_data(7, n=240)
     y = np.where(np.random.default_rng(8).random(len(y)) < 0.3, 1 - y, y)  # overlapping classes
     return fit_family(family, params, X, y, seed=3)
 
 
 @functools.cache
 def tree_model(family):
-    return overlap_model(family, PARAMS[family])
+    return overlap_model(family, reference.MODEL_PARAMS[family])
 
 
-@pytest.mark.parametrize("family, params", [*sorted(PARAMS.items()), ("rf", DEEP_RF)])
+@pytest.mark.parametrize("family, params",
+                         [*sorted(reference.MODEL_PARAMS.items()), ("rf", DEEP_RF)])
 def test_saved_file_is_json_dumps_of_the_oracle_doc(tmp_path, family, params):
     model = overlap_model(family, params)
     path = tmp_path / "model.json"

@@ -1,6 +1,5 @@
 """Neural baseline: forward algebra, gradient check, training sanity."""
 
-import math
 import os
 import subprocess
 import sys
@@ -12,37 +11,17 @@ import pytest
 
 import bsmguard
 from bsmguard.ml import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
     NN_INIT_RANGE,
     NnDivergedError,
     NnModel,
     nn_forward,
-    _nn_kernel,
-    _nn_pack,
-    _nn_split,
     nn_init,
     nn_train,
     nn_train_block,
 )
 
-
-def nn_loss_and_grads(model, X, y):
-    """Mean binary cross-entropy and its gradients for one batch.
-
-    Runs the training kernel on a packed copy of ``model``, as a block of one
-    network; the gradients are views into the kernel's gradient buffer.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = model.w_hidden.shape
-    theta = _nn_pack(model)[None]
-    grad = np.empty_like(theta)
-    loss = float(_nn_kernel(theta, grad, *shape)(X[None], y[None, :, None])[0]) / len(y)
-    gW, gbh, gwo = _nn_split(grad, *shape)
-    return loss, {"w_hidden": gW[0], "b_hidden": gbh[0], "w_out": gwo[0],
-                  "b_out": float(grad[0, -1])}
+import reference
+from product_calls import nn_loss_and_grads
 
 
 def zero_model(n_features=2, n_hidden=10):
@@ -163,56 +142,6 @@ def test_deterministic_per_seed():
     assert a.b_out == b.b_out
 
 
-def _reference_loss_and_grads(model, X, y):
-    """The per-array loss and gradients training used before the flat step."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    hidden = np.maximum(X @ model.w_hidden + model.b_hidden, 0.0)
-    logits = hidden @ model.w_out + model.b_out
-    loss = float(np.mean(np.maximum(logits, 0.0) - y * logits + np.log1p(np.exp(-np.abs(logits)))))
-    probs = 1.0 / (1.0 + np.exp(-logits))
-    dlogits = (probs - y) / n
-    grads = {"w_out": hidden.T @ dlogits, "b_out": float(np.sum(dlogits))}
-    dhidden = np.outer(dlogits, model.w_out)
-    dhidden[hidden <= 0.0] = 0.0
-    grads["w_hidden"] = X.T @ dhidden
-    grads["b_hidden"] = np.sum(dhidden, axis=0)
-    return loss, grads
-
-
-def _reference_nn_train(X, y, epochs, batch_size, lr, seed, n_hidden):
-    """The per-array Adam loop training used before the flat step."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    rng = np.random.default_rng(seed)
-    model = nn_init(X.shape[1], n_hidden, seed=int(rng.integers(2**32)))
-    m = {k: 0.0 for k in ("w_hidden", "b_hidden", "w_out", "b_out")}
-    v = {k: 0.0 for k in m}
-    params = {"w_hidden": model.w_hidden, "b_hidden": model.b_hidden, "w_out": model.w_out}
-    step = 0
-    n = len(y)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            loss, grads = _reference_loss_and_grads(model, X[batch], y[batch])
-            assert math.isfinite(loss)
-            step += 1
-            corr1 = 1.0 - ADAM_BETA1**step
-            corr2 = 1.0 - ADAM_BETA2**step
-            for key in ("w_hidden", "b_hidden", "w_out"):
-                g = grads[key]
-                m[key] = ADAM_BETA1 * m[key] + (1 - ADAM_BETA1) * g
-                v[key] = ADAM_BETA2 * v[key] + (1 - ADAM_BETA2) * g * g
-                params[key] -= lr * (m[key] / corr1) / (np.sqrt(v[key] / corr2) + ADAM_EPS)
-            g = grads["b_out"]
-            m["b_out"] = ADAM_BETA1 * m["b_out"] + (1 - ADAM_BETA1) * g
-            v["b_out"] = ADAM_BETA2 * v["b_out"] + (1 - ADAM_BETA2) * g * g
-            model.b_out -= lr * (m["b_out"] / corr1) / (math.sqrt(v["b_out"] / corr2) + ADAM_EPS)
-    return model
-
-
 # (n, features, hidden, batch_size, epochs, lr): the default cell, a batch
 # larger than n, a last partial batch, one hidden unit, three features, no
 # epochs, a one-row batch and a large step.
@@ -236,7 +165,7 @@ def test_training_matches_the_per_array_reference_bit_for_bit(n, features, hidde
     y = rng.integers(0, 2, size=n)
     seed = int(rng.integers(1000))
     got = nn_train(X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed, n_hidden=hidden)
-    want = _reference_nn_train(X, y, epochs, batch_size, lr, seed, hidden)
+    want = reference.nn_train(X, y, epochs, batch_size, lr, seed, hidden)
     assert np.array_equal(got.w_hidden, want.w_hidden)
     assert np.array_equal(got.b_hidden, want.b_hidden)
     assert np.array_equal(got.w_out, want.w_out)
@@ -250,7 +179,7 @@ def test_loss_and_grads_match_the_per_array_reference_bit_for_bit():
         X = rng.normal(0, 2, size=(17, 3))
         y = rng.integers(0, 2, size=17)
         loss, grads = nn_loss_and_grads(model, X, y)
-        want_loss, want = _reference_loss_and_grads(model, X, y)
+        want_loss, want = reference.nn_loss_and_grads(model, X, y)
         assert loss == want_loss
         for key in ("w_hidden", "b_hidden", "w_out"):
             assert np.array_equal(grads[key], want[key]), key

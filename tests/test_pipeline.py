@@ -23,12 +23,14 @@ from bsmguard.pipeline import (
 from bsmguard.simulate import DrivingProfile, default_scenario, generate_stream
 
 
-def scenario_samples(seed=0):
-    return list(aggregate(default_scenario(seed=seed).run()))
+@functools.cache
+def scenario_samples(seed):
+    """The default scenario's samples, built once per seed for the module."""
+    return tuple(aggregate(default_scenario(seed=seed).run()))
 
 
 def test_welford_matches_batch_standardizer():
-    samples = scenario_samples()
+    samples = scenario_samples(0)
     streaming = welford_feature_stats(iter(samples))
     batch = fit_standardizer([(s.avg_speed,) for s in samples])
     assert streaming.mean == pytest.approx(batch.mean, rel=1e-12)
@@ -36,7 +38,7 @@ def test_welford_matches_batch_standardizer():
 
 
 def test_one_decision_per_sample_all_modes():
-    samples = scenario_samples()
+    samples = scenario_samples(0)
     settings = detector_settings_from_mapping(
         {"bocpd.input": "standardized", "em.input": "speed", "cusum.input": "transform"}
     )
@@ -51,9 +53,9 @@ ONLINE_MODES = (("em", "speed"), ("bocpd", "speed"), ("bocpd", "transform"),
                 ("cusum", "speed"), ("cusum", "transform"))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def full_stream_pairs(name, mode):
-    samples = scenario_samples()
+    samples = scenario_samples(0)
     settings = detector_settings_from_mapping({f"{name}.input": mode})
     return samples, settings, list(run_detection(samples, name, settings))
 
@@ -78,7 +80,7 @@ def test_standardized_mode_is_the_documented_exception_to_online():
 
 
 def test_transform_mode_warms_up_nine_samples():
-    samples = scenario_samples()
+    samples = scenario_samples(0)
     settings = detector_settings_from_mapping({"cusum.input": "transform"})
     pairs = list(run_detection(samples, "cusum", settings))
     # 9 samples fill the transform window, then the detector's own warm-up.
@@ -96,7 +98,7 @@ def test_scores_always_finite():
 
 
 def test_standardized_mode_standardizes_with_the_streams_own_statistics():
-    samples = scenario_samples()
+    samples = scenario_samples(0)
     std = welford_feature_stats(samples)
     (mean,), (stdev,) = std.mean, std.stdev
     assert list(feature_stream(samples, "standardized")) == [
@@ -106,7 +108,7 @@ def test_standardized_mode_standardizes_with_the_streams_own_statistics():
 def test_standardized_mode_rejects_a_one_shot_iterator():
     # It reads its samples twice; an iterator would be empty the second time.
     with pytest.raises(TypeError, match="reads its samples twice"):
-        next(run_detection(iter(scenario_samples()), "bocpd", DetectorSettings()))
+        next(run_detection(iter(scenario_samples(0)), "bocpd", DetectorSettings()))
 
 
 def test_score_orientation_yields_high_auroc_for_all_detectors():
@@ -165,7 +167,7 @@ def test_decisions_csv_t_mismatch_names_the_line_and_both_times(tmp_path):
     path = written_decisions(tmp_path, samples)
     shifted = [s._replace(t=s.t + 0.05) for s in samples]
     with pytest.raises(DataError) as err:
-        read_decisions_csv(path, samples[:4] + shifted[4:])
+        read_decisions_csv(path, [*samples[:4], *shifted[4:]])
     assert f"d.csv:6: t={samples[4].t!r}" in str(err.value)
     assert repr(shifted[4].t) in str(err.value)
 

@@ -2,16 +2,15 @@
 
 ``bsm.read_csv`` splits plain blocks with ``str.split`` and hands the rest of
 a file to ``csv.reader``; ``read_bsm_csv`` and ``read_decisions_csv`` convert
-and check a block a column at a time. The oracles below are the per-row
-readers they replaced, so every file, well formed or not, must give the
+and check a block a column at a time. The oracles are the per-row readers
+they replaced (``reference.read_csv``, ``read_bsm_csv`` and
+``read_decisions_csv``), so every file, well formed or not, must give the
 same rows, records and pairs, or the same error after the same prefix, at
 every block size.
 """
 
 import csv
 import itertools
-import math
-import re
 from unittest import mock
 
 import pytest
@@ -20,111 +19,20 @@ from hypothesis import strategies as st
 
 from bsmguard import bsm
 from bsmguard.bsm import (
-    ATTACK,
     CSV_HEADER,
-    MAX_FIELD_MAGNITUDE,
-    NO_ATTACK,
     AggregatedSample,
     BsmRecord,
     DataError,
     read_bsm_csv,
     read_csv,
 )
-from bsmguard.detectors import DetectorDecision
 from bsmguard.pipeline import DECISIONS_HEADER, read_decisions_csv
 
+from reference import read_bsm_csv as oracle_read_bsm_csv
+from reference import read_csv as oracle_read_csv
+from reference import read_decisions_csv as oracle_read_decisions_csv
+
 BLOCK_SIZES = (1, 2, 3, 512)
-
-
-# --- Oracles: the per-row readers, with two additions: a csv.Error (a field
-# over csv.field_size_limit()) is a DataError at the reader's line, and after a
-# row's other checks, a number whose text holds whitespace, an underscore or a
-# non-ASCII character is a DataError.
-
-
-def oracle_check_plain(path, lineno, header, row, columns):
-    for i in columns:
-        if not row[i].isascii() or re.search(r"[_\s]", row[i]):
-            raise DataError(f"{path}:{lineno}: {header[i]} {row[i]!r} holds whitespace, "
-                            f"'_' or a non-ASCII character")
-
-
-def oracle_read_csv(path, header):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                first = next(reader, None)
-                if first is None:
-                    raise DataError(f"{path}: empty file")
-                if tuple(first) != tuple(header):
-                    raise DataError(f"{path}: bad header {first!r}, expected {','.join(header)}")
-                for row in reader:
-                    if len(row) == len(header):
-                        yield reader.line_num, row
-                    elif row:
-                        raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
-                                        f"columns, got {len(row)}")
-            except csv.Error as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def oracle_read_bsm_csv(path):
-    big = MAX_FIELD_MAGNITUDE
-    for lineno, row in oracle_read_csv(path, CSV_HEADER):
-        t, vehicle_id, speed, accel, label = row
-        try:
-            t = float(t)
-            speed = float(speed)
-            accel = float(accel)
-            label = int(label)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not (-big <= t <= big and -big <= speed <= big and -big <= accel <= big):
-            raise DataError(
-                f"{path}:{lineno}: t, speed or accel is non-finite or beyond "
-                f"{big:g} in {row!r}"
-            )
-        if label not in (NO_ATTACK, ATTACK):
-            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[4]!r}")
-        if speed < 0:
-            raise DataError(f"{path}:{lineno}: negative speed {speed!r}")
-        oracle_check_plain(path, lineno, CSV_HEADER, row, (0, 2, 3, 4))
-        yield BsmRecord(t, vehicle_id, speed, accel, label)
-
-
-def oracle_read_decisions_csv(path, samples):
-    pairs = []
-    row_samples = iter(samples)
-    for lineno, row in oracle_read_csv(path, DECISIONS_HEADER):
-        t, score, attack, warmed_up = row
-        try:
-            t = float(t)
-            score = float(score)
-            attack = int(attack)
-            warmed_up = int(warmed_up)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not (math.isfinite(t) and math.isfinite(score)):
-            raise DataError(f"{path}:{lineno}: non-finite t or score in {row!r}")
-        if attack not in (0, 1) or warmed_up not in (0, 1):
-            raise DataError(f"{path}:{lineno}: attack and warmed_up must be 0 or 1 in {row!r}")
-        sample = next(row_samples, None)
-        if sample is not None and t != sample.t:
-            raise DataError(f"{path}:{lineno}: t={t!r} does not match its sample's t={sample.t!r}")
-        oracle_check_plain(path, lineno, DECISIONS_HEADER, row, range(4))
-        pairs.append((sample, DetectorDecision(attack == 1, score, warmed_up == 1)))
-    if len(pairs) != len(samples):
-        raise DataError(
-            f"{path}: decision count {len(pairs)} does not match sample count {len(samples)}"
-        )
-    return pairs
-
-
-# --- Files
-
 
 LIMIT = csv.field_size_limit()
 

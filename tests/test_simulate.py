@@ -1,21 +1,24 @@
 """Stream generation and false-speed injection.
 
 ``generate_stream`` and ``inject_false_info`` build their records from
-columns; the oracles below are the per-record loops they replaced, and
-every stream must come out the same, ``repr`` for ``repr``.
+columns, and ``DrivingProfile.base_trace`` fills each segment at once; the
+oracles are the per-record and per-tick loops they replaced
+(``reference.generate_stream``, ``inject_false_info`` and ``base_trace``),
+and every stream must come out the same, ``repr`` for ``repr``.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsmguard.bsm import ATTACK, BSM_PERIOD_S, BsmRecord, aggregate, in_window
+from bsmguard.bsm import BSM_PERIOD_S, aggregate, in_window
 from bsmguard.config import DetectorSettings
 from bsmguard.pipeline import run_detection
 from bsmguard.simulate import (
     ATTACK_MODES,
-    DEFAULT_VEHICLE_ID,
     AttackSpec,
     DrivingProfile,
     Segment,
@@ -25,66 +28,9 @@ from bsmguard.simulate import (
     scenario_from_mapping,
 )
 
-
-def oracle_generate_stream(profile, seed, vehicle_id=DEFAULT_VEHICLE_ID):
-    n = profile.ticks
-    rng = np.random.default_rng(seed)
-    speeds = profile.base_trace(n)
-    if profile.noise_stdev > 0:
-        speeds = speeds + rng.normal(0.0, profile.noise_stdev, n)
-    speeds = np.maximum(speeds, 0.0)
-    records = []
-    prev = None
-    for i in range(n):
-        t = round((i + 1) * BSM_PERIOD_S, 9)
-        v = float(speeds[i])
-        a = 0.0 if prev is None else (v - prev) / BSM_PERIOD_S
-        records.append(BsmRecord(t, vehicle_id, v, a, 0))
-        prev = v
-    return records
-
-
-def oracle_inject_false_info(stream, spec):
-    rng = np.random.default_rng(spec.seed)
-    bounds = [(start - 1e-9, end - 1e-9) for start, end in spec.windows]
-    out = []
-    for rec in stream:
-        t = rec.t
-        if not any(lo <= t < hi for lo, hi in bounds):
-            out.append(rec)
-            continue
-        if spec.mode == "constant_replace":
-            speed = spec.magnitude
-        elif spec.mode == "offset":
-            speed = max(0.0, rec.speed + spec.magnitude)
-        else:  # noise_burst
-            speed = max(0.0, rec.speed + float(rng.normal(0.0, spec.magnitude)))
-        out.append(BsmRecord(t, rec.vehicle_id, speed, rec.accel, ATTACK))
-    return out
-
-
-def oracle_base_trace(profile, n):
-    """The per-tick loop ``DrivingProfile.base_trace`` replaced."""
-    if not profile.segments:
-        return np.full(n, profile.base_speed)
-    values = np.empty(n)
-    speed = profile.base_speed
-    seg_iter = iter(profile.segments)
-    seg = next(seg_iter, None)
-    seg_start = 0.0
-    for i in range(n):
-        t = (i + 1) * BSM_PERIOD_S
-        while seg is not None and t > seg_start + seg.length_s:
-            if seg.kind != "cruise":
-                speed = seg.target_speed
-            seg_start += seg.length_s
-            seg = next(seg_iter, None)
-        if seg is None or seg.kind == "cruise":
-            values[i] = speed
-        else:
-            frac = (t - seg_start) / seg.length_s
-            values[i] = speed + (seg.target_speed - speed) * frac
-    return values
+from reference import base_trace as oracle_base_trace
+from reference import generate_stream as oracle_generate_stream
+from reference import inject_false_info as oracle_inject_false_info
 
 
 #: Segments of any length Segment accepts: zero, negative, off the tick grid.
@@ -215,9 +161,15 @@ class TestGenerate:
             generate_stream(DrivingProfile(duration_s=0.0), seed=0)
 
 
+@functools.cache
+def clean_stream(seed, duration):
+    """A default-profile stream, built once per (seed, duration) for the module."""
+    return tuple(generate_stream(DrivingProfile(duration_s=duration), seed=seed))
+
+
 class TestInject:
     def base(self, seed=0, duration=30.0):
-        return generate_stream(DrivingProfile(duration_s=duration), seed=seed)
+        return list(clean_stream(seed, duration))
 
     def test_empty_windows_no_change(self):
         stream = self.base()

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmguard import ml
-from bsmguard.bsm import DataError
 from bsmguard.ml import smote_balance
+
+import reference
 
 
 def test_balanced_input_passes_through():
@@ -87,48 +88,9 @@ def test_no_synthetic_majority_and_balance_property(n_major, n_minor, seed):
     assert np.all(Xb[yb == 1][:, 0] > 10)
 
 
-def full_sort_smote_balance(X, y, k=5, seed=0):
-    """``smote_balance`` as it was before partition selection: a (rows,
-    rows, features) difference array, a full stable argsort of every
-    distance row, ``rng.uniform()`` fractions and one synthetic row per loop
-    step."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    classes, counts = np.unique(y, return_counts=True)
-    if len(classes) < 2:
-        raise DataError("balancing needs both classes present")
-    minority = int(classes[np.argmin(counts)])
-    majority = int(classes[np.argmax(counts)])
-    n_min, n_maj = int(counts.min()), int(counts.max())
-    if n_min == n_maj:
-        return X.copy(), y.copy()
-    if n_min < 2:
-        raise DataError("minority class needs at least 2 samples for interpolation")
-    rng = np.random.default_rng(seed)
-    target = (n_min + n_maj) // 2
-    keep_maj = rng.choice(np.flatnonzero(y == majority), size=target, replace=False)
-    X_min = X[np.flatnonzero(y == minority)]
-    d2 = np.sum((X_min[:, None, :] - X_min[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    k_eff = min(k, n_min - 1)
-    neighbor_idx = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-    n_new = target - n_min
-    synth = np.empty((n_new, X.shape[1]))
-    for s in range(n_new):
-        i = int(rng.integers(0, n_min))
-        j = int(neighbor_idx[i, int(rng.integers(0, k_eff))])
-        frac = rng.uniform()
-        synth[s] = X_min[i] + frac * (X_min[j] - X_min[i])
-    X_out = np.concatenate([X[keep_maj], X_min, synth])
-    y_out = np.concatenate(
-        [np.full(target, majority, dtype=int), np.full(n_min + n_new, minority, dtype=int)]
-    )
-    return X_out, y_out
-
-
 def assert_same_as_full_sort(X, y, k, seed):
     got = smote_balance(X, y, k=k, seed=seed)
-    want = full_sort_smote_balance(X, y, k=k, seed=seed)
+    want = reference.smote_balance(X, y, k=k, seed=seed)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[1].dtype == want[1].dtype
 

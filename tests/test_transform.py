@@ -1,6 +1,5 @@
-"""Rolling control-variate transform against a naive re-implementation."""
-
-import math
+"""Rolling control-variate transform against ``reference.transform`` (bit for
+bit) and ``reference.naive_transform`` (within rounding)."""
 
 import numpy as np
 import pytest
@@ -9,40 +8,7 @@ from hypothesis import strategies as st
 
 from bsmguard.bsm import TransformWindow
 
-
-def naive_transform(speeds, accels, coeff=0.99):
-    """Direct evaluation of the adopted formula, written independently:
-    first differences inside the window, control-variate series, unbiased
-    variance. List arithmetic only."""
-    assert len(speeds) == len(accels)
-    ds = []
-    da = []
-    for j in range(1, len(speeds)):
-        ds.append(speeds[j] - speeds[j - 1])
-        da.append(accels[j] - accels[j - 1])
-    da_bar = sum(da) / len(da)
-    z = []
-    for j in range(len(ds)):
-        z.append(ds[j] - coeff * (da[j] - da_bar))
-    zbar = sum(z) / len(z)
-    acc = 0.0
-    for v in z:
-        acc += (v - zbar) ** 2
-    return acc / (len(z) - 1)
-
-
-def indexed_transform(speeds, accels):
-    """The transform as index loops over list copies of the window, with
-    the same operations in the same order as TransformWindow: its bit-exact
-    oracle."""
-    s = list(speeds)
-    a = list(accels)
-    ds = [s[j] - s[j - 1] for j in range(1, 10)]
-    da = [a[j] - a[j - 1] for j in range(1, 10)]
-    da_mean = math.fsum(da) / len(da)
-    z = [ds[j] - 0.99 * (da[j] - da_mean) for j in range(len(ds))]
-    z_mean = math.fsum(z) / len(z)
-    return math.fsum((v - z_mean) ** 2 for v in z) / (len(z) - 1)
+import reference
 
 
 def run_window(speeds, accels):
@@ -75,7 +41,7 @@ def test_matches_naive_oracle_on_random_windows():
         speeds = list(rng.normal(15.0, 2.0, 10))
         accels = list(rng.normal(0.0, 3.0, 10))
         got = run_window(speeds, accels)
-        want = naive_transform(speeds, accels)
+        want = reference.naive_transform(speeds, accels)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -92,7 +58,7 @@ def test_bit_exact_against_indexed_oracle(seed):
     w = TransformWindow()
     got = [w.push(s, a) for s, a in zip(speeds, accels)]
     want = [None] * 9 + [
-        indexed_transform(speeds[i : i + 10], accels[i : i + 10]) for i in range(n - 9)
+        reference.transform(speeds[i : i + 10], accels[i : i + 10]) for i in range(n - 9)
     ]
     assert list(map(repr, got)) == list(map(repr, want))
 
@@ -109,7 +75,7 @@ def test_rolls_forward_one_sample_at_a_time():
             outputs.append(v)
     assert len(outputs) == 25 - 9
     for i, got in enumerate(outputs):
-        want = naive_transform(speeds[i : i + 10], accels[i : i + 10])
+        want = reference.naive_transform(speeds[i : i + 10], accels[i : i + 10])
         assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -3,8 +3,9 @@
 ``bsm._exact_window`` spells a window with at most 9 decimals as ``W / D``
 and bounds the window counts ``k`` for which ``k * W / D`` is
 ``round(k * window, 9)``. ``aggregate`` and ``generate_stream`` take their
-times from it; the oracles below are the ``round`` versions they replaced,
-and every sample and tick must come out the same, ``repr`` for ``repr``.
+times from it; the oracles are the ``round`` versions they replaced
+(``reference.window_end``, ``aggregate`` and ``generate_stream``), and every
+sample and tick must come out the same, ``repr`` for ``repr``.
 """
 
 import math
@@ -16,9 +17,7 @@ from hypothesis import strategies as st
 
 from bsmguard import simulate
 from bsmguard.bsm import (
-    ATTACK,
     BSM_PERIOD_S,
-    NO_ATTACK,
     AggregatedSample,
     BsmRecord,
     DataError,
@@ -29,44 +28,7 @@ from bsmguard.bsm import (
 )
 from bsmguard.simulate import DrivingProfile, generate_stream
 
-
-def oracle_aggregate(records, window=BSM_PERIOD_S):
-    """The per-record loop ``aggregate`` replaced: one ``round`` per sample."""
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    key = None
-    speed_sum = accel_sum = 0.0
-    count = 0
-    label = NO_ATTACK
-    prev_t = None
-    for idx, (t, vehicle_id, speed, accel, rec_label) in enumerate(records):
-        if prev_t is not None and t <= prev_t:
-            raise NonMonotonicTimestampError(
-                f"record {idx} (vehicle {vehicle_id!r}, t={t!r}) does not "
-                f"advance past previous t={prev_t!r}"
-            )
-        prev_t = t
-        try:
-            k = math.ceil(t / window - 1e-9)
-        except OverflowError:
-            raise DataError(f"record {idx} (vehicle {vehicle_id!r}, t={t!r}): t / window "
-                            f"overflows at window {window!r}") from None
-        if k != key:
-            if count:
-                yield AggregatedSample(
-                    round(key * window, 9), speed_sum / count, accel_sum / count, label
-                )
-            speed_sum = accel_sum = 0.0
-            count = 0
-            label = NO_ATTACK
-            key = k
-        speed_sum += speed
-        accel_sum += accel
-        count += 1
-        if rec_label == ATTACK:
-            label = ATTACK
-    if count:
-        yield AggregatedSample(round(key * window, 9), speed_sum / count, accel_sum / count, label)
+from reference import aggregate as oracle_aggregate
 
 
 #: Windows of at most 9 decimals: a count of nanoseconds, at most 1e6 s.

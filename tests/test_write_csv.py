@@ -2,9 +2,9 @@
 
 ``bsm.write_csv`` writes a plain block of rows as one formatted string and
 hands any other block to ``csv.writer``. The oracle is the writer it
-replaced, one ``writerow`` per row, so any rows must give the same file
-bytes, the same row count, or the same error after the same rows, at every
-block size.
+replaced, ``reference.write_csv``, one ``writerow`` per row, so any rows
+must give the same file bytes, the same row count, or the same error after
+the same rows, at every block size.
 """
 
 import csv
@@ -18,20 +18,11 @@ from hypothesis import strategies as st
 from bsmguard import bsm
 from bsmguard.bsm import DataError, write_csv
 
+from reference import write_csv as oracle_write_csv
+
 BLOCK_SIZES = (1, 2, 3, 512)
 
 HEADER = ("a", "b", "c", "d", "e")
-
-
-def oracle_write_csv(path, header, rows):
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-            n += 1
-    return n
 
 
 def rows_then_raise(rows, at):
