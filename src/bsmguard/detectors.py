@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -235,34 +235,92 @@ def _e_step(
     return resp, total
 
 
-def gmm_m_step(
-    points: list[float], resp: list[float]
-) -> tuple[float, float, float, float, float]:
+def _partials(values: Iterable[float]) -> list[float]:
+    """Exact non-overlapping partials of the sum of finite ``values``.
+
+    Shewchuk's (1997) expansion, grown step for step as ``math.fsum`` grows
+    it, so the partials sum exactly to the values and ``fsum(_partials(a) +
+    [t])`` is the same double as ``fsum(a + [t])``: fsum is correctly
+    rounded. An intermediate overflow raises OverflowError at the same term
+    as it does in fsum.
+    """
+    partials: list[float] = []
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        del partials[i:]
+        if x:
+            if not math.isfinite(x):
+                raise OverflowError("intermediate overflow in fsum")
+            partials.append(x)
+    return partials
+
+
+def _clean_total(n: int, w2: float) -> float:
+    """The clean component's total weight, given the attack one's, ``w2``."""
+    w1 = n - w2
+    if w2 <= 0.0 or w1 <= 0.0:
+        raise ValueError("degenerate responsibilities: one component owns nothing")
+    return w1
+
+
+def _m_half(points: list[float], weights: list[float], total: float) -> tuple[float, float]:
+    """One component's weighted mean and stdev (floored at SIGMA_FLOOR)."""
+    mu = math.fsum(list(map(operator.mul, weights, points))) / total
+    var = math.fsum([w * (x - mu) ** 2 for w, x in zip(weights, points)]) / total
+    return mu, max(math.sqrt(var), SIGMA_FLOOR)
+
+
+#: One component's part of an M-step: its weights, their total, mean, stdev.
+_Half = tuple[list[float], float, float, float]
+
+
+def _half(points: list[float], weights: list[float], total: float, last: _Half | None) -> _Half:
+    """This component's half of an M-step, or ``last`` when its weight list
+    and total equal these: equal inputs give equal outputs."""
+    if last is not None and last[1] == total and last[0] == weights:
+        return last
+    return (weights, total, *_m_half(points, weights, total))
+
+
+_Theta = tuple[float, float, float, float, float]
+
+
+def _m_step(
+    points: list[float], resp: list[float], last: tuple[_Half | None, _Half | None] = (None, None)
+) -> tuple[_Theta, tuple[_Half, _Half]]:
+    """``gmm_m_step``'s theta and both halves, reusing the halves of ``last``
+    (the previous M-step's) whose weights and total are unchanged."""
+    n = len(points)
+    w2 = math.fsum(resp)
+    clean = _half(points, [1.0 - r for r in resp], _clean_total(n, w2), last[0])
+    attack = _half(points, resp, w2, last[1])
+    return (clean[2], clean[3], attack[2], attack[3], w2 / n), (clean, attack)
+
+
+def gmm_m_step(points: list[float], resp: list[float]) -> _Theta:
     """Weighted MLE of both Gaussian components given attack responsibilities.
 
     Returns (mu1, s1, mu2, s2, pi2) with both stdevs floored at SIGMA_FLOOR.
     The mixing proportion is the mean responsibility.
     """
-    n = len(points)
-    w2 = math.fsum(resp)
-    w1 = n - w2
-    if w2 <= 0.0 or w1 <= 0.0:
-        raise ValueError("degenerate responsibilities: one component owns nothing")
-    clean = [1.0 - r for r in resp]
-    mu2 = math.fsum(list(map(operator.mul, resp, points))) / w2
-    mu1 = math.fsum(list(map(operator.mul, clean, points))) / w1
-    var2 = math.fsum([r * (x - mu2) ** 2 for r, x in zip(resp, points)]) / w2
-    var1 = math.fsum([q * (x - mu1) ** 2 for q, x in zip(clean, points)]) / w1
-    s1 = max(math.sqrt(var1), SIGMA_FLOOR)
-    s2 = max(math.sqrt(var2), SIGMA_FLOOR)
-    return mu1, s1, mu2, s2, w2 / n
+    return _m_step(points, resp)[0]
 
 
 def _em_from(
     points: list[float],
     resp: list[float],
-    theta: tuple[float, float, float, float, float],
-) -> tuple[tuple[float, float, float, float, float], list[float], list[float]]:
+    theta: _Theta,
+    first_m_step=_m_step,
+) -> tuple[_Theta, list[float], list[float]]:
     """EM iterations from ``resp``, the responsibilities of ``points`` under ``theta``.
 
     Each iteration is an M-step then an E-step; the E-step's log-likelihood
@@ -271,13 +329,22 @@ def _em_from(
     repeat, so the last history entry is appended again and the loop stops,
     as the full iteration would with a zero parameter change. Returns the
     fitted theta, the history and the responsibilities under the fitted theta.
+
+    An M-step reuses each half (clean, weights 1 - r; attack, weights r) of
+    the previous one whose weight list and total are unchanged (``==``, exact
+    here: E-step responsibilities are never nan or -0.0), since equal inputs
+    give equal outputs. ``first_m_step`` stands in for ``_m_step`` in the
+    first iteration; ``EmDetector`` passes one that reuses its anchors' sums.
     """
     ll_history: list[float] = []
+    m_step = first_m_step
+    halves: tuple[_Half | None, _Half | None] = (None, None)
     for _ in range(EM_MAX_ITER):
         try:
-            new = gmm_m_step(points, resp)
+            new, halves = m_step(points, resp, halves)
         except ValueError:
             break  # one component vanished; keep the last stable fit
+        m_step = _m_step
         if ll_history and new == theta:
             # ``new`` still replaces ``theta``: ``==`` holds for 0.0 and -0.0.
             theta = new
@@ -305,6 +372,15 @@ class EmDetector:
     typical stream it has two entries, the second a repeat of the first,
     since the second M-step returns the first one's theta bit for bit.
 
+    Every fit starts from the same theta, so its first M-step weights the
+    anchors by the same responsibilities. The anchors' terms of that step's
+    attack sums (sum r, sum r*x, and sum r*(x - mu2)^2 for the last mu2
+    seen) are kept as exact partials, to which y's term is added by
+    ``fsum``: being correctly rounded, it gives the same double as a sum
+    over all eleven terms. Later M-steps reuse an unchanged half (see
+    ``_em_from``); on a typical stream the second M-step's clean weights
+    equal the first's, so it computes only its attack half.
+
     All randomness comes from the seed carried in the config, so decision
     sequences are bit-for-bit reproducible.
     """
@@ -315,33 +391,59 @@ class EmDetector:
         self.anchors: list[float] | None = None
         self.seed_mean = 0.0
         self.seed_stdev = 1.0
-        self.theta: tuple[float, float, float, float, float] | None = None
+        self.theta: _Theta | None = None
         self.last_ll_history: list[float] = []
 
-    def _build_anchors(self) -> None:
-        self.seed_mean, self.seed_stdev = _warmup_stats(self._buffer)
+    def _build_anchors(self, buffer: list[float]) -> None:
+        seed_mean, seed_stdev = _warmup_stats(buffer)
         rng = np.random.default_rng(self.config.seed)
-        clean = rng.normal(self.seed_mean, self.seed_stdev, EM_CLEAN_ANCHORS)
+        clean = rng.normal(seed_mean, seed_stdev, EM_CLEAN_ANCHORS)
         attack = rng.normal(EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_ATTACK_ANCHORS)
-        self.anchors = [float(v) for v in clean] + [float(v) for v in attack]
+        anchors = [float(v) for v in clean] + [float(v) for v in attack]
         # Every fit starts from this theta (both stdevs are already at or
         # above SIGMA_FLOOR), so the anchors' part of its first E-step is fixed.
-        self._theta0 = (
-            self.seed_mean, self.seed_stdev, EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_INIT_WEIGHT
-        )
-        self._anchor_resp, _ = _e_step(self.anchors, *self._theta0)
+        theta0 = (seed_mean, seed_stdev, EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_INIT_WEIGHT)
+        resp, _ = _e_step(anchors, *theta0)
+        # An anchor's r is 0.0 wherever its (x - EM_ATTACK_MEAN)^2 overflows,
+        # so each |r * x| is below 1e155 and these two shares cannot overflow.
+        self._resp_share = _partials(resp)
+        self._rx_share = _partials(map(operator.mul, resp, anchors))
+        self._var_share: tuple[float, list[float]] | None = None
+        self._anchor_resp = resp
+        self._anchor_clean = [1.0 - r for r in resp]
+        self._theta0 = theta0
+        self.seed_mean, self.seed_stdev = seed_mean, seed_stdev
+        self.anchors = anchors
+
+    def _first_m_step(self, points: list[float], resp: list[float], _last) -> tuple:
+        """``_m_step`` at theta0: the anchors' share of each attack sum is
+        built once, so only y's term is added to it."""
+        y, r = points[-1], resp[-1]
+        n = len(points)
+        w2 = math.fsum(self._resp_share + [r])
+        clean = _half(points, self._anchor_clean + [1.0 - r], _clean_total(n, w2), None)
+        mu2 = math.fsum(self._rx_share + [r * y]) / w2
+        share = self._var_share
+        # ``!=`` does not tell 0.0 from -0.0, and neither do the squares.
+        if share is None or share[0] != mu2:
+            terms = [q * (x - mu2) ** 2 for q, x in zip(self._anchor_resp, self.anchors)]
+            share = self._var_share = (mu2, _partials(terms))
+        var2 = math.fsum(share[1] + [r * (y - mu2) ** 2]) / w2
+        attack = (resp, w2, mu2, max(math.sqrt(var2), SIGMA_FLOOR))
+        return (clean[2], clean[3], mu2, attack[3], w2 / n), (clean, attack)
 
     def observe(self, y: float) -> DetectorDecision:
         y = _require_finite(y)
         if self.anchors is None:
+            # A raising warm-up leaves y out of the buffer.
+            if len(self._buffer) + 1 == EM_WARMUP:
+                self._build_anchors(self._buffer + [y])
             self._buffer.append(y)
-            if len(self._buffer) == EM_WARMUP:
-                self._build_anchors()
             return WARMUP_DECISION
 
         resp = self._anchor_resp + _e_step([y], *self._theta0)[0]
         self.theta, self.last_ll_history, resp = _em_from(
-            self.anchors + [y], resp, self._theta0
+            self.anchors + [y], resp, self._theta0, self._first_m_step
         )
         score = resp[-1]
         return DetectorDecision(score > self.config.threshold, score, True)
@@ -402,8 +504,8 @@ class CusumDetector:
         self.c_neg = 0.0
         self.ready = False
 
-    def _init_from_buffer(self) -> None:
-        self.mu, self.sigma = _warmup_stats(self._buffer)
+    def _init_from_buffer(self, buffer: list[float]) -> None:
+        self.mu, self.sigma = _warmup_stats(buffer)
         self.k = self.config.delta * self.sigma / 2.0
         self.ewma = self.mu
         self.ready = True
@@ -411,9 +513,10 @@ class CusumDetector:
     def observe(self, y: float) -> DetectorDecision:
         y = _require_finite(y)
         if not self.ready:
+            # A raising warm-up leaves y out of the buffer.
+            if len(self._buffer) + 1 == self.config.warmup:
+                self._init_from_buffer(self._buffer + [y])
             self._buffer.append(y)
-            if len(self._buffer) == self.config.warmup:
-                self._init_from_buffer()
             return WARMUP_DECISION
 
         var = self.sigma * self.sigma

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bsmguard.ml import (
     LABEL_CUT,
     CartNode,
+    _impurity_vec,
     cart_fit,
     cart_scores,
     class_weights,
@@ -35,6 +36,20 @@ class TestImpurity:
     def test_unknown_criterion(self):
         with pytest.raises(ValueError):
             reference.impurity((1, 1), "misc")
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@pytest.mark.parametrize("counts", [(7, 0), (0, 7), (5, 5), (3, 1), (1, 3)])
+def test_impurity_vec_equals_the_fixtures_oracle(counts, criterion):
+    got = _impurity_vec(np.array([float(counts[0])]), np.array([float(counts[1])]), criterion)
+    assert got.shape == (1,)
+    assert float(got[0]) == reference.impurity(counts, criterion)
+
+
+def test_impurity_vec_gives_zero_for_an_empty_node():
+    # The oracle rejects all-zero counts; the vector form defines them as 0.
+    for criterion in ("gini", "entropy"):
+        assert _impurity_vec(np.zeros(1), np.zeros(1), criterion).tolist() == [0.0]
 
 
 def test_cart_fit_rejects_an_unknown_criterion():

@@ -140,3 +140,23 @@ def test_deterministic_bit_for_bit():
     rng = np.random.default_rng(31)
     ys = [float(v) for v in rng.normal(3, 2, 200)]
     assert run_detector(ys) == run_detector(ys)
+
+
+def test_overflowing_warmup_leaves_the_buffer_unchanged():
+    # The value that completes the warm-up overflows its variance: the
+    # observe raises and the value is not buffered, so the next ordinary
+    # value completes the warm-up as it would have in its place.
+    rng = np.random.default_rng(5)
+    ys = [float(v) for v in rng.normal(0, 1, 49)] + [6.0] * 60
+    det, fresh = CusumDetector(CusumConfig()), CusumDetector(CusumConfig())
+    for y in ys[:49]:
+        det.observe(y)
+        fresh.observe(y)
+    with pytest.raises(OverflowError):
+        det.observe(1e200)
+    assert len(det._buffer) == 49 and not det.ready
+    decisions = [det.observe(y) for y in ys[49:]]
+    assert decisions == [fresh.observe(y) for y in ys[49:]]
+    assert any(d.attack for d in decisions)
+    state = ("mu", "sigma", "k", "ewma", "c_pos", "c_neg", "ready", "_buffer")
+    assert [getattr(det, a) for a in state] == [getattr(fresh, a) for a in state]

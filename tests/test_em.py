@@ -400,3 +400,140 @@ def test_fit_bit_identical_to_oracle_when_more_than_two_iterations_run():
     # third of them end at an exact fixed point rather than on EM_TOL.
     assert long_fits == 80
     assert fixed_point_stops >= 10
+
+
+# ---------------------------------------------------------------------------
+# The anchors' exact partial sums, and M-step halves reused when unchanged
+# ---------------------------------------------------------------------------
+
+
+DOUBLES = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def cancelling_sums(draw):
+    """Doubles from subnormals to 1e300, some of them cancelled by their
+    negations, in any order, and a last term that may cancel the rest."""
+    values = draw(st.lists(DOUBLES, max_size=12))
+    negated = [-v for v in draw(st.lists(st.sampled_from(values), max_size=8))] if values else []
+    values = draw(st.permutations(values + negated))
+    last = draw(st.one_of(DOUBLES, st.just(-math.fsum(values))))
+    return values, last
+
+
+@settings(max_examples=300, deadline=None)
+@given(cancelling_sums())
+def test_partials_plus_one_term_sum_as_fsum_over_all_terms(case):
+    values, last = case
+    assert repr(math.fsum(detectors._partials(values) + [last])) == repr(
+        math.fsum(values + [last]))
+
+
+def test_partials_raise_where_fsum_overflows():
+    for values in ([1e308, 1e308], [1.7e308, 1e308, -1e308]):
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        with pytest.raises(OverflowError):
+            detectors._partials(values)
+
+
+def count_em_work(monkeypatch):
+    """Record the point count of each M-step half computed in full and of
+    each anchors' partial sum built; callers clear the lists per observe."""
+    halves, partials = [], []
+    m_half, build = detectors._m_half, detectors._partials
+
+    def counting_m_half(points, weights, total):
+        halves.append(len(points))
+        return m_half(points, weights, total)
+
+    def counting_partials(values):
+        values = list(values)
+        partials.append(len(values))
+        return build(values)
+
+    monkeypatch.setattr(detectors, "_m_half", counting_m_half)
+    monkeypatch.setattr(detectors, "_partials", counting_partials)
+    return halves, partials
+
+
+ATTACK_CASES = [("offset", 1.0), ("offset", -1.0), ("offset", 5.0), ("offset", -5.0),
+                ("noise_burst", 3.0), ("constant_replace", 0.0), ("constant_replace", 25.0)]
+
+
+def test_detector_bit_identical_to_oracle_under_every_attack_mode(monkeypatch):
+    halves, partials = count_em_work(monkeypatch)
+    half_counts, rebuilds = set(), 0
+    for mode, magnitude in ATTACK_CASES:
+        scenario = Scenario(
+            profile=DrivingProfile(duration_s=60.0, base_speed=15.6, noise_stdev=0.25),
+            attack=AttackSpec(windows=((20.0, 40.0),), mode=mode, magnitude=magnitude),
+            seed=6,
+        )
+        ys = [s.avg_speed for s in aggregate(scenario.run())]
+        det = EmDetector(EmConfig(seed=6))
+        for y, fit in zip(ys, reference.em_fits(ys, 6)):
+            halves.clear()
+            partials.clear()
+            d = det.observe(y)
+            if fit is None:
+                continue
+            assert repr((det.theta, det.last_ll_history, d.score)) == repr(fit), (mode, y)
+            half_counts.add((len(halves), len(det.last_ll_history)))
+            rebuilds += len(partials)
+    # (halves computed, M-steps) per fit: fits of two M-steps that compute
+    # two halves, longer fits that reuse a half and that reuse none, and the
+    # anchors' variance partials rebuilt as mu2 moves, not only built once.
+    assert (2, 2) in half_counts
+    assert any(n < 2 * m - 1 for n, m in half_counts if m > 2)
+    assert any(n == 2 * m - 1 for n, m in half_counts if m > 2)
+    assert rebuilds > len(ATTACK_CASES)
+
+
+def test_warm_observe_computes_two_halves_and_rarely_rebuilds_the_variance_share(monkeypatch):
+    # The first M-step adds y's terms to the anchors' attack sums and computes
+    # only the clean half in full; the second finds the clean weights
+    # unchanged and computes only the attack half. The anchors' variance
+    # partials are built at the first warmed observe and rebuilt only where
+    # mu2 moves: into and out of the false-stop window.
+    halves, partials = count_em_work(monkeypatch)
+    det = EmDetector(EmConfig(seed=0))
+    rebuilds = []
+    for sample in aggregate(default_scenario(0).run()):
+        halves.clear()
+        partials.clear()
+        d = det.observe(sample.avg_speed)
+        if d.warmed_up:
+            assert halves == [11, 11], sample.t
+            rebuilds += [sample.t] * len(partials)
+    assert rebuilds == [1.1, 100.0, 105.0]
+
+
+def test_warmed_observe_that_overflows_leaves_the_fit_unchanged():
+    ys = [s.avg_speed for s in aggregate(default_scenario(0).run())][:200]
+    with pytest.raises(OverflowError):
+        reference.em_fits(ys[:50] + [1e200])
+    det = EmDetector(EmConfig(seed=0))
+    for y in ys[:50]:
+        det.observe(y)
+    with pytest.raises(OverflowError):
+        det.observe(1e200)
+    for y, fit in list(zip(ys, reference.em_fits(ys, 0)))[50:]:
+        d = det.observe(y)
+        assert repr((det.theta, det.last_ll_history, d.score)) == repr(fit)
+
+
+def test_overflowing_warmup_leaves_the_buffer_unchanged():
+    ys = [s.avg_speed for s in aggregate(default_scenario(0).run())][:40]
+    det, fresh = EmDetector(EmConfig(seed=0)), EmDetector(EmConfig(seed=0))
+    for y in ys[:9]:
+        det.observe(y)
+    with pytest.raises(OverflowError):
+        det.observe(1e200)
+    assert len(det._buffer) == 9 and det.anchors is None
+    for y in ys[:9]:
+        fresh.observe(y)
+    for y in ys[9:]:
+        assert det.observe(y) == fresh.observe(y)
+    assert det.anchors == fresh.anchors
+    assert repr((det.theta, det.last_ll_history)) == repr((fresh.theta, fresh.last_ll_history))
