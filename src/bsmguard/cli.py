@@ -11,7 +11,6 @@ another of its outputs.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -89,15 +88,11 @@ def _detector_settings(args) -> DetectorSettings:
 
 def cmd_detect(args) -> int:
     settings = _detector_settings(args)
-    if (settings.input_mode(args.detector) == "standardized"
-            and os.path.exists(args.csv) and not os.path.isfile(args.csv)):
-        raise ConfigError(f"{args.detector}'s standardized input mode reads its CSV twice, "
-                          f"so {args.csv} must be a regular file, not a pipe or device")
-    records_factory = functools.partial(_vehicle_records, args.csv, args.vehicle)
-    # Wall-clock times of the decision pass's observes; they stay out of the
+    # Wall-clock times of the detector's observes; they stay out of the
     # decisions file.
     timings = [] if args.timing_out else None
-    rows = detect_records(records_factory, args.detector, settings, args.window, timings)
+    rows = detect_records(_vehicle_records(args.csv, args.vehicle), args.detector, settings,
+                          args.window, timings)
     with staged_outputs() as stage:
         n = write_decisions_csv(stage(args.out), rows)
         if args.timing_out:

@@ -1,9 +1,10 @@
 """Wiring between streams, detectors, baselines, and reports.
 
-Detection is streaming: aggregated samples flow one at a time through the
-selected input transform into the detector, and memory stays bounded no
-matter how long the stream is. Standardized inputs use a first pass that
-only keeps running sums. Decisions files are read back with
+Detection reads its records once: aggregated samples flow one at a time
+through the selected input transform into the detector. The speed and
+transform input modes hold O(1) memory however long the stream is; the
+standardized mode holds one list of its samples, as its statistics must be
+known before its first value. Decisions files are read back with
 ``bsm.read_checked``, whose block and row checks are one function.
 """
 
@@ -71,17 +72,15 @@ def feature_stream(
     Yields ``(sample, value)``: the raw average speed, the average speed
     standardized with the stream's own mean and stdev, or the rolling
     control-variate transform, whose value is None while its window fills.
-    The standardized mode reads ``samples`` twice, first for its statistics
-    (``welford_feature_stats``), so a one-shot iterator is a TypeError there.
-    Every detector input comes from here.
+    The standardized mode takes ``samples`` into a list, for its statistics
+    (``welford_feature_stats``) come before its first value; the other modes
+    stream. Every detector input comes from here.
     """
     if mode == "speed":
         for sample in samples:
             yield sample, sample.avg_speed
     elif mode == "standardized":
-        if isinstance(samples, Iterator):
-            raise TypeError("standardized input mode reads its samples twice; "
-                            "pass a re-iterable, not an iterator")
+        samples = list(samples)
         std = welford_feature_stats(samples)
         (mean,), (stdev,) = std.mean, std.stdev
         for sample in samples:
@@ -124,28 +123,15 @@ def run_detection(
         yield sample, decision
 
 
-@dataclass(frozen=True)
-class _Aggregated:
-    """The aggregated samples of the records ``records_factory`` opens, opened
-    anew on each iteration: the standardized mode's two passes hold no list."""
-
-    records_factory: Callable[[], Iterable[BsmRecord]]
-    window: float
-
-    def __iter__(self) -> Iterator[AggregatedSample]:
-        return aggregate(self.records_factory(), self.window)
-
-
 def detect_records(
-    records_factory: Callable[[], Iterable[BsmRecord]],
+    records: Iterable[BsmRecord],
     detector_name: str,
     settings: DetectorSettings,
     window: float,
     timings: list[int] | None = None,
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
-    """Aggregate and detect over the records ``records_factory`` opens: once,
-    or twice for the standardized input mode."""
-    return run_detection(_Aggregated(records_factory, window), detector_name, settings, timings)
+    """Aggregate ``records`` and detect over their samples, reading them once."""
+    return run_detection(aggregate(records, window), detector_name, settings, timings)
 
 
 @contextlib.contextmanager

@@ -1042,7 +1042,7 @@ def model_text(model, std, seed, test_fraction):
 
 
 # ---------------------------------------------------------------------------
-# Seeded inputs that oracle tests in more than one module score alike
+# Seeded inputs and cases that tests in more than one module share
 # ---------------------------------------------------------------------------
 
 
@@ -1052,6 +1052,13 @@ def model_data(seed=0, n=80):
     X = rng.normal(0, 1, size=(n, 2))
     y = ((X[:, 0] + rng.normal(0, 0.3, n)) > 0).astype(int)
     return X, y
+
+
+#: (detector, input mode) pairs that claim to be online: they read no
+#: statistic of a sample that comes later in the stream. Standardized input
+#: is the documented exception: it standardizes with whole-stream statistics.
+ONLINE_MODES = (("em", "speed"), ("bocpd", "speed"), ("bocpd", "transform"),
+                ("cusum", "speed"), ("cusum", "transform"))
 
 
 #: One small grid cell per family.

