@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -69,6 +69,25 @@ def _warmup_stats(values: list[float]) -> tuple[float, float]:
     mean = math.fsum(values) / n
     var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
     return mean, max(math.sqrt(var), SIGMA_FLOOR)
+
+
+def _complete_warmup(init: Callable[[list[float]], None], buffer: list[float], y: float) -> None:
+    """Call ``init`` on the warm-up ``buffer`` plus its completing value ``y``.
+
+    When it raises, y is left out of the buffer. The buffered values are
+    dropped too when their own ``_warmup_stats`` raise, for every later
+    completing value would then raise as well; so is a single buffered
+    value, which alone cannot show whether it or y overflowed. The warm-up
+    then starts again on the values that follow.
+    """
+    try:
+        init(buffer + [y])
+    except ArithmeticError:
+        try:
+            _warmup_stats(buffer)  # a ZeroDivisionError for one value
+        except ArithmeticError:
+            buffer.clear()
+        raise
 
 
 def student_t_logpdf(y: float, df: float, mean: float, scale: float) -> float:
@@ -435,9 +454,8 @@ class EmDetector:
     def observe(self, y: float) -> DetectorDecision:
         y = _require_finite(y)
         if self.anchors is None:
-            # A raising warm-up leaves y out of the buffer.
             if len(self._buffer) + 1 == EM_WARMUP:
-                self._build_anchors(self._buffer + [y])
+                _complete_warmup(self._build_anchors, self._buffer, y)
             self._buffer.append(y)
             return WARMUP_DECISION
 
@@ -513,9 +531,8 @@ class CusumDetector:
     def observe(self, y: float) -> DetectorDecision:
         y = _require_finite(y)
         if not self.ready:
-            # A raising warm-up leaves y out of the buffer.
             if len(self._buffer) + 1 == self.config.warmup:
-                self._init_from_buffer(self._buffer + [y])
+                _complete_warmup(self._init_from_buffer, self._buffer, y)
             self._buffer.append(y)
             return WARMUP_DECISION
 

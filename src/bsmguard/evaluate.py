@@ -10,8 +10,8 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Callable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,31 +102,45 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     )
 
 
-def _roc_counts(
+def _roc_columns(
     scores: Sequence[float], labels: Sequence[int]
-) -> Iterator[tuple[float, int, int]]:
-    """Cumulative (threshold, fp, tp) for predict-attack-when-score >= threshold:
-    the ``inf`` endpoint, then one row per distinct score from a stable
-    descending sort, spelled as its first occurrence. The last row holds
-    the class totals (n_neg, n_pos); a missing class raises after it."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ranking ``roc_counts`` and ``auroc`` share: for each distinct score,
+    in descending order, the index of its first occurrence and the cumulative
+    fp and tp through it, as int64 arrays.
+
+    One stable ``argsort`` of the negated scores ranks them, keeping equal
+    scores in input order as Python's reverse sort does; tp counts label-1
+    rows. The sort only compares values, so nothing here depends on float
+    rounding. A length mismatch, an empty input or a missing class is a
+    ValueError.
+    """
     if len(scores) != len(labels):
         raise ValueError("scores and labels must have equal length")
-    yield math.inf, 0, 0
-    fp = tp = 0
-    ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-    for thr, group in groupby(ranked, key=scores.__getitem__):
-        hits = [labels[i] for i in group]
-        tp += hits.count(1)
-        fp += len(hits) - hits.count(1)
-        yield thr, fp, tp
-    if fp == 0 or tp == 0:
+    hits = np.asarray(labels) == 1
+    if hits.all() or not hits.any():
         raise ValueError("ROC and AUROC need both classes present")
+    values = np.asarray(scores, dtype=float)
+    order = np.argsort(-values, kind="stable")
+    ranked = values[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))  # each group's last index
+    tp = np.cumsum(hits[order])[ends]
+    return order[np.append(0, ends[:-1] + 1)], ends + 1 - tp, tp
 
 
 def roc_counts(scores: Sequence[float], labels: Sequence[int]) -> list[tuple[float, int, int]]:
-    """The rows of ``_roc_counts`` as a list: a caller that needs both the ROC
-    points and the AUROC sorts the scores once and hands these to each."""
-    return list(_roc_counts(scores, labels))
+    """Cumulative (threshold, fp, tp) rows for predict-attack-when-score >= threshold:
+    the ``inf`` endpoint, then one row per distinct score in descending order.
+
+    The rows are ``_roc_columns``' ranking, with fp and tp as Python ints.
+    Each row's threshold is its group's first score in that order, so a
+    ``-0.0`` that comes first stays ``-0.0``. The last row holds the class
+    totals (n_neg, n_pos). A caller that needs both the ROC points and the
+    AUROC hands these rows to each, so the scores are sorted once.
+    """
+    first, fp, tp = _roc_columns(scores, labels)
+    thresholds = map(scores.__getitem__, first.tolist())
+    return [(math.inf, 0, 0), *zip(thresholds, fp.tolist(), tp.tolist())]
 
 
 def auroc(
@@ -135,14 +149,18 @@ def auroc(
 ) -> float:
     """Probability a random attack sample outscores a random clean one,
     counting ties as half. Equals the trapezoidal area under the ROC curve,
-    summed exactly in integer counts: ``counts``, or the scores' rows streamed
-    from ``_roc_counts`` when it is None.
+    summed exactly in integers over cumulative fp and tp: those of
+    ``counts``, the scores' ``roc_counts`` rows, or, when it is None, those
+    of ``_roc_columns``, which builds no row list.
     """
-    twice = fp = tp = 0
-    for _, fp_next, tp_next in _roc_counts(scores, labels) if counts is None else counts:
-        twice += (fp_next - fp) * (tp_next + tp)
-        fp, tp = fp_next, tp_next
-    return twice / 2 / (tp * fp)
+    if counts is None:
+        _, fp, tp = _roc_columns(scores, labels)
+    else:
+        fp, tp = (np.fromiter(map(itemgetter(i), counts), np.int64, len(counts)) for i in (1, 2))
+    # Twice each trapezoid, (fp_i - fp_i-1) * (tp_i + tp_i-1), with fp and tp
+    # 0 before the first row: the int64 sum, at most 2 * n_neg * n_pos, is exact.
+    twice = int(np.dot(np.diff(fp, prepend=0), 2 * tp - np.diff(tp, prepend=0)))
+    return twice / 2 / (int(tp[-1]) * int(fp[-1]))
 
 
 def roc_points(

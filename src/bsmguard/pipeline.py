@@ -15,7 +15,9 @@ import math
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from functools import partial
+from itertools import zip_longest
+from operator import itemgetter
 
 import numpy as np
 
@@ -174,18 +176,24 @@ def write_decisions_csv(
                                               for sample, (attack, score, warmed_up) in rows))
 
 
+#: DetectorDecision from a tuple of its fields, without the Python-level ``__new__``.
+_decision = partial(tuple.__new__, DetectorDecision)
+
+
 def read_decisions_csv(
     path: str, samples: Sequence[AggregatedSample]
 ) -> list[tuple[AggregatedSample, DetectorDecision]]:
     """Join a decisions CSV to the samples ``detect`` wrote it from: row i to sample i.
 
-    Returns the ``(sample, decision)`` pairs ``run_detection`` yielded. The
-    rows are read with ``bsm.read_checked``, and each row's checks run in this
-    order: the numbers convert, t and score are finite, attack and warmed_up
-    are 0 or 1, t is exactly its sample's t (``detect`` writes ``repr(t)``),
-    and the numbers' text is ``plain_numbers``. A failed check or a row count
-    other than the sample count is a DataError naming ``path``, and the line
-    where there is one.
+    Returns the ``(sample, decision)`` pairs ``run_detection`` yielded, each
+    decision a ``DetectorDecision`` with bool flags. The rows are read with
+    ``bsm.read_checked`` and checked a block at a time, each check over a
+    whole column, in this order: the numbers convert (``float`` for t and
+    score, ``int`` for each distinct flag text), t and score are finite (one
+    numpy check over both), attack and warmed_up are 0 or 1, t is exactly its
+    sample's t (``detect`` writes ``repr(t)``), and the numbers' text is
+    ``plain_numbers``. A failed check or a row count other than the sample
+    count is a DataError naming ``path``, and the line where there is one.
     """
     joined = 0  # rows joined to their samples so far
 
@@ -194,20 +202,22 @@ def read_decisions_csv(
         columns = list(zip(*rows))
         t, score, attack, warmed_up = columns
         t, score = list(map(float, t)), list(map(float, score))
-        attack, warmed_up = list(map(int, attack)), list(map(int, warmed_up))
-        if not all(map(math.isfinite, chain(t, score))):
+        # int() parses each distinct flag text once, in column order.
+        flags = {text: int(text) for text in dict.fromkeys(attack + warmed_up)}
+        if not np.isfinite([t, score]).all():
             raise ValueError(f"non-finite t or score in {rows[0]!r}")
-        if not set(attack) | set(warmed_up) <= {0, 1}:
+        if not set(flags.values()) <= {0, 1}:
             raise ValueError(f"attack and warmed_up must be 0 or 1 in {rows[0]!r}")
         # A row past the last sample joins None, so the count check below fails.
         block = samples[joined:joined + len(rows)]
-        sample_t = [sample.t for sample in block]
+        sample_t = list(map(itemgetter(0), block))
         if t[:len(sample_t)] != sample_t:
             raise ValueError(f"t={t[0]!r} does not match its sample's t={sample_t[0]!r}")
         check_plain_numbers(DECISIONS_HEADER, columns, range(len(columns)))
         joined += len(rows)
-        return zip_longest(block, map(DetectorDecision, map(bool, attack), score,
-                                      map(bool, warmed_up)))
+        flag = {text: value == 1 for text, value in flags.items()}.__getitem__
+        return zip_longest(block, map(_decision, zip(map(flag, attack), score,
+                                                      map(flag, warmed_up))))
 
     pairs = list(read_checked(path, DECISIONS_HEADER, join))
     if len(pairs) != len(samples):
@@ -222,21 +232,23 @@ def scored_pairs(
     pairs: Sequence[tuple[AggregatedSample, DetectorDecision]],
     exclude_warmup: bool = False,
 ) -> tuple[list[int], list[int], list[float]]:
-    """The (labels, flags, oriented scores) of the pairs a report and its ROC score.
+    """The (labels, flags, oriented scores) of the pairs a report and its ROC score,
+    built in one pass over the pairs.
 
     Warm-up decisions count unless ``exclude_warmup``. Scores take the detector
     table's sign (1 for an unnamed detector), so larger means more suspicious.
     """
-    pairs = [(s, d) for s, d in pairs if d.warmed_up or not exclude_warmup]
-    if not pairs:
-        raise DataError("all decisions fell inside warm-up")
     kind = DETECTORS.get(detector_name)
     orient = 1.0 if kind is None else kind.orientation
-    return (
-        [s.label for s, _ in pairs],
-        [d.attack for _, d in pairs],
-        [orient * d.score for _, d in pairs],
-    )
+    labels, flags, scores = [], [], []
+    for sample, (attack, score, warmed_up) in pairs:
+        if warmed_up or not exclude_warmup:
+            labels.append(sample.label)
+            flags.append(attack)
+            scores.append(orient * score)
+    if not labels:
+        raise DataError("all decisions fell inside warm-up")
+    return labels, flags, scores
 
 
 def scored_report(

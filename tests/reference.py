@@ -11,10 +11,10 @@ The path runs: scenario -> records (``run_scenario``) -> CSV text
 (``write_csv``) -> records (``read_bsm_csv``) -> samples (``aggregate``) ->
 detector input (``feature_stream``) -> decisions (``bocpd_decisions``,
 ``em_decisions``, ``naive_cusum``) -> decisions CSV
-(``read_decisions_csv``) -> report counts (``confusion``); and labeled
-samples -> model input (``model_dataset``, ``stratified_folds``) -> models
-(``knn_scores``, ``reference_cart_fit``, ``smote_balance``, ``nn_train``)
--> model file (``model_text``).
+(``read_decisions_csv``) -> report counts (``confusion``, ``roc_counts``);
+and labeled samples -> model input (``model_dataset``, ``stratified_folds``)
+-> models (``knn_scores``, ``reference_cart_fit``, ``smote_balance``,
+``nn_train``) -> model file (``model_text``).
 
 From ``bsmguard`` this module imports only constants, record and config
 types, and the product functions an oracle builds on, each listed with its
@@ -609,6 +609,26 @@ def pairwise_auroc(scores, labels):
         elif p == n:
             total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def roc_counts(scores, labels):
+    """Cumulative (threshold, fp, tp) rows for predict-attack-when-score >=
+    threshold: the ``inf`` endpoint, then one row per distinct score from a
+    stable descending ``sorted``, spelled as its first occurrence and grouped
+    with ``groupby``."""
+    if len(scores) != len(labels):
+        raise ValueError("scores and labels must have equal length")
+    rows = [(math.inf, 0, 0)]
+    fp = tp = 0
+    ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    for thr, group in itertools.groupby(ranked, key=scores.__getitem__):
+        hits = [labels[i] for i in group]
+        tp += hits.count(1)
+        fp += len(hits) - hits.count(1)
+        rows.append((thr, fp, tp))
+    if fp == 0 or tp == 0:
+        raise ValueError("ROC and AUROC need both classes present")
+    return rows
 
 
 def detection_latency(times, attack_flags, windows):

@@ -608,15 +608,19 @@ class TestReport:
         assert main(report_argv) == 0
         plain = capsys.readouterr().out
         sorts = []
-        sort = evaluate._roc_counts
+        sort = evaluate._roc_columns
 
         def counted(scores, labels):
             sorts.append(len(scores))
             return sort(scores, labels)
 
-        monkeypatch.setattr(evaluate, "_roc_counts", counted)
-        assert main([*report_argv, "--roc-out", str(roc)]) == 0
+        # roc_counts and auroc both rank through evaluate's _roc_columns.
+        monkeypatch.setattr(evaluate, "_roc_columns", counted)
+        assert main(report_argv) == 0
         assert len(sorts) == 1
+        capsys.readouterr()
+        assert main([*report_argv, "--roc-out", str(roc)]) == 0
+        assert len(sorts) == 2
         out = capsys.readouterr().out
         assert out.startswith(plain) and "auroc = " in plain
         samples = list(aggregate(read_bsm_csv(str(bsm_csv))))

@@ -160,3 +160,26 @@ def test_overflowing_warmup_leaves_the_buffer_unchanged():
     assert any(d.attack for d in decisions)
     state = ("mu", "sigma", "k", "ewma", "c_pos", "c_neg", "ready", "_buffer")
     assert [getattr(det, a) for a in state] == [getattr(fresh, a) for a in state]
+
+
+@pytest.mark.parametrize("warmup, poisoned", [(CusumConfig().warmup, 2), (2, 0)])
+def test_poisoned_warmup_raises_once_and_starts_again(warmup, poisoned):
+    # A buffered 1e200 makes the warm-up's variance overflow whatever value
+    # completes it. That observe raises and drops the buffer, so the next
+    # ``warmup`` values warm the detector up as they would a fresh one. With
+    # warmup=2 the buffer holds the 1e200 alone, and is dropped all the same.
+    config = CusumConfig(warmup=warmup)
+    ys = [15.0 + 0.1 * (i % 7) for i in range(150)]
+    ys[poisoned] = 1e200
+    det, fresh = CusumDetector(config), CusumDetector(config)
+    decisions, raised = [], []
+    for i, y in enumerate(ys):
+        try:
+            decisions.append(det.observe(y))
+        except OverflowError:
+            raised.append(i)
+    assert raised == [warmup - 1]
+    assert decisions[warmup - 1:] == [fresh.observe(y) for y in ys[warmup:]]
+    assert sum(d.warmed_up for d in decisions) == 150 - 2 * warmup
+    state = ("mu", "sigma", "k", "ewma", "c_pos", "c_neg", "ready", "_buffer")
+    assert [getattr(det, a) for a in state] == [getattr(fresh, a) for a in state]

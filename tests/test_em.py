@@ -14,6 +14,7 @@ from bsmguard.detectors import (
     EM_ATTACK_MEAN,
     EM_ATTACK_STDEV,
     EM_INIT_WEIGHT,
+    EM_WARMUP,
     EmConfig,
     EmDetector,
     SIGMA_FLOOR,
@@ -535,5 +536,25 @@ def test_overflowing_warmup_leaves_the_buffer_unchanged():
         fresh.observe(y)
     for y in ys[9:]:
         assert det.observe(y) == fresh.observe(y)
+    assert det.anchors == fresh.anchors
+    assert repr((det.theta, det.last_ll_history)) == repr((fresh.theta, fresh.last_ll_history))
+
+
+def test_poisoned_warmup_raises_once_and_starts_again():
+    # A buffered 1e200 makes the warm-up's variance overflow whatever value
+    # completes it. That observe raises and drops the buffer, so the next
+    # EM_WARMUP values warm the detector up as they would a fresh one.
+    ys = [15.0 + 0.1 * (i % 7) for i in range(110)]
+    ys[2] = 1e200
+    det, fresh = EmDetector(EmConfig(seed=0)), EmDetector(EmConfig(seed=0))
+    decisions, raised = [], []
+    for i, y in enumerate(ys):
+        try:
+            decisions.append(det.observe(y))
+        except OverflowError:
+            raised.append(i)
+    assert raised == [EM_WARMUP - 1]
+    assert decisions[EM_WARMUP - 1:] == [fresh.observe(y) for y in ys[EM_WARMUP:]]
+    assert sum(d.warmed_up for d in decisions) == 110 - 2 * EM_WARMUP
     assert det.anchors == fresh.anchors
     assert repr((det.theta, det.last_ll_history)) == repr((fresh.theta, fresh.last_ll_history))

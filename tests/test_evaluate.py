@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsmguard.bsm import in_window
@@ -21,6 +21,7 @@ from bsmguard.evaluate import (
 
 from reference import detection_latency as oracle_detection_latency
 from reference import pairwise_auroc
+from reference import roc_counts as oracle_roc_counts
 
 
 class TestConfusion:
@@ -168,6 +169,31 @@ class TestAuroc:
             assert repr(roc_points(scores, labels, counts)) == repr(pts)
             assert repr(auroc(scores, labels, counts)) == repr(auroc(scores, labels))
             assert auroc(scores, labels) == pairwise_auroc(scores, labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-3, 3),
+                           st.integers(0, 1) | st.booleans()), max_size=40),
+        st.sampled_from([0, 0, 0, 1]),
+    )
+    @example([], 0)  # empty
+    @example([(0.5, 1), (0.2, 0)], 1)  # length mismatch
+    @example([(0.5, 1), (0.2, True)], 0)  # one class
+    @example([(0.0, 0), (-0.0, 1), (-0.0, True), (0.0, False)], 0)  # one row, spelled 0.0
+    @example([(-0.0, 1), (0.0, 0), (-1.0, 0)], 0)  # one row, spelled -0.0
+    def test_roc_counts_match_the_sorted_groupby_reference(self, pairs, cut):
+        # Rows equal by repr (threshold spelling, Python int counts) or the
+        # same ValueError; ``cut`` drops labels to make a length mismatch.
+        scores = [s for s, _ in pairs]
+        labels = [label for _, label in pairs][cut:]
+
+        def outcome(roc):
+            try:
+                return repr(roc(scores, labels))
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        assert outcome(roc_counts) == outcome(oracle_roc_counts)
 
 
 class TestLatency:

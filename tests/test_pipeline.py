@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bsmguard.bsm import DataError, aggregate, fit_standardizer
 from bsmguard.config import DetectorSettings, detector_settings_from_mapping
-from bsmguard.detectors import DETECTORS
+from bsmguard.detectors import DETECTORS, DetectorDecision
 from bsmguard.pipeline import (
     detect_records,
     detector_report,
@@ -179,6 +179,41 @@ def test_decisions_csv_error_names_the_line_past_quoted_line_breaks(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("t,score,attack,warmed_up\n" + "".join(rows))
     with pytest.raises(DataError, match=r"d\.csv:5: attack and warmed_up must be 0 or 1"):
+        read_decisions_csv(path, samples)
+
+
+def decisions_text(samples, flags):
+    """A decisions CSV over ``samples``, score 0.5, with ``flags`` (attack,
+    warmed_up) spelled as given."""
+    return "t,score,attack,warmed_up\n" + "".join(
+        f"{s.t!r},0.5,{attack},{warmed_up}\n" for s, (attack, warmed_up) in zip(samples, flags))
+
+
+def test_decisions_csv_reads_decisions_with_bool_flags(tmp_path):
+    # int() reads each flag, so 01, +1 and -0 read as 1, 1 and 0.
+    samples = scenario_samples(0)[:3]
+    path = tmp_path / "d.csv"
+    path.write_text(decisions_text(samples, [("01", "+1"), ("-0", "01"), ("+1", "-0")]))
+    pairs = read_decisions_csv(path, samples)
+    assert [s for s, _ in pairs] == list(samples)
+    assert all(type(d) is DetectorDecision for _, d in pairs)
+    assert [(d.attack, d.warmed_up) for _, d in pairs] == [(True, True), (False, True),
+                                                           (True, False)]
+    assert {type(flag) for _, d in pairs for flag in (d.attack, d.warmed_up)} == {bool}
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("flag, error", [
+    ("2", "attack and warmed_up must be 0 or 1"),
+    ("1.0", "invalid literal for int"),
+])
+def test_decisions_csv_flag_other_than_0_or_1_names_its_line(tmp_path, column, flag, error):
+    samples = scenario_samples(0)[:3]
+    flags = [["0", "1"] for _ in samples]
+    flags[1][column] = flag
+    path = tmp_path / "d.csv"
+    path.write_text(decisions_text(samples, flags))
+    with pytest.raises(DataError, match=rf"d\.csv:3: {error}"):
         read_decisions_csv(path, samples)
 
 
