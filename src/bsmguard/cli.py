@@ -198,7 +198,7 @@ def cmd_report(args) -> int:
         if args.out:
             _write_text(stage(args.out), text)
         if args.roc_out:
-            points = roc_points(scores, labels, counts)
+            points = roc_points(counts)
             write_roc_csv(stage(args.roc_out), points)
     sys.stdout.write(text)
     if args.roc_out:

@@ -163,16 +163,10 @@ def auroc(
     return twice / 2 / (int(tp[-1]) * int(fp[-1]))
 
 
-def roc_points(
-    scores: Sequence[float], labels: Sequence[int],
-    counts: list[tuple[float, int, int]] | None = None,
-) -> list[tuple[float, float, float]]:
-    """(threshold, fpr, tpr) rows for predict-attack-when-score >= threshold:
-    the all-negative ``inf`` endpoint, then one row per distinct score in
-    ascending (fpr, tpr) order; from ``counts``, or ``roc_counts`` of the
-    scores when it is None."""
-    if counts is None:
-        counts = roc_counts(scores, labels)
+def roc_points(counts: list[tuple[float, int, int]]) -> list[tuple[float, float, float]]:
+    """(threshold, fpr, tpr) rows for predict-attack-when-score >= threshold,
+    from the scores' ``roc_counts`` rows: the all-negative ``inf`` endpoint,
+    then one row per distinct score in ascending (fpr, tpr) order."""
     _, n_neg, n_pos = counts[-1]
     return [(thr, fp / n_neg, tp / n_pos) for thr, fp, tp in counts]
 

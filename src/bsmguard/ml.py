@@ -42,24 +42,24 @@ The tree families' ``to_payload`` hands its ``CartNode``s to ``model_io``,
 whose writer puts each node out as the dict of its set fields;
 ``tests/reference.py`` keeps that dict form (``tree_to_dict``) as its oracle.
 
-The NN trainer (``nn_train_block``) trains a block of networks whose
-training sets have the same row count in one stacked Adam step: the
-parameters are one (networks, n_params) array, each row laid out
+The NN trainer (``nn_train``) trains the networks whose ``(X, y, seed)``
+sets have one row count as a block (``_nn_block``), in one stacked Adam
+step: the parameters are one (networks, n_params) array, each row laid out
 ``w_hidden | b_hidden | w_out | b_out``, which the loss-and-gradient kernel
 reads through views; the gradient has the same layout, and the two Adam
 moments are the planes of one array, so a step is a few dozen whole-array
 operations for the whole block. Each network keeps its own generator,
 initialization and epoch permutation, and its slice of every operation is
-the one it would run alone, so it comes out bit for bit as it trains alone.
-``nn_train`` is the one-network block; ``tests/test_nn.py`` runs the same
-kernel for its gradient check. ``grid_search`` trains a cell's folds together, grouped by row count
-(``_nn_fit``). Each step keeps the floating-point order of the per-array
-update it replaced: m = B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g, the step
-(lr*(m/corr1)) / (sqrt(v/corr2)+eps), the loss (max(l,0) - y*l) +
-log1p(exp(-|l|)) averaged as sum/n, and +0.0 gradient where a relu is off.
-That order is what keeps the trained weights, and so the model files, byte
-for byte the same; ``tests/reference.py`` keeps the per-array loop as an
-oracle, and ``tests/test_nn.py`` checks the block against one network alone.
+the one it would run in a block of one, so it comes out bit for bit the
+same. A grid cell's folds train in one call, the final fit in another;
+``tests/test_nn.py`` runs the same kernel for its gradient check. Each step
+keeps the floating-point order of the per-array update it replaced: m =
+B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g, the step (lr*(m/corr1)) /
+(sqrt(v/corr2)+eps), the loss (max(l,0) - y*l) + log1p(exp(-|l|)) averaged
+as sum/n, and +0.0 gradient where a relu is off. That order is what keeps
+the trained weights, and so the model files, byte for byte the same;
+``tests/reference.py`` keeps the per-array loop as an oracle, and
+``tests/test_nn.py`` checks blocks of k against blocks of one.
 """
 
 from __future__ import annotations
@@ -731,15 +731,10 @@ def nn_init(n_features: int, n_hidden: int, seed: int) -> NnModel:
     )
 
 
-def _nn_logits(model: NnModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden_pre = X @ model.w_hidden + model.b_hidden
-    hidden = np.maximum(hidden_pre, 0.0)
-    return hidden @ model.w_out + model.b_out, hidden
-
-
 def nn_forward(model: NnModel, X: np.ndarray) -> np.ndarray:
     """Attack probability per row of a (rows, features) matrix."""
-    logits, _ = _nn_logits(model, np.asarray(X, dtype=float))
+    hidden = np.maximum(np.asarray(X, dtype=float) @ model.w_hidden + model.b_hidden, 0.0)
+    logits = hidden @ model.w_out + model.b_out
     return 1.0 / (1.0 + np.exp(-logits))
 
 
@@ -841,38 +836,37 @@ class NnDivergedError(ConfigError, RuntimeError):
 
 
 def nn_train(
-    X: np.ndarray,
-    y: np.ndarray,
-    epochs: int = 100,
-    batch_size: int = 50,
-    lr: float = 0.2,
-    seed: int = 0,
-    n_hidden: int = 10,
-) -> NnModel:
-    """Mini-batch Adam on binary cross-entropy.
-
-    Raises ``NnDivergedError`` if the loss goes non-finite (lower the
-    learning rate). Deterministic per seed: initialization and epoch
-    shuffles come from the same generator. This is the one-network block of
-    ``nn_train_block``, which says how a step works.
-    """
-    return nn_train_block([(X, y, seed)], epochs, batch_size, lr, n_hidden)[0]
-
-
-def nn_train_block(
     sets: Sequence[tuple[np.ndarray, np.ndarray, int]],
     epochs: int = 100,
     batch_size: int = 50,
     lr: float = 0.2,
     n_hidden: int = 10,
 ) -> list[NnModel]:
+    """Mini-batch Adam on binary cross-entropy: one network per ``(X, y,
+    seed)`` set, in order, each deterministic per seed. The sets of one row
+    count train as one block (``_nn_block`` says how a step works). Raises
+    ``NnDivergedError`` if any network's loss goes non-finite (lower the
+    learning rate)."""
+    by_rows: dict[int, list[int]] = {}
+    for i, (_, y, _) in enumerate(sets):
+        by_rows.setdefault(len(y), []).append(i)
+    models: list[NnModel] = [None] * len(sets)
+    for group in by_rows.values():
+        trained = _nn_block([sets[i] for i in group], epochs, batch_size, lr, n_hidden)
+        for i, model in zip(group, trained):
+            models[i] = model
+    return models
+
+
+def _nn_block(sets: Sequence[tuple[np.ndarray, np.ndarray, int]], epochs: int, batch_size: int,
+              lr: float, n_hidden: int) -> list[NnModel]:
     """Train one network per ``(X, y, seed)`` set, all in one stacked Adam step.
 
     Every set needs the same row and feature counts, so all networks take
     the same steps. Each network's generator draws its initialization and
-    then its epoch permutations, as ``nn_train`` does for it alone, and each
-    comes out bit for bit as ``nn_train`` trains it. If any network's loss
-    goes non-finite, the block raises ``NnDivergedError``.
+    then its epoch permutations, as it would in a block of one, and each
+    comes out bit for bit as it trains there. If any network's loss goes
+    non-finite, the block raises ``NnDivergedError``.
 
     The parameters are the rows of one (networks, n_params) ``theta``, the
     gradient has the same layout, and the Adam moments are the two planes
@@ -966,12 +960,13 @@ class Family:
     model file may set to its value check; both must set the ``required``
     ones (``check_params``).
     ``fit(params, sets)`` yields one fitted state per ``(X, y, seed)``
-    training set, in order: the NN trains several sets together, and the
-    trees fit one set per ``next``, so a grid search scores each forest
-    before it grows the next. ``scores(state, params, X)`` scores a batch
-    of rows, and ``to_payload``/``from_payload`` convert the state to and
-    from the family's part of the model file; ``to_payload`` may hold
-    ``CartNode``s, which ``model_io`` writes as dicts of their set fields.
+    training set, in order: the NN trains all the sets in one ``nn_train``
+    call, and the trees fit one set per ``next``, so a grid search scores
+    each forest before it grows the next. ``scores(state, params, X)``
+    scores a batch of rows, and ``to_payload``/``from_payload(params,
+    payload)`` convert the state to and from the family's part of the model
+    file; ``to_payload`` may hold ``CartNode``s, which ``model_io`` writes as
+    dicts of their set fields.
     """
 
     smote: bool
@@ -980,7 +975,7 @@ class Family:
     fit: Callable[[dict, Sequence[tuple[np.ndarray, np.ndarray, int]]], Iterable]
     scores: Callable[[Any, dict, np.ndarray], np.ndarray]
     to_payload: Callable[[Any], dict]
-    from_payload: Callable[[dict], Any]
+    from_payload: Callable[[dict, dict], Any]
     required: tuple[str, ...] = ()
 
 
@@ -1004,27 +999,34 @@ def _label_array(values) -> np.ndarray:
     return np.array(values, dtype=int)
 
 
-def _nn_fit(params: dict, sets: Sequence[tuple[np.ndarray, np.ndarray, int]]) -> list[NnModel]:
-    """One network per set: the sets of one row count train as one block,
-    and a set whose row count no other set has trains alone (``nn_train``)."""
-    by_rows: dict[int, list[int]] = {}
-    for i, (_, y, _) in enumerate(sets):
-        by_rows.setdefault(len(y), []).append(i)
-    models: list[NnModel] = [None] * len(sets)
-    for group in by_rows.values():
-        if len(group) == 1:
-            X, y, seed = sets[group[0]]
-            trained = [nn_train(X, y, seed=seed, **params)]
-        else:
-            trained = nn_train_block([sets[i] for i in group], **params)
-        for i, model in zip(group, trained):
-            models[i] = model
-    return models
+def _knn_from_payload(p: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """The training set a KNN file holds: ``train_features`` (n, N_FEATURES)
+    and ``train_labels`` (n,)."""
+    X, y = finite_array(p, "train_features"), _label_array(p["train_labels"])
+    if X.ndim != 2 or X.shape[1] != N_FEATURES or y.shape != X.shape[:1]:
+        raise ValueError(f"knn train_features {X.shape} and train_labels {y.shape} "
+                         f"are not (n, {N_FEATURES}) and (n,)")
+    return X, y
 
 
-# The fit callables look cart_fit, rf_fit, nn_train and nn_train_block up as
-# module globals at call time, so a wrapper installed on the module attribute
-# sees every fit.
+def _nn_from_payload(params: Mapping, p: Mapping) -> NnModel:
+    """The network an NN file holds, each array in the shape ``nn_train``
+    gives it: ``w_hidden`` (N_FEATURES, n_hidden), ``b_hidden`` and ``w_out``
+    (n_hidden,), ``b_out`` one number. ``n_hidden`` is the file's parameter,
+    or else ``nn_train``'s default, the width ``w_hidden`` then has."""
+    keys = ("w_hidden", "b_hidden", "w_out", "b_out")
+    w_hidden, b_hidden, w_out, b_out = arrays = [finite_array(p, key) for key in keys]
+    n_hidden = params.get("n_hidden", w_hidden.shape[1] if w_hidden.ndim == 2 else 0)
+    shapes = ((N_FEATURES, n_hidden), (n_hidden,), (n_hidden,), ())
+    for key, a, shape in zip(keys, arrays, shapes):
+        if a.shape != shape:
+            raise ValueError(f"nn {key} has shape {a.shape}, not {shape}")
+    return NnModel(w_hidden, b_hidden, w_out, b_out.item())
+
+
+# The fit callables look cart_fit, rf_fit and nn_train up as module globals
+# at call time, so a wrapper installed on the module attribute sees every
+# fit: for the NN, one call per grid cell and one for the final fit.
 FAMILIES: dict[str, Family] = {
     "knn": Family(
         smote=True,
@@ -1037,10 +1039,7 @@ FAMILIES: dict[str, Family] = {
             "train_features": state[0].tolist(),
             "train_labels": state[1].tolist(),
         },
-        from_payload=lambda p: (
-            finite_array(p, "train_features"),
-            _label_array(p["train_labels"]),
-        ),
+        from_payload=lambda params, p: _knn_from_payload(p),
     ),
     "cart": Family(
         smote=False,
@@ -1051,7 +1050,7 @@ FAMILIES: dict[str, Family] = {
         ),
         scores=lambda tree, params, X: cart_scores(tree, X),
         to_payload=lambda tree: {"tree": tree},
-        from_payload=lambda p: _tree_from_dict(p["tree"]),
+        from_payload=lambda params, p: _tree_from_dict(p["tree"]),
     ),
     "rf": Family(
         smote=False,
@@ -1062,7 +1061,7 @@ FAMILIES: dict[str, Family] = {
         ),
         scores=lambda forest, params, X: rf_scores(forest, X),
         to_payload=lambda forest: {"trees": forest},
-        from_payload=lambda p: [_tree_from_dict(t) for t in p["trees"]],
+        from_payload=lambda params, p: [_tree_from_dict(t) for t in p["trees"]],
     ),
     "nn": Family(
         smote=True,
@@ -1074,17 +1073,12 @@ FAMILIES: dict[str, Family] = {
             "n_hidden": _at_least(1),
             "smote_k": _at_least(1),
         },
-        fit=_nn_fit,
+        fit=lambda params, sets: nn_train(sets, **params),
         scores=lambda nn, params, X: nn_forward(nn, np.atleast_2d(X)),
         to_payload=lambda nn: {
             f.name: np.asarray(getattr(nn, f.name)).tolist() for f in fields(nn)
         },
-        from_payload=lambda p: NnModel(
-            finite_array(p, "w_hidden"),
-            finite_array(p, "b_hidden"),
-            finite_array(p, "w_out"),
-            finite_array(p, "b_out").item(),
-        ),
+        from_payload=_nn_from_payload,
     ),
 }
 
@@ -1194,7 +1188,7 @@ def grid_search(
     assignment (used by tests).
 
     A cell's folds are balanced one by one and then fitted in one call to
-    the family's ``fit``, so the NN trains them together (``_nn_fit``); each
+    the family's ``fit``, so the NN trains them together (``nn_train``); each
     fold's model is the one ``fit_family`` gives on that fold and sub-seed.
     """
     entry = _family(family)

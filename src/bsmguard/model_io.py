@@ -156,7 +156,7 @@ def load_model(path: str) -> tuple[FittedModel, StandardizationParams, int, floa
         std = StandardizationParams(mean=tuple(mean.tolist()), stdev=tuple(stdev.tolist()))
         params = dict(doc["params"])
         check_params(family, {key: [value] for key, value in params.items()})
-        model = FittedModel(family, params, entry.from_payload(doc["payload"]))
+        model = FittedModel(family, params, entry.from_payload(params, doc["payload"]))
         seed, test_fraction = doc["seed"], doc["test_fraction"]
         # A JSON number in (0, 1) is a float; an int or a bool is never in it.
         if type(seed) is not int or seed < 0:

@@ -8,7 +8,7 @@ oracles they are compared against live in ``reference.py``.
 import numpy as np
 
 from bsmguard.detectors import SIGMA_FLOOR, _e_step, _em_from
-from bsmguard.ml import _nn_kernel, _nn_pack, _nn_split
+from bsmguard.ml import _nn_kernel, _nn_pack, _nn_split, nn_train
 
 
 def fit_two_component_gmm(points, mu1, s1, mu2, s2, pi2):
@@ -25,6 +25,11 @@ def fit_two_component_gmm(points, mu1, s1, mu2, s2, pi2):
     resp, _ = _e_step(points, *theta)
     theta, ll_history, _ = _em_from(points, resp, theta)
     return theta, ll_history
+
+
+def nn_train_one(X, y, seed=0, **kw):
+    """One network trained in a block of one: ``nn_train`` on one set."""
+    return nn_train([(X, y, seed)], **kw)[0]
 
 
 def nn_loss_and_grads(model, X, y):

@@ -155,9 +155,9 @@ def test_traced_train_balances_through_the_smote_hook(tmp_path):
         # A cell's folds are fitted together through the family table; only
         # the final fit goes through fit_family.
         assert tracer.calls["ml.fit_family"] == 1, family
-    # The five folds have one balanced size and train as one block; the final
-    # fit, alone in its size, trains through the wrapped nn_train.
-    assert tracer.calls["ml.nn_train"] == 1
+    # Every NN fit goes through the wrapped nn_train: the cell's five folds
+    # in one call, then the final fit.
+    assert tracer.calls["ml.nn_train"] == 2
 
 
 def test_traced_em_detect_counts_iterations(tmp_path):

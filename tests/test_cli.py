@@ -14,7 +14,7 @@ from bsmguard import cli, evaluate, pipeline
 from bsmguard.bsm import CSV_HEADER, aggregate, read_bsm_csv
 from bsmguard.cli import main
 from bsmguard.config import DetectorSettings
-from bsmguard.evaluate import roc_points
+from bsmguard.evaluate import roc_counts, roc_points
 from bsmguard.pipeline import (
     detector_report,
     read_decisions_csv,
@@ -627,7 +627,7 @@ class TestReport:
         labels, _, scores = scored_pairs("cusum", read_decisions_csv(str(dec), samples))
         with open(roc, newline="") as fh:
             assert fh.read().splitlines()[1:] == [
-                f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(scores, labels)]
+                f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(roc_counts(scores, labels))]
 
     @pytest.mark.parametrize("exclude_warmup", [[], ["--exclude-warmup"]])
     def test_roc_report_selects_the_scored_pairs_once(self, tmp_path, bsm_csv, capsys,
@@ -654,7 +654,7 @@ class TestReport:
         assert rep.read_text() == want.to_text()
         with open(roc, newline="") as fh:
             assert fh.read().splitlines()[1:] == [
-                f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(scores, labels)]
+                f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(roc_counts(scores, labels))]
 
     def test_roc_on_single_class_truth_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "clean.cfg"

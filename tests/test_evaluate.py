@@ -149,7 +149,8 @@ class TestAuroc:
             if 0 < sum(labels) < n:
                 cases.append(([float(v) for v in rng.choice(pool, n)], labels))
         for scores, labels in cases:
-            pts = roc_points(scores, labels)
+            counts = roc_counts(scores, labels)
+            pts = roc_points(counts)
             n_pos = sum(labels)
             n_neg = len(labels) - n_pos
             first = {}  # -0.0 == 0.0, so they share the key of the first one seen
@@ -164,9 +165,7 @@ class TestAuroc:
                 assert (fpr, tpr) == (hits.count(0) / n_neg, hits.count(1) / n_pos)
             area = sum((f - f0) * (t + t0) / 2 for (_, f0, t0), (_, f, t) in zip(pts, pts[1:]))
             assert auroc(scores, labels) == pytest.approx(area, abs=1e-12)
-            # Handed the counts, both give the same numbers without a sort.
-            counts = roc_counts(scores, labels)
-            assert repr(roc_points(scores, labels, counts)) == repr(pts)
+            # Handed the counts, auroc gives the same number without a sort.
             assert repr(auroc(scores, labels, counts)) == repr(auroc(scores, labels))
             assert auroc(scores, labels) == pairwise_auroc(scores, labels)
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from bsmguard import ml
+from bsmguard.cli import main
 from bsmguard.ml import (
     expand_grid,
     fit_family,
@@ -155,3 +157,23 @@ def test_unknown_family_rejected():
     X, y = blob_data(0)
     with pytest.raises(ValueError):
         fit_family("svm", {}, X, y, seed=0)
+
+
+def test_every_nn_fit_goes_through_the_module_attribute(tmp_path, monkeypatch):
+    # One nn_train call per grid cell, with its five folds, then one for the
+    # final fit: a wrapper on the module attribute sees all 2 * 5 + 1 sets.
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("duration_s = 30.0\nseed = 7\nattack.windows = 10.0:15.0\n")
+    csv_path = tmp_path / "bsm.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(csv_path)]) == 0
+    calls = []
+    train = ml.nn_train
+
+    def counted(sets, **params):
+        calls.append(len(sets))
+        return train(sets, **params)
+
+    monkeypatch.setattr(ml, "nn_train", counted)
+    assert main(["train", str(csv_path), "--model", "nn", "--grid",
+                 '{"epochs": [2], "n_hidden": [3, 5]}', "--out", str(tmp_path / "nn.json")]) == 0
+    assert calls == [5, 5, 1]

@@ -196,6 +196,41 @@ def test_params_the_grid_would_reject_are_rejected(tmp_path, params, message):
         load_model(path)
 
 
+@pytest.mark.parametrize("family, edit, message", [
+    ("nn", lambda p: p.__setitem__("b_hidden", p["b_hidden"][:1]),
+     r"nn b_hidden has shape \(1,\), not \(10,\)"),
+    ("nn", lambda p: p.__setitem__("b_hidden", p["b_hidden"][0]),
+     r"nn b_hidden has shape \(\), not \(10,\)"),
+    ("nn", lambda p: p.__setitem__("b_out", [[p["b_out"]]]),
+     r"nn b_out has shape \(1, 1\), not \(\)"),
+    ("knn", lambda p: p.__setitem__("train_features", [row[:1] for row in p["train_features"]]),
+     r"knn train_features \(\d+, 1\) and train_labels \(\d+,\) are not \(n, 2\) and \(n,\)"),
+    ("knn", lambda p: p.__setitem__("train_labels", p["train_labels"][:1]),
+     r"knn train_features \(\d+, 2\) and train_labels \(1,\) are not \(n, 2\) and \(n,\)"),
+], ids=["b_hidden-cut", "b_hidden-number", "b_out-nested", "features-cut", "labels-cut"])
+def test_payload_arrays_of_the_wrong_shape_are_rejected(tmp_path, family, edit, message):
+    # numpy broadcasts each of these, so the model would load and score.
+    path = tmp_path / "model.json"
+    doc = saved_doc(path, family)
+    edit(doc["payload"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"{path}: malformed model document.*{message}"):
+        load_model(path)
+
+
+def test_nn_params_without_n_hidden_take_the_width_of_w_hidden(tmp_path):
+    # A grid that does not set n_hidden trains at nn_train's default width.
+    path = tmp_path / "model.json"
+    doc = saved_doc(path, "nn")
+    del doc["params"]["n_hidden"]
+    path.write_text(json.dumps(doc))
+    assert load_model(path)[0].state.w_hidden.shape == (2, 10)
+    doc["payload"]["w_out"].pop()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"{path}: .*nn w_out has shape \(9,\), not \(10,\)"):
+        load_model(path)
+
+
 def test_wrong_format_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else", "version": 1}')

@@ -17,11 +17,10 @@ from bsmguard.ml import (
     nn_forward,
     nn_init,
     nn_train,
-    nn_train_block,
 )
 
 import reference
-from product_calls import nn_loss_and_grads
+from product_calls import nn_loss_and_grads, nn_train_one
 
 
 def zero_model(n_features=2, n_hidden=10):
@@ -110,15 +109,15 @@ def separable_blobs(seed, n=120):
 def test_training_reaches_95_percent_on_separable_blobs():
     for seed in range(5):
         X, y = separable_blobs(seed)
-        model = nn_train(X, y, epochs=100, batch_size=50, lr=0.2, seed=seed)
+        model = nn_train_one(X, y, epochs=100, batch_size=50, lr=0.2, seed=seed)
         preds = (nn_forward(model, X) > 0.5).astype(int)
         assert np.mean(preds == y) >= 0.95
 
 
 def test_first_epoch_loss_decreases_at_small_lr():
     X, y = separable_blobs(7)
-    before = nn_loss_and_grads(nn_train(X, y, epochs=0, seed=7), X, y)[0]
-    after = nn_loss_and_grads(nn_train(X, y, epochs=1, lr=1e-2, seed=7), X, y)[0]
+    before = nn_loss_and_grads(nn_train_one(X, y, epochs=0, seed=7), X, y)[0]
+    after = nn_loss_and_grads(nn_train_one(X, y, epochs=1, lr=1e-2, seed=7), X, y)[0]
     assert after < before
 
 
@@ -129,13 +128,13 @@ def test_divergence_raises_with_diagnostic():
     X = np.full((4, 2), 1e308)
     y = np.array([0, 1, 0, 1])
     with pytest.raises(RuntimeError, match="learning rate"):
-        nn_train(X, y, epochs=50, lr=1e9, seed=0)
+        nn_train_one(X, y, epochs=50, lr=1e9, seed=0)
 
 
 def test_deterministic_per_seed():
     X, y = separable_blobs(1)
-    a = nn_train(X, y, epochs=5, seed=9)
-    b = nn_train(X, y, epochs=5, seed=9)
+    a = nn_train_one(X, y, epochs=5, seed=9)
+    b = nn_train_one(X, y, epochs=5, seed=9)
     assert np.array_equal(a.w_hidden, b.w_hidden)
     assert np.array_equal(a.b_hidden, b.b_hidden)
     assert np.array_equal(a.w_out, b.w_out)
@@ -164,7 +163,8 @@ def test_training_matches_the_per_array_reference_bit_for_bit(n, features, hidde
     X = rng.normal(0, 1.5, size=(n, features))
     y = rng.integers(0, 2, size=n)
     seed = int(rng.integers(1000))
-    got = nn_train(X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed, n_hidden=hidden)
+    got = nn_train_one(X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
+                       n_hidden=hidden)
     want = reference.nn_train(X, y, epochs, batch_size, lr, seed, hidden)
     assert np.array_equal(got.w_hidden, want.w_hidden)
     assert np.array_equal(got.b_hidden, want.b_hidden)
@@ -217,11 +217,11 @@ def test_block_matches_one_network_at_a_time_bit_for_bit(case):
         if rng.random() < 0.4:
             X = np.asfortranarray(X)
         sets.append((X, rng.integers(0, 2, size=n), int(rng.integers(1000))))
-    block = nn_train_block(sets, epochs=epochs, batch_size=batch_size, lr=lr, n_hidden=hidden)
+    block = nn_train(sets, epochs=epochs, batch_size=batch_size, lr=lr, n_hidden=hidden)
     assert len(block) == k
     for got, (X, y, seed) in zip(block, sets):
-        want = nn_train(X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
-                        n_hidden=hidden)
+        want = nn_train_one(X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
+                            n_hidden=hidden)
         assert_same_model(got, want)
 
 
@@ -230,8 +230,8 @@ def test_block_of_the_default_cell_matches_one_network_at_a_time():
     rng = np.random.default_rng(11)
     sets = [(rng.normal(0, 1, size=(640, 2)), rng.integers(0, 2, size=640), seed)
             for seed in range(5)]
-    for got, (X, y, seed) in zip(nn_train_block(sets), sets):
-        assert_same_model(got, nn_train(X, y, seed=seed))
+    for got, (X, y, seed) in zip(nn_train(sets), sets):
+        assert_same_model(got, nn_train_one(X, y, seed=seed))
 
 
 def test_block_raises_when_one_network_diverges():
@@ -240,11 +240,11 @@ def test_block_raises_when_one_network_diverges():
     X, y = separable_blobs(3, n=40)
     bad = np.full((40, 2), 1e308)
     for X_one in (X, X[::-1]):
-        nn_train(X_one, y, epochs=3, lr=1e9, seed=1)
+        nn_train_one(X_one, y, epochs=3, lr=1e9, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NnDivergedError) as exc:
-            nn_train_block([(X, y, 1), (bad, y, 2), (X[::-1], y, 3)], epochs=3, lr=1e9)
+            nn_train([(X, y, 1), (bad, y, 2), (X[::-1], y, 3)], epochs=3, lr=1e9)
     assert str(exc.value) == (
         "training diverged to a non-finite loss; the learning rate 1000000000.0 is likely "
         "too high for this data"
@@ -255,7 +255,8 @@ def test_block_raises_when_one_network_diverges():
 #: and the grid search's default shape, printed as one count.
 BLOCK_CHECK = """
 import numpy as np
-from bsmguard.ml import nn_train, nn_train_block
+from bsmguard.ml import nn_train
+from product_calls import nn_train_one
 
 rng = np.random.default_rng(7)
 # (networks, n, features, hidden, batch_size, epochs): the grid search's
@@ -272,9 +273,9 @@ for k, n, features, hidden, batch_size, epochs in cases:
     sets = [(rng.normal(0, 1.5, size=(n, features)), rng.integers(0, 2, size=n),
              int(rng.integers(1000))) for _ in range(k)]
     sets = [(np.asfortranarray(X) if i % 2 else X, y, s) for i, (X, y, s) in enumerate(sets)]
-    block = nn_train_block(sets, epochs=epochs, batch_size=batch_size, n_hidden=hidden)
+    block = nn_train(sets, epochs=epochs, batch_size=batch_size, n_hidden=hidden)
     for got, (X, y, seed) in zip(block, sets):
-        want = nn_train(X, y, epochs=epochs, batch_size=batch_size, seed=seed, n_hidden=hidden)
+        want = nn_train_one(X, y, epochs=epochs, batch_size=batch_size, seed=seed, n_hidden=hidden)
         bad += not all(np.array_equal(getattr(got, f), getattr(want, f))
                        for f in ("w_hidden", "b_hidden", "w_out", "b_out"))
 print(bad)
@@ -286,9 +287,11 @@ def test_block_matches_one_network_at_a_time_on_other_blas_kernels(coretype):
     # OPENBLAS_CORETYPE picks the BLAS kernels of another CPU for this one
     # child process. The weights may differ from the default kernel's, but
     # stacking must add no CPU dependence of its own.
-    src = str(Path(bsmguard.__file__).resolve().parents[1])
+    # The child imports the product from src and its helper from this directory.
+    paths = (str(Path(bsmguard.__file__).resolve().parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH"))
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run([sys.executable, "-c", BLOCK_CHECK], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     assert done.stdout.split() == ["0"]
