@@ -23,11 +23,10 @@ from bsmguard.config import (
     detector_settings_from_mapping,
     load_flat_config,
     parse_windows,
-    reject_unknown_keys,
 )
 from bsmguard.detectors import DETECTOR_NAMES
 from bsmguard.evaluate import roc_counts, roc_points, timing_stats, write_roc_csv
-from bsmguard.ml import FAMILIES, MODEL_FAMILIES, check_params
+from bsmguard.ml import MODEL_FAMILIES, check_params
 from bsmguard.model_io import load_model, save_model
 from bsmguard.pipeline import (
     detect_records,
@@ -115,20 +114,28 @@ def cmd_detect(args) -> int:
 
 
 def _parse_grid(raw: str | None, family: str):
-    """The ``--grid`` JSON, checked against the family's declared parameters."""
+    """The ``--grid`` JSON, checked against the family's declared parameters.
+    A key given twice in one object is rejected, not won by its last value."""
     if raw is None:
         return None
     import json
 
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"--grid: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        grid = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        grid = json.loads(raw, object_pairs_hook=unique_keys)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"--grid is not valid JSON: {exc}") from None
     if not isinstance(grid, dict) or not all(isinstance(v, list) and v for v in grid.values()):
         raise ConfigError(
             "--grid must be a JSON object mapping parameter to a non-empty list of values"
         )
-    reject_unknown_keys(grid, FAMILIES[family].keys, f"--grid: unknown {family} parameter")
     try:
         check_params(family, grid)
     except ValueError as exc:

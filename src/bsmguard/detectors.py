@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -254,35 +254,6 @@ def _e_step(
     return resp, total
 
 
-def _partials(values: Iterable[float]) -> list[float]:
-    """Exact non-overlapping partials of the sum of finite ``values``.
-
-    Shewchuk's (1997) expansion, grown step for step as ``math.fsum`` grows
-    it, so the partials sum exactly to the values and ``fsum(_partials(a) +
-    [t])`` is the same double as ``fsum(a + [t])``: fsum is correctly
-    rounded. An intermediate overflow raises OverflowError at the same term
-    as it does in fsum.
-    """
-    partials: list[float] = []
-    for x in values:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        del partials[i:]
-        if x:
-            if not math.isfinite(x):
-                raise OverflowError("intermediate overflow in fsum")
-            partials.append(x)
-    return partials
-
-
 def _clean_total(n: int, w2: float) -> float:
     """The clean component's total weight, given the attack one's, ``w2``."""
     w1 = n - w2
@@ -353,7 +324,7 @@ def _em_from(
     the previous one whose weight list and total are unchanged (``==``, exact
     here: E-step responsibilities are never nan or -0.0), since equal inputs
     give equal outputs. ``first_m_step`` stands in for ``_m_step`` in the
-    first iteration; ``EmDetector`` passes one that reuses its anchors' sums.
+    first iteration; ``EmDetector`` passes one that reuses its anchors' terms.
     """
     ll_history: list[float] = []
     m_step = first_m_step
@@ -393,12 +364,12 @@ class EmDetector:
 
     Every fit starts from the same theta, so its first M-step weights the
     anchors by the same responsibilities. The anchors' terms of that step's
-    attack sums (sum r, sum r*x, and sum r*(x - mu2)^2 for the last mu2
-    seen) are kept as exact partials, to which y's term is added by
-    ``fsum``: being correctly rounded, it gives the same double as a sum
-    over all eleven terms. Later M-steps reuse an unchanged half (see
-    ``_em_from``); on a typical stream the second M-step's clean weights
-    equal the first's, so it computes only its attack half.
+    attack sums (r*x, and r*(x - mu2)^2 for the last mu2 seen) are kept as
+    plain lists, to which y's term is appended before ``fsum``: the same
+    terms in the same order as ``_m_step``'s, so the same double. Later
+    M-steps reuse an unchanged half (see ``_em_from``); on a typical stream
+    the second M-step's clean weights equal the first's, so it computes
+    only its attack half.
 
     All randomness comes from the seed carried in the config, so decision
     sequences are bit-for-bit reproducible.
@@ -409,44 +380,40 @@ class EmDetector:
         self._buffer: list[float] = []
         self.anchors: list[float] | None = None
         self.seed_mean = 0.0
-        self.seed_stdev = 1.0
         self.theta: _Theta | None = None
         self.last_ll_history: list[float] = []
 
     def _build_anchors(self, buffer: list[float]) -> None:
-        seed_mean, seed_stdev = _warmup_stats(buffer)
+        mean, stdev = _warmup_stats(buffer)
         rng = np.random.default_rng(self.config.seed)
-        clean = rng.normal(seed_mean, seed_stdev, EM_CLEAN_ANCHORS)
+        clean = rng.normal(mean, stdev, EM_CLEAN_ANCHORS)
         attack = rng.normal(EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_ATTACK_ANCHORS)
         anchors = [float(v) for v in clean] + [float(v) for v in attack]
         # Every fit starts from this theta (both stdevs are already at or
         # above SIGMA_FLOOR), so the anchors' part of its first E-step is fixed.
-        theta0 = (seed_mean, seed_stdev, EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_INIT_WEIGHT)
+        theta0 = (mean, stdev, EM_ATTACK_MEAN, EM_ATTACK_STDEV, EM_INIT_WEIGHT)
         resp, _ = _e_step(anchors, *theta0)
-        # An anchor's r is 0.0 wherever its (x - EM_ATTACK_MEAN)^2 overflows,
-        # so each |r * x| is below 1e155 and these two shares cannot overflow.
-        self._resp_share = _partials(resp)
-        self._rx_share = _partials(map(operator.mul, resp, anchors))
+        self._rx_terms = list(map(operator.mul, resp, anchors))
         self._var_share: tuple[float, list[float]] | None = None
         self._anchor_resp = resp
         self._anchor_clean = [1.0 - r for r in resp]
         self._theta0 = theta0
-        self.seed_mean, self.seed_stdev = seed_mean, seed_stdev
+        self.seed_mean = mean
         self.anchors = anchors
 
     def _first_m_step(self, points: list[float], resp: list[float], _last) -> tuple:
-        """``_m_step`` at theta0: the anchors' share of each attack sum is
-        built once, so only y's term is added to it."""
+        """``_m_step`` at theta0: the anchors' terms of the attack mean and
+        variance sums are built once, so only y's terms are computed here."""
         y, r = points[-1], resp[-1]
         n = len(points)
-        w2 = math.fsum(self._resp_share + [r])
+        w2 = math.fsum(resp)
         clean = _half(points, self._anchor_clean + [1.0 - r], _clean_total(n, w2), None)
-        mu2 = math.fsum(self._rx_share + [r * y]) / w2
+        mu2 = math.fsum(self._rx_terms + [r * y]) / w2
         share = self._var_share
         # ``!=`` does not tell 0.0 from -0.0, and neither do the squares.
         if share is None or share[0] != mu2:
             terms = [q * (x - mu2) ** 2 for q, x in zip(self._anchor_resp, self.anchors)]
-            share = self._var_share = (mu2, _partials(terms))
+            share = self._var_share = (mu2, terms)
         var2 = math.fsum(share[1] + [r * (y - mu2) ** 2]) / w2
         attack = (resp, w2, mu2, max(math.sqrt(var2), SIGMA_FLOOR))
         return (clean[2], clean[3], mu2, attack[3], w2 / n), (clean, attack)

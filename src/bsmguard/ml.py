@@ -73,7 +73,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from bsmguard.bsm import DataError
-from bsmguard.config import ConfigError
+from bsmguard.config import ConfigError, reject_unknown_keys
 
 #: Every family labels a row attack when its score is above this cut.
 LABEL_CUT = 0.5
@@ -1110,12 +1110,12 @@ def _family(family: str) -> Family:
 
 def check_params(family: str, grid: Mapping[str, Iterable]) -> None:
     """Raise ValueError naming the first parameter of ``grid`` (each with a list
-    of values) that ``family`` does not take or whose value fails its ``keys``
-    check, or a ``required`` parameter that ``grid`` lacks."""
+    of values) that ``family`` does not take (a ConfigError with the nearest
+    known name as a hint), or else whose value fails its ``keys`` check, or a
+    ``required`` parameter that ``grid`` lacks."""
     entry = _family(family)
+    reject_unknown_keys(grid, entry.keys, f"unknown {family} parameter")
     for key, values in grid.items():
-        if key not in entry.keys:
-            raise ValueError(f"unknown {family} parameter {key!r}")
         for value in values:
             if not entry.keys[key](value):
                 raise ValueError(f"{family} parameter {key!r}: {value!r} is out of range")

@@ -903,6 +903,9 @@ class TestTrainEvaluate:
             ("knn", '{"k": []}', "non-empty list"),
             ("knn", "{}", "knn needs parameter 'k'"),
             ("nn", '{"lr": [NaN]}', "'lr': nan is out of range"),
+            ("knn", '{"k": [5], "k": [7]}', "--grid: duplicate key 'k'"),
+            pytest.param("knn", '{"k": ' + "[" * 100_000, "--grid is not valid JSON: maximum "
+                         "recursion depth exceeded", id="knn-nested-past-the-recursion-limit"),
         ],
     )
     def test_bad_grid_key_or_value_exits_2(self, tmp_path, bsm_csv, capsys, family, grid,

@@ -404,58 +404,73 @@ def test_fit_bit_identical_to_oracle_when_more_than_two_iterations_run():
 
 
 # ---------------------------------------------------------------------------
-# The anchors' exact partial sums, and M-step halves reused when unchanged
+# The first M-step from the anchors' term lists, and halves reused when unchanged
 # ---------------------------------------------------------------------------
 
 
-DOUBLES = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+def m_step_outcome(step):
+    """``step()``'s (theta, halves) by ``repr``, or the error it raises."""
+    try:
+        return repr(step())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
 
 
-@st.composite
-def cancelling_sums(draw):
-    """Doubles from subnormals to 1e300, some of them cancelled by their
-    negations, in any order, and a last term that may cancel the rest."""
-    values = draw(st.lists(DOUBLES, max_size=12))
-    negated = [-v for v in draw(st.lists(st.sampled_from(values), max_size=8))] if values else []
-    values = draw(st.permutations(values + negated))
-    last = draw(st.one_of(DOUBLES, st.just(-math.fsum(values))))
-    return values, last
-
-
-@settings(max_examples=300, deadline=None)
-@given(cancelling_sums())
-def test_partials_plus_one_term_sum_as_fsum_over_all_terms(case):
-    values, last = case
-    assert repr(math.fsum(detectors._partials(values) + [last])) == repr(
-        math.fsum(values + [last]))
-
-
-def test_partials_raise_where_fsum_overflows():
-    for values in ([1e308, 1e308], [1.7e308, 1e308, -1e308]):
-        with pytest.raises(OverflowError):
-            math.fsum(values)
-        with pytest.raises(OverflowError):
-            detectors._partials(values)
+def test_first_m_step_matches_m_step_and_overflows_where_it_does():
+    # The first M-step appends y's terms to the anchors' term lists and sums
+    # them with fsum: the same terms in the same order as _m_step's, so the
+    # same doubles, and an OverflowError (from a square or inside fsum) on
+    # exactly the inputs where _m_step raises one. One detector sees every y
+    # in turn, so the variance terms are both rebuilt and reused.
+    rng = np.random.default_rng(32)
+    warmups = [[15.6 + 0.25 * float(v) for v in rng.normal(size=EM_WARMUP)],
+               [5.0] * EM_WARMUP, [-0.0] * EM_WARMUP, [0.0, -0.0] * (EM_WARMUP // 2),
+               [1.3e154 * (1.0 + 1e-3 * float(v)) for v in rng.normal(size=EM_WARMUP)],
+               [float(v) for v in rng.normal(0.0, 1e150, EM_WARMUP)]]
+    warmups += [[float(v) for v in np.random.default_rng(seed).normal(0.0, 5e153, EM_WARMUP)]
+                for seed in (0, 1, 7)]
+    kinds = set()
+    for seed, warmup in enumerate(warmups):
+        det = EmDetector(EmConfig(seed=seed))
+        for v in warmup:
+            det.observe(v)
+        scale = max(abs(v) for v in warmup) or 1.0
+        ys = [0.0, -0.0, det.seed_mean, *det.anchors, 0.0, *det.anchors[::-1],
+              1.35e154, -1.35e154, 1e155, 1e200, -1e200, 1.7e308, -1.7e308]
+        ys += [float(v) for v in rng.normal(0.0, scale, 30)]
+        for y in ys:
+            points = det.anchors + [y]
+            resp = det._anchor_resp + _e_step([y], *det._theta0)[0]
+            got = m_step_outcome(lambda: det._first_m_step(points, resp, (None, None)))
+            want = m_step_outcome(lambda: detectors._m_step(points, resp))
+            assert got == want, (warmup, y)
+            if isinstance(want, str):
+                kinds.add("theta")
+            else:
+                kinds.add("in fsum" if "fsum" in want[1] else want[0])
+    # Both kinds of overflow occur: a square's, and an fsum's partial sum's.
+    assert kinds == {"theta", "OverflowError", "in fsum"}
 
 
 def count_em_work(monkeypatch):
-    """Record the point count of each M-step half computed in full and of
-    each anchors' partial sum built; callers clear the lists per observe."""
-    halves, partials = [], []
-    m_half, build = detectors._m_half, detectors._partials
+    """Record the point count of each M-step half computed in full (callers
+    clear the list per observe), and return it with ``observe(det, y)``,
+    which also tells whether that observe rebuilt the anchors' variance
+    terms: ``det._var_share`` is then a new object."""
+    halves = []
+    m_half = detectors._m_half
 
     def counting_m_half(points, weights, total):
         halves.append(len(points))
         return m_half(points, weights, total)
 
-    def counting_partials(values):
-        values = list(values)
-        partials.append(len(values))
-        return build(values)
+    def observe(det, y):
+        share = getattr(det, "_var_share", None)
+        d = det.observe(y)
+        return d, getattr(det, "_var_share", None) is not share
 
     monkeypatch.setattr(detectors, "_m_half", counting_m_half)
-    monkeypatch.setattr(detectors, "_partials", counting_partials)
-    return halves, partials
+    return halves, observe
 
 
 ATTACK_CASES = [("offset", 1.0), ("offset", -1.0), ("offset", 5.0), ("offset", -5.0),
@@ -463,7 +478,7 @@ ATTACK_CASES = [("offset", 1.0), ("offset", -1.0), ("offset", 5.0), ("offset", -
 
 
 def test_detector_bit_identical_to_oracle_under_every_attack_mode(monkeypatch):
-    halves, partials = count_em_work(monkeypatch)
+    halves, observe = count_em_work(monkeypatch)
     half_counts, rebuilds = set(), 0
     for mode, magnitude in ATTACK_CASES:
         scenario = Scenario(
@@ -475,16 +490,15 @@ def test_detector_bit_identical_to_oracle_under_every_attack_mode(monkeypatch):
         det = EmDetector(EmConfig(seed=6))
         for y, fit in zip(ys, reference.em_fits(ys, 6)):
             halves.clear()
-            partials.clear()
-            d = det.observe(y)
+            d, rebuilt = observe(det, y)
             if fit is None:
                 continue
             assert repr((det.theta, det.last_ll_history, d.score)) == repr(fit), (mode, y)
             half_counts.add((len(halves), len(det.last_ll_history)))
-            rebuilds += len(partials)
+            rebuilds += rebuilt
     # (halves computed, M-steps) per fit: fits of two M-steps that compute
     # two halves, longer fits that reuse a half and that reuse none, and the
-    # anchors' variance partials rebuilt as mu2 moves, not only built once.
+    # anchors' variance terms rebuilt as mu2 moves, not only built once.
     assert (2, 2) in half_counts
     assert any(n < 2 * m - 1 for n, m in half_counts if m > 2)
     assert any(n == 2 * m - 1 for n, m in half_counts if m > 2)
@@ -495,18 +509,17 @@ def test_warm_observe_computes_two_halves_and_rarely_rebuilds_the_variance_share
     # The first M-step adds y's terms to the anchors' attack sums and computes
     # only the clean half in full; the second finds the clean weights
     # unchanged and computes only the attack half. The anchors' variance
-    # partials are built at the first warmed observe and rebuilt only where
+    # terms are built at the first warmed observe and rebuilt only where
     # mu2 moves: into and out of the false-stop window.
-    halves, partials = count_em_work(monkeypatch)
+    halves, observe = count_em_work(monkeypatch)
     det = EmDetector(EmConfig(seed=0))
     rebuilds = []
     for sample in aggregate(default_scenario(0).run()):
         halves.clear()
-        partials.clear()
-        d = det.observe(sample.avg_speed)
+        d, rebuilt = observe(det, sample.avg_speed)
         if d.warmed_up:
             assert halves == [11, 11], sample.t
-            rebuilds += [sample.t] * len(partials)
+            rebuilds += [sample.t] * rebuilt
     assert rebuilds == [1.1, 100.0, 105.0]
 
 

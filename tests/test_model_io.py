@@ -183,7 +183,7 @@ def test_tree_node_numbers_cart_fit_cannot_write_are_rejected(tmp_path, family, 
 @pytest.mark.parametrize("params, message", [
     ({"k": True}, "knn parameter 'k': True is out of range"),
     ({"k": 2.5}, "knn parameter 'k': 2.5 is out of range"),
-    ({"k": 5, "kk": 1}, "unknown knn parameter 'kk'"),
+    ({"k": 5, "kk": 1}, r"unknown knn parameter 'kk'; did you mean 'k'\?"),
     ({"smote_k": 5}, "knn needs parameter 'k'"),
 ])
 def test_params_the_grid_would_reject_are_rejected(tmp_path, params, message):
