@@ -3,7 +3,7 @@
 Subcommands: simulate, detect, train, evaluate, report. Every command is
 deterministic given its config and seed. Exit codes: 0 ok, 2 usage or
 config error, 3 data error. A command writes its output files all together
-or not at all (``pipeline.staged_outputs``), and prints only once they are
+or not at all (``staged_outputs``), and prints only once they are
 in place; before any work it rejects an output that is one of its inputs or
 another of its outputs.
 """
@@ -11,9 +11,11 @@ another of its outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+from collections.abc import Callable, Iterator
 
 from bsmguard import __version__
 from bsmguard.bsm import DataError, aggregate, read_bsm_csv, write_bsm_csv
@@ -35,7 +37,6 @@ from bsmguard.pipeline import (
     model_dataset,
     read_decisions_csv,
     scored_pairs,
-    staged_outputs,
     train_and_evaluate,
     write_decisions_csv,
 )
@@ -44,6 +45,42 @@ from bsmguard.simulate import scenario_from_mapping
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
+
+
+def _written_in_place(path: str) -> bool:
+    """Whether ``path`` exists but is not a regular file (a pipe, or a device like /dev/stdout)."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+@contextlib.contextmanager
+def staged_outputs() -> Iterator[Callable[[str], str]]:
+    """Make a command's output files appear all together or not at all.
+
+    Inside the block, ``stage(path)`` names the file to write ``path``'s
+    bytes to: a temporary sibling of the file ``path`` resolves to. When the
+    block ends without error each staged file replaces its target, and a
+    symlink keeps pointing at the replaced file. When the block raises, the
+    temporary files are removed and every target stays as it was. A pipe or
+    device (``_written_in_place``) is written in place.
+    """
+    staged: list[tuple[str, str]] = []
+
+    def stage(path: str) -> str:
+        if _written_in_place(path):
+            return path
+        target = os.path.realpath(path)
+        staged.append((f"{target}.{os.getpid()}.{len(staged)}.tmp", target))
+        return staged[-1][0]
+
+    try:
+        yield stage
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
 
 
 def _vehicle_records(path: str, vehicle: str | None):
@@ -299,7 +336,7 @@ def _reject_shared_paths(args) -> None:
     A pipe or device is written in place (``staged_outputs``), so it may repeat.
     """
     outputs = [p for p in (getattr(args, name) for name in args.writes)
-               if p is not None and (os.path.isfile(p) or not os.path.exists(p))]
+               if p is not None and not _written_in_place(p)]
     inputs = [p for p in (getattr(args, name) for name in args.reads) if p is not None]
     for i, out in enumerate(outputs):
         for other in outputs[:i]:

@@ -269,31 +269,24 @@ def _m_half(points: list[float], weights: list[float], total: float) -> tuple[fl
     return mu, max(math.sqrt(var), SIGMA_FLOOR)
 
 
-#: One component's part of an M-step: its weights, their total, mean, stdev.
-_Half = tuple[list[float], float, float, float]
-
-
-def _half(points: list[float], weights: list[float], total: float, last: _Half | None) -> _Half:
-    """This component's half of an M-step, or ``last`` when its weight list
-    and total equal these: equal inputs give equal outputs."""
-    if last is not None and last[1] == total and last[0] == weights:
-        return last
-    return (weights, total, *_m_half(points, weights, total))
-
-
+#: An M-step's clean half (weights 1 - r): its weights, their total, mean, stdev.
+_Clean = tuple[list[float], float, float, float]
 _Theta = tuple[float, float, float, float, float]
 
 
 def _m_step(
-    points: list[float], resp: list[float], last: tuple[_Half | None, _Half | None] = (None, None)
-) -> tuple[_Theta, tuple[_Half, _Half]]:
-    """``gmm_m_step``'s theta and both halves, reusing the halves of ``last``
-    (the previous M-step's) whose weights and total are unchanged."""
+    points: list[float], resp: list[float], clean: _Clean | None = None
+) -> tuple[_Theta, _Clean]:
+    """``gmm_m_step``'s theta and clean half, reusing ``clean`` (the previous
+    M-step's) when its weight list and total equal these: equal inputs give
+    equal outputs."""
     n = len(points)
     w2 = math.fsum(resp)
-    clean = _half(points, [1.0 - r for r in resp], _clean_total(n, w2), last[0])
-    attack = _half(points, resp, w2, last[1])
-    return (clean[2], clean[3], attack[2], attack[3], w2 / n), (clean, attack)
+    w1, weights = _clean_total(n, w2), [1.0 - r for r in resp]
+    if clean is None or clean[1] != w1 or clean[0] != weights:
+        clean = (weights, w1, *_m_half(points, weights, w1))
+    mu2, s2 = _m_half(points, resp, w2)
+    return (clean[2], clean[3], mu2, s2, w2 / n), clean
 
 
 def gmm_m_step(points: list[float], resp: list[float]) -> _Theta:
@@ -320,18 +313,19 @@ def _em_from(
     as the full iteration would with a zero parameter change. Returns the
     fitted theta, the history and the responsibilities under the fitted theta.
 
-    An M-step reuses each half (clean, weights 1 - r; attack, weights r) of
-    the previous one whose weight list and total are unchanged (``==``, exact
-    here: E-step responsibilities are never nan or -0.0), since equal inputs
-    give equal outputs. ``first_m_step`` stands in for ``_m_step`` in the
-    first iteration; ``EmDetector`` passes one that reuses its anchors' terms.
+    An M-step reuses the previous one's clean half (weights 1 - r) when its
+    weight list and total are unchanged (``==``, exact here: E-step
+    responsibilities are never nan or -0.0): equal inputs give equal outputs.
+    The attack half is always computed: with ``resp`` unchanged, theta would
+    repeat and the loop stop. ``first_m_step`` stands in for ``_m_step`` in
+    the first iteration; ``EmDetector`` passes one that reuses its anchors' terms.
     """
     ll_history: list[float] = []
     m_step = first_m_step
-    halves: tuple[_Half | None, _Half | None] = (None, None)
+    clean: _Clean | None = None
     for _ in range(EM_MAX_ITER):
         try:
-            new, halves = m_step(points, resp, halves)
+            new, clean = m_step(points, resp, clean)
         except ValueError:
             break  # one component vanished; keep the last stable fit
         m_step = _m_step
@@ -367,9 +361,9 @@ class EmDetector:
     attack sums (r*x, and r*(x - mu2)^2 for the last mu2 seen) are kept as
     plain lists, to which y's term is appended before ``fsum``: the same
     terms in the same order as ``_m_step``'s, so the same double. Later
-    M-steps reuse an unchanged half (see ``_em_from``); on a typical stream
-    the second M-step's clean weights equal the first's, so it computes
-    only its attack half.
+    M-steps reuse an unchanged clean half (see ``_em_from``); on a typical
+    stream the second M-step's clean weights equal the first's, so it
+    computes only its attack half.
 
     All randomness comes from the seed carried in the config, so decision
     sequences are bit-for-bit reproducible.
@@ -401,13 +395,14 @@ class EmDetector:
         self.seed_mean = mean
         self.anchors = anchors
 
-    def _first_m_step(self, points: list[float], resp: list[float], _last) -> tuple:
+    def _first_m_step(self, points: list[float], resp: list[float], _clean) -> tuple:
         """``_m_step`` at theta0: the anchors' terms of the attack mean and
         variance sums are built once, so only y's terms are computed here."""
         y, r = points[-1], resp[-1]
         n = len(points)
         w2 = math.fsum(resp)
-        clean = _half(points, self._anchor_clean + [1.0 - r], _clean_total(n, w2), None)
+        w1, weights = _clean_total(n, w2), self._anchor_clean + [1.0 - r]
+        clean = (weights, w1, *_m_half(points, weights, w1))
         mu2 = math.fsum(self._rx_terms + [r * y]) / w2
         share = self._var_share
         # ``!=`` does not tell 0.0 from -0.0, and neither do the squares.
@@ -415,8 +410,7 @@ class EmDetector:
             terms = [q * (x - mu2) ** 2 for q, x in zip(self._anchor_resp, self.anchors)]
             share = self._var_share = (mu2, terms)
         var2 = math.fsum(share[1] + [r * (y - mu2) ** 2]) / w2
-        attack = (resp, w2, mu2, max(math.sqrt(var2), SIGMA_FLOOR))
-        return (clean[2], clean[3], mu2, attack[3], w2 / n), (clean, attack)
+        return (clean[2], clean[3], mu2, max(math.sqrt(var2), SIGMA_FLOOR), w2 / n), clean
 
     def observe(self, y: float) -> DetectorDecision:
         y = _require_finite(y)

@@ -10,10 +10,8 @@ known before its first value. Decisions files are read back with
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
@@ -35,7 +33,7 @@ from bsmguard.bsm import (
     read_checked,
     write_csv,
 )
-from bsmguard.config import DetectorSettings
+from bsmguard.config import INPUT_MODES, DetectorSettings
 from bsmguard.detectors import DETECTORS, WARMUP_DECISION, DetectorDecision, make_detector
 from bsmguard.evaluate import EvalReport, auroc, confusion, detection_latency, metrics, timed
 from bsmguard.ml import (
@@ -76,7 +74,7 @@ def feature_stream(
     control-variate transform, whose value is None while its window fills.
     The standardized mode takes ``samples`` into a list, for its statistics
     (``welford_feature_stats``) come before its first value; the other modes
-    stream. Every detector input comes from here.
+    stream. Every detector input comes from here; any other mode is a ValueError.
     """
     if mode == "speed":
         for sample in samples:
@@ -87,10 +85,12 @@ def feature_stream(
         (mean,), (stdev,) = std.mean, std.stdev
         for sample in samples:
             yield sample, (sample.avg_speed - mean) / stdev
-    else:
+    elif mode == "transform":
         window = TransformWindow()
         for sample in samples:
             yield sample, window.push(sample.avg_speed, sample.avg_accel)
+    else:
+        raise ValueError(f"unknown input mode {mode!r}, expected one of {INPUT_MODES}")
 
 
 def run_detection(
@@ -134,38 +134,6 @@ def detect_records(
 ) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
     """Aggregate ``records`` and detect over their samples, reading them once."""
     return run_detection(aggregate(records, window), detector_name, settings, timings)
-
-
-@contextlib.contextmanager
-def staged_outputs() -> Iterator[Callable[[str], str]]:
-    """Make a command's output files appear all together or not at all.
-
-    Inside the block, ``stage(path)`` names the file to write ``path``'s
-    bytes to: a temporary sibling of the file ``path`` resolves to. When the
-    block ends without error each staged file replaces its target, and a
-    symlink keeps pointing at the replaced file. When the block raises, the
-    temporary files are removed and every target stays as it was. A path
-    that exists but is not a regular file (a pipe, or a device such as
-    /dev/stdout) has nothing to replace and is written in place.
-    """
-    staged: list[tuple[str, str]] = []
-
-    def stage(path: str) -> str:
-        if os.path.exists(path) and not os.path.isfile(path):
-            return path
-        target = os.path.realpath(path)
-        staged.append((f"{target}.{os.getpid()}.{len(staged)}.tmp", target))
-        return staged[-1][0]
-
-    try:
-        yield stage
-        for tmp, target in staged:
-            os.replace(tmp, target)
-    except BaseException:
-        for tmp, _ in staged:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
 
 
 def write_decisions_csv(

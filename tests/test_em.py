@@ -404,12 +404,12 @@ def test_fit_bit_identical_to_oracle_when_more_than_two_iterations_run():
 
 
 # ---------------------------------------------------------------------------
-# The first M-step from the anchors' term lists, and halves reused when unchanged
+# The first M-step from the anchors' term lists, and the clean half reused when unchanged
 # ---------------------------------------------------------------------------
 
 
 def m_step_outcome(step):
-    """``step()``'s (theta, halves) by ``repr``, or the error it raises."""
+    """``step()``'s (theta, clean half) by ``repr``, or the error it raises."""
     try:
         return repr(step())
     except (ArithmeticError, ValueError) as exc:
@@ -441,7 +441,7 @@ def test_first_m_step_matches_m_step_and_overflows_where_it_does():
         for y in ys:
             points = det.anchors + [y]
             resp = det._anchor_resp + _e_step([y], *det._theta0)[0]
-            got = m_step_outcome(lambda: det._first_m_step(points, resp, (None, None)))
+            got = m_step_outcome(lambda: det._first_m_step(points, resp, None))
             want = m_step_outcome(lambda: detectors._m_step(points, resp))
             assert got == want, (warmup, y)
             if isinstance(want, str):
@@ -497,8 +497,8 @@ def test_detector_bit_identical_to_oracle_under_every_attack_mode(monkeypatch):
             half_counts.add((len(halves), len(det.last_ll_history)))
             rebuilds += rebuilt
     # (halves computed, M-steps) per fit: fits of two M-steps that compute
-    # two halves, longer fits that reuse a half and that reuse none, and the
-    # anchors' variance terms rebuilt as mu2 moves, not only built once.
+    # two halves, longer fits that reuse the clean half and that reuse none,
+    # and the anchors' variance terms rebuilt as mu2 moves, not only built once.
     assert (2, 2) in half_counts
     assert any(n < 2 * m - 1 for n, m in half_counts if m > 2)
     assert any(n == 2 * m - 1 for n, m in half_counts if m > 2)

@@ -108,6 +108,19 @@ def test_standardized_mode_reads_a_one_shot_iterator_as_its_list():
             == list(run_detection(samples, "bocpd", DetectorSettings())))
 
 
+def test_unknown_input_mode_is_a_value_error_before_any_sample_is_read():
+    read = []
+
+    def samples():
+        for s in scenario_samples(0):
+            read.append(s)
+            yield s
+
+    with pytest.raises(ValueError, match=r"'speeed'.*\('speed', 'standardized', 'transform'\)"):
+        next(feature_stream(samples(), "speeed"))
+    assert read == []
+
+
 def test_score_orientation_yields_high_auroc_for_all_detectors():
     samples = scenario_samples(1)
     for name in ("bocpd", "em", "cusum"):

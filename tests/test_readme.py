@@ -1,12 +1,16 @@
-"""The README's config key lists match what the parsers accept, and its
-claims about what each detector catches hold."""
+"""The README's config key lists match what the parsers accept, the code
+names it cites exist, and its claims about what each detector catches hold."""
 
+import importlib
+import inspect
+import pkgutil
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import bsmguard
 from bsmguard.bsm import aggregate
 from bsmguard.config import ConfigError, DetectorSettings, detector_settings_from_mapping
 from bsmguard.detectors import DETECTORS
@@ -74,6 +78,24 @@ def test_scenario_keys_and_defaults_match_scenario_from_mapping():
     }
     for key, value in actual.items():
         assert value == type(value)(documented[key]), key
+
+
+def test_every_backticked_bsmguard_name_resolves():
+    # `module.name` for the package's modules and `Class.attr` for its
+    # classes, where an attribute of a fresh instance counts; code blocks aside.
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    modules = {m.name: importlib.import_module(f"bsmguard.{m.name}")
+               for m in pkgutil.iter_modules(bsmguard.__path__)}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if inspect.isclass(obj) and obj.__module__.startswith("bsmguard.")}
+    cited = [m.groups() for span in re.findall(r"`([^`]+)`", text)
+             if (m := re.fullmatch(r"(\w+)\.(\w+)(?:\(.*\))?", span, flags=re.S))
+             and (m[1] in modules or m[1] in classes)]
+    assert {("detectors", "_m_half"), ("EmDetector", "last_ll_history")} <= set(cited)
+    missing = [f"{owner}.{attr}" for owner, attr in cited
+               if not (hasattr(modules[owner], attr) if owner in modules
+                       else hasattr(classes[owner], attr) or hasattr(classes[owner](), attr))]
+    assert missing == []
 
 
 def test_near_ambient_offsets_are_caught_by_bocpd_and_cusum_not_em():
