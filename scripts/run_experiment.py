@@ -16,11 +16,12 @@ import math
 import statistics
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bsmguard.bsm import aggregate
+from bsmguard.bsm import aggregate, record_blocks, sample_list
 from bsmguard.config import DetectorSettings
 from bsmguard.detectors import DETECTOR_NAMES
 from bsmguard.evaluate import timing_stats
@@ -55,9 +56,11 @@ def detector_rows(seeds: int):
     for name in DETECTOR_NAMES:
         reports, per_sample_ms = [], []
         for seed in range(seeds):
-            samples = list(aggregate(default_scenario(seed=seed).run()))
+            blocks = list(aggregate(record_blocks(default_scenario(seed=seed).run())))
             timings = []
-            pairs = list(run_detection(samples, name, settings, timings))
+            decisions = chain.from_iterable(
+                ds for _, ds in run_detection(blocks, name, settings, timings))
+            pairs = list(zip(sample_list(blocks), decisions))
             per_sample_ms.append(timing_stats(timings).mean_ms)
             reports.append(detector_report(name, pairs, windows=((100.0, 105.0),)))
         latencies = [r.latency.mean for r in reports if r.latency.detected]
@@ -71,7 +74,7 @@ def baseline_rows(seeds: int):
     for family in MODEL_FAMILIES:
         reports = []
         for seed in range(seeds):
-            samples = list(aggregate(default_scenario(seed=seed).run()))
+            samples = sample_list(aggregate(record_blocks(default_scenario(seed=seed).run())))
             outcome = train_and_evaluate(samples, family, seed=seed, grid=GRIDS.get(family))
             reports.append(outcome.report)
         rows.append(summary_row(family, reports, math.nan, math.nan))

@@ -12,12 +12,16 @@ from bsmguard.bsm import (
     BsmRecord,
     DataError,
     NonMonotonicTimestampError,
+    RecordBlock,
+    SampleBlock,
     StandardizationParams,
     TransformWindow,
     aggregate,
     apply_standardizer,
     fit_standardizer,
     read_bsm_csv,
+    record_blocks,
+    sample_list,
     write_bsm_csv,
 )
 from bsmguard.detectors import (
@@ -43,6 +47,8 @@ __all__ = [
     "DrivingProfile",
     "EmDetector",
     "NonMonotonicTimestampError",
+    "RecordBlock",
+    "SampleBlock",
     "StandardizationParams",
     "TransformWindow",
     "aggregate",
@@ -52,6 +58,8 @@ __all__ = [
     "inject_false_info",
     "make_detector",
     "read_bsm_csv",
+    "record_blocks",
+    "sample_list",
     "student_t_logpdf",
     "write_bsm_csv",
 ]

@@ -4,8 +4,15 @@ Record and sample types, windowed aggregation at the infrastructure edge,
 per-feature standardization, the rolling control-variate transform, and the
 CSV schema used by every command.
 
+The data path moves in blocks of columns, one block per ``READ_BLOCK_LINES``
+CSV rows: ``read_bsm_csv`` yields ``RecordBlock``s and ``aggregate`` turns
+them into ``SampleBlock``s, so no record or sample becomes an object of its
+own on the way to a detector. A stage that meets an error part way through a
+block first passes on the block of what came before it, then raises, so each
+error and each output before it are those of a record-at-a-time path.
+
 CSV files are written and read ``READ_BLOCK_LINES`` rows at a time.
-``write_csv`` formats a plain block of rows (tuples of one width whose
+``write_csv_blocks`` formats a plain block of rows (tuples of one width whose
 columns each hold one exact type, float, int or str, and no text
 ``csv.writer`` would quote) as one string and hands any other block to
 ``csv.writer``, so the bytes are ``csv.writer``'s. ``read_csv`` splits a
@@ -16,7 +23,7 @@ rest of the file to ``csv.reader``. Each reader states its checks once, in
 a function that converts and checks a list of rows a column at a time
 (``_bsm_block`` here, the join in ``pipeline.read_decisions_csv``);
 ``read_checked`` runs it on each block and again one row at a time on a
-block that fails, so the records and errors are those of a row-at-a-time
+block that fails, so the blocks and errors are those of a row-at-a-time
 reader. A number's text is held to what ``write_csv`` writes: no
 underscore, whitespace or non-ASCII character, all of which ``float()`` and
 ``int()`` would accept.
@@ -101,8 +108,42 @@ class AggregatedSample(NamedTuple):
     label: int
 
 
+#: BsmRecord from a tuple of its fields, without the Python-level ``__new__``.
+_bsm_record = partial(tuple.__new__, BsmRecord)
+
 #: AggregatedSample from a tuple of its fields, without the Python-level ``__new__``.
 _aggregated_sample = partial(tuple.__new__, AggregatedSample)
+
+
+class RecordBlock(NamedTuple):
+    """Consecutive records as columns: ``t[i]``, ``vehicle_id[i]``, ... are
+    record i's fields. Every column has the same length."""
+
+    t: Sequence[float]
+    vehicle_id: Sequence[str]
+    speed: Sequence[float]
+    accel: Sequence[float]
+    label: Sequence[int]
+
+
+class SampleBlock(NamedTuple):
+    """Consecutive aggregated samples as columns, as ``aggregate`` yields them."""
+
+    t: list[float]
+    avg_speed: list[float]
+    avg_accel: list[float]
+    label: list[int]
+
+
+def record_blocks(records: Iterable[BsmRecord]) -> Iterator[RecordBlock]:
+    """``records`` in blocks of up to READ_BLOCK_LINES, as ``read_bsm_csv`` yields a CSV's."""
+    for chunk in _chunks(records, READ_BLOCK_LINES):
+        yield RecordBlock(*map(list, zip(*chunk)))
+
+
+def sample_list(blocks: Iterable[SampleBlock]) -> list[AggregatedSample]:
+    """The samples of ``blocks``, in order, one AggregatedSample each."""
+    return list(map(_aggregated_sample, chain.from_iterable(zip(*block) for block in blocks)))
 
 
 def _exact_window(window: float) -> tuple[int, int, int]:
@@ -140,59 +181,81 @@ def _window_end(k: int, window: float) -> float:
 
 
 def aggregate(
-    records: Iterable[BsmRecord], window: float = BSM_PERIOD_S
-) -> Iterator[AggregatedSample]:
+    blocks: Iterable[RecordBlock], window: float = BSM_PERIOD_S
+) -> Iterator[SampleBlock]:
     """Average a single time-ordered stream into fixed windows.
 
-    Yields one sample per non-empty window, as soon as the window closes.
-    Labels are OR-combined so any attacked record taints its window. Raises
-    NonMonotonicTimestampError as soon as a timestamp fails to advance, so
-    interleaved multi-vehicle input must be split by vehicle first. A window
-    so small that ``t / window`` overflows is a DataError naming the record.
-    A sample's ``t`` is ``_window_end(k, window)``, inlined.
+    Yields, for each record block, a block of the samples whose windows
+    close in it, and a last block for the window still open at the end; a
+    block that closes no window yields nothing, and a window that straddles
+    blocks is carried across. Labels are OR-combined so any attacked record
+    taints its window. Raises NonMonotonicTimestampError as soon as a
+    timestamp fails to advance, so interleaved multi-vehicle input must be
+    split by vehicle first. A window so small that ``t / window`` overflows
+    is a DataError naming the record. A block with an error yields the
+    samples closed before it first. A sample's ``t`` is
+    ``_window_end(k, window)``, inlined.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
 
     whole, denom, kmax = _exact_window(window)
-    sample = _aggregated_sample
     key = None
     speed_sum = accel_sum = 0.0
     count = 0
     label = NO_ATTACK
-    prev_t: float | None = None
+    prev_t = math.nan  # no t is <= nan, so the first record always advances
+    done = 0  # records in the blocks before this one
     ceil = math.ceil
 
-    for idx, (t, vehicle_id, speed, accel, rec_label) in enumerate(records):
-        if prev_t is not None and t <= prev_t:
-            raise NonMonotonicTimestampError(
-                f"record {idx} (vehicle {vehicle_id!r}, t={t!r}) does not "
-                f"advance past previous t={prev_t!r}"
-            )
-        prev_t = t
-        # Records land in ((k-1)*w, k*w]; the 1e-9 slack absorbs float drift
-        # in timestamps that are nominal multiples of the window.
+    for block in blocks:
+        ends: list[float] = []
+        speeds: list[float] = []
+        accels: list[float] = []
+        labels: list[int] = []
         try:
-            k = ceil(t / window - 1e-9)
-        except OverflowError:
-            raise DataError(f"record {idx} (vehicle {vehicle_id!r}, t={t!r}): t / window "
-                            f"overflows at window {window!r}") from None
-        if k != key:
-            if count:
-                end = key * whole / denom if -kmax <= key <= kmax else round(key * window, 9)
-                yield sample((end, speed_sum / count, accel_sum / count, label))
-            speed_sum = accel_sum = 0.0
-            count = 0
-            label = NO_ATTACK
-            key = k
-        speed_sum += speed
-        accel_sum += accel
-        count += 1
-        if rec_label == ATTACK:
-            label = ATTACK
+            for idx, (t, speed, accel, rec_label) in enumerate(
+                    zip(block.t, block.speed, block.accel, block.label)):
+                if t <= prev_t:
+                    raise NonMonotonicTimestampError(
+                        f"record {done + idx} (vehicle {block.vehicle_id[idx]!r}, t={t!r}) "
+                        f"does not advance past previous t={prev_t!r}"
+                    )
+                prev_t = t
+                # Records land in ((k-1)*w, k*w]; the 1e-9 slack absorbs float
+                # drift in timestamps that are nominal multiples of the window.
+                try:
+                    k = ceil(t / window - 1e-9)
+                except OverflowError:
+                    raise DataError(f"record {done + idx} (vehicle {block.vehicle_id[idx]!r}, "
+                                    f"t={t!r}): t / window overflows at window "
+                                    f"{window!r}") from None
+                if k != key:
+                    if count:
+                        ends.append(key * whole / denom if -kmax <= key <= kmax
+                                    else round(key * window, 9))
+                        speeds.append(speed_sum / count)
+                        accels.append(accel_sum / count)
+                        labels.append(label)
+                    speed_sum = accel_sum = 0.0
+                    count = 0
+                    label = NO_ATTACK
+                    key = k
+                speed_sum += speed
+                accel_sum += accel
+                count += 1
+                if rec_label == ATTACK:
+                    label = ATTACK
+        except ValueError:
+            if ends:
+                yield SampleBlock(ends, speeds, accels, labels)
+            raise
+        done += len(block.t)
+        if ends:
+            yield SampleBlock(ends, speeds, accels, labels)
     if count:
         end = key * whole / denom if -kmax <= key <= kmax else round(key * window, 9)
-        yield sample((end, speed_sum / count, accel_sum / count, label))
+        yield SampleBlock([end], [speed_sum / count], [accel_sum / count], [label])
 
 
 @dataclass(frozen=True)
@@ -283,17 +346,25 @@ class TransformWindow:
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
     """Write ``header`` and ``rows`` as UTF-8 CSV with LF line ends; returns the row count.
 
-    Floats are written with ``repr``, so they read back bit for bit. Rows are
-    written READ_BLOCK_LINES at a time: a plain block (``_plain_text``) as one
-    string, any other with ``csv.writer``, so the bytes are those of
-    ``csv.writer`` alone. A ValueError raised by ``rows`` is raised after the
-    rows before it are written.
+    ``write_csv_blocks`` of the rows READ_BLOCK_LINES at a time. A ValueError
+    raised by ``rows`` is raised after the rows before it are written.
+    """
+    return write_csv_blocks(path, header, _chunks(rows, READ_BLOCK_LINES))
+
+
+def write_csv_blocks(path: str, header: Sequence[str], blocks: Iterable[list]) -> int:
+    """Write ``header`` and each list of rows in ``blocks`` as UTF-8 CSV with
+    LF line ends; returns the row count.
+
+    Floats are written with ``repr``, so they read back bit for bit. A plain
+    block (``_plain_text``) is written as one string, any other with
+    ``csv.writer``, so the bytes are those of ``csv.writer`` alone.
     """
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for block in _chunks(rows, READ_BLOCK_LINES):
+        for block in blocks:
             text = _plain_text(block)
             if text is None:
                 writer.writerows(block)
@@ -453,28 +524,28 @@ def check_plain_numbers(
 
 
 def read_checked(
-    path: str, header: Sequence[str], convert: Callable[[Sequence[list[str]]], Iterable]
+    path: str, header: Sequence[str], convert: Callable[[Sequence[list[str]]], object]
 ) -> Iterator:
-    """The items ``convert`` makes of each ``read_csv`` block of ``path``.
+    """The blocks ``convert`` makes of each ``read_csv`` block of ``path``.
 
     ``convert`` converts and checks a list of rows a column at a time and
     raises a ValueError for the first check that fails, which is exact when
     the list holds one row. A block that fails is converted again one row at
-    a time: the items of the rows before the first bad one are yielded, then
+    a time: a block of each row before the first bad one is yielded, then
     its error is raised as a DataError naming ``path`` and the row's line.
     """
     for lines, rows in read_csv(path, header):
         try:
-            items = convert(rows)
+            block = convert(rows)
         except ValueError:
             for lineno, row in zip(lines, rows):
                 try:
-                    items = convert([row])
+                    block = convert([row])
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-                yield from items
+                yield block
         else:
-            yield from items
+            yield block
 
 
 def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
@@ -482,21 +553,17 @@ def write_bsm_csv(path: str, records: Iterable[BsmRecord]) -> int:
     return write_csv(path, CSV_HEADER, records)
 
 
-def read_bsm_csv(path: str) -> Iterator[BsmRecord]:
-    """Stream records from a canonical CSV, validating encoding, schema and labels
-    (``read_checked`` with ``_bsm_block``)."""
+def read_bsm_csv(path: str) -> Iterator[RecordBlock]:
+    """Stream a canonical CSV's record blocks, validating encoding, schema and
+    labels (``read_checked`` with ``_bsm_block``)."""
     return read_checked(path, CSV_HEADER, _bsm_block)
 
 
-#: BsmRecord from a tuple of its fields, without the Python-level ``__new__``.
-_bsm_record = partial(tuple.__new__, BsmRecord)
-
-
-def _bsm_block(rows: Sequence[list[str]]) -> Iterator[BsmRecord]:
-    """The records of ``rows``, converted and checked a column at a time. Each
-    row's checks run in this order: the numbers convert, t, speed and accel are
-    finite and within MAX_FIELD_MAGNITUDE, the label is 0 or 1, the speed is not
-    negative, and the numbers' text is ``plain_numbers``."""
+def _bsm_block(rows: Sequence[list[str]]) -> RecordBlock:
+    """The record block of ``rows``, converted and checked a column at a time.
+    Each row's checks run in this order: the numbers convert, t, speed and
+    accel are finite and within MAX_FIELD_MAGNITUDE, the label is 0 or 1, the
+    speed is not negative, and the numbers' text is ``plain_numbers``."""
     columns = list(zip(*rows))
     t, vehicle_id, speed, accel, label = columns
     t, speed, accel = list(map(float, t)), list(map(float, speed)), list(map(float, accel))
@@ -509,4 +576,4 @@ def _bsm_block(rows: Sequence[list[str]]) -> Iterator[BsmRecord]:
     if min(speed) < 0:
         raise ValueError(f"negative speed {speed[0]!r}")
     check_plain_numbers(CSV_HEADER, columns, (0, 2, 3, 4))
-    return map(_bsm_record, zip(t, vehicle_id, speed, accel, label))
+    return RecordBlock(t, vehicle_id, speed, accel, label)

@@ -16,9 +16,18 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterator
+from itertools import compress, repeat
+from operator import eq
 
 from bsmguard import __version__
-from bsmguard.bsm import DataError, aggregate, read_bsm_csv, write_bsm_csv
+from bsmguard.bsm import (
+    DataError,
+    RecordBlock,
+    aggregate,
+    read_bsm_csv,
+    sample_list,
+    write_bsm_csv,
+)
 from bsmguard.config import (
     ConfigError,
     DetectorSettings,
@@ -83,18 +92,31 @@ def staged_outputs() -> Iterator[Callable[[str], str]]:
         raise
 
 
-def _vehicle_records(path: str, vehicle: str | None):
-    """Stream one vehicle's records from a CSV; multi-vehicle input must name it."""
+def _vehicle_records(path: str, vehicle: str | None) -> Iterator[RecordBlock]:
+    """Stream one vehicle's record blocks from a CSV; multi-vehicle input must name it.
+
+    Every row is read and checked; the rows of another vehicle are dropped
+    from their block. Without ``vehicle``, the block before a second
+    vehicle's first row is yielded, then that row is a DataError.
+    """
     wanted = vehicle
     found = False
-    for r in read_bsm_csv(path):
+    for block in read_bsm_csv(path):
+        ids = block.vehicle_id
         if wanted is None:
-            wanted = r.vehicle_id
-        if r.vehicle_id == wanted:
-            found = True
-            yield r
-        elif vehicle is None:
-            raise DataError(f"{path}: multiple vehicles present; pick one with --vehicle")
+            wanted = ids[0]
+        if ids.count(wanted) != len(ids):
+            keep = list(map(eq, ids, repeat(wanted)))
+            if vehicle is None:
+                first = keep.index(False)
+                if first:
+                    yield RecordBlock(*(column[:first] for column in block))
+                raise DataError(f"{path}: multiple vehicles present; pick one with --vehicle")
+            if True not in keep:
+                continue
+            block = RecordBlock(*(list(compress(column, keep)) for column in block))
+        found = True
+        yield block
     if not found:
         detail = "" if vehicle is None else f" for vehicle {vehicle!r}"
         raise DataError(f"{path}: no records{detail}")
@@ -102,7 +124,7 @@ def _vehicle_records(path: str, vehicle: str | None):
 
 def _samples(args) -> list:
     """The aggregated samples of the one vehicle ``args`` selects."""
-    return list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
+    return sample_list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
 
 
 def cmd_simulate(args) -> int:

@@ -1,11 +1,13 @@
 """Wiring between streams, detectors, baselines, and reports.
 
-Detection reads its records once: aggregated samples flow one at a time
-through the selected input transform into the detector. The speed and
-transform input modes hold O(1) memory however long the stream is; the
-standardized mode holds one list of its samples, as its statistics must be
-known before its first value. Decisions files are read back with
-``bsm.read_checked``, whose block and row checks are one function.
+Detection reads its records once and moves them in blocks: each block of
+aggregated samples becomes a block of detector inputs through the selected
+input transform, and each of those a block of decisions, observed one value
+at a time in one loop. The speed and transform input modes hold one block
+however long the stream is; the standardized mode holds two float lists,
+its samples' t and avg_speed, as its statistics must be known before its
+first value. Decisions files are written a block at a time and read back
+with ``bsm.read_checked``, whose block and row checks are one function.
 """
 
 from __future__ import annotations
@@ -14,16 +16,18 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from operator import itemgetter
 
 import numpy as np
 
 from bsmguard.bsm import (
+    READ_BLOCK_LINES,
     STDEV_FLOOR,
     AggregatedSample,
-    BsmRecord,
     DataError,
+    RecordBlock,
+    SampleBlock,
     StandardizationParams,
     TransformWindow,
     aggregate,
@@ -31,7 +35,7 @@ from bsmguard.bsm import (
     check_plain_numbers,
     fit_standardizer,
     read_checked,
-    write_csv,
+    write_csv_blocks,
 )
 from bsmguard.config import INPUT_MODES, DetectorSettings
 from bsmguard.detectors import DETECTORS, WARMUP_DECISION, DetectorDecision, make_detector
@@ -49,99 +53,118 @@ from bsmguard.ml import (
 DECISIONS_HEADER = ("t", "score", "attack", "warmed_up")
 
 
-def welford_feature_stats(samples: Iterable[AggregatedSample]) -> StandardizationParams:
-    """One streaming pass over ``avg_speed``, the one feature the standardized
-    input mode reads, with O(1) memory."""
+def welford_feature_stats(speeds: Iterable[float]) -> StandardizationParams:
+    """One streaming pass over the samples' ``avg_speed``, the one feature the
+    standardized input mode reads, with O(1) memory."""
     count = 0
     mean = m2 = 0.0
-    for s in samples:
+    for speed in speeds:
         count += 1
-        delta = s.avg_speed - mean
+        delta = speed - mean
         mean += delta / count
-        m2 += delta * (s.avg_speed - mean)
+        m2 += delta * (speed - mean)
     if count == 0:
         raise DataError("stream produced no aggregated samples")
     return StandardizationParams(mean=(mean,), stdev=(max(math.sqrt(m2 / count), STDEV_FLOOR),))
 
 
 def feature_stream(
-    samples: Iterable[AggregatedSample], mode: str
-) -> Iterator[tuple[AggregatedSample, float | None]]:
-    """Turn each sample into the detector input its input mode selects.
+    blocks: Iterable[SampleBlock], mode: str
+) -> Iterator[tuple[list[float], list[float | None]]]:
+    """Turn each sample block into the detector inputs its input mode selects.
 
-    Yields ``(sample, value)``: the raw average speed, the average speed
-    standardized with the stream's own mean and stdev, or the rolling
-    control-variate transform, whose value is None while its window fills.
-    The standardized mode takes ``samples`` into a list, for its statistics
-    (``welford_feature_stats``) come before its first value; the other modes
-    stream. Every detector input comes from here; any other mode is a ValueError.
+    Yields ``(t, values)`` per block: the samples' t and, for each sample,
+    its raw average speed, its average speed standardized with the stream's
+    own mean and stdev, or the rolling control-variate transform, whose
+    value is None while its window fills. The standardized mode keeps the
+    stream's t and avg_speed lists, for its statistics
+    (``welford_feature_stats``) come before its first value, and yields them
+    again in blocks of READ_BLOCK_LINES; the other modes stream. Every
+    detector input comes from here; any other mode is a ValueError.
     """
     if mode == "speed":
-        for sample in samples:
-            yield sample, sample.avg_speed
+        for block in blocks:
+            yield block.t, block.avg_speed
     elif mode == "standardized":
-        samples = list(samples)
-        std = welford_feature_stats(samples)
+        times: list[float] = []
+        speeds: list[float] = []
+        for block in blocks:
+            times += block.t
+            speeds += block.avg_speed
+        std = welford_feature_stats(speeds)
         (mean,), (stdev,) = std.mean, std.stdev
-        for sample in samples:
-            yield sample, (sample.avg_speed - mean) / stdev
+        for i in range(0, len(times), READ_BLOCK_LINES):
+            yield (times[i:i + READ_BLOCK_LINES],
+                   [(speed - mean) / stdev for speed in speeds[i:i + READ_BLOCK_LINES]])
     elif mode == "transform":
         window = TransformWindow()
-        for sample in samples:
-            yield sample, window.push(sample.avg_speed, sample.avg_accel)
+        for block in blocks:
+            yield block.t, list(map(window.push, block.avg_speed, block.avg_accel))
     else:
         raise ValueError(f"unknown input mode {mode!r}, expected one of {INPUT_MODES}")
 
 
 def run_detection(
-    samples: Iterable[AggregatedSample],
+    blocks: Iterable[SampleBlock],
     detector_name: str,
     settings: DetectorSettings,
     timings: list[int] | None = None,
-) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
-    """Feed a sample stream through one detector; yields one decision per sample.
+) -> Iterator[tuple[list[float], list[DetectorDecision]]]:
+    """Feed a stream of sample blocks through one detector.
 
-    The detector's configured input mode selects what it observes (see
-    ``feature_stream``). Samples consumed while the transform window fills
-    get a warm-up decision. A value the detector cannot score under its
-    config (its arithmetic overflows, say) is a DataError naming the sample.
-    With ``timings``, each observe's wall-clock time is appended to it
-    (``evaluate.timed``).
+    Yields ``(t, decisions)`` per block of detector inputs: the samples' t
+    and one decision per sample. The detector's configured input mode
+    selects what it observes (see ``feature_stream``). Samples consumed
+    while the transform window fills get a warm-up decision. A value the
+    detector cannot score under its config (its arithmetic overflows, say)
+    is a DataError naming the sample, raised after a block of the decisions
+    before it. With ``timings``, each observe's wall-clock time is appended
+    to it (``evaluate.timed``).
     """
     detector = make_detector(detector_name, settings.config(detector_name))
     observe = detector.observe if timings is None else timed(detector.observe, timings)
     mode = settings.input_mode(detector_name)
-    for sample, value in feature_stream(samples, mode):
-        if value is None:
-            yield sample, WARMUP_DECISION
-            continue
+    for t, values in feature_stream(blocks, mode):
+        decisions: list[DetectorDecision] = []
+        decide = decisions.append
         try:
-            decision = observe(value)
+            for value in values:
+                decide(WARMUP_DECISION if value is None else observe(value))
         except (ArithmeticError, ValueError) as exc:
+            if decisions:
+                yield t[:len(decisions)], decisions
             raise DataError(
-                f"{detector_name} cannot score the sample at t={sample.t!r} "
+                f"{detector_name} cannot score the sample at t={t[len(decisions)]!r} "
                 f"with its config: {exc}"
             ) from None
-        yield sample, decision
+        yield t, decisions
 
 
 def detect_records(
-    records: Iterable[BsmRecord],
+    blocks: Iterable[RecordBlock],
     detector_name: str,
     settings: DetectorSettings,
     window: float,
     timings: list[int] | None = None,
-) -> Iterator[tuple[AggregatedSample, DetectorDecision]]:
-    """Aggregate ``records`` and detect over their samples, reading them once."""
-    return run_detection(aggregate(records, window), detector_name, settings, timings)
+) -> Iterator[tuple[list[float], list[DetectorDecision]]]:
+    """Aggregate record ``blocks`` and detect over their samples, reading them once."""
+    return run_detection(aggregate(blocks, window), detector_name, settings, timings)
 
 
 def write_decisions_csv(
-    path: str, rows: Iterable[tuple[AggregatedSample, DetectorDecision]]
+    path: str, blocks: Iterable[tuple[Sequence[float], Sequence[DetectorDecision]]]
 ) -> int:
-    """Write one CSV row per decision; returns the number of rows."""
-    return write_csv(path, DECISIONS_HEADER, ((sample.t, score, int(attack), int(warmed_up))
-                                              for sample, (attack, score, warmed_up) in rows))
+    """Write one CSV row per decision, a block at a time; returns the number of rows."""
+    return write_csv_blocks(path, DECISIONS_HEADER, map(_decision_rows, blocks))
+
+
+def _decision_rows(
+    block: tuple[Sequence[float], Sequence[DetectorDecision]]
+) -> list[tuple[float, float, int, int]]:
+    """The decisions CSV rows of one ``(t, decisions)`` block."""
+    t, decisions = block
+    attack, score, warmed_up = zip(*decisions) if decisions else ((), (), ())
+    return list(zip(t, score, map(int, attack), map(int, warmed_up)))
 
 
 #: DetectorDecision from a tuple of its fields, without the Python-level ``__new__``.
@@ -187,7 +210,7 @@ def read_decisions_csv(
         return zip_longest(block, map(_decision, zip(map(flag, attack), score,
                                                       map(flag, warmed_up))))
 
-    pairs = list(read_checked(path, DECISIONS_HEADER, join))
+    pairs = list(chain.from_iterable(read_checked(path, DECISIONS_HEADER, join)))
     if len(pairs) != len(samples):
         raise DataError(
             f"{path}: decision count {len(pairs)} does not match sample count {len(samples)}"

@@ -5,10 +5,64 @@ signature, so that the tests that use it check the code that ships. The
 oracles they are compared against live in ``reference.py``.
 """
 
+from itertools import chain
+from unittest import mock
+
 import numpy as np
 
+from bsmguard import bsm
+from bsmguard.bsm import (
+    BSM_PERIOD_S,
+    READ_BLOCK_LINES,
+    AggregatedSample,
+    BsmRecord,
+    SampleBlock,
+    aggregate,
+    read_bsm_csv,
+    record_blocks,
+)
 from bsmguard.detectors import SIGMA_FLOOR, _e_step, _em_from
 from bsmguard.ml import _nn_kernel, _nn_pack, _nn_split, nn_train
+from bsmguard.pipeline import run_detection
+
+
+def at_every_block_size(read, sizes=(1, 2, 3, 512)):
+    """``read()`` at each patched READ_BLOCK_LINES in ``sizes``."""
+    outcomes = []
+    for size in sizes:
+        with mock.patch.object(bsm, "READ_BLOCK_LINES", size):
+            outcomes.append(read())
+    return outcomes
+
+
+def read_records(path):
+    """The records ``read_bsm_csv`` reads from ``path``, one BsmRecord each,
+    as its blocks arrive; its error, if any, comes after them."""
+    for block in read_bsm_csv(path):
+        yield from map(BsmRecord._make, zip(*block))
+
+
+def aggregate_records(records, window=BSM_PERIOD_S):
+    """The samples ``aggregate`` makes of ``records`` (in READ_BLOCK_LINES
+    blocks), one AggregatedSample each, as its blocks arrive."""
+    for block in aggregate(record_blocks(records), window):
+        yield from map(AggregatedSample._make, zip(*block))
+
+
+def sample_blocks(samples):
+    """``samples`` as SampleBlocks of up to READ_BLOCK_LINES samples."""
+    samples = list(samples)
+    for i in range(0, len(samples), READ_BLOCK_LINES):
+        yield SampleBlock(*map(list, zip(*samples[i:i + READ_BLOCK_LINES])))
+
+
+def detect_pairs(samples, name, settings):
+    """``(sample, decision)`` for each of ``samples``, as ``run_detection``
+    decides them from their blocks."""
+    samples = list(samples)
+    blocks = run_detection(sample_blocks(samples), name, settings)
+    return list(zip(samples, chain.from_iterable(decisions for _, decisions in blocks),
+                    strict=True))
 
 
 def fit_two_component_gmm(points, mu1, s1, mu2, s2, pi2):

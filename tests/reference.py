@@ -8,7 +8,8 @@ for bit unless a test states a tolerance, and a later change to the product
 is checked against this one copy rather than a new one of its own.
 
 The path runs: scenario -> records (``run_scenario``) -> CSV text
-(``write_csv``) -> records (``read_bsm_csv``) -> samples (``aggregate``) ->
+(``write_csv``) -> records (``read_bsm_csv``, one vehicle's with
+``vehicle_records``) -> samples (``aggregate``) ->
 detector input (``feature_stream``) -> decisions (``bocpd_decisions``,
 ``em_decisions``, ``naive_cusum``) -> decisions CSV
 (``read_decisions_csv``) -> report counts (``confusion``, ``roc_counts``);
@@ -218,6 +219,25 @@ def read_bsm_csv(path):
             raise DataError(f"{path}:{lineno}: negative speed {speed!r}")
         check_plain(path, lineno, CSV_HEADER, row, (0, 2, 3, 4))
         yield BsmRecord(t, vehicle_id, speed, accel, label)
+
+
+def vehicle_records(path, vehicle=None):
+    """One vehicle's records from a BSM CSV, one row at a time. Without
+    ``vehicle`` the first record's vehicle is the one, and a record of
+    another is an error."""
+    wanted = vehicle
+    found = False
+    for record in read_bsm_csv(path):
+        if wanted is None:
+            wanted = record.vehicle_id
+        if record.vehicle_id == wanted:
+            found = True
+            yield record
+        elif vehicle is None:
+            raise DataError(f"{path}: multiple vehicles present; pick one with --vehicle")
+    if not found:
+        detail = "" if vehicle is None else f" for vehicle {vehicle!r}"
+        raise DataError(f"{path}: no records{detail}")
 
 
 def read_decisions_csv(path, samples):

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from bsmguard.bsm import aggregate
 from bsmguard.cli import main as cli_main
 from bsmguard.config import DetectorSettings
 from bsmguard.detectors import (
@@ -28,11 +27,17 @@ from bsmguard.detectors import (
 )
 from bsmguard.evaluate import ConfusionMatrix, auroc, metrics, timed, timing_stats
 from bsmguard.ml import cart_fit, knn_predict, nn_init
-from bsmguard.pipeline import feature_stream, run_detection
+from bsmguard.pipeline import feature_stream
 from bsmguard.simulate import default_scenario
 
 import reference
-from product_calls import fit_two_component_gmm, nn_loss_and_grads
+from product_calls import (
+    aggregate_records,
+    detect_pairs,
+    fit_two_component_gmm,
+    nn_loss_and_grads,
+    sample_blocks,
+)
 
 
 def report(line: str) -> None:
@@ -61,9 +66,9 @@ def test_criterion_02_changepoint_efficacy_and_runtime():
     for name in ("bocpd", "em", "cusum"):
         accs = []
         for seed in range(10):
-            samples = list(aggregate(default_scenario(seed=seed).run()))
+            samples = list(aggregate_records(default_scenario(seed=seed).run()))
             assert len(samples) == 2000
-            pairs = list(run_detection(samples, name, settings))
+            pairs = detect_pairs(samples, name, settings)
             accs.append(
                 sum(1 for s, d in pairs if int(d.attack) == s.label) / len(pairs)
             )
@@ -270,9 +275,9 @@ def test_criterion_10_inference_timing_ordering():
     # Hard assertion: the mixture detector is the slowest. The <= 1 ms mean
     # bound is asserted for the two lightweight detectors and documented for
     # the mixture one (wall-clock absolutes depend on the host).
-    samples = list(aggregate(default_scenario(seed=0).run()))
-    speeds, standardized = ([v for _, v in feature_stream(samples, mode)]
-                            for mode in ("speed", "standardized"))
+    samples = list(aggregate_records(default_scenario(seed=0).run()))
+    speeds, standardized = ([v for _, values in feature_stream(sample_blocks(samples), mode)
+                             for v in values] for mode in ("speed", "standardized"))
 
     means = {}
     for name, values in (("bocpd", standardized), ("em", speeds), ("cusum", standardized)):

@@ -11,12 +11,13 @@ from bsmguard.bsm import (
     BsmRecord,
     DataError,
     NonMonotonicTimestampError,
-    aggregate,
     apply_standardizer,
     fit_standardizer,
     read_bsm_csv,
     write_bsm_csv,
 )
+
+from product_calls import aggregate_records, read_records
 
 
 def rec(t, speed, accel=0.0, label=0):
@@ -33,34 +34,34 @@ def make_stream(values, labels=None):
 
 class TestAggregate:
     def test_single_record_window(self):
-        out = list(aggregate([rec(0.1, 10.0, 0.0)], window=0.1))
+        out = list(aggregate_records([rec(0.1, 10.0, 0.0)], window=0.1))
         assert out == [AggregatedSample(t=0.1, avg_speed=10.0, avg_accel=0.0, label=0)]
 
     def test_two_records_one_window_mean(self):
         records = [rec(0.05, 10.0), rec(0.1, 20.0)]
-        out = list(aggregate(records, window=0.1))
+        out = list(aggregate_records(records, window=0.1))
         assert len(out) == 1
         assert out[0].avg_speed == pytest.approx(15.0)
 
     def test_native_rate_2000_records_2000_samples(self):
         records = make_stream([15.0] * 2000)
-        out = list(aggregate(records, window=0.1))
+        out = list(aggregate_records(records, window=0.1))
         assert len(out) == 2000
 
     def test_label_or_propagation(self):
         records = [rec(0.05, 10.0, label=0), rec(0.1, 20.0, label=1)]
-        out = list(aggregate(records, window=0.1))
+        out = list(aggregate_records(records, window=0.1))
         assert out[0].label == 1
 
     def test_non_monotonic_rejected_with_position(self):
         records = [rec(0.1, 10.0), rec(0.3, 10.0), rec(0.2, 10.0)]
         with pytest.raises(NonMonotonicTimestampError, match="record 2"):
-            list(aggregate(records))
+            list(aggregate_records(records))
 
     def test_non_monotonic_message_names_vehicle_and_both_times(self):
         records = [rec(0.1, 10.0), rec(0.3, 10.0), rec(0.2, 10.0)]
         with pytest.raises(NonMonotonicTimestampError) as excinfo:
-            list(aggregate(records))
+            list(aggregate_records(records))
         assert str(excinfo.value) == (
             "record 2 (vehicle 'v1', t=0.2) does not advance past previous t=0.3"
         )
@@ -68,20 +69,20 @@ class TestAggregate:
     def test_equal_timestamps_rejected(self):
         records = [rec(0.1, 10.0), rec(0.1, 11.0)]
         with pytest.raises(NonMonotonicTimestampError):
-            list(aggregate(records))
+            list(aggregate_records(records))
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            list(aggregate([rec(0.1, 1.0)], window=0.0))
+            list(aggregate_records([rec(0.1, 1.0)], window=0.0))
 
     def test_empty_windows_skipped(self):
         records = [rec(0.1, 10.0), rec(0.5, 20.0)]
-        out = list(aggregate(records, window=0.1))
+        out = list(aggregate_records(records, window=0.1))
         assert [o.t for o in out] == pytest.approx([0.1, 0.5])
 
     def test_wider_window_groups(self):
         records = make_stream([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        out = list(aggregate(records, window=0.3))
+        out = list(aggregate_records(records, window=0.3))
         assert len(out) == 2
         assert out[0].avg_speed == pytest.approx(2.0)
         assert out[1].avg_speed == pytest.approx(5.0)
@@ -90,11 +91,11 @@ class TestAggregate:
     @given(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=80))
     def test_idempotent_at_native_period(self, speeds):
         records = make_stream(speeds)
-        once = list(aggregate(records, window=0.1))
+        once = list(aggregate_records(records, window=0.1))
         again_records = [
             rec(s.t, s.avg_speed, s.avg_accel, s.label) for s in once
         ]
-        twice = list(aggregate(again_records, window=0.1))
+        twice = list(aggregate_records(again_records, window=0.1))
         assert twice == once
 
 
@@ -151,7 +152,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "x.csv"
         n = write_bsm_csv(path, records)
         assert n == 2
-        back = list(read_bsm_csv(path))
+        back = list(read_records(path))
         assert back == records  # repr round-trips floats bit-exactly
 
     def test_header_enforced(self, tmp_path):

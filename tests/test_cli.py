@@ -11,17 +11,18 @@ import warnings
 import pytest
 
 from bsmguard import cli, evaluate, pipeline
-from bsmguard.bsm import CSV_HEADER, aggregate, read_bsm_csv
+from bsmguard.bsm import CSV_HEADER, DataError, aggregate, read_bsm_csv, sample_list
 from bsmguard.cli import main
 from bsmguard.config import DetectorSettings
 from bsmguard.evaluate import roc_counts, roc_points
 from bsmguard.pipeline import (
     detector_report,
     read_decisions_csv,
-    run_detection,
     scored_pairs,
 )
 
+import reference
+from product_calls import detect_pairs
 from reference import ONLINE_MODES
 
 SCENARIO = """\
@@ -595,9 +596,9 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(dec), str(bsm_csv), "--detector", detector,
                      "--windows", "10.0:15.0"]) == 0
-        samples = list(aggregate(read_bsm_csv(str(bsm_csv))))
-        pairs = run_detection(samples, detector, DetectorSettings())
-        report = detector_report(detector, list(pairs), ((10.0, 15.0),))
+        samples = sample_list(aggregate(read_bsm_csv(str(bsm_csv))))
+        pairs = detect_pairs(samples, detector, DetectorSettings())
+        report = detector_report(detector, pairs, ((10.0, 15.0),))
         assert capsys.readouterr().out == report.to_text()
 
     def test_roc_report_sorts_the_scores_once(self, tmp_path, bsm_csv, capsys, monkeypatch):
@@ -623,7 +624,7 @@ class TestReport:
         assert len(sorts) == 2
         out = capsys.readouterr().out
         assert out.startswith(plain) and "auroc = " in plain
-        samples = list(aggregate(read_bsm_csv(str(bsm_csv))))
+        samples = sample_list(aggregate(read_bsm_csv(str(bsm_csv))))
         labels, _, scores = scored_pairs("cusum", read_decisions_csv(str(dec), samples))
         with open(roc, newline="") as fh:
             assert fh.read().splitlines()[1:] == [
@@ -648,7 +649,7 @@ class TestReport:
         assert main(["report", str(dec), str(bsm_csv), "--detector", "bocpd", *exclude_warmup,
                      "--windows", "10.0:15.0", "--out", str(rep), "--roc-out", str(roc)]) == 0
         assert len(calls) == 1
-        pairs = read_decisions_csv(str(dec), list(aggregate(read_bsm_csv(str(bsm_csv)))))
+        pairs = read_decisions_csv(str(dec), sample_list(aggregate(read_bsm_csv(str(bsm_csv)))))
         labels, _, scores = select("bocpd", pairs, bool(exclude_warmup))
         want = detector_report("bocpd", pairs, ((10.0, 15.0),), bool(exclude_warmup))
         assert rep.read_text() == want.to_text()
@@ -772,6 +773,89 @@ class TestReport:
         assert code == 3
         assert f"{dec}{message}" in err
         assert "Traceback" not in err
+
+
+BSM_HEADER = ",".join(CSV_HEADER) + "\n"
+
+
+def reference_exit(csv, vehicle=None, window=0.1):
+    """The exit code and stderr of the reference row path on ``csv``: one
+    vehicle's records (``reference.vehicle_records``), then ``aggregate``."""
+    try:
+        list(reference.aggregate(reference.vehicle_records(str(csv), vehicle), window))
+    except DataError as exc:
+        return 3, f"data error: {exc}\n"
+    return 0, ""
+
+
+def run_on_bsm(tmp_path, capsys, command, csv, *options):
+    """``detect`` or ``report`` on ``csv`` with ``options``: the exit code, the
+    stderr, and the files the command left in its output directory."""
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    if command == "detect":
+        argv = ["detect", str(csv), "--detector", "cusum", "--out", str(out / "d.csv")]
+    else:
+        decisions = tmp_path / "decisions.csv"
+        decisions.write_text("t,score,attack,warmed_up\n")
+        argv = ["report", str(decisions), str(csv), "--detector", "cusum",
+                "--out", str(out / "r.txt"), "--roc-out", str(out / "roc.csv")]
+    code = main([*argv, *options])
+    return code, capsys.readouterr().err, sorted(p.name for p in out.iterdir())
+
+
+class TestBlockErrors:
+    """A whole block is read, checked and split by vehicle at once; its
+    errors must still be those of the reference row path, in row order."""
+
+    @pytest.mark.parametrize("command", ["detect", "report"])
+    @pytest.mark.parametrize("bad, message", [
+        ("0.2,b,nan,0.0,0", "t, speed or accel is non-finite or beyond 1e+12 in"),
+        ("0.2,b,11.0,0.0,2", "label must be 0 or 1, got '2'"),
+        ("0.2,b,1_1.0,0.0,0", "speed_mps '1_1.0' holds whitespace, '_' or a non-ASCII"),
+    ])
+    def test_another_vehicles_bad_row_is_still_checked(self, tmp_path, capsys, command, bad,
+                                                        message):
+        csv = tmp_path / "mv.csv"
+        csv.write_text(BSM_HEADER + "0.1,a,10.0,0.0,0\n0.1,b,11.0,0.0,0\n" + bad + "\n"
+                       + "0.2,a,10.0,0.0,0\n")
+        code, err, left = run_on_bsm(tmp_path, capsys, command, csv, "--vehicle", "a")
+        assert (code, err) == reference_exit(csv, "a")
+        assert err.startswith(f"data error: {csv}:4: {message}")
+        assert left == []
+
+    @pytest.mark.parametrize("command", ["detect", "report"])
+    @pytest.mark.parametrize("rows, options, message", [
+        pytest.param(["0.1,a,10.0,0.0,0", "0.2,a,10.0,0.0,0", "0.15,a,10.0,0.0,0",
+                      "0.3,a,x,0.0,0"], [], "record 2 (vehicle 'a', t=0.15) does not advance",
+                     id="non-monotonic-before-malformed"),
+        pytest.param(["0.1,a,10.0,0.0,0", "0.2,a,x,0.0,0", "0.15,a,10.0,0.0,0"], [],
+                     "mv.csv:3: could not convert string to float: 'x'",
+                     id="malformed-before-non-monotonic"),
+        pytest.param(["0.1,a,10.0,0.0,0", "0.2,b,10.0,0.0,0", "0.15,a,10.0,0.0,0"], [],
+                     "multiple vehicles present", id="second-vehicle-before-non-monotonic"),
+        pytest.param(["0.1,a,10.0,0.0,0", "0.2,a,10.0,0.0,0", "0.15,a,10.0,0.0,0",
+                      "0.3,b,10.0,0.0,0"], [], "record 2 (vehicle 'a', t=0.15) does not advance",
+                     id="second-vehicle-after-non-monotonic"),
+        pytest.param(["0.1,a,10.0,0.0,0", "0.3,b,10.0,0.0,0", "0.2,b,10.0,0.0,0",
+                      "0.05,a,10.0,0.0,0"], ["--vehicle", "a"],
+                     "record 1 (vehicle 'a', t=0.05) does not advance",
+                     id="selected-vehicle-non-monotonic"),
+        pytest.param(["0.0,a,10.0,0.0,0", "0.1,a,10.0,0.0,0", "0.2,a,x,0.0,0"],
+                     ["--window", "5e-324"],
+                     "record 1 (vehicle 'a', t=0.1): t / window overflows at window 5e-324",
+                     id="window-overflow-before-malformed"),
+    ])
+    def test_error_precedence_inside_one_block(self, tmp_path, capsys, command, rows, options,
+                                               message):
+        csv = tmp_path / "mv.csv"
+        csv.write_text(BSM_HEADER + "".join(row + "\n" for row in rows))
+        vehicle = options[1] if options[:1] == ["--vehicle"] else None
+        window = float(options[1]) if options[:1] == ["--window"] else 0.1
+        code, err, left = run_on_bsm(tmp_path, capsys, command, csv, *options)
+        assert (code, err) == reference_exit(csv, vehicle, window)
+        assert message in err
+        assert left == []
 
 
 class TestTrainEvaluate:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmguard import detectors
-from bsmguard.bsm import aggregate
 from bsmguard.detectors import (
     EM_ATTACK_MEAN,
     EM_ATTACK_STDEV,
@@ -24,7 +23,7 @@ from bsmguard.detectors import (
 from bsmguard.simulate import AttackSpec, DrivingProfile, Scenario, default_scenario
 
 import reference
-from product_calls import fit_two_component_gmm
+from product_calls import aggregate_records, fit_two_component_gmm
 
 
 def attack_responsibility(y, mu1, s1, mu2, s2, pi2):
@@ -239,7 +238,7 @@ def test_detector_bit_identical_to_oracle_on_false_stop_stream(seed):
         attack=AttackSpec(windows=((150.0, 155.0),), mode="constant_replace", magnitude=0.0),
         seed=seed,
     )
-    ys = [s.avg_speed for s in aggregate(scenario.run())]
+    ys = [s.avg_speed for s in aggregate_records(scenario.run())]
     assert len(ys) == 3000
     assert_detector_matches_oracle(ys, seed)
 
@@ -305,7 +304,7 @@ def test_e_step_matches_oracle_on_random_parameters():
 
 
 def test_detector_bit_identical_to_oracle_on_the_default_scenario():
-    ys = [s.avg_speed for s in aggregate(default_scenario(0).run())]
+    ys = [s.avg_speed for s in aggregate_records(default_scenario(0).run())]
     assert len(ys) == 2000
     assert_detector_matches_oracle(ys, 0)
 
@@ -317,7 +316,7 @@ def test_detector_bit_identical_to_oracle_on_an_offset_stream(magnitude):
         attack=AttackSpec(windows=((20.0, 40.0),), mode="offset", magnitude=magnitude),
         seed=5,
     )
-    assert_detector_matches_oracle([s.avg_speed for s in aggregate(scenario.run())], 5)
+    assert_detector_matches_oracle([s.avg_speed for s in aggregate_records(scenario.run())], 5)
 
 
 def test_detector_bit_identical_to_oracle_on_signed_zero_speeds():
@@ -339,7 +338,7 @@ def test_warm_observe_stops_at_the_fixed_point_after_one_full_e_step(monkeypatch
 
     monkeypatch.setattr(detectors, "_e_step", counting_e_step)
     det = EmDetector(EmConfig(seed=0))
-    for sample in aggregate(default_scenario(0).run()):
+    for sample in aggregate_records(default_scenario(0).run()):
         calls.clear()
         d = det.observe(sample.avg_speed)
         if d.warmed_up:
@@ -486,7 +485,7 @@ def test_detector_bit_identical_to_oracle_under_every_attack_mode(monkeypatch):
             attack=AttackSpec(windows=((20.0, 40.0),), mode=mode, magnitude=magnitude),
             seed=6,
         )
-        ys = [s.avg_speed for s in aggregate(scenario.run())]
+        ys = [s.avg_speed for s in aggregate_records(scenario.run())]
         det = EmDetector(EmConfig(seed=6))
         for y, fit in zip(ys, reference.em_fits(ys, 6)):
             halves.clear()
@@ -514,7 +513,7 @@ def test_warm_observe_computes_two_halves_and_rarely_rebuilds_the_variance_share
     halves, observe = count_em_work(monkeypatch)
     det = EmDetector(EmConfig(seed=0))
     rebuilds = []
-    for sample in aggregate(default_scenario(0).run()):
+    for sample in aggregate_records(default_scenario(0).run()):
         halves.clear()
         d, rebuilt = observe(det, sample.avg_speed)
         if d.warmed_up:
@@ -524,7 +523,7 @@ def test_warm_observe_computes_two_halves_and_rarely_rebuilds_the_variance_share
 
 
 def test_warmed_observe_that_overflows_leaves_the_fit_unchanged():
-    ys = [s.avg_speed for s in aggregate(default_scenario(0).run())][:200]
+    ys = [s.avg_speed for s in aggregate_records(default_scenario(0).run())][:200]
     with pytest.raises(OverflowError):
         reference.em_fits(ys[:50] + [1e200])
     det = EmDetector(EmConfig(seed=0))
@@ -538,7 +537,7 @@ def test_warmed_observe_that_overflows_leaves_the_fit_unchanged():
 
 
 def test_overflowing_warmup_leaves_the_buffer_unchanged():
-    ys = [s.avg_speed for s in aggregate(default_scenario(0).run())][:40]
+    ys = [s.avg_speed for s in aggregate_records(default_scenario(0).run())][:40]
     det, fresh = EmDetector(EmConfig(seed=0)), EmDetector(EmConfig(seed=0))
     for y in ys[:9]:
         det.observe(y)

@@ -8,7 +8,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from bsmguard.bsm import DataError, aggregate, fit_standardizer
+from bsmguard.bsm import DataError, fit_standardizer, record_blocks
 from bsmguard.config import DetectorSettings, detector_settings_from_mapping
 from bsmguard.detectors import DETECTORS, DetectorDecision
 from bsmguard.pipeline import (
@@ -22,18 +22,19 @@ from bsmguard.pipeline import (
 )
 from bsmguard.simulate import DrivingProfile, default_scenario, generate_stream
 
+from product_calls import aggregate_records, detect_pairs, sample_blocks
 from reference import ONLINE_MODES
 
 
 @functools.cache
 def scenario_samples(seed):
     """The default scenario's samples, built once per seed for the module."""
-    return tuple(aggregate(default_scenario(seed=seed).run()))
+    return tuple(aggregate_records(default_scenario(seed=seed).run()))
 
 
 def test_welford_matches_batch_standardizer():
     samples = scenario_samples(0)
-    streaming = welford_feature_stats(iter(samples))
+    streaming = welford_feature_stats(s.avg_speed for s in samples)
     batch = fit_standardizer([(s.avg_speed,) for s in samples])
     assert streaming.mean == pytest.approx(batch.mean, rel=1e-12)
     assert streaming.stdev == pytest.approx(batch.stdev, rel=1e-9)
@@ -45,7 +46,7 @@ def test_one_decision_per_sample_all_modes():
         {"bocpd.input": "standardized", "em.input": "speed", "cusum.input": "transform"}
     )
     for name in ("bocpd", "em", "cusum"):
-        pairs = list(run_detection(samples, name, settings))
+        pairs = detect_pairs(samples, name, settings)
         assert len(pairs) == len(samples)
 
 
@@ -53,7 +54,7 @@ def test_one_decision_per_sample_all_modes():
 def full_stream_pairs(name, mode):
     samples = scenario_samples(0)
     settings = detector_settings_from_mapping({f"{name}.input": mode})
-    return samples, settings, list(run_detection(samples, name, settings))
+    return samples, settings, detect_pairs(samples, name, settings)
 
 
 @hypothesis.settings(max_examples=12)
@@ -61,7 +62,7 @@ def full_stream_pairs(name, mode):
 def test_online_modes_decide_a_prefix_as_the_full_stream_does(k):
     for name, mode in ONLINE_MODES:
         samples, settings, full = full_stream_pairs(name, mode)
-        assert list(run_detection(samples[:k], name, settings)) == full[:k], (name, mode)
+        assert detect_pairs(samples[:k], name, settings) == full[:k], (name, mode)
 
 
 def test_standardized_mode_is_the_documented_exception_to_online():
@@ -71,14 +72,14 @@ def test_standardized_mode_is_the_documented_exception_to_online():
     for name in ("bocpd", "cusum"):
         samples, settings, full = full_stream_pairs(name, "standardized")
         prefix = samples[:k]
-        pairs = list(run_detection(prefix, name, settings))
+        pairs = detect_pairs(prefix, name, settings)
         assert [d.score for _, d in pairs] != [d.score for _, d in full[:k]], name
 
 
 def test_transform_mode_warms_up_nine_samples():
     samples = scenario_samples(0)
     settings = detector_settings_from_mapping({"cusum.input": "transform"})
-    pairs = list(run_detection(samples, "cusum", settings))
+    pairs = detect_pairs(samples, "cusum", settings)
     # 9 samples fill the transform window, then the detector's own warm-up.
     for _, decision in pairs[:9]:
         assert not decision.warmed_up
@@ -89,42 +90,61 @@ def test_transform_mode_warms_up_nine_samples():
 def test_scores_always_finite():
     samples = scenario_samples(3)
     for name in ("bocpd", "em", "cusum"):
-        for _, d in run_detection(samples, name, DetectorSettings()):
+        for _, d in detect_pairs(samples, name, DetectorSettings()):
             assert math.isfinite(d.score)
 
 
 def test_standardized_mode_standardizes_with_the_streams_own_statistics():
     samples = scenario_samples(0)
-    std = welford_feature_stats(samples)
+    std = welford_feature_stats(s.avg_speed for s in samples)
     (mean,), (stdev,) = std.mean, std.stdev
-    assert list(feature_stream(samples, "standardized")) == [
-        (s, (s.avg_speed - mean) / stdev) for s in samples]
+    blocks = list(feature_stream(sample_blocks(samples), "standardized"))
+    assert [len(t) for t, _ in blocks] == [512, 512, 512, 464]
+    assert [x for t, _ in blocks for x in t] == [s.t for s in samples]
+    assert [v for _, values in blocks for v in values] == [
+        (s.avg_speed - mean) / stdev for s in samples]
 
 
 def test_standardized_mode_reads_a_one_shot_iterator_as_its_list():
-    # It holds its samples itself, so one pass over an iterator is enough.
+    # It holds its samples' t and speed itself, so one pass over the blocks
+    # is enough.
     samples = scenario_samples(0)
-    assert (list(run_detection(iter(samples), "bocpd", DetectorSettings()))
-            == list(run_detection(samples, "bocpd", DetectorSettings())))
+    once = run_detection(iter(sample_blocks(samples)), "bocpd", DetectorSettings())
+    assert ([d for _, ds in once for d in ds]
+            == [d for _, d in detect_pairs(samples, "bocpd", DetectorSettings())])
 
 
 def test_unknown_input_mode_is_a_value_error_before_any_sample_is_read():
     read = []
 
     def samples():
-        for s in scenario_samples(0):
-            read.append(s)
-            yield s
+        for block in sample_blocks(scenario_samples(0)):
+            read.append(block)
+            yield block
 
     with pytest.raises(ValueError, match=r"'speeed'.*\('speed', 'standardized', 'transform'\)"):
         next(feature_stream(samples(), "speeed"))
     assert read == []
 
 
+def test_a_detector_failure_comes_after_the_decisions_before_it():
+    # The block's decisions up to the failing sample are passed on first, so
+    # a decisions file written in place ends where a row-at-a-time run's does.
+    samples = scenario_samples(0)[:100]
+    bad = [*samples[:70], samples[70]._replace(avg_speed=math.inf), *samples[71:]]
+    settings = detector_settings_from_mapping({"cusum.input": "speed"})
+    blocks = run_detection(sample_blocks(bad), "cusum", settings)
+    t, decisions = next(blocks)
+    assert t == [s.t for s in samples[:70]]
+    assert decisions == [d for _, d in detect_pairs(samples[:70], "cusum", settings)]
+    with pytest.raises(DataError, match=rf"cusum cannot score the sample at t={samples[70].t!r} "):
+        next(blocks)
+
+
 def test_score_orientation_yields_high_auroc_for_all_detectors():
     samples = scenario_samples(1)
     for name in ("bocpd", "em", "cusum"):
-        pairs = list(run_detection(samples, name, DetectorSettings()))
+        pairs = detect_pairs(samples, name, DetectorSettings())
         rep = detector_report(name, pairs, windows=((100.0, 105.0),))
         assert rep.auroc_value is not None and rep.auroc_value > 0.95
         assert rep.latency is not None and rep.latency.detected == 1
@@ -133,7 +153,7 @@ def test_score_orientation_yields_high_auroc_for_all_detectors():
 
 def test_report_exclude_warmup_changes_totals():
     samples = scenario_samples(2)
-    pairs = list(run_detection(samples, "cusum", DetectorSettings()))
+    pairs = detect_pairs(samples, "cusum", DetectorSettings())
     full = detector_report("cusum", pairs)
     trimmed = detector_report("cusum", pairs, exclude_warmup=True)
     assert full.cm.total == 2000
@@ -144,7 +164,7 @@ def written_decisions(tmp_path, samples):
     """The decisions CSV of cusum on raw speed over ``samples``."""
     settings = detector_settings_from_mapping({"cusum.input": "speed"})
     path = tmp_path / "d.csv"
-    write_decisions_csv(path, run_detection(samples, "cusum", settings))
+    write_decisions_csv(path, run_detection(sample_blocks(samples), "cusum", settings))
     return path
 
 
@@ -232,9 +252,10 @@ def test_decisions_csv_flag_other_than_0_or_1_names_its_line(tmp_path, column, f
 
 def test_decisions_csv_roundtrip(tmp_path):
     samples = scenario_samples(0)[:200]
-    pairs = list(run_detection(samples, "bocpd", DetectorSettings()))
+    pairs = detect_pairs(samples, "bocpd", DetectorSettings())
     path = tmp_path / "d.csv"
-    n = write_decisions_csv(path, iter(pairs))
+    n = write_decisions_csv(path, [([s.t for s in samples[:150]], [d for _, d in pairs[:150]]),
+                                   ([s.t for s in samples[150:]], [d for _, d in pairs[150:]])])
     assert n == 200
     assert read_decisions_csv(path, samples) == pairs
 
@@ -242,8 +263,8 @@ def test_decisions_csv_roundtrip(tmp_path):
 @pytest.mark.parametrize("mode", ["speed", "transform"])
 def test_detect_records_memory_stays_bounded(mode):
     # Streaming contract: quadrupling the stream must not grow peak memory
-    # materially. Records are read once, from one iterator. Standardized
-    # input is left out: it holds a list of its samples.
+    # materially. Records are read once, from one iterator of blocks.
+    # Standardized input is left out: it holds its samples' t and speed.
     settings = detector_settings_from_mapping({"cusum.input": mode})
 
     def run(n_seconds):
@@ -251,7 +272,7 @@ def test_detect_records_memory_stays_bounded(mode):
         records = generate_stream(profile, seed=1)
         tracemalloc.start()
         try:
-            for _ in detect_records(iter(records), "cusum", settings, 0.1):
+            for _ in detect_records(record_blocks(records), "cusum", settings, 0.1):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:

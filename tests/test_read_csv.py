@@ -11,28 +11,26 @@ every block size.
 
 import csv
 import itertools
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsmguard import bsm
 from bsmguard.bsm import (
     CSV_HEADER,
     AggregatedSample,
     BsmRecord,
     DataError,
+    RecordBlock,
     read_bsm_csv,
     read_csv,
 )
 from bsmguard.pipeline import DECISIONS_HEADER, read_decisions_csv
 
+from product_calls import at_every_block_size, read_records
 from reference import read_bsm_csv as oracle_read_bsm_csv
 from reference import read_csv as oracle_read_csv
 from reference import read_decisions_csv as oracle_read_decisions_csv
-
-BLOCK_SIZES = (1, 2, 3, 512)
 
 LIMIT = csv.field_size_limit()
 
@@ -121,15 +119,6 @@ def returned(call):
         return None, (type(exc), str(exc))
 
 
-def at_every_block_size(read):
-    """``read()`` at each patched READ_BLOCK_LINES."""
-    outcomes = []
-    for size in BLOCK_SIZES:
-        with mock.patch.object(bsm, "READ_BLOCK_LINES", size):
-            outcomes.append(read())
-    return outcomes
-
-
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     """The file each example writes over."""
@@ -158,9 +147,10 @@ def test_bsm_readers_match_the_row_readers(csv_path, data):
     records_expected = outcome(oracle_read_bsm_csv(path))
     for got in at_every_block_size(lambda: outcome(flatten(read_csv(path, CSV_HEADER)))):
         assert got == rows_expected
-    for got in at_every_block_size(lambda: outcome(read_bsm_csv(path))):
-        assert got == records_expected
-        assert all(type(record) is BsmRecord for record in got[0])
+    for blocks, error in at_every_block_size(lambda: outcome(read_bsm_csv(path))):
+        assert all(type(block) is RecordBlock and block.t for block in blocks)
+        records = [BsmRecord(*fields) for block in blocks for fields in zip(*block)]
+        assert (records, error) == records_expected
 
 
 def one_bad_field(columns, header):
@@ -183,7 +173,7 @@ def test_one_bad_bsm_field_matches_the_row_readers(csv_path, at, value):
     for got in at_every_block_size(
             lambda: outcome(flatten(read_csv(str(csv_path), CSV_HEADER)))):
         assert got == rows_expected
-    for got in at_every_block_size(lambda: outcome(read_bsm_csv(str(csv_path)))):
+    for got in at_every_block_size(lambda: outcome(read_records(str(csv_path)))):
         assert got == records_expected
 
 
@@ -256,7 +246,7 @@ def test_a_bsm_row_with_two_bad_fields_fails_its_first_check(csv_path, first, se
     csv_path.write_text("".join(",".join(r) + "\n" for r in [list(CSV_HEADER), *rows]))
     expected = outcome(oracle_read_bsm_csv(str(csv_path)))
     assert expected[1][0] is DataError
-    for got in at_every_block_size(lambda: outcome(read_bsm_csv(str(csv_path)))):
+    for got in at_every_block_size(lambda: outcome(read_records(str(csv_path)))):
         assert got == expected
 
 

@@ -11,10 +11,8 @@ from pathlib import Path
 import pytest
 
 import bsmguard
-from bsmguard.bsm import aggregate
 from bsmguard.config import ConfigError, DetectorSettings, detector_settings_from_mapping
 from bsmguard.detectors import DETECTORS
-from bsmguard.pipeline import run_detection
 from bsmguard.simulate import (
     SCENARIO_KEYS,
     AttackSpec,
@@ -23,6 +21,8 @@ from bsmguard.simulate import (
     Segment,
     scenario_from_mapping,
 )
+
+from product_calls import aggregate_records, detect_pairs
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -109,10 +109,11 @@ def test_near_ambient_offsets_are_caught_by_bocpd_and_cusum_not_em():
     for seed in range(8):
         attack = AttackSpec(windows=((100.0, 120.0),), mode="offset",
                             magnitude=1.0 if seed % 2 else -1.0)
-        samples = list(aggregate(Scenario(DrivingProfile(duration_s=200.0), attack, seed).run()))
+        samples = list(aggregate_records(
+            Scenario(DrivingProfile(duration_s=200.0), attack, seed).run()))
         hits = {}
         for name in DETECTORS:
-            pairs = list(run_detection(samples, name, settings))
+            pairs = detect_pairs(samples, name, settings)
             hits[name] = (sum(d.attack for _, d in pairs),
                           sum(d.attack for s, d in pairs if s.label))
         assert hits["em"] == (0, 0), seed
@@ -133,9 +134,9 @@ def test_a_legitimate_slowdown_keeps_every_detector_alarming():
         Segment("cruise", 60.0), Segment("decel", 10.0, 11.0), Segment("cruise", 130.0)))
     settings = DetectorSettings()
     for seed in range(3):
-        samples = list(aggregate(Scenario(profile, None, seed).run()))
+        samples = list(aggregate_records(Scenario(profile, None, seed).run()))
         for name in DETECTORS:
-            pairs = list(run_detection(samples, name, settings))
+            pairs = detect_pairs(samples, name, settings)
             assert not any(d.attack for s, d in pairs if s.t < 60.0), (name, seed)
             after = [d.attack for s, d in pairs if s.t >= 60.0 and d.warmed_up]
             assert len(after) == 1401

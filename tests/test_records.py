@@ -1,8 +1,17 @@
 """The record, sample and decision types: field names, construction, round trips."""
 
-from bsmguard.bsm import AggregatedSample, BsmRecord, aggregate, read_bsm_csv, write_bsm_csv
+from bsmguard.bsm import (
+    AggregatedSample,
+    BsmRecord,
+    aggregate,
+    read_bsm_csv,
+    sample_list,
+    write_bsm_csv,
+)
 from bsmguard.detectors import DetectorDecision
 from bsmguard.simulate import default_scenario
+
+from product_calls import aggregate_records
 
 
 def test_field_names_and_order():
@@ -24,8 +33,8 @@ def test_csv_round_trip_aggregates_to_the_same_samples(tmp_path):
     path = tmp_path / "bsm.csv"
     write_bsm_csv(str(path), records)
     for window in (0.1, 1.0):
-        direct = list(aggregate(records, window))
-        via_csv = list(aggregate(read_bsm_csv(str(path)), window))
+        direct = list(aggregate_records(records, window))
+        via_csv = sample_list(aggregate(read_bsm_csv(str(path)), window))
         assert via_csv == direct
         assert {type(s) for s in via_csv} == {AggregatedSample}
         assert any(s.label for s in direct) and not all(s.label for s in direct)

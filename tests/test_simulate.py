@@ -14,9 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsmguard.bsm import BSM_PERIOD_S, aggregate, in_window
+from bsmguard.bsm import BSM_PERIOD_S, in_window
 from bsmguard.config import DetectorSettings
-from bsmguard.pipeline import run_detection
 from bsmguard.simulate import (
     ATTACK_MODES,
     AttackSpec,
@@ -28,6 +27,7 @@ from bsmguard.simulate import (
     scenario_from_mapping,
 )
 
+from product_calls import aggregate_records, detect_pairs
 from reference import base_trace as oracle_base_trace
 from reference import generate_stream as oracle_generate_stream
 from reference import inject_false_info as oracle_inject_false_info
@@ -257,9 +257,9 @@ class TestInject:
             profile = DrivingProfile(duration_s=40.0, noise_stdev=0.25)
             stream = generate_stream(profile, seed=seed)
             spec = AttackSpec(windows=((20.0, 25.0),), mode="offset", magnitude=2.5)
-            samples = list(aggregate(inject_false_info(stream, spec)))
+            samples = list(aggregate_records(inject_false_info(stream, spec)))
             flagged = any(
-                d.attack and s.label for s, d in run_detection(samples, "bocpd", settings_)
+                d.attack and s.label for s, d in detect_pairs(samples, "bocpd", settings_)
             )
             hits += flagged
         assert hits >= 99

@@ -22,12 +22,18 @@ from bsmguard.bsm import (
     BsmRecord,
     DataError,
     NonMonotonicTimestampError,
+    RecordBlock,
+    SampleBlock,
     _exact_window,
     _window_end,
     aggregate,
+    read_bsm_csv,
+    record_blocks,
+    write_bsm_csv,
 )
 from bsmguard.simulate import DrivingProfile, generate_stream
 
+from product_calls import aggregate_records, at_every_block_size
 from reference import aggregate as oracle_aggregate
 
 
@@ -123,25 +129,63 @@ def streams(draw, window):
 @given(window=st.sampled_from(WINDOWS), data=st.data())
 def test_aggregate_matches_the_per_record_loop(window, data):
     records = data.draw(streams(window))
-    assert repr(list(aggregate(records, window))) == repr(list(oracle_aggregate(records, window)))
+    want = repr(list(oracle_aggregate(records, window)))
+    for got in at_every_block_size(lambda: repr(list(aggregate_records(records, window)))):
+        assert got == want
 
 
 @pytest.mark.parametrize("window", WINDOWS)
 def test_aggregate_of_a_simulated_stream_matches_the_loop(window):
     records = generate_stream(DrivingProfile(duration_s=300.0), seed=4)
-    assert repr(list(aggregate(records, window))) == repr(list(oracle_aggregate(records, window)))
+    assert repr(list(aggregate_records(records, window))) == repr(
+        list(oracle_aggregate(records, window)))
+
+
+@pytest.mark.parametrize("window", [0.3, 1.0])
+def test_windows_that_straddle_blocks_match_the_loop(tmp_path, window):
+    # At 1 and 7 records a block, many windows span two or more blocks; the
+    # open window's sums, count and label carry across each boundary.
+    records = generate_stream(DrivingProfile(duration_s=60.0), seed=4)
+    records[100:130] = [r._replace(label=1) for r in records[100:130]]
+    path = str(tmp_path / "s.csv")
+    write_bsm_csv(path, records)
+    want = repr(list(oracle_aggregate(records, window)))
+    for got in at_every_block_size(lambda: repr(list(aggregate_records(records, window))),
+                                   sizes=(1, 7, 512)):
+        assert got == want
+    for blocks in at_every_block_size(lambda: list(aggregate(read_bsm_csv(path), window)),
+                                      sizes=(1, 7, 512)):
+        assert all(type(block) is SampleBlock and block.t for block in blocks)
+        assert repr([AggregatedSample(*s) for b in blocks for s in zip(*b)]) == want
+
+
+def test_a_block_that_closes_no_window_yields_nothing():
+    # At a 60 s window the first 512 records (0.1-51.2 s) close no sample;
+    # the second block closes (0, 60] and the stream's end closes (60, 120].
+    records = generate_stream(DrivingProfile(duration_s=120.0), seed=4)
+    blocks = list(aggregate(record_blocks(records), 60.0))
+    assert [block.t for block in blocks] == [[60.0], [120.0]]
+    assert repr([AggregatedSample(*s) for b in blocks for s in zip(*b)]) == repr(
+        list(oracle_aggregate(records, 60.0)))
+
+
+def block(*records):
+    return RecordBlock(*map(list, zip(*records)))
 
 
 def test_aggregate_stays_lazy_and_fails_at_the_same_record():
-    records = [BsmRecord(0.1, "v", 1.0, 0.0, 0), BsmRecord(0.2, "v", 2.0, 0.0, 0),
-               BsmRecord(0.15, "v", 3.0, 0.0, 0)]
-    samples = aggregate(iter(records))
-    assert next(samples) == AggregatedSample(0.1, 1.0, 0.0, 0)
-    with pytest.raises(NonMonotonicTimestampError, match="record 2"):
-        next(samples)
-    huge = [BsmRecord(1e12, "v", 1.0, 0.0, 0)]
+    first = BsmRecord(0.1, "v", 1.0, 0.0, 0), BsmRecord(0.2, "v", 2.0, 0.0, 0)
+    late = BsmRecord(0.15, "v", 3.0, 0.0, 0)
+    # The samples closed before the bad record come first, in a block of
+    # their own; the record count runs on across blocks.
+    for blocks in ([block(*first, late)], [block(*first), block(late)]):
+        samples = aggregate(iter(blocks))
+        assert next(samples) == SampleBlock([0.1], [1.0], [0.0], [0])
+        with pytest.raises(NonMonotonicTimestampError, match="record 2"):
+            next(samples)
+    huge = block(BsmRecord(1e12, "v", 1.0, 0.0, 0))
     with pytest.raises(DataError, match="record 0 .* overflows at window 5e-324"):
-        list(aggregate(huge, 5e-324))
+        list(aggregate([huge], 5e-324))
 
 
 def test_generate_stream_times_are_the_rounded_ticks(monkeypatch):
