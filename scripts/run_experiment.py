@@ -21,12 +21,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bsmguard.bsm import aggregate, record_blocks, sample_list
+from bsmguard.bsm import aggregate, join_samples, record_blocks
 from bsmguard.config import DetectorSettings
 from bsmguard.detectors import DETECTOR_NAMES
 from bsmguard.evaluate import timing_stats
 from bsmguard.ml import MODEL_FAMILIES
-from bsmguard.pipeline import detector_report, run_detection, train_and_evaluate
+from bsmguard.pipeline import (
+    detector_report,
+    run_detection,
+    scored_decisions,
+    train_and_evaluate,
+)
 from bsmguard.simulate import default_scenario
 
 #: Desk-scale grids so the whole experiment stays in the tens of seconds; a
@@ -56,13 +61,14 @@ def detector_rows(seeds: int):
     for name in DETECTOR_NAMES:
         reports, per_sample_ms = [], []
         for seed in range(seeds):
-            blocks = list(aggregate(record_blocks(default_scenario(seed=seed).run())))
+            samples = join_samples(aggregate(record_blocks(default_scenario(seed=seed).run())))
             timings = []
-            decisions = chain.from_iterable(
-                ds for _, ds in run_detection(blocks, name, settings, timings))
-            pairs = list(zip(sample_list(blocks), decisions))
+            blocks = run_detection([samples], name, settings, timings)
+            attack, score, warmed_up = map(list, zip(*chain.from_iterable(ds for _, ds in blocks)))
             per_sample_ms.append(timing_stats(timings).mean_ms)
-            reports.append(detector_report(name, pairs, windows=((100.0, 105.0),)))
+            scored = scored_decisions(name, samples.label, (attack, score, warmed_up))
+            reports.append(detector_report(name, samples.t, attack, scored,
+                                           windows=((100.0, 105.0),)))
         latencies = [r.latency.mean for r in reports if r.latency.detected]
         latency_s = statistics.fmean(latencies) if latencies else math.nan
         rows.append(summary_row(name, reports, latency_s, statistics.fmean(per_sample_ms)))
@@ -74,7 +80,7 @@ def baseline_rows(seeds: int):
     for family in MODEL_FAMILIES:
         reports = []
         for seed in range(seeds):
-            samples = sample_list(aggregate(record_blocks(default_scenario(seed=seed).run())))
+            samples = join_samples(aggregate(record_blocks(default_scenario(seed=seed).run())))
             outcome = train_and_evaluate(samples, family, seed=seed, grid=GRIDS.get(family))
             reports.append(outcome.report)
         rows.append(summary_row(family, reports, math.nan, math.nan))

@@ -8,7 +8,6 @@ with a shared evaluation harness.
 """
 
 from bsmguard.bsm import (
-    AggregatedSample,
     BsmRecord,
     DataError,
     NonMonotonicTimestampError,
@@ -19,9 +18,9 @@ from bsmguard.bsm import (
     aggregate,
     apply_standardizer,
     fit_standardizer,
+    join_samples,
     read_bsm_csv,
     record_blocks,
-    sample_list,
     write_bsm_csv,
 )
 from bsmguard.detectors import (
@@ -37,7 +36,6 @@ from bsmguard.simulate import AttackSpec, DrivingProfile, generate_stream, injec
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedSample",
     "AttackSpec",
     "BocpdDetector",
     "BsmRecord",
@@ -56,10 +54,10 @@ __all__ = [
     "fit_standardizer",
     "generate_stream",
     "inject_false_info",
+    "join_samples",
     "make_detector",
     "read_bsm_csv",
     "record_blocks",
-    "sample_list",
     "student_t_logpdf",
     "write_bsm_csv",
 ]

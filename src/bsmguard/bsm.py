@@ -7,7 +7,9 @@ CSV schema used by every command.
 The data path moves in blocks of columns, one block per ``READ_BLOCK_LINES``
 CSV rows: ``read_bsm_csv`` yields ``RecordBlock``s and ``aggregate`` turns
 them into ``SampleBlock``s, so no record or sample becomes an object of its
-own on the way to a detector. A stage that meets an error part way through a
+own on the way to a detector. A command that needs a whole stream's samples
+(report, train, evaluate) joins its blocks into one with ``join_samples``,
+which is still four columns. A stage that meets an error part way through a
 block first passes on the block of what came before it, then raises, so each
 error and each output before it are those of a record-at-a-time path.
 
@@ -95,24 +97,8 @@ class BsmRecord(NamedTuple):
     label: int  # 0 clean, 1 attacked
 
 
-class AggregatedSample(NamedTuple):
-    """Mean speed and acceleration over one aggregation window.
-
-    ``t`` is the window end; the window covers ``(t - w, t]``. The label is
-    1 if any constituent record was attacked.
-    """
-
-    t: float
-    avg_speed: float
-    avg_accel: float
-    label: int
-
-
 #: BsmRecord from a tuple of its fields, without the Python-level ``__new__``.
 _bsm_record = partial(tuple.__new__, BsmRecord)
-
-#: AggregatedSample from a tuple of its fields, without the Python-level ``__new__``.
-_aggregated_sample = partial(tuple.__new__, AggregatedSample)
 
 
 class RecordBlock(NamedTuple):
@@ -127,7 +113,12 @@ class RecordBlock(NamedTuple):
 
 
 class SampleBlock(NamedTuple):
-    """Consecutive aggregated samples as columns, as ``aggregate`` yields them."""
+    """Consecutive aggregated samples as columns, as ``aggregate`` yields them.
+
+    Sample i is the mean speed and acceleration over one aggregation window:
+    ``t[i]`` is the window end, the window covers ``(t - w, t]``, and
+    ``label[i]`` is 1 if any record in it was attacked.
+    """
 
     t: list[float]
     avg_speed: list[float]
@@ -141,9 +132,13 @@ def record_blocks(records: Iterable[BsmRecord]) -> Iterator[RecordBlock]:
         yield RecordBlock(*map(list, zip(*chunk)))
 
 
-def sample_list(blocks: Iterable[SampleBlock]) -> list[AggregatedSample]:
-    """The samples of ``blocks``, in order, one AggregatedSample each."""
-    return list(map(_aggregated_sample, chain.from_iterable(zip(*block) for block in blocks)))
+def join_samples(blocks: Iterable[SampleBlock]) -> SampleBlock:
+    """The samples of ``blocks``, in order, as one block."""
+    joined = SampleBlock([], [], [], [])
+    for block in blocks:
+        for column, part in zip(joined, block):
+            column += part
+    return joined
 
 
 def _exact_window(window: float) -> tuple[int, int, int]:

@@ -23,9 +23,10 @@ from bsmguard import __version__
 from bsmguard.bsm import (
     DataError,
     RecordBlock,
+    SampleBlock,
     aggregate,
+    join_samples,
     read_bsm_csv,
-    sample_list,
     write_bsm_csv,
 )
 from bsmguard.config import (
@@ -45,7 +46,7 @@ from bsmguard.pipeline import (
     evaluate_model,
     model_dataset,
     read_decisions_csv,
-    scored_pairs,
+    scored_decisions,
     train_and_evaluate,
     write_decisions_csv,
 )
@@ -122,25 +123,27 @@ def _vehicle_records(path: str, vehicle: str | None) -> Iterator[RecordBlock]:
         raise DataError(f"{path}: no records{detail}")
 
 
-def _samples(args) -> list:
-    """The aggregated samples of the one vehicle ``args`` selects."""
-    return sample_list(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
+def _samples(args) -> SampleBlock:
+    """The aggregated samples of the one vehicle ``args`` selects, as one block."""
+    return join_samples(aggregate(_vehicle_records(args.csv, args.vehicle), args.window))
 
 
 def cmd_simulate(args) -> int:
     cfg = load_flat_config(args.config)
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
-    scenario = scenario_from_mapping(cfg, args.config)
-    with staged_outputs() as stage:
-        n = write_bsm_csv(stage(args.out), scenario.run())
+        cfg.where.pop("seed", None)  # so an error about it names no line of the file
+    with cfg.located(), staged_outputs() as stage:
+        n = write_bsm_csv(stage(args.out), scenario_from_mapping(cfg).run())
     print(f"wrote {n} records to {args.out}")
     return EXIT_OK
 
 
 def _detector_settings(args) -> DetectorSettings:
     if getattr(args, "config", None):
-        return detector_settings_from_mapping(load_flat_config(args.config), args.config)
+        cfg = load_flat_config(args.config)
+        with cfg.located():
+            return detector_settings_from_mapping(cfg)
     return DetectorSettings()
 
 
@@ -245,17 +248,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    pairs = read_decisions_csv(args.decisions, _samples(args))
+    samples = _samples(args)
+    decisions = read_decisions_csv(args.decisions, samples)
     windows = parse_windows(args.windows, "--windows") if args.windows else ()
-    scored = counts = None
+    scored = labels, _, scores = scored_decisions(args.detector, samples.label, decisions,
+                                                  args.exclude_warmup)
+    counts = None
     if args.roc_out:
         # The scores are sorted once, for both the ROC rows and the AUROC.
-        scored = labels, _, scores = scored_pairs(args.detector, pairs, args.exclude_warmup)
         if not 0 < sum(labels) < len(labels):
             raise DataError("ROC output needs both classes present in the scored decisions")
         counts = roc_counts(scores, labels)
-    report = detector_report(args.detector or "detector", pairs, windows=windows,
-                             exclude_warmup=args.exclude_warmup, counts=counts, scored=scored)
+    report = detector_report(args.detector or "detector", samples.t, decisions[0], scored,
+                             windows, args.exclude_warmup, counts)
     if args.detector is None:
         print("warning: no --detector given, so scores are read as higher = more "
               "suspicious; pass --detector (bocpd scores the other way)", file=sys.stderr)

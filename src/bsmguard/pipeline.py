@@ -7,7 +7,9 @@ at a time in one loop. The speed and transform input modes hold one block
 however long the stream is; the standardized mode holds two float lists,
 its samples' t and avg_speed, as its statistics must be known before its
 first value. Decisions files are written a block at a time and read back
-with ``bsm.read_checked``, whose block and row checks are one function.
+with ``bsm.read_checked``, whose block and row checks are one function,
+into columns joined to the stream's samples, which a report, like a model's
+training and evaluation, holds as one ``SampleBlock``.
 """
 
 from __future__ import annotations
@@ -15,16 +17,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, zip_longest
-from operator import itemgetter
+from itertools import compress
 
 import numpy as np
 
 from bsmguard.bsm import (
     READ_BLOCK_LINES,
     STDEV_FLOOR,
-    AggregatedSample,
     DataError,
     RecordBlock,
     SampleBlock,
@@ -167,17 +166,13 @@ def _decision_rows(
     return list(zip(t, score, map(int, attack), map(int, warmed_up)))
 
 
-#: DetectorDecision from a tuple of its fields, without the Python-level ``__new__``.
-_decision = partial(tuple.__new__, DetectorDecision)
-
-
 def read_decisions_csv(
-    path: str, samples: Sequence[AggregatedSample]
-) -> list[tuple[AggregatedSample, DetectorDecision]]:
+    path: str, samples: SampleBlock
+) -> tuple[list[bool], list[float], list[bool]]:
     """Join a decisions CSV to the samples ``detect`` wrote it from: row i to sample i.
 
-    Returns the ``(sample, decision)`` pairs ``run_detection`` yielded, each
-    decision a ``DetectorDecision`` with bool flags. The rows are read with
+    Returns the ``(attack, score, warmed_up)`` columns of the decisions
+    ``run_detection`` made, with bool flags. The rows are read with
     ``bsm.read_checked`` and checked a block at a time, each check over a
     whole column, in this order: the numbers convert (``float`` for t and
     score, ``int`` for each distinct flag text), t and score are finite (one
@@ -199,47 +194,45 @@ def read_decisions_csv(
             raise ValueError(f"non-finite t or score in {rows[0]!r}")
         if not set(flags.values()) <= {0, 1}:
             raise ValueError(f"attack and warmed_up must be 0 or 1 in {rows[0]!r}")
-        # A row past the last sample joins None, so the count check below fails.
-        block = samples[joined:joined + len(rows)]
-        sample_t = list(map(itemgetter(0), block))
+        # Rows past the last sample have no t to match; the count check below fails.
+        sample_t = samples.t[joined:joined + len(rows)]
         if t[:len(sample_t)] != sample_t:
             raise ValueError(f"t={t[0]!r} does not match its sample's t={sample_t[0]!r}")
         check_plain_numbers(DECISIONS_HEADER, columns, range(len(columns)))
         joined += len(rows)
         flag = {text: value == 1 for text, value in flags.items()}.__getitem__
-        return zip_longest(block, map(_decision, zip(map(flag, attack), score,
-                                                      map(flag, warmed_up))))
+        return list(map(flag, attack)), score, list(map(flag, warmed_up))
 
-    pairs = list(chain.from_iterable(read_checked(path, DECISIONS_HEADER, join)))
-    if len(pairs) != len(samples):
+    decisions: tuple[list[bool], list[float], list[bool]] = ([], [], [])
+    for block in read_checked(path, DECISIONS_HEADER, join):
+        for column, part in zip(decisions, block):
+            column += part
+    if joined != len(samples.t):
         raise DataError(
-            f"{path}: decision count {len(pairs)} does not match sample count {len(samples)}"
+            f"{path}: decision count {joined} does not match sample count {len(samples.t)}"
         )
-    return pairs
+    return decisions
 
 
-def scored_pairs(
-    detector_name: str | None,
-    pairs: Sequence[tuple[AggregatedSample, DetectorDecision]],
+def scored_decisions(
+    detector_name: str | None, labels: Sequence[int],
+    decisions: tuple[Sequence[bool], Sequence[float], Sequence[bool]],
     exclude_warmup: bool = False,
-) -> tuple[list[int], list[int], list[float]]:
-    """The (labels, flags, oriented scores) of the pairs a report and its ROC score,
-    built in one pass over the pairs.
-
-    Warm-up decisions count unless ``exclude_warmup``. Scores take the detector
-    table's sign (1 for an unnamed detector), so larger means more suspicious.
-    """
-    kind = DETECTORS.get(detector_name)
-    orient = 1.0 if kind is None else kind.orientation
-    labels, flags, scores = [], [], []
-    for sample, (attack, score, warmed_up) in pairs:
-        if warmed_up or not exclude_warmup:
-            labels.append(sample.label)
-            flags.append(attack)
-            scores.append(orient * score)
+) -> tuple[list[int], list[bool], list[float]]:
+    """The (labels, flags, oriented scores) a report and its ROC score, from
+    the samples' ``labels`` and ``read_decisions_csv``'s columns: every
+    decision's, or with ``exclude_warmup`` the warmed-up ones'. Scores take
+    the detector table's sign (1 for an unnamed detector), so larger means
+    more suspicious."""
+    attack, score, warmed_up = decisions
+    if exclude_warmup:
+        labels, attack, score = (list(compress(column, warmed_up))
+                                 for column in (labels, attack, score))
     if not labels:
         raise DataError("all decisions fell inside warm-up")
-    return labels, flags, scores
+    kind = DETECTORS.get(detector_name)
+    orient = 1.0 if kind is None else kind.orientation
+    return list(labels), list(attack), [orient * s for s in score]
 
 
 def scored_report(
@@ -254,20 +247,16 @@ def scored_report(
 
 
 def detector_report(
-    detector_name: str,
-    pairs: Sequence[tuple[AggregatedSample, DetectorDecision]],
-    windows: Sequence[tuple[float, float]] = (),
-    exclude_warmup: bool = False,
+    detector_name: str, times: Sequence[float], attack: Sequence[bool],
+    scored: tuple[list[int], list[bool], list[float]],
+    windows: Sequence[tuple[float, float]] = (), exclude_warmup: bool = False,
     counts: list[tuple[float, int, int]] | None = None,
-    scored: tuple[list[int], list[int], list[float]] | None = None,
 ) -> EvalReport:
-    """Score the ``(sample, decision)`` pairs ``scored_pairs`` selects against
-    their samples' labels; latency covers every pair, timed by the samples' t.
-    ``scored``, when given, is ``scored_pairs``' result, and ``counts`` its ``roc_counts``."""
-    labels, flags, scores = scored or scored_pairs(detector_name, pairs, exclude_warmup)
-    latency = None
-    if windows:
-        latency = detection_latency([s.t for s, _ in pairs], [d.attack for _, d in pairs], windows)
+    """Score the ``scored_decisions`` selection ``scored`` against its labels
+    (with ``counts``, its scores' ``roc_counts``, when the caller has them);
+    latency covers every sample's ``attack`` flag, timed by its ``times``."""
+    labels, flags, scores = scored
+    latency = detection_latency(times, attack, windows) if windows else None
     return scored_report(
         detector_name, labels, flags, scores, counts,
         latency=latency, extra={"excluded_warmup": int(exclude_warmup)},
@@ -280,7 +269,7 @@ def detector_report(
 
 
 def model_dataset(
-    samples: Sequence[AggregatedSample],
+    samples: SampleBlock,
     seed: int,
     test_fraction: float,
     std: StandardizationParams | None = None,
@@ -290,11 +279,12 @@ def model_dataset(
     Returns ``(X_train, y_train, X_test, y_test, std)``: the split of
     ``stratified_split(y, test_fraction, seed)``, every row standardized with
     ``std``, or with a standardizer fitted on the training split when ``std``
-    is None (training; evaluation passes the saved one). The samples are one
-    float table, whose features are standardized in one call.
+    is None (training; evaluation passes the saved one). The features are
+    the samples' avg_speed and avg_accel columns, standardized in one call,
+    and the labels their label column.
     """
-    table = np.array(samples, dtype=float).reshape(-1, len(AggregatedSample._fields))
-    X_raw, y = table[:, 1:3], table[:, 3].astype(int)
+    X_raw = np.column_stack((samples.avg_speed, samples.avg_accel))
+    y = np.array(samples.label, dtype=int)
     if len(np.unique(y)) < 2:
         raise DataError("the train/test split needs both classes present in the data")
     train_idx, test_idx = stratified_split(y, test_fraction, seed)
@@ -313,14 +303,14 @@ class TrainOutcome:
 
 
 def train_and_evaluate(
-    samples: Sequence[AggregatedSample],
+    samples: SampleBlock,
     family: str,
     seed: int,
     grid: dict[str, list] | None = None,
     folds: int = 5,
     test_fraction: float = 0.2,
 ) -> TrainOutcome:
-    """The full supervised pipeline on one labeled sample set.
+    """The full supervised pipeline on one labeled sample block.
 
     Stratified 80/20 split, standardizer fitted on the training split only,
     grid search by 5-fold CV with per-fold balancing, a final fit on the

@@ -53,7 +53,7 @@ _TICK_WHOLE, _TICK_DENOM, _TICK_KMAX = _exact_window(BSM_PERIOD_S)
 def _check(ok: bool, key: str, value, requirement: str) -> None:
     """Raise ConfigError naming the scenario config ``key`` unless ``ok``."""
     if not ok:
-        raise ConfigError(f"key {key!r}: {value!r} {requirement}")
+        raise ConfigError(f"key {key!r}: {value!r} {requirement}", key)
 
 
 def _check_within(windows, last_t: float) -> None:
@@ -156,8 +156,7 @@ class AttackSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ATTACK_MODES:
-            raise ConfigError(f"unknown attack mode {self.mode!r}; expected {ATTACK_MODES}")
+        _check(self.mode in ATTACK_MODES, "attack.mode", self.mode, f"is not one of {ATTACK_MODES}")
         check_windows(self.windows)
         _check(self.mode == "offset" or self.magnitude >= 0, "attack.magnitude", self.magnitude,
                f"must be >= 0 for {self.mode} (a speed or a noise stdev)")
@@ -187,7 +186,7 @@ def generate_stream(
         speeds = np.maximum(speeds, 0.0)
     except MemoryError:
         raise ConfigError(f"key 'duration_s': {profile.duration_s!r} asks for {n} records, "
-                          "more than fit in memory") from None
+                          "more than fit in memory", "duration_s") from None
 
     speeds = speeds.tolist()
     if n <= _TICK_KMAX:
@@ -263,14 +262,14 @@ SCENARIO_KEYS = (
 )
 
 
-def scenario_from_mapping(cfg: Mapping[str, str], source: str = "<config>") -> Scenario:
+def scenario_from_mapping(cfg: Mapping[str, str]) -> Scenario:
     """Build a scenario from flat config keys (``SCENARIO_KEYS``).
 
     Required: duration_s, seed. Optional: base_speed_mps, noise_stdev,
     attack.windows, attack.mode, attack.magnitude. Unknown keys, and values
     the constructors reject, are ConfigErrors naming the key.
     """
-    reject_unknown_keys(cfg, SCENARIO_KEYS, f"{source}: unknown scenario key")
+    reject_unknown_keys(cfg, SCENARIO_KEYS, "unknown scenario key")
     duration = get_value(cfg, "duration_s", float)
     seed = get_value(cfg, "seed", int)
     base_speed = get_value(cfg, "base_speed_mps", float, 15.6)

@@ -14,16 +14,23 @@ from bsmguard import bsm
 from bsmguard.bsm import (
     BSM_PERIOD_S,
     READ_BLOCK_LINES,
-    AggregatedSample,
     BsmRecord,
     SampleBlock,
     aggregate,
     read_bsm_csv,
     record_blocks,
 )
-from bsmguard.detectors import SIGMA_FLOOR, _e_step, _em_from
+from bsmguard.detectors import SIGMA_FLOOR, DetectorDecision, _e_step, _em_from
 from bsmguard.ml import _nn_kernel, _nn_pack, _nn_split, nn_train
-from bsmguard.pipeline import run_detection
+from bsmguard.pipeline import (
+    detector_report,
+    model_dataset,
+    read_decisions_csv,
+    run_detection,
+    scored_decisions,
+)
+
+from reference import AggregatedSample
 
 
 def at_every_block_size(read, sizes=(1, 2, 3, 512)):
@@ -49,11 +56,51 @@ def aggregate_records(records, window=BSM_PERIOD_S):
         yield from map(AggregatedSample._make, zip(*block))
 
 
+def sample_block(samples):
+    """``samples``, rows of (t, avg_speed, avg_accel, label), as one SampleBlock."""
+    if not samples:
+        return SampleBlock([], [], [], [])
+    return SampleBlock(*map(list, zip(*samples)))
+
+
+def sample_rows(block):
+    """The samples of a SampleBlock, one AggregatedSample row each."""
+    return list(map(AggregatedSample._make, zip(*block)))
+
+
 def sample_blocks(samples):
     """``samples`` as SampleBlocks of up to READ_BLOCK_LINES samples."""
     samples = list(samples)
     for i in range(0, len(samples), READ_BLOCK_LINES):
-        yield SampleBlock(*map(list, zip(*samples[i:i + READ_BLOCK_LINES])))
+        yield sample_block(samples[i:i + READ_BLOCK_LINES])
+
+
+def decision_columns(decisions):
+    """The ``(attack, score, warmed_up)`` columns of DetectorDecisions, as
+    ``read_decisions_csv`` returns a file's."""
+    if not decisions:
+        return [], [], []
+    return tuple(map(list, zip(*decisions)))
+
+
+def read_decision_pairs(path, samples):
+    """``(sample, decision)`` for each row ``read_decisions_csv`` joins to
+    ``samples``, a list of rows: one DetectorDecision each."""
+    attack, score, warmed_up = read_decisions_csv(path, sample_block(samples))
+    return list(zip(samples, map(DetectorDecision, attack, score, warmed_up)))
+
+
+def pairs_report(name, pairs, windows=(), exclude_warmup=False):
+    """``detector_report`` on ``(sample, decision)`` pairs, selected as ``report`` selects."""
+    samples, decisions = zip(*pairs)
+    block, columns = sample_block(samples), decision_columns(decisions)
+    scored = scored_decisions(name, block.label, columns, exclude_warmup)
+    return detector_report(name, block.t, columns[0], scored, windows, exclude_warmup)
+
+
+def model_dataset_of_rows(samples, seed, test_fraction, std=None):
+    """``model_dataset`` of ``samples``, a list of rows."""
+    return model_dataset(sample_block(samples), seed, test_fraction, std)
 
 
 def detect_pairs(samples, name, settings):

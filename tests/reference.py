@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from bsmguard.bsm import (
     MAX_FIELD_MAGNITUDE,
     NO_ATTACK,
     STDEV_FLOOR,
-    AggregatedSample,
     BsmRecord,
     DataError,
     NonMonotonicTimestampError,
@@ -64,6 +64,18 @@ from bsmguard.evaluate import LatencyStats
 from bsmguard.ml import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CartNode, _impurity_vec, nn_init
 from bsmguard.pipeline import DECISIONS_HEADER
 from bsmguard.simulate import DEFAULT_VEHICLE_ID
+
+
+class AggregatedSample(NamedTuple):
+    """One aggregated sample: the mean speed and acceleration over the window
+    that ends at ``t``, and label 1 if any record in it was attacked. The
+    product holds samples as the columns of a ``SampleBlock``."""
+
+    t: float
+    avg_speed: float
+    avg_accel: float
+    label: int
+
 
 # ---------------------------------------------------------------------------
 # Scenario -> records

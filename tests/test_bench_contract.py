@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from bsmguard import cli
-from bsmguard.bsm import CSV_HEADER, aggregate, read_bsm_csv, sample_list
+from bsmguard.bsm import CSV_HEADER, aggregate, join_samples, read_bsm_csv
 from bsmguard.cli import main
 from bsmguard.ml import MODEL_FAMILIES
 from bsmguard.pipeline import DECISIONS_HEADER, read_decisions_csv
@@ -227,9 +227,10 @@ def test_bench_inputs_are_split_without_csv_reader(tmp_path, monkeypatch):
         assert sum(len(block.t) for block in read_bsm_csv(str(tmp_path / name))) >= 1000
         assert fed == [",".join(CSV_HEADER) + "\n"], name
     fed.clear()
-    samples = sample_list(aggregate(read_bsm_csv(simulate.outputs[0]), workloads.SIDE_WINDOW_S))
+    samples = join_samples(aggregate(read_bsm_csv(simulate.outputs[0]), workloads.SIDE_WINDOW_S))
     fed.clear()
-    assert len(read_decisions_csv(detect.outputs[0], samples)) == detect.samples
+    attack, score, warmed_up = read_decisions_csv(detect.outputs[0], samples)
+    assert len(attack) == len(score) == len(warmed_up) == detect.samples
     assert fed == [",".join(DECISIONS_HEADER) + "\n"]
 
 

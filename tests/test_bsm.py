@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmguard.bsm import (
-    AggregatedSample,
     BsmRecord,
     DataError,
     NonMonotonicTimestampError,
@@ -18,6 +17,7 @@ from bsmguard.bsm import (
 )
 
 from product_calls import aggregate_records, read_records
+from reference import AggregatedSample
 
 
 def rec(t, speed, accel=0.0, label=0):

@@ -11,18 +11,18 @@ import warnings
 import pytest
 
 from bsmguard import cli, evaluate, pipeline
-from bsmguard.bsm import CSV_HEADER, DataError, aggregate, read_bsm_csv, sample_list
+from bsmguard.bsm import CSV_HEADER, DataError, aggregate, join_samples, read_bsm_csv
 from bsmguard.cli import main
 from bsmguard.config import DetectorSettings
 from bsmguard.evaluate import roc_counts, roc_points
 from bsmguard.pipeline import (
     detector_report,
     read_decisions_csv,
-    scored_pairs,
+    scored_decisions,
 )
 
 import reference
-from product_calls import detect_pairs
+from product_calls import at_every_block_size, detect_pairs, pairs_report
 from reference import ONLINE_MODES
 
 SCENARIO = """\
@@ -89,7 +89,7 @@ class TestSimulate:
         "line, message",
         [
             ("noise_stdv = 5",
-             "bad.cfg: unknown scenario key 'noise_stdv'; did you mean 'noise_stdev'"),
+             "bad.cfg:3: unknown scenario key 'noise_stdv'; did you mean 'noise_stdev'"),
             ("attack.windws = 1:2", "did you mean 'attack.windows'"),
             ("duration_s = -5", "'duration_s'"),
             ("seed = -1", "'seed'"),
@@ -138,11 +138,14 @@ class TestSimulate:
         cfg = tmp_path / "bad.cfg"
         duration = "" if lines.startswith("duration_s") else "duration_s = 10\n"
         cfg.write_text(f"seed = 1\n{duration}{lines}\n")
+        key = message.split("'")[1]
+        line = next(n for n, text in enumerate(cfg.read_text().splitlines(), start=1)
+                    if text.startswith(f"{key} ="))
         out = tmp_path / "x.csv"
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"config error: {message}")
+        assert err.startswith(f"config error: {cfg}:{line}: {message}")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -186,7 +189,7 @@ class TestDetect:
         cfg.write_text("bocpd.lambda = 0.5\n")
         code = main(["detect", str(bsm_csv), "--detector", "bocpd", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
-        assert f"{cfg}: unknown detector key 'bocpd.lambda'" in capsys.readouterr().err
+        assert f"{cfg}:1: unknown detector key 'bocpd.lambda'" in capsys.readouterr().err
 
     def test_non_monotonic_csv_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -596,9 +599,9 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(dec), str(bsm_csv), "--detector", detector,
                      "--windows", "10.0:15.0"]) == 0
-        samples = sample_list(aggregate(read_bsm_csv(str(bsm_csv))))
+        samples = list(reference.aggregate(reference.read_bsm_csv(bsm_csv)))
         pairs = detect_pairs(samples, detector, DetectorSettings())
-        report = detector_report(detector, pairs, ((10.0, 15.0),))
+        report = pairs_report(detector, pairs, ((10.0, 15.0),))
         assert capsys.readouterr().out == report.to_text()
 
     def test_roc_report_sorts_the_scores_once(self, tmp_path, bsm_csv, capsys, monkeypatch):
@@ -624,38 +627,45 @@ class TestReport:
         assert len(sorts) == 2
         out = capsys.readouterr().out
         assert out.startswith(plain) and "auroc = " in plain
-        samples = sample_list(aggregate(read_bsm_csv(str(bsm_csv))))
-        labels, _, scores = scored_pairs("cusum", read_decisions_csv(str(dec), samples))
+        samples = join_samples(aggregate(read_bsm_csv(str(bsm_csv))))
+        labels, _, scores = scored_decisions("cusum", samples.label,
+                                             read_decisions_csv(str(dec), samples))
         with open(roc, newline="") as fh:
             assert fh.read().splitlines()[1:] == [
                 f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(roc_counts(scores, labels))]
 
     @pytest.mark.parametrize("exclude_warmup", [[], ["--exclude-warmup"]])
-    def test_roc_report_selects_the_scored_pairs_once(self, tmp_path, bsm_csv, capsys,
-                                                      monkeypatch, exclude_warmup):
-        # The ROC rows and the report score the same pairs, so one
-        # scored_pairs call serves both, wherever its name is bound.
+    @pytest.mark.parametrize("roc_out", [False, True])
+    def test_report_selects_the_scored_decisions_once(self, tmp_path, bsm_csv, capsys,
+                                                      monkeypatch, exclude_warmup, roc_out):
+        # The ROC rows and the report score the same decisions, so one
+        # scored_decisions call serves both, wherever its name is bound.
         dec, rep, roc = tmp_path / "dec.csv", tmp_path / "rep.txt", tmp_path / "roc.csv"
         assert main(["detect", str(bsm_csv), "--detector", "bocpd", "--out", str(dec)]) == 0
         calls = []
-        select = pipeline.scored_pairs
+        select = pipeline.scored_decisions
 
         def counted(*args):
             calls.append(args)
             return select(*args)
 
-        monkeypatch.setattr(pipeline, "scored_pairs", counted)
-        monkeypatch.setattr(cli, "scored_pairs", counted, raising=False)
+        monkeypatch.setattr(pipeline, "scored_decisions", counted)
+        monkeypatch.setattr(cli, "scored_decisions", counted)
+        roc_argv = ["--roc-out", str(roc)] if roc_out else []
         assert main(["report", str(dec), str(bsm_csv), "--detector", "bocpd", *exclude_warmup,
-                     "--windows", "10.0:15.0", "--out", str(rep), "--roc-out", str(roc)]) == 0
+                     "--windows", "10.0:15.0", "--out", str(rep), *roc_argv]) == 0
         assert len(calls) == 1
-        pairs = read_decisions_csv(str(dec), sample_list(aggregate(read_bsm_csv(str(bsm_csv)))))
-        labels, _, scores = select("bocpd", pairs, bool(exclude_warmup))
-        want = detector_report("bocpd", pairs, ((10.0, 15.0),), bool(exclude_warmup))
+        samples = join_samples(aggregate(read_bsm_csv(str(bsm_csv))))
+        decisions = read_decisions_csv(str(dec), samples)
+        scored = labels, _, scores = select("bocpd", samples.label, decisions,
+                                            bool(exclude_warmup))
+        want = detector_report("bocpd", samples.t, decisions[0], scored, ((10.0, 15.0),),
+                               bool(exclude_warmup))
         assert rep.read_text() == want.to_text()
-        with open(roc, newline="") as fh:
-            assert fh.read().splitlines()[1:] == [
-                f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(roc_counts(scores, labels))]
+        if roc_out:
+            with open(roc, newline="") as fh:
+                assert fh.read().splitlines()[1:] == [
+                    f"{t!r},{f!r},{p!r}" for t, f, p in roc_points(roc_counts(scores, labels))]
 
     def test_roc_on_single_class_truth_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "clean.cfg"
@@ -856,6 +866,33 @@ class TestBlockErrors:
         assert (code, err) == reference_exit(csv, vehicle, window)
         assert message in err
         assert left == []
+
+
+def test_whole_stream_commands_write_the_same_bytes_at_every_block_size(tmp_path):
+    # report, train and evaluate join a stream's sample blocks into one; a
+    # block the join dropped or repeated would change their files at 1 or 7
+    # rows a block, where every window straddles blocks.
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("duration_s = 30.0\nseed = 3\nattack.windows = 8.0:11.0,20.0:24.5\n")
+    bsm, dec = tmp_path / "bsm.csv", tmp_path / "dec.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(bsm)]) == 0
+    assert main(["detect", str(bsm), "--detector", "cusum", "--out", str(dec)]) == 0
+    outputs = [tmp_path / name for name in ("rep.txt", "roc.csv", "model.json", "train.txt",
+                                            "eval.txt")]
+    rep, roc, model, train, evaluated = outputs
+
+    def run_all():
+        for argv in (["report", dec, bsm, "--detector", "cusum", "--windows",
+                      "8.0:11.0,20.0:24.5", "--out", rep, "--roc-out", roc],
+                     ["train", bsm, "--model", "cart", "--grid", '{"max_depth": [3]}',
+                      "--folds", "3", "--out", model, "--report-out", train],
+                     ["evaluate", model, bsm, "--out", evaluated]):
+            assert main([str(arg) for arg in argv]) == 0
+        return [path.read_bytes() for path in outputs]
+
+    first, *rest = at_every_block_size(run_all, sizes=(1, 7, 512))
+    assert all(first)
+    assert rest == [first, first]
 
 
 class TestTrainEvaluate:

@@ -1,7 +1,8 @@
-"""Flat config parsing and detector settings mapping."""
+"""Flat config parsing, detector settings mapping, and where config errors point."""
 
 import pytest
 
+from bsmguard.cli import main
 from bsmguard.config import (
     ConfigError,
     detector_settings_from_mapping,
@@ -100,8 +101,10 @@ class TestDetectorSettings:
         assert s.input_mode("cusum") == "transform"
 
     def test_unknown_key_rejected_with_suggestion(self):
-        with pytest.raises(ConfigError, match=r"det\.cfg: .*'cusum\.h_sgma'.*'cusum\.h_sigma'"):
-            detector_settings_from_mapping({"cusum.h_sgma": "0.001"}, source="det.cfg")
+        cfg = parse_flat_config("# tuned\ncusum.h_sgma = 0.001\n", source="det.cfg")
+        with pytest.raises(ConfigError, match=r"det\.cfg:2: .*'cusum\.h_sgma'.*'cusum\.h_sigma'"):
+            with cfg.located():
+                detector_settings_from_mapping(cfg)
         # The hazard rate is not a setting: the detector has no use for it.
         with pytest.raises(ConfigError, match="'bocpd.lambda'"):
             detector_settings_from_mapping({"bocpd.lambda": "0.10"})
@@ -132,3 +135,77 @@ class TestDetectorSettings:
             detector_settings_from_mapping({"bocpd.kappa": "-1"})
         with pytest.raises(ConfigError):
             detector_settings_from_mapping({"cusum.alpha": "1.5"})
+
+
+class TestErrorLocation:
+    """Every error about a key a config file sets names the file and that key's line."""
+
+    @pytest.fixture
+    def bsm_csv(self, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("duration_s = 10.0\nseed = 1\n")
+        out = tmp_path / "bsm.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("cusum.alpha = 2\n", 1, "cusum: alpha must be in (0, 1), got 2.0"),
+        ("cusum.delta = 1.0\n\ncusum.h_sigma = abc\n", 3,
+         "key 'cusum.h_sigma': could not convert string to float: 'abc'"),
+        ("# fast input\nbocpd.input = fast\n", 2,
+         "key 'bocpd.input': unknown mode 'fast', expected one of "
+         "('speed', 'standardized', 'transform')"),
+        ("cusum.alpha = 0.1\ncusum.warmup = 10\ncusum.alpah = 0.2\n", 3,
+         "unknown detector key 'cusum.alpah'; did you mean 'cusum.alpha'?"),
+        # One message covers three fields; the line is that of the one set.
+        ("bocpd.threshold = 0.1\nbocpd.beta = -1\n", 2,
+         "bocpd: kappa, alpha and beta must all be positive"),
+    ])
+    def test_detector_config_error_names_the_key_line(self, tmp_path, bsm_csv, capsys,
+                                                       text, line, message):
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "dec.csv"
+        code = main(["detect", str(bsm_csv), "--detector", "cusum", "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {cfg}:{line}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("seed = 1\nduration_s = x\n", 2,
+         "key 'duration_s': could not convert string to float: 'x'"),
+        ("seed = 1\nduration_s = 5\nattack.windows = 1:2\nattack.mode = fast\n", 4,
+         "key 'attack.mode': 'fast' is not one of "
+         "('constant_replace', 'offset', 'noise_burst')"),
+        ("seed = 1\nduration_s = 5\nattack.windows = 1:9\n", 3,
+         "key 'attack.windows': (1.0, 9.0) falls outside the 5.0 s stream"),
+        ("seed = 1\nduration_s = 5\nnoise_stdv = 1\n", 3,
+         "unknown scenario key 'noise_stdv'; did you mean 'noise_stdev'?"),
+    ])
+    def test_scenario_error_names_the_key_line(self, tmp_path, capsys, text, line, message):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}:{line}: {message}\n"
+        assert not out.exists()
+
+    def test_a_missing_key_has_no_line_to_name(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("duration_s = 5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "config error: missing required key 'seed'\n"
+
+    def test_a_seed_given_on_the_command_line_names_no_line(self, tmp_path, capsys):
+        # The file's seed line holds a valid seed; the bad one came from --seed.
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("duration_s = 5\nseed = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: key 'seed': -1 must be non-negative\n"
+
+    def test_a_mapping_that_is_not_a_file_names_no_location(self):
+        with pytest.raises(ConfigError) as err:
+            detector_settings_from_mapping({"cusum.alpha": "2"})
+        assert str(err.value) == "cusum: alpha must be in (0, 1), got 2.0"

@@ -1,9 +1,11 @@
 """Model input in whole arrays against the per-row code it replaced.
 
-``pipeline.model_dataset`` builds one float table of the samples and
-standardizes it in one ``apply_standardizer`` call, ``fit_standardizer``
-reads its columns from an array, and ``stratified_split`` and
-``stratified_folds`` mark each index's part in one array. The oracles are
+``pipeline.model_dataset`` takes its features and labels from a sample
+block's columns and standardizes them in one ``apply_standardizer`` call
+(``product_calls.model_dataset_of_rows`` makes the block of the oracle's
+rows), ``fit_standardizer`` reads its columns from an array, and
+``stratified_split`` and ``stratified_folds`` mark each index's part in one
+array. The oracles are
 the per-row and per-index versions (``reference.model_dataset``,
 ``fit_standardizer``, ``apply_standardizer``, ``stratified_split`` and
 ``stratified_folds``); every array must match them in dtype, shape and bytes.
@@ -18,15 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmguard.bsm import (
-    AggregatedSample,
     DataError,
     StandardizationParams,
     apply_standardizer,
     fit_standardizer,
 )
 from bsmguard.ml import stratified_folds, stratified_split
-from bsmguard.pipeline import model_dataset
 
+from product_calls import model_dataset_of_rows as model_dataset
+from reference import AggregatedSample
 from reference import apply_standardizer as oracle_apply_standardizer
 from reference import fit_standardizer as oracle_fit_standardizer
 from reference import model_dataset as oracle_model_dataset

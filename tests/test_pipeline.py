@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from bsmguard.bsm import DataError, fit_standardizer, record_blocks
 from bsmguard.config import DetectorSettings, detector_settings_from_mapping
-from bsmguard.detectors import DETECTORS, DetectorDecision
+from bsmguard.detectors import DETECTORS
 from bsmguard.pipeline import (
     detect_records,
-    detector_report,
     feature_stream,
     read_decisions_csv,
     run_detection,
@@ -22,7 +21,14 @@ from bsmguard.pipeline import (
 )
 from bsmguard.simulate import DrivingProfile, default_scenario, generate_stream
 
-from product_calls import aggregate_records, detect_pairs, sample_blocks
+from product_calls import (
+    aggregate_records,
+    decision_columns,
+    detect_pairs,
+    pairs_report,
+    sample_block,
+    sample_blocks,
+)
 from reference import ONLINE_MODES
 
 
@@ -145,7 +151,7 @@ def test_score_orientation_yields_high_auroc_for_all_detectors():
     samples = scenario_samples(1)
     for name in ("bocpd", "em", "cusum"):
         pairs = detect_pairs(samples, name, DetectorSettings())
-        rep = detector_report(name, pairs, windows=((100.0, 105.0),))
+        rep = pairs_report(name, pairs, windows=((100.0, 105.0),))
         assert rep.auroc_value is not None and rep.auroc_value > 0.95
         assert rep.latency is not None and rep.latency.detected == 1
     assert DETECTORS["bocpd"].orientation == -1.0
@@ -154,8 +160,8 @@ def test_score_orientation_yields_high_auroc_for_all_detectors():
 def test_report_exclude_warmup_changes_totals():
     samples = scenario_samples(2)
     pairs = detect_pairs(samples, "cusum", DetectorSettings())
-    full = detector_report("cusum", pairs)
-    trimmed = detector_report("cusum", pairs, exclude_warmup=True)
+    full = pairs_report("cusum", pairs)
+    trimmed = pairs_report("cusum", pairs, exclude_warmup=True)
     assert full.cm.total == 2000
     assert trimmed.cm.total == 2000 - 50
 
@@ -172,7 +178,7 @@ def test_report_length_mismatch_rejected(tmp_path):
     samples = scenario_samples(0)[:10]
     path = written_decisions(tmp_path, samples)
     with pytest.raises(DataError, match="decision count 10 does not match sample count 9"):
-        read_decisions_csv(path, samples[:9])
+        read_decisions_csv(path, sample_block(samples[:9]))
 
 
 def test_decisions_csv_extra_row_rejected(tmp_path):
@@ -181,7 +187,7 @@ def test_decisions_csv_extra_row_rejected(tmp_path):
     with path.open("a") as fh:
         fh.write(f"{samples[9].t + 0.1!r},0.0,0,1\n")
     with pytest.raises(DataError, match="decision count 11 does not match sample count 10"):
-        read_decisions_csv(path, samples)
+        read_decisions_csv(path, sample_block(samples))
 
 
 def test_decisions_csv_missing_row_rejected(tmp_path):
@@ -189,7 +195,7 @@ def test_decisions_csv_missing_row_rejected(tmp_path):
     path = written_decisions(tmp_path, samples)
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
     with pytest.raises(DataError, match="decision count 9 does not match sample count 10"):
-        read_decisions_csv(path, samples)
+        read_decisions_csv(path, sample_block(samples))
 
 
 def test_decisions_csv_t_mismatch_names_the_line_and_both_times(tmp_path):
@@ -197,7 +203,7 @@ def test_decisions_csv_t_mismatch_names_the_line_and_both_times(tmp_path):
     path = written_decisions(tmp_path, samples)
     shifted = [s._replace(t=s.t + 0.05) for s in samples]
     with pytest.raises(DataError) as err:
-        read_decisions_csv(path, [*samples[:4], *shifted[4:]])
+        read_decisions_csv(path, sample_block([*samples[:4], *shifted[4:]]))
     assert f"d.csv:6: t={samples[4].t!r}" in str(err.value)
     assert repr(shifted[4].t) in str(err.value)
 
@@ -212,7 +218,7 @@ def test_decisions_csv_error_names_the_line_past_quoted_line_breaks(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("t,score,attack,warmed_up\n" + "".join(rows))
     with pytest.raises(DataError, match=r"d\.csv:5: attack and warmed_up must be 0 or 1"):
-        read_decisions_csv(path, samples)
+        read_decisions_csv(path, sample_block(samples))
 
 
 def decisions_text(samples, flags):
@@ -227,12 +233,10 @@ def test_decisions_csv_reads_decisions_with_bool_flags(tmp_path):
     samples = scenario_samples(0)[:3]
     path = tmp_path / "d.csv"
     path.write_text(decisions_text(samples, [("01", "+1"), ("-0", "01"), ("+1", "-0")]))
-    pairs = read_decisions_csv(path, samples)
-    assert [s for s, _ in pairs] == list(samples)
-    assert all(type(d) is DetectorDecision for _, d in pairs)
-    assert [(d.attack, d.warmed_up) for _, d in pairs] == [(True, True), (False, True),
-                                                           (True, False)]
-    assert {type(flag) for _, d in pairs for flag in (d.attack, d.warmed_up)} == {bool}
+    attack, score, warmed_up = read_decisions_csv(path, sample_block(samples))
+    assert (attack, score, warmed_up) == ([True, False, True], [0.5] * 3, [True, True, False])
+    assert {type(flag) for flag in attack + warmed_up} == {bool}
+    assert {type(value) for value in score} == {float}
 
 
 @pytest.mark.parametrize("column", [0, 1])
@@ -247,7 +251,7 @@ def test_decisions_csv_flag_other_than_0_or_1_names_its_line(tmp_path, column, f
     path = tmp_path / "d.csv"
     path.write_text(decisions_text(samples, flags))
     with pytest.raises(DataError, match=rf"d\.csv:3: {error}"):
-        read_decisions_csv(path, samples)
+        read_decisions_csv(path, sample_block(samples))
 
 
 def test_decisions_csv_roundtrip(tmp_path):
@@ -257,7 +261,8 @@ def test_decisions_csv_roundtrip(tmp_path):
     n = write_decisions_csv(path, [([s.t for s in samples[:150]], [d for _, d in pairs[:150]]),
                                    ([s.t for s in samples[150:]], [d for _, d in pairs[150:]])])
     assert n == 200
-    assert read_decisions_csv(path, samples) == pairs
+    assert read_decisions_csv(path, sample_block(samples)) == decision_columns(
+        [d for _, d in pairs])
 
 
 @pytest.mark.parametrize("mode", ["speed", "transform"])

@@ -5,8 +5,9 @@ a file to ``csv.reader``; ``read_bsm_csv`` and ``read_decisions_csv`` convert
 and check a block a column at a time. The oracles are the per-row readers
 they replaced (``reference.read_csv``, ``read_bsm_csv`` and
 ``read_decisions_csv``), so every file, well formed or not, must give the
-same rows, records and pairs, or the same error after the same prefix, at
-every block size.
+same rows, records and decisions (joined to their samples as the oracle's
+pairs by ``product_calls.read_decision_pairs``), or the same error after the
+same prefix, at every block size.
 """
 
 import csv
@@ -18,16 +19,17 @@ from hypothesis import strategies as st
 
 from bsmguard.bsm import (
     CSV_HEADER,
-    AggregatedSample,
     BsmRecord,
     DataError,
     RecordBlock,
     read_bsm_csv,
     read_csv,
 )
-from bsmguard.pipeline import DECISIONS_HEADER, read_decisions_csv
+from bsmguard.pipeline import DECISIONS_HEADER
 
 from product_calls import at_every_block_size, read_records
+from product_calls import read_decision_pairs as read_decisions_csv
+from reference import AggregatedSample
 from reference import read_bsm_csv as oracle_read_bsm_csv
 from reference import read_csv as oracle_read_csv
 from reference import read_decisions_csv as oracle_read_decisions_csv

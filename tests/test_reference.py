@@ -5,7 +5,9 @@ from ``bsmguard`` only what ``ALLOWED`` lists, so no oracle quietly calls the
 function it checks, and no test module imports another. The end-to-end test
 runs ``simulate``, ``detect`` and ``report`` on small scenarios, at the
 native and coarser aggregation windows, and checks their files against the
-reference's data path.
+reference's data path. The report test runs ``report`` on the reference's own
+decisions and checks every count, the AUROC, the latency and the ROC file
+against the reference's report oracles.
 """
 
 import ast
@@ -13,6 +15,7 @@ import contextlib
 import io
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +45,7 @@ ALLOWED = {
     ("bsmguard.pipeline", "DECISIONS_HEADER"): CONSTANT,
     ("bsmguard.simulate", "DEFAULT_VEHICLE_ID"): CONSTANT,
     **dict.fromkeys([("bsmguard.bsm", name) for name in (
-        "AggregatedSample", "BsmRecord", "DataError", "NonMonotonicTimestampError",
+        "BsmRecord", "DataError", "NonMonotonicTimestampError",
         "StandardizationParams")], TYPE),
     **dict.fromkeys([("bsmguard.detectors", name) for name in (
         "BocpdConfig", "DetectorDecision", "EmConfig")], TYPE),
@@ -172,3 +175,63 @@ def test_cli_files_follow_the_reference_data_path(tmp_path_factory, cfg, window)
         tp, tn, fp, fn = reference.confusion([s.label for s in samples], flags)
         assert [report[k] for k in ("samples", "tp", "tn", "fp", "fn")] == [
             str(v) for v in (len(samples), tp, tn, fp, fn)], name
+
+
+# ---------------------------------------------------------------------------
+# report against the reference, on the reference's own decisions
+# ---------------------------------------------------------------------------
+
+#: A noisy stream, and a noise-free one whose attacked samples bocpd scores at
+#: a density that underflows to 0.0, so their oriented score is -0.0.
+REPORT_STREAMS = {
+    "noisy": ({"duration_s": "30.0", "seed": "7", "attack.windows": "10.0:15.0"},
+              ((10.0, 15.0),)),
+    "flat": ({"duration_s": "60.0", "seed": "7", "noise_stdev": "0.0",
+              "attack.windows": "30.0:35.0"}, ((30.0, 35.0),)),
+}
+
+
+@pytest.mark.parametrize("exclude_warmup", [False, True])
+@pytest.mark.parametrize("name", list(DETECTORS))
+@pytest.mark.parametrize("stream", list(REPORT_STREAMS))
+def test_report_follows_the_reference_on_its_own_decisions(tmp_path, stream, name,
+                                                           exclude_warmup):
+    cfg, windows = REPORT_STREAMS[stream]
+    bsm, dec = tmp_path / "bsm.csv", tmp_path / "dec.csv"
+    reference.write_csv(bsm, CSV_HEADER, reference.run_scenario(scenario_from_mapping(cfg)))
+    samples = list(reference.aggregate(reference.read_bsm_csv(bsm)))
+    kind = DETECTORS[name]
+    decisions = reference_decisions(name, reference.feature_stream(samples, kind.input))
+    if name == "cusum":  # the reference has no cusum score, so detect's stands in
+        run("detect", bsm, "--detector", name, "--out", dec)
+        scores = [float(row[1]) for _, row in reference.read_csv(dec, DECISIONS_HEADER)]
+        decisions = [(attack, score, warmed_up)
+                     for (attack, _, warmed_up), score in zip(decisions, scores, strict=True)]
+    reference.write_csv(dec, DECISIONS_HEADER,
+                        [(s.t, score, int(attack), int(warmed_up))
+                         for s, (attack, score, warmed_up) in zip(samples, decisions)])
+    rep, roc = tmp_path / "rep.txt", tmp_path / "roc.csv"
+    run("report", dec, bsm, "--detector", name, *(["--exclude-warmup"] * exclude_warmup),
+        "--windows", cfg["attack.windows"], "--out", rep, "--roc-out", roc)
+    report = dict(line.split(" = ", 1) for line in rep.read_text().splitlines())
+
+    labels, flags, scores = map(list, zip(*[
+        (s.label, int(attack), kind.orientation * score)
+        for s, (attack, score, warmed_up) in zip(samples, decisions)
+        if warmed_up or not exclude_warmup]))
+    assert [report[k] for k in ("samples", "tp", "tn", "fp", "fn")] == [
+        str(v) for v in (len(labels), *reference.confusion(labels, flags))]
+    assert report["auroc"] == repr(reference.pairwise_auroc(scores, labels))
+    latency = reference.detection_latency([s.t for s in samples],
+                                          [attack for attack, _, _ in decisions], windows)
+    assert [report[f"latency_{k}"] for k in ("windows_detected", "windows_undetected",
+                                             "mean_s", "max_s")] == [
+        str(latency.detected), str(latency.undetected), repr(latency.mean), repr(latency.max)]
+
+    counts = reference.roc_counts(scores, labels)
+    _, n_neg, n_pos = counts[-1]
+    reference.write_csv(tmp_path / "want.csv", ("threshold", "fpr", "tpr"),
+                        [(thr, fp / n_neg, tp / n_pos) for thr, fp, tp in counts])
+    assert roc.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    if (stream, name) == ("flat", "bocpd"):
+        assert roc.read_text().splitlines()[2].startswith("-0.0,")

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from bsmguard import simulate
 from bsmguard.bsm import (
     BSM_PERIOD_S,
-    AggregatedSample,
     BsmRecord,
     DataError,
     NonMonotonicTimestampError,
@@ -34,6 +33,7 @@ from bsmguard.bsm import (
 from bsmguard.simulate import DrivingProfile, generate_stream
 
 from product_calls import aggregate_records, at_every_block_size
+from reference import AggregatedSample
 from reference import aggregate as oracle_aggregate
 
 
